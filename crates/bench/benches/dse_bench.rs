@@ -8,7 +8,6 @@ use margot::Knowledge;
 use milepost::extract_function;
 use platform_sim::{BindingPolicy, KnobConfig, Machine, Topology};
 use polybench::{App, Dataset};
-use socrates::ExecutionEngine;
 
 fn bench_full_factorial_profiling(c: &mut Criterion) {
     let mut group = c.benchmark_group("dse-profile");
@@ -39,21 +38,6 @@ fn bench_full_factorial_profiling(c: &mut Criterion) {
     group.finish();
 }
 
-/// `--engine {ast,bytecode}` restricts the functional-execution
-/// benchmarks to one engine (the offline criterion shim ignores
-/// unknown CLI arguments, so the flag is free to claim).
-fn engines_under_bench() -> Vec<ExecutionEngine> {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--engine") {
-        Some(i) => vec![args
-            .get(i + 1)
-            .expect("--engine needs a value")
-            .parse()
-            .unwrap_or_else(|e| panic!("{e}"))],
-        None => ExecutionEngine::ALL.to_vec(),
-    }
-}
-
 fn bench_engine_execution(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine-run");
     group.sample_size(10);
@@ -65,22 +49,13 @@ fn bench_engine_execution(c: &mut Criterion) {
         let (weaved, _) = weaver.finish();
         let entry = woven.version_functions[0].clone();
         let spec = socrates::functional_spec(app, Dataset::Large, 1);
-        for engine in engines_under_bench() {
-            let id = format!("{}-{engine}", app.name());
-            match engine {
-                ExecutionEngine::Ast => {
-                    group.bench_function(id, |b| {
-                        b.iter(|| minivm::interpret(&weaved, &entry, &spec).unwrap().checksum);
-                    });
-                }
-                ExecutionEngine::Bytecode => {
-                    let kernel = minivm::compile(&weaved, &entry, &spec).unwrap();
-                    group.bench_function(id, |b| {
-                        b.iter(|| kernel.run().unwrap().checksum);
-                    });
-                }
-            }
-        }
+        group.bench_function(format!("{}-ast", app.name()), |b| {
+            b.iter(|| minivm::interpret(&weaved, &entry, &spec).unwrap().checksum);
+        });
+        let kernel = minivm::compile(&weaved, &entry, &spec).unwrap();
+        group.bench_function(format!("{}-bytecode", app.name()), |b| {
+            b.iter(|| kernel.run().unwrap().checksum);
+        });
     }
     group.finish();
 }

@@ -1,26 +1,26 @@
 //! Interpreter-vs-compiled engine comparison: every Polybench kernel
-//! executed functionally on both [`ExecutionEngine`]s.
+//! executed functionally through both `minivm` engines.
 //!
 //! For each of the 12 apps the weaved clone is specialized for one
 //! thread (the profiling sweep's single-core shape) and
 //!
-//! - the **AST** engine re-interprets the tree per invocation (the
-//!   reference oracle),
-//! - the **bytecode** engine lowers once (`compile` column) and then
-//!   re-runs the cached register code per invocation.
+//! - the **AST** interpreter ([`minivm::interpret`]) re-walks the tree
+//!   per invocation (the reference oracle),
+//! - the **bytecode** engine ([`minivm::compile`]) lowers once
+//!   (`compile` column) and then re-runs the cached register code per
+//!   invocation.
 //!
 //! Reports must be bit-identical between the engines — the run aborts
 //! otherwise. Rows land in `results/engine_compare.json` and BENCH.md;
 //! the geometric-mean speedup is the repo's "compiled kernels are ≥ 5×
 //! faster than interpretation" acceptance number.
 //!
-//! `--engine {ast,bytecode}` restricts the run to one engine (no
-//! speedup column in that case). Run with `cargo run -p socrates-bench
-//! --bin engine_compare --release`.
+//! Run with `cargo run -p socrates-bench --bin engine_compare
+//! --release`.
 
 use polybench::{App, Dataset};
 use serde::Serialize;
-use socrates::{compile_kernel, functional_spec, ExecutionEngine};
+use socrates::functional_spec;
 use std::time::Instant;
 
 /// The dataset the functional specs are derived from (dimensions are
@@ -34,10 +34,10 @@ struct EngineRow {
     app: String,
     checksum: String,
     flops: u64,
-    ast_run_us: Option<f64>,
-    bytecode_compile_us: Option<f64>,
-    bytecode_run_us: Option<f64>,
-    speedup: Option<f64>,
+    ast_run_us: f64,
+    bytecode_compile_us: f64,
+    bytecode_run_us: f64,
+    speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -45,7 +45,7 @@ struct EngineCompare {
     dataset: String,
     threads: u32,
     rows: Vec<EngineRow>,
-    geomean_speedup: Option<f64>,
+    geomean_speedup: f64,
 }
 
 fn weaved_clone(app: App) -> (minic::TranslationUnit, String) {
@@ -73,17 +73,6 @@ fn time_per_run(mut f: impl FnMut()) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let engines: Vec<ExecutionEngine> = match args.iter().position(|a| a == "--engine") {
-        Some(i) => vec![args
-            .get(i + 1)
-            .expect("--engine needs a value")
-            .parse()
-            .unwrap_or_else(|e| panic!("{e}"))],
-        None => ExecutionEngine::ALL.to_vec(),
-    };
-    let ast = engines.contains(&ExecutionEngine::Ast);
-    let byte = engines.contains(&ExecutionEngine::Bytecode);
     println!(
         "Functional execution engines — AST interpreter vs config-specialized bytecode\n\
          ({DATASET:?} dataset dims clamped to {}, 1 thread)\n",
@@ -98,61 +87,35 @@ fn main() {
     for app in App::ALL {
         let (tu, entry) = weaved_clone(app);
         let spec = functional_spec(app, DATASET, 1);
-        // Build both artifacts through the shared entry point so the
-        // bit-identity contract is asserted exactly where consumers
-        // rely on it.
-        let compiled = engines
-            .iter()
-            .map(|&e| compile_kernel(e, &tu, &entry, app, &spec).expect("kernel lowers"))
-            .collect::<Vec<_>>();
-        for pair in compiled.windows(2) {
-            assert_eq!(
-                pair[0].report, pair[1].report,
-                "{app:?}: engines diverged — the bit-identity contract is broken"
-            );
-        }
-        let report = compiled[0].report;
-        let ast_run_us = ast.then(|| {
-            1e6 * time_per_run(|| {
+        let kernel = minivm::compile(&tu, &entry, &spec).expect("kernel lowers");
+        let report = kernel.run().expect("runs");
+        assert_eq!(
+            minivm::interpret(&tu, &entry, &spec).expect("interprets"),
+            report,
+            "{app:?}: engines diverged — the bit-identity contract is broken"
+        );
+        let ast_run_us = 1e6
+            * time_per_run(|| {
                 minivm::interpret(&tu, &entry, &spec).expect("interprets");
-            })
-        });
-        let (bytecode_compile_us, bytecode_run_us) = if byte {
-            let compile_us = 1e6
-                * time_per_run(|| {
-                    minivm::compile(&tu, &entry, &spec).expect("lowers");
-                });
-            let kernel = minivm::compile(&tu, &entry, &spec).expect("lowers");
-            let run_us = 1e6
-                * time_per_run(|| {
-                    kernel.run().expect("runs");
-                });
-            (Some(compile_us), Some(run_us))
-        } else {
-            (None, None)
-        };
-        let speedup = match (ast_run_us, bytecode_run_us) {
-            (Some(a), Some(b)) => Some(a / b),
-            _ => None,
-        };
-        if let Some(s) = speedup {
-            log_speedup_sum += s.ln();
-        }
-        let fmt = |v: Option<f64>| match v {
-            Some(v) => format!("{v:.2}"),
-            None => "-".to_string(),
-        };
+            });
+        let bytecode_compile_us = 1e6
+            * time_per_run(|| {
+                minivm::compile(&tu, &entry, &spec).expect("lowers");
+            });
+        let bytecode_run_us = 1e6
+            * time_per_run(|| {
+                kernel.run().expect("runs");
+            });
+        let speedup = ast_run_us / bytecode_run_us;
+        log_speedup_sum += speedup.ln();
         println!(
-            "{:>12} {:>14} {:>12} {:>14} {:>12} {:>9}",
+            "{:>12} {:>14.2} {:>12.2} {:>14.2} {:>12} {:>8.1}x",
             app.name(),
-            fmt(ast_run_us),
-            fmt(bytecode_compile_us),
-            fmt(bytecode_run_us),
+            ast_run_us,
+            bytecode_compile_us,
+            bytecode_run_us,
             report.flops,
-            match speedup {
-                Some(s) => format!("{s:.1}x"),
-                None => "-".to_string(),
-            }
+            speedup
         );
         rows.push(EngineRow {
             app: app.name().to_string(),
@@ -164,10 +127,8 @@ fn main() {
             speedup,
         });
     }
-    let geomean_speedup = (ast && byte).then(|| (log_speedup_sum / App::ALL.len() as f64).exp());
-    if let Some(g) = geomean_speedup {
-        println!("\ngeomean speedup (compiled vs interpreted): {g:.1}x");
-    }
+    let geomean_speedup = (log_speedup_sum / App::ALL.len() as f64).exp();
+    println!("\ngeomean speedup (compiled vs interpreted): {geomean_speedup:.1}x");
     socrates_bench::write_json(
         "engine_compare",
         &EngineCompare {

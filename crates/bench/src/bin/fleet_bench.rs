@@ -18,15 +18,11 @@
 //!
 //! Run with `cargo run -p socrates-bench --bin fleet_bench --release`.
 
-// These suites pin the deprecated round surface on purpose: it must
-// stay bit-identical to the unified FleetRuntime path until removal.
-#![allow(deprecated)]
-
 use margot::{Metric, Rank};
 use platform_sim::KnobConfig;
 use polybench::App;
 use serde::Serialize;
-use socrates::{EnhancedApp, ExecutionEngine, Fleet, FleetConfig, Toolchain, TraceSample};
+use socrates::{EnhancedApp, Fleet, FleetConfig, FleetRuntime, Toolchain, TraceSample};
 use std::time::Instant;
 
 const DRIFT_FACTOR: f64 = 1.6;
@@ -37,7 +33,6 @@ const INSTANCES: usize = 8;
 #[derive(Serialize)]
 struct ScalingRow {
     instances: usize,
-    engine: String,
     virtual_seconds: f64,
     total_invocations: usize,
     invocations_per_virtual_s: f64,
@@ -63,31 +58,18 @@ struct ConvergenceRow {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    // `--engine {ast,bytecode}` selects the functional engine the
-    // fleet's kernels are lowered for (default: bytecode).
-    let engine: ExecutionEngine = match args.iter().position(|a| a == "--engine") {
-        Some(i) => args
-            .get(i + 1)
-            .expect("--engine needs a value")
-            .parse()
-            .unwrap_or_else(|e| panic!("{e}")),
-        None => ExecutionEngine::default(),
-    };
-    let toolchain = Toolchain {
-        engine,
-        ..Toolchain::default()
-    };
-    let enhanced = toolchain.enhance(App::TwoMm).expect("enhance 2mm");
+    let enhanced = Toolchain::default()
+        .enhance(App::TwoMm)
+        .expect("enhance 2mm");
 
-    println!("Fleet runtime — online knowledge sharing at deployment scale ({engine} engine)");
+    println!("Fleet runtime — online knowledge sharing at deployment scale");
     println!();
-    scaling_study(&enhanced, engine);
+    scaling_study(&enhanced);
     println!();
-    convergence_study(&enhanced, engine);
+    convergence_study(&enhanced);
 }
 
-fn scaling_study(enhanced: &EnhancedApp, engine: ExecutionEngine) {
+fn scaling_study(enhanced: &EnhancedApp) {
     println!("── N-instance throughput scaling (60 virtual seconds each) ──");
     println!(
         "{:>10} {:>14} {:>12} {:>14} {:>12}",
@@ -95,20 +77,15 @@ fn scaling_study(enhanced: &EnhancedApp, engine: ExecutionEngine) {
     );
     let mut rows = Vec::new();
     for n in [1usize, 2, 4, 8, 16] {
-        let mut fleet = Fleet::new(FleetConfig {
-            engine,
-            ..FleetConfig::default()
-        })
-        .expect("valid fleet config");
+        let mut fleet = Fleet::new(FleetConfig::default()).expect("valid fleet config");
         fleet.spawn(enhanced, &Rank::throughput_per_watt2(), 2018, n);
         let wall = Instant::now();
-        fleet.run_for(60.0);
+        fleet.run_until(60.0);
         let host_wall_ms = wall.elapsed().as_secs_f64() * 1e3;
         let total: usize = (0..n).map(|id| fleet.trace(id).len()).sum();
         let stats = fleet.stats();
         let row = ScalingRow {
             instances: n,
-            engine: engine.label().to_string(),
             virtual_seconds: 60.0,
             total_invocations: total,
             invocations_per_virtual_s: total as f64 / 60.0,
@@ -129,7 +106,7 @@ fn scaling_study(enhanced: &EnhancedApp, engine: ExecutionEngine) {
     socrates_bench::write_json("fleet_scaling", &rows);
 }
 
-fn convergence_study(enhanced: &EnhancedApp, engine: ExecutionEngine) {
+fn convergence_study(enhanced: &EnhancedApp) {
     println!("── Online knowledge vs frozen design-time knowledge under drift ──");
     println!(
         "deployment drift: {DRIFT_FACTOR}x per-core dynamic power (idle floor unchanged), \
@@ -158,13 +135,12 @@ fn convergence_study(enhanced: &EnhancedApp, engine: ExecutionEngine) {
     for (mode, share) in [("online", true), ("frozen", false)] {
         let mut fleet = Fleet::new(FleetConfig {
             share_knowledge: share,
-            engine,
             ..FleetConfig::default()
         })
         .expect("valid fleet config");
         let base = drifted.machine(7);
         fleet.spawn_on(enhanced, &Rank::throughput_per_watt2(), &base, INSTANCES);
-        fleet.run_for(HORIZON_S);
+        fleet.run_until(HORIZON_S);
 
         let traces: Vec<Vec<TraceSample>> = (0..INSTANCES).map(|id| fleet.trace(id)).collect();
         let window_start = HORIZON_S - FINAL_WINDOW_S;
@@ -257,7 +233,7 @@ fn arbiter_study(enhanced: &EnhancedApp) {
     let base = drifted.machine(7);
     fleet.spawn_on(enhanced, &Rank::minimize(Metric::exec_time()), &base, 8);
     fleet.set_power_budget(Some(budget));
-    fleet.run_for(60.0);
+    fleet.run_until(60.0);
     let before: f64 = mean_tail_power(&fleet, 0..8, 30.0);
     // Half the fleet leaves: the survivors' slice doubles. Only the
     // survivors' traces enter the "after" mean — the retired
@@ -265,7 +241,7 @@ fn arbiter_study(enhanced: &EnhancedApp) {
     for id in 0..4 {
         fleet.retire_instance(id);
     }
-    fleet.run_for(60.0);
+    fleet.run_until(120.0);
     let after: f64 = mean_tail_power(&fleet, 4..8, 30.0);
     println!(
         "mean per-instance power, last 30 s: {before:.1} W with 8 instances \

@@ -21,15 +21,12 @@
 //! Run with `cargo run -p socrates-bench --bin fleet_dist_bench
 //! --release` (`--smoke` for the small CI configuration).
 
-// These suites pin the deprecated round surface on purpose: it must
-// stay bit-identical to the unified FleetRuntime path until removal.
-#![allow(deprecated)]
-
 use margot::{Rank, SharedKnowledge};
 
 use serde::Serialize;
 use socrates::{
-    DistTopology, DistributedConfig, DistributedFleet, EnhancedApp, FleetConfig, LinkConfig,
+    DistTopology, DistributedConfig, DistributedFleet, EnhancedApp, FleetConfig, FleetRuntime,
+    LinkConfig,
 };
 use std::time::Instant;
 
@@ -122,9 +119,7 @@ fn main() {
                 let mut fleet =
                     DistributedFleet::new(config, &enhanced).expect("valid fleet config");
                 fleet.spawn(&Rank::throughput_per_watt2(), 2018, nodes);
-                for _ in 0..rounds {
-                    fleet.step_round();
-                }
+                fleet.run_events(rounds as u64);
                 let drain_rounds = fleet.drain().expect("drop_prob < 1 must drain");
                 let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
                 verify_converged(&fleet, &enhanced, nodes);

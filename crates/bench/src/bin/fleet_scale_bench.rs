@@ -1,22 +1,18 @@
-//! Fleet scaling experiment: the sharded, incrementally-refreshed
-//! knowledge layer against the single-mutex / full-rebuild baseline.
+//! Fleet scaling experiment: the sharded knowledge layer against the
+//! single-mutex baseline.
 //!
 //! For each fleet size N the same deployment is stepped for a fixed
 //! number of synchronized rounds in two modes:
 //!
-//! - **baseline** — `knowledge_shards = 1`, `incremental_refresh =
-//!   false`: every publish serialises on one global lock, every epoch
-//!   move rebuilds the pool's effective knowledge from scratch and
-//!   every instance re-clones the full knowledge before its next step
-//!   (the pre-sharding behaviour).
+//! - **baseline** — `knowledge_shards = 1`: every publish serialises
+//!   on one global lock.
 //! - **sharded** — the defaults: config-hash lock shards, one lock
-//!   acquisition per shard per round (batched barrier merge), dirty
-//!   points patched incrementally into the pool cache, instances
-//!   adopting [`margot::KnowledgeDelta`]s.
+//!   acquisition per shard per round (batched barrier merge).
 //!
-//! Both modes are bit-identical in output (pinned by
-//! `tests/fleet_equivalence.rs` and re-asserted here on the learned
-//! knowledge), so the comparison is pure overhead. Numbers land in
+//! Both modes patch dirty points incrementally into the pool cache and
+//! are bit-identical in output (pinned by `tests/fleet_equivalence.rs`
+//! and re-asserted here on the learned knowledge), so the comparison is
+//! pure overhead. Numbers land in
 //! `results/fleet_scale.json` (`results/fleet_scale_smoke.json` for
 //! the smoke configuration, so the committed baseline is never
 //! clobbered by CI) and BENCH.md.
@@ -28,15 +24,9 @@
 //!
 //! # Regression gate
 //!
-//! Each fleet size also runs a **sharded + AST-engine** reference cell:
-//! the functional engine compiles kernels only at the round barrier, so
-//! neither engine may perturb publish throughput, and the committed
-//! baseline gates the default bytecode cell explicitly. Restrict a run
-//! to one engine with `--engine {ast,bytecode}`.
-//!
 //! `--check` compares the run against the committed baseline in
-//! `results/fleet_scale.json`: every measured `(instances, mode,
-//! engine)` cell **must** have a baseline counterpart (a missing cell fails
+//! `results/fleet_scale.json`: every measured `(instances, mode)` cell
+//! **must** have a baseline counterpart (a missing cell fails
 //! the gate — new cells can't dodge it), and if any cell's publish
 //! throughput fell below `tolerance × baseline` (default 0.4 — loose
 //! on purpose, CI runners are slower and noisier than the machine
@@ -48,14 +38,10 @@
 //! --release` (`--smoke --check` is the CI regression-gate
 //! configuration).
 
-// These suites pin the deprecated round surface on purpose: it must
-// stay bit-identical to the unified FleetRuntime path until removal.
-#![allow(deprecated)]
-
 use margot::Rank;
 use polybench::App;
 use serde::{Deserialize, Serialize};
-use socrates::{ExecutionEngine, Fleet, FleetConfig};
+use socrates::{Fleet, FleetConfig, FleetRuntime};
 use std::time::Instant;
 
 /// Design-knowledge subsample handed to every instance.
@@ -69,7 +55,6 @@ const DEFAULT_TOLERANCE: f64 = 0.4;
 #[derive(Serialize, Deserialize)]
 struct ScaleRow {
     mode: String,
-    engine: String,
     instances: usize,
     rounds: usize,
     knowledge_points: usize,
@@ -93,25 +78,6 @@ fn main() {
             .expect("--tolerance takes a ratio"),
         None => DEFAULT_TOLERANCE,
     };
-    // `--engine {ast,bytecode}` restricts the run to one functional
-    // engine; the default measures bytecode in both modes plus an AST
-    // reference cell, so the committed baseline gates the compiled
-    // path *and* proves the engine never perturbs throughput.
-    let cells: Vec<(&str, ExecutionEngine)> = match args.iter().position(|a| a == "--engine") {
-        Some(i) => {
-            let engine: ExecutionEngine = args
-                .get(i + 1)
-                .expect("--engine needs a value")
-                .parse()
-                .unwrap_or_else(|e| panic!("{e}"));
-            vec![("baseline", engine), ("sharded", engine)]
-        }
-        None => vec![
-            ("baseline", ExecutionEngine::Bytecode),
-            ("sharded", ExecutionEngine::Bytecode),
-            ("sharded", ExecutionEngine::Ast),
-        ],
-    };
     // The smoke sizes are a subset of the full sizes so every smoke
     // cell has a committed-baseline counterpart for `--check`.
     let sizes: &[usize] = if smoke {
@@ -121,53 +87,39 @@ fn main() {
     };
     let enhanced = socrates_bench::subsampled_twomm(KNOWLEDGE_POINTS);
     println!(
-        "Fleet knowledge-layer scaling — sharded/incremental vs single-mutex baseline\n\
+        "Fleet knowledge-layer scaling — sharded vs single-mutex baseline\n\
          ({KNOWLEDGE_POINTS}-point knowledge, {ROUNDS} synchronized rounds per cell)\n"
     );
     println!(
-        "{:>10} {:>10} {:>9} {:>8} {:>14} {:>18} {:>16}",
-        "instances",
-        "mode",
-        "engine",
-        "shards",
-        "kernels b/h",
-        "round wall [ms]",
-        "publish [obs/s]"
+        "{:>10} {:>10} {:>8} {:>14} {:>18} {:>16}",
+        "instances", "mode", "shards", "kernels b/h", "round wall [ms]", "publish [obs/s]"
     );
     let mut rows = Vec::new();
     for &n in sizes {
         let mut learned = Vec::new();
-        for &(mode, engine) in &cells {
+        for mode in ["baseline", "sharded"] {
             let config = match mode {
                 "baseline" => FleetConfig {
                     knowledge_shards: 1,
-                    incremental_refresh: false,
-                    engine,
                     ..FleetConfig::default()
                 },
-                _ => FleetConfig {
-                    engine,
-                    ..FleetConfig::default()
-                },
+                _ => FleetConfig::default(),
             };
             let shards = config.knowledge_shards;
             let mut fleet = Fleet::new(config).expect("valid fleet config");
             fleet.spawn(&enhanced, &Rank::throughput_per_watt2(), 2018, n);
             // One untimed warm-up round: kernel lowering for the
-            // first-round configurations (milliseconds on the AST
-            // engine) would otherwise dominate small-N cells and make
-            // the gate noisy.
-            fleet.step_round();
+            // first-round configurations would otherwise dominate
+            // small-N cells and make the gate noisy.
+            fleet.run_events(1);
+            let steps_before = steps_run(&fleet);
             let wall = Instant::now();
-            let mut total_steps = 0;
-            for _ in 0..ROUNDS {
-                total_steps += fleet.step_round();
-            }
+            fleet.run_events(ROUNDS as u64);
             let wall_s = wall.elapsed().as_secs_f64();
+            let total_steps = steps_run(&fleet) - steps_before;
             let stats = fleet.stats();
             let row = ScaleRow {
                 mode: mode.to_string(),
-                engine: engine.label().to_string(),
                 instances: n,
                 rounds: ROUNDS,
                 knowledge_points: KNOWLEDGE_POINTS,
@@ -181,10 +133,9 @@ fn main() {
                 publish_throughput_obs_per_s: total_steps as f64 / wall_s,
             };
             println!(
-                "{:>10} {:>10} {:>9} {:>8} {:>14} {:>18.1} {:>16.0}",
+                "{:>10} {:>10} {:>8} {:>14} {:>18.1} {:>16.0}",
                 row.instances,
                 row.mode,
-                row.engine,
                 row.knowledge_shards,
                 format!("{}/{}", row.kernel_builds, row.kernel_cache_hits),
                 row.mean_round_wall_ms,
@@ -196,7 +147,7 @@ fn main() {
         for other in &learned[1..] {
             assert_eq!(
                 &learned[0], other,
-                "every (mode, engine) cell must learn bit-identical knowledge"
+                "every mode must learn bit-identical knowledge"
             );
         }
         println!();
@@ -212,6 +163,11 @@ fn main() {
     if check {
         check_against_baseline(&rows, tolerance);
     }
+}
+
+/// Kernel invocations the fleet has run so far, across all instances.
+fn steps_run(fleet: &Fleet) -> usize {
+    (0..fleet.len()).map(|id| fleet.trace(id).len()).sum()
 }
 
 /// Compares the run against `results/fleet_scale.json` and exits
@@ -238,14 +194,13 @@ fn check_against_baseline(rows: &[ScaleRow], tolerance: f64) {
         // dodge the regression gate entirely.
         let base = baseline
             .iter()
-            .find(|b| b.instances == row.instances && b.mode == row.mode && b.engine == row.engine)
+            .find(|b| b.instances == row.instances && b.mode == row.mode)
             .unwrap_or_else(|| {
                 panic!(
-                    "measured cell (N={}, {}, {}) has no counterpart in the committed \
+                    "measured cell (N={}, {}) has no counterpart in the committed \
                      baseline {} — re-record the baseline to cover it",
                     row.instances,
                     row.mode,
-                    row.engine,
                     path.display()
                 )
             });
@@ -253,10 +208,9 @@ fn check_against_baseline(rows: &[ScaleRow], tolerance: f64) {
         let ratio = row.publish_throughput_obs_per_s / base.publish_throughput_obs_per_s;
         let verdict = if ratio < tolerance { "REGRESSED" } else { "ok" };
         println!(
-            "  {:>6} {:>10} {:>9}: {:>10.0} obs/s vs baseline {:>10.0} obs/s (x{:.2}) {}",
+            "  {:>6} {:>10}: {:>10.0} obs/s vs baseline {:>10.0} obs/s (x{:.2}) {}",
             row.instances,
             row.mode,
-            row.engine,
             row.publish_throughput_obs_per_s,
             base.publish_throughput_obs_per_s,
             ratio,

@@ -30,7 +30,7 @@
 //! # Regression gate
 //!
 //! `--check` enforces two properties: every measured `(scenario,
-//! deployment, engine)` cell must have a counterpart in the committed
+//! deployment)` cell must have a counterpart in the committed
 //! `results/warm_start.json` (a missing cell fails the gate), and the
 //! warm-same-app in-process fleet must converge within `tolerance`
 //! (default 0.05) of the *committed baseline's* cold-start virtual
@@ -44,17 +44,13 @@
 //! Run with `cargo run -p socrates-bench --bin warm_start_bench
 //! --release` (`--smoke --check` is the CI configuration).
 
-// These suites pin the deprecated round surface on purpose: it must
-// stay bit-identical to the unified FleetRuntime path until removal.
-#![allow(deprecated)]
-
 use margot::{Knowledge, Rank};
 use platform_sim::KnobConfig;
 use polybench::{App, Dataset};
 use serde::{Deserialize, Serialize};
 use socrates::{
-    cosine_distance, ArtifactStore, DistributedFleet, EnhancedApp, ExecutionEngine, Fleet,
-    FleetConfig, KnowledgeSnapshot, SnapshotFingerprint, Toolchain, TraceSample,
+    cosine_distance, ArtifactStore, DistributedFleet, EnhancedApp, Fleet, FleetConfig,
+    FleetRuntime, KnowledgeSnapshot, SnapshotFingerprint, Toolchain, TraceSample,
 };
 
 /// Deployment drift: per-core dynamic power × 1.6 (idle floor
@@ -73,7 +69,6 @@ const DEFAULT_TOLERANCE: f64 = 0.05;
 struct WarmStartRow {
     scenario: String,
     deployment: String,
-    engine: String,
     instances: usize,
     horizon_s: f64,
     /// Which application's snapshot seeded the fleet (`"none"` for the
@@ -119,14 +114,6 @@ fn main() {
             .expect("--tolerance takes a fraction"),
         None => DEFAULT_TOLERANCE,
     };
-    let engine: ExecutionEngine = match args.iter().position(|a| a == "--engine") {
-        Some(i) => args
-            .get(i + 1)
-            .expect("--engine needs a value")
-            .parse()
-            .unwrap_or_else(|e| panic!("{e}")),
-        None => ExecutionEngine::default(),
-    };
     let (instances, horizon_s, knowledge_points) = if smoke {
         (4usize, 60.0, Some(64))
     } else {
@@ -136,7 +123,6 @@ fn main() {
     let toolchain = Toolchain {
         dataset: Dataset::Medium,
         dse_repetitions: 1,
-        engine,
         ..Toolchain::default()
     };
     let mut apps = toolchain.enhance_all(&UNIVERSE).expect("enhance universe");
@@ -165,7 +151,7 @@ fn main() {
         .expect("non-empty knowledge");
 
     println!(
-        "Warm-start convergence — shipped snapshots vs cold boot ({engine} engine)\n\
+        "Warm-start convergence — shipped snapshots vs cold boot\n\
          deployment drift {DRIFT_FACTOR}x, {instances} instances, rank Thr/W², \
          {horizon_s} virtual s per cell\n"
     );
@@ -173,8 +159,8 @@ fn main() {
     // ── donor runs ─────────────────────────────────────────────────
     // The cold in-process run *is* the cold cell; the snapshot it cuts
     // after converging is the warm-same-app seed.
-    let mut cold_fleet = in_process(&target, &drifted, engine, None, instances);
-    cold_fleet.run_for(horizon_s);
+    let mut cold_fleet = in_process(&target, &drifted, None, instances);
+    cold_fleet.run_until(horizon_s);
     let cold_traces: Vec<Vec<TraceSample>> =
         (0..instances).map(|id| cold_fleet.trace(id)).collect();
     let same_app_seed = cold_fleet
@@ -211,8 +197,8 @@ fn main() {
         nn_app.name()
     );
     let donor_drifted = donor.platform.hotter(DRIFT_FACTOR);
-    let mut donor_fleet = in_process(donor, &donor_drifted, engine, None, instances);
-    donor_fleet.run_for(horizon_s);
+    let mut donor_fleet = in_process(donor, &donor_drifted, None, instances);
+    donor_fleet.run_until(horizon_s);
     let donor_snapshot = donor_fleet
         .knowledge_snapshot(nn_app, SnapshotFingerprint::of(&toolchain, nn_app))
         .expect("donor pool exists");
@@ -244,8 +230,8 @@ fn main() {
         ),
     ];
     println!(
-        "{:>24} {:>12} {:>9} {:>16} {:>11} {:>13}",
-        "scenario", "deployment", "engine", "convergence [s]", "converged", "tail regret"
+        "{:>24} {:>12} {:>16} {:>11} {:>13}",
+        "scenario", "deployment", "convergence [s]", "converged", "tail regret"
     );
     let mut cells = Vec::new();
     for (scenario, seed, seed_app) in &scenarios {
@@ -253,14 +239,14 @@ fn main() {
             let traces = match (*scenario, deployment) {
                 ("cold", "in-process") => cold_traces.clone(),
                 (_, "in-process") => {
-                    let mut fleet = in_process(&target, &drifted, engine, seed.cloned(), instances);
-                    fleet.run_for(horizon_s);
+                    let mut fleet = in_process(&target, &drifted, seed.cloned(), instances);
+                    fleet.run_until(horizon_s);
                     (0..instances).map(|id| fleet.trace(id)).collect()
                 }
                 _ => {
-                    let mut fleet = distributed(&target, engine, seed.cloned(), instances);
+                    let mut fleet = distributed(&target, seed.cloned(), instances);
                     fleet.spawn_on(&rank, &drifted.machine(7), instances);
-                    fleet.run_for(horizon_s);
+                    fleet.run_until(horizon_s);
                     (0..instances).map(|id| fleet.trace(id)).collect()
                 }
             };
@@ -281,7 +267,6 @@ fn main() {
             let row = WarmStartRow {
                 scenario: (*scenario).to_string(),
                 deployment: deployment.to_string(),
-                engine: engine.label().to_string(),
                 instances,
                 horizon_s,
                 seed_app: seed_app.clone(),
@@ -291,10 +276,9 @@ fn main() {
                 final_window_regret: (oracle_eff - tail_mean) / oracle_eff,
             };
             println!(
-                "{:>24} {:>12} {:>9} {:>16} {:>11} {:>12.1}%",
+                "{:>24} {:>12} {:>16} {:>11} {:>12.1}%",
                 row.scenario,
                 row.deployment,
-                row.engine,
                 row.median_convergence_time_s
                     .map_or("never".to_string(), |t| format!("{t:.1}")),
                 format!("{}/{}", row.converged_instances, instances),
@@ -357,12 +341,10 @@ fn fleet_window(instances: usize) -> usize {
 fn in_process(
     enhanced: &EnhancedApp,
     drifted: &socrates::Platform,
-    engine: ExecutionEngine,
     warm_start: Option<KnowledgeSnapshot>,
     instances: usize,
 ) -> Fleet {
     let mut fleet = Fleet::new(FleetConfig {
-        engine,
         warm_start,
         knowledge_window: fleet_window(instances),
         ..FleetConfig::default()
@@ -381,13 +363,11 @@ fn in_process(
 /// exploration — the transport does not model assignment hand-off).
 fn distributed(
     enhanced: &EnhancedApp,
-    engine: ExecutionEngine,
     warm_start: Option<KnowledgeSnapshot>,
     instances: usize,
 ) -> DistributedFleet {
     DistributedFleet::new(
         FleetConfig {
-            engine,
             warm_start,
             knowledge_window: fleet_window(instances),
             exploration_interval: 0,
@@ -449,18 +429,13 @@ fn check_against_baseline(report: &WarmStartReport, tolerance: f64) {
         baseline
             .cells
             .iter()
-            .find(|b| {
-                b.scenario == row.scenario
-                    && b.deployment == row.deployment
-                    && b.engine == row.engine
-            })
+            .find(|b| b.scenario == row.scenario && b.deployment == row.deployment)
             .unwrap_or_else(|| {
                 panic!(
-                    "measured cell ({}, {}, {}) has no counterpart in the committed \
+                    "measured cell ({}, {}) has no counterpart in the committed \
                      baseline {} — re-record the baseline to cover it",
                     row.scenario,
                     row.deployment,
-                    row.engine,
                     path.display()
                 )
             });

@@ -22,7 +22,9 @@
 
 use crate::engine::CompiledKernel;
 use crate::error::SocratesError;
-use crate::snapshot::{nearest_neighbour, KnowledgeSnapshot, SNAPSHOT_FORMAT_VERSION};
+use crate::snapshot::{
+    nearest_neighbour, KnowledgeSnapshot, SnapshotFingerprint, SNAPSHOT_FORMAT_VERSION,
+};
 use crate::toolchain::{fnv, Toolchain};
 use cobayn::{iterative_compilation, Cobayn, CobaynConfig, TrainingApp};
 use lara::{Multiversioned, WeavingMetrics};
@@ -91,9 +93,9 @@ pub struct ProfiledKnowledge {
     pub profile: WorkloadProfile,
 }
 
-/// Version stamp of the persisted-knowledge artifacts. The config
-/// fingerprint only covers *configuration*; bump this whenever the
-/// profiling semantics themselves change (DSE enumeration, platform
+/// Version stamp of the persisted design-knowledge artifacts. The
+/// config fingerprint only covers *configuration*; bump this whenever
+/// the profiling semantics themselves change (DSE enumeration, platform
 /// model, noise derivation), so stale on-disk files from older code
 /// are treated as misses instead of silently reloaded.
 pub const KNOWLEDGE_FORMAT_VERSION: u32 = 1;
@@ -133,9 +135,8 @@ pub struct StoreStats {
     /// Knowledge artifacts loaded from the persistence directory
     /// instead of being re-profiled.
     pub knowledge_loads: u64,
-    /// Kernel lowerings (one per `(app, dataset, config, threads,
-    /// engine)` — a fleet of instances sharing a configuration
-    /// compiles once).
+    /// Kernel lowerings (one per `(app, dataset, config, threads)` — a
+    /// fleet of instances sharing a configuration compiles once).
     pub kernel_builds: u64,
     /// Compiled-kernel lookups answered from cache.
     pub kernel_hits: u64,
@@ -184,8 +185,8 @@ struct Counters {
 /// batch enhancement (and reusable across repeated single enhancements).
 ///
 /// With a persistence directory ([`ArtifactStore::with_persist_dir`]),
-/// profiled knowledge round-trips through JSON on disk via the
-/// knowledge-file format ([`crate::save_knowledge`]): a cold store reloads previous DSE
+/// profiled knowledge round-trips through disk as a
+/// [`KnowledgeSnapshot`] at epoch 0: a cold store reloads previous DSE
 /// results instead of re-profiling.
 #[derive(Default)]
 pub struct ArtifactStore {
@@ -220,7 +221,7 @@ impl ArtifactStore {
         ArtifactStore::default()
     }
 
-    /// A store that persists profiled knowledge as JSON files under
+    /// A store that persists profiled knowledge as snapshot files under
     /// `dir` (created on first save). Knowledge lookups check the
     /// directory before re-running the DSE.
     pub fn with_persist_dir(dir: impl Into<PathBuf>) -> Self {
@@ -482,13 +483,13 @@ impl ArtifactStore {
     /// deterministic per-app machine seed.
     ///
     /// With a persistence directory, a miss first tries to reload the
-    /// knowledge JSON written by a previous run; a fresh profile is
-    /// saved back to disk. Persistence is **best-effort** in both
-    /// directions: unreadable or malformed files are treated as cache
-    /// misses and save failures are ignored, so a broken cache
-    /// directory degrades to re-profiling rather than erroring (use
-    /// [`crate::save_knowledge`] directly when a persistence failure
-    /// must be detected).
+    /// design-knowledge snapshot written by a previous run; a fresh
+    /// profile is saved back to disk. Persistence is **best-effort** in
+    /// both directions: unreadable, malformed or foreign files are
+    /// treated as cache misses and save failures are ignored, so a
+    /// broken cache directory degrades to re-profiling rather than
+    /// erroring (use [`KnowledgeSnapshot::save`] directly when a
+    /// persistence failure must be detected).
     ///
     /// # Errors
     ///
@@ -527,9 +528,9 @@ impl ArtifactStore {
                     &toolchain.platform.topology,
                 );
                 let machine = toolchain.platform.machine(toolchain.seed ^ fnv(app.name()));
-                // Each profiled configuration also runs functionally on
-                // the toolchain's execution engine: the kernel is
-                // lowered once per distinct thread count (cached) and
+                // Each profiled configuration also runs functionally:
+                // the kernel is lowered once per distinct thread count
+                // (cached) and
                 // an unbound pragma parameter surfaces here as a
                 // lowering error, not deep inside a fleet run. The
                 // executor only touches the kernel cache, so the
@@ -572,9 +573,7 @@ impl ArtifactStore {
     }
 
     /// The lowered, config-specialized kernel of `app` for a given
-    /// thread count, on the toolchain's [`crate::ExecutionEngine`]
-    /// (`toolchain.engine` — part of the config fingerprint, so the two
-    /// engines never share cache entries).
+    /// thread count.
     ///
     /// The kernel is the first weaved clone (`kernel_<app>_v0`; all
     /// clones share one body and differ only in pragma flags, so one
@@ -611,7 +610,6 @@ impl ArtifactStore {
                     .cloned()
                     .unwrap_or_else(|| app.kernel_name());
                 let kernel = crate::engine::compile_kernel_for(
-                    toolchain.engine,
                     &weaved.weaved,
                     &entry,
                     app,
@@ -721,7 +719,7 @@ impl ArtifactStore {
     /// `(app, dataset, config)` under the persistence directory and
     /// returns the written path.
     ///
-    /// Unlike the best-effort knowledge JSON cache, snapshot
+    /// Unlike the best-effort design-knowledge cache, snapshot
     /// persistence is **strict** in both directions: a deployment that
     /// ships a snapshot must know when the artifact could not be
     /// written, and a corrupt or version-skewed file on disk is a typed
@@ -832,21 +830,24 @@ impl ArtifactStore {
         })
     }
 
-    /// Path of the persisted knowledge file for `(app, dataset, config)`.
-    /// The name embeds [`KNOWLEDGE_FORMAT_VERSION`] so files written by
-    /// older profiling semantics self-invalidate.
+    /// Path of the persisted design knowledge for `(app, dataset,
+    /// config)`. The name embeds [`KNOWLEDGE_FORMAT_VERSION`] so files
+    /// written by older profiling semantics self-invalidate, and its
+    /// `.design` infix keeps it apart from the learned snapshot of
+    /// [`ArtifactStore::save_snapshot`].
     fn persist_path(&self, toolchain: &Toolchain, app: App, config: u64) -> Option<PathBuf> {
         self.persist_dir.as_ref().map(|dir| {
             dir.join(format!(
-                "{}-{:?}-{config:016x}.v{KNOWLEDGE_FORMAT_VERSION}.knowledge.json",
+                "{}-{:?}-{config:016x}.v{KNOWLEDGE_FORMAT_VERSION}.design.snapshot.bin",
                 app.name(),
                 toolchain.dataset
             ))
         })
     }
 
-    /// Tries to reload previously profiled knowledge; any unreadable or
-    /// malformed file is treated as a miss (the DSE simply re-runs).
+    /// Tries to reload previously profiled knowledge; any unreadable,
+    /// malformed or foreign file is treated as a miss (the DSE simply
+    /// re-runs).
     fn load_persisted(
         &self,
         toolchain: &Toolchain,
@@ -854,8 +855,9 @@ impl ArtifactStore {
         config: u64,
     ) -> Option<Knowledge<KnobConfig>> {
         let path = self.persist_path(toolchain, app, config)?;
-        let json = std::fs::read_to_string(path).ok()?;
-        crate::knowledge_io::knowledge_from_json(&json).ok()
+        let snapshot = KnowledgeSnapshot::load(path).ok()?;
+        (snapshot.fingerprint == SnapshotFingerprint::of(toolchain, app))
+            .then_some(snapshot.knowledge)
     }
 
     fn save_persisted(
@@ -870,10 +872,16 @@ impl ArtifactStore {
         };
         let dir = path.parent().expect("persist path has a parent");
         std::fs::create_dir_all(dir).map_err(|e| SocratesError::io(dir, e))?;
-        let json = crate::knowledge_io::knowledge_to_json(knowledge)?;
-        // Atomic: stage + rename, so a crash mid-save can't leave a
-        // truncated artifact that poisons the next warm start.
-        crate::knowledge_io::write_atomic(&path, &json)
+        // Design knowledge is the unlearned state: epoch 0, one shard.
+        // `save` is atomic (stage + rename), so a crash mid-save can't
+        // leave a truncated artifact that poisons the next warm start.
+        KnowledgeSnapshot {
+            fingerprint: SnapshotFingerprint::of(toolchain, app),
+            epoch: 0,
+            shard_epochs: vec![0],
+            knowledge: knowledge.clone(),
+        }
+        .save(path)
     }
 }
 
@@ -937,17 +945,12 @@ mod tests {
         assert_eq!(stats.kernel_hits, 1);
         assert!(store.kernel_compile_ns() > 0);
 
-        // A different engine is a different toolchain fingerprint —
-        // its artifacts never collide with the default engine's, and
-        // its reports are bit-identical.
-        let ast_tc = Toolchain {
-            engine: crate::ExecutionEngine::Ast,
-            ..quick_toolchain()
-        };
-        let d = store.compiled_kernel(&ast_tc, App::TwoMm, 1).unwrap();
-        assert!(d.code.is_none());
-        assert_eq!(d.report, a.report, "engines must be bit-identical");
-        assert_eq!(store.stats().kernel_builds, 3);
+        // The cached bytecode reproduces the reference interpreter.
+        let weaved = store.weaved(&tc, App::TwoMm).unwrap();
+        let spec = crate::engine::functional_spec(App::TwoMm, tc.dataset, 1);
+        let reference =
+            minivm::interpret(&weaved.weaved, &a.entry, &spec).expect("interpreter runs");
+        assert_eq!(a.report, reference, "engines must be bit-identical");
     }
 
     #[test]
@@ -1183,6 +1186,38 @@ mod tests {
         assert_eq!(cold.stats().knowledge_builds, 0);
         assert_eq!(cold.stats().knowledge_loads, 1);
         assert_eq!(fresh.knowledge, reloaded.knowledge);
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncated_design_knowledge_degrades_to_a_reprofile() {
+        let tc = quick_toolchain();
+        let dir = std::env::temp_dir().join(format!(
+            "socrates-artifact-truncated-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        ArtifactStore::with_persist_dir(&dir)
+            .profiled_knowledge(&tc, App::Syrk)
+            .unwrap();
+        let files: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(files.len(), 1, "one design-knowledge file: {files:?}");
+        let bytes = std::fs::read(&files[0]).unwrap();
+        std::fs::write(&files[0], &bytes[..bytes.len() / 2]).unwrap();
+
+        // The best-effort load treats the corrupt file as a miss.
+        let cold = ArtifactStore::with_persist_dir(&dir);
+        let reprofiled = cold.profiled_knowledge(&tc, App::Syrk).unwrap();
+        assert_eq!(cold.stats().knowledge_loads, 0);
+        assert_eq!(cold.stats().knowledge_builds, 1);
+        let fresh = ArtifactStore::new()
+            .profiled_knowledge(&tc, App::Syrk)
+            .unwrap();
+        assert_eq!(reprofiled.knowledge, fresh.knowledge);
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,33 +1,26 @@
-//! Functional execution engines for the weaved kernels.
+//! Functional execution of the weaved kernels.
 //!
 //! The analytic platform model ([`platform_sim`]) predicts *metrics*
 //! (time, power); this module actually *runs* the weaved mini-C kernels
 //! through the `minivm` crate to produce an
 //! [`ExecutionReport`](minivm::ExecutionReport) — a bit-exact checksum
-//! of the global state plus semantic flop/load/store counts. Two
-//! engines implement the same contract:
+//! of the global state plus semantic flop/load/store counts. The weaved
+//! program is lowered through a typed IR into compact register-based
+//! bytecode with every specialization constant (array dimensions,
+//! pragma parameters such as `__socrates_num_threads`, baked entry
+//! arguments) resolved at lowering time, then run by a tight dispatch
+//! loop with no per-step allocation.
 //!
-//! - [`ExecutionEngine::Ast`] — the reference AST interpreter, a direct
-//!   walk over the `minic` tree;
-//! - [`ExecutionEngine::Bytecode`] — the production path: the weaved
-//!   program is lowered through a typed IR into compact register-based
-//!   bytecode with every specialization constant (array dimensions,
-//!   pragma parameters such as `__socrates_num_threads`, baked entry
-//!   arguments) resolved at lowering time, then run by a tight
-//!   dispatch loop with no per-step allocation.
+//! The AST interpreter ([`minivm::interpret`]) stays in `minivm` as the
+//! reference oracle only: `crates/minivm/tests/polybench_differential.rs`
+//! pins all twelve Polybench apps and `tests/engine_equivalence.rs`
+//! property-tests random generated programs against it.
 //!
-//! The two engines are bit-identical on every supported program —
-//! `crates/minivm/tests/polybench_differential.rs` pins all twelve
-//! Polybench apps and `tests/engine_equivalence.rs` property-tests
-//! random generated programs — so [`ExecutionEngine::Bytecode`] is the
-//! default everywhere and [`ExecutionEngine::Ast`] survives as the
-//! cross-check oracle.
-//!
-//! [`compile_kernel`] is the single entry point: it lowers (or
-//! interprets) one weaved clone under one [`SpecConfig`](minivm::SpecConfig)
-//! and returns a [`CompiledKernel`] artifact carrying the report, the
-//! lowering cost and (for the bytecode engine) the reusable compiled
-//! code. The [`ArtifactStore`](crate::ArtifactStore) caches these per
+//! [`compile_kernel`] is the single entry point: it lowers one weaved
+//! clone under one [`SpecConfig`](minivm::SpecConfig) and returns a
+//! [`CompiledKernel`] artifact carrying the report, the lowering cost
+//! and the reusable compiled code. The
+//! [`ArtifactStore`](crate::ArtifactStore) caches these per
 //! `(app, dataset, config fingerprint)` so a fleet of N instances
 //! sharing a configuration compiles once.
 
@@ -36,60 +29,15 @@ use minic::TranslationUnit;
 use minivm::{ExecutionReport, SpecConfig};
 use platform_sim::KnobConfig;
 use polybench::{App, Dataset, KernelArg};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Cap on the functional array dimensions (the analytic profile keeps
 /// the paper's full dataset sizes; functional execution clamps each
-/// axis to this bound so the reference interpreter stays fast enough
-/// for debug-mode test runs). Both engines always receive the *same*
-/// clamped spec, so the cap cannot perturb their equivalence.
+/// axis to this bound so the reference interpreter the differential
+/// suites run stays fast enough for debug-mode test runs).
 pub const FUNCTIONAL_DIM_CAP: usize = 20;
-
-/// Which implementation executes the weaved kernels functionally.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ExecutionEngine {
-    /// The reference AST interpreter (slow, obviously-correct oracle).
-    Ast,
-    /// Config-specialized register bytecode (the default, fast path).
-    #[default]
-    Bytecode,
-}
-
-impl ExecutionEngine {
-    /// Both engines, reference first.
-    pub const ALL: [ExecutionEngine; 2] = [ExecutionEngine::Ast, ExecutionEngine::Bytecode];
-
-    /// Short lowercase label, as used in bench rows and CLI flags.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecutionEngine::Ast => "ast",
-            ExecutionEngine::Bytecode => "bytecode",
-        }
-    }
-}
-
-impl std::fmt::Display for ExecutionEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Parses the CLI form produced by [`ExecutionEngine::label`].
-impl FromStr for ExecutionEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "ast" => Ok(ExecutionEngine::Ast),
-            "bytecode" => Ok(ExecutionEngine::Bytecode),
-            other => Err(format!("unknown engine {other:?} (expected ast|bytecode)")),
-        }
-    }
-}
 
 /// The functional array dimensions for `app` on `ds`: the dataset's
 /// dimensions clamped to [`FUNCTIONAL_DIM_CAP`].
@@ -124,35 +72,26 @@ pub fn functional_spec(app: App, ds: Dataset, threads: u32) -> SpecConfig {
 pub struct CompiledKernel {
     /// The application the kernel belongs to.
     pub app: App,
-    /// The engine the kernel was lowered for.
-    pub engine: ExecutionEngine,
     /// The weaved clone that was executed (e.g. `kernel_2mm_v0`).
     pub entry: String,
     /// Fingerprint of the [`SpecConfig`](minivm::SpecConfig) the kernel
     /// was specialized against (cache key component).
     pub spec_fingerprint: u64,
-    /// The execution result, computed once at build time. Both engines
-    /// must produce bit-identical reports for the same spec.
+    /// The execution result, computed once at build time; bit-identical
+    /// to [`minivm::interpret`] under the same spec.
     pub report: ExecutionReport,
     /// Wall-clock cost of lowering + the build-time reference run.
     pub compile_ns: u64,
-    /// The reusable compiled code (`None` for the AST engine, which
-    /// re-walks the tree on every run).
-    pub code: Option<Arc<minivm::CompiledKernel>>,
+    /// The reusable compiled code.
+    pub code: Arc<minivm::CompiledKernel>,
 }
 
 impl CompiledKernel {
-    /// Re-executes the kernel and returns the fresh report. For the
-    /// bytecode engine this reuses the compiled code (scratch state is
-    /// provided by the caller via [`minivm::VmState`]-free `run`); the
-    /// AST engine re-interprets the stored translation unit through the
-    /// caller. Cached consumers normally read [`CompiledKernel::report`]
+    /// Re-executes the compiled code and returns the fresh report.
+    /// Cached consumers normally read [`CompiledKernel::report`]
     /// instead.
     pub fn run(&self) -> Result<ExecutionReport, SocratesError> {
-        match &self.code {
-            Some(code) => code.run().map_err(|e| lower_error(self.app, e)),
-            None => Ok(self.report),
-        }
+        self.code.run().map_err(|e| lower_error(self.app, e))
     }
 }
 
@@ -299,8 +238,8 @@ pub fn analysis_prune(
     )
 }
 
-/// Lowers (or reference-interprets) one weaved clone of `app` under
-/// `spec` and executes it once.
+/// Lowers one weaved clone of `app` under `spec` to bytecode and
+/// executes it once.
 ///
 /// Every pragma parameter the kernel references must be bound in
 /// `spec`; an unbound parameter is rejected here, at lowering time,
@@ -308,47 +247,34 @@ pub fn analysis_prune(
 /// [`SocratesError`] — never as a late lookup failure in the middle of
 /// a profiling sweep.
 pub fn compile_kernel(
-    engine: ExecutionEngine,
     tu: &TranslationUnit,
     entry: &str,
     app: App,
     spec: &SpecConfig,
 ) -> Result<CompiledKernel, SocratesError> {
     let start = Instant::now();
-    let (report, code) = match engine {
-        ExecutionEngine::Ast => {
-            let report = minivm::interpret(tu, entry, spec).map_err(|e| lower_error(app, e))?;
-            (report, None)
-        }
-        ExecutionEngine::Bytecode => {
-            let kernel = minivm::compile(tu, entry, spec).map_err(|e| lower_error(app, e))?;
-            let report = kernel.run().map_err(|e| lower_error(app, e))?;
-            (report, Some(Arc::new(kernel)))
-        }
-    };
+    let code = minivm::compile(tu, entry, spec).map_err(|e| lower_error(app, e))?;
+    let report = code.run().map_err(|e| lower_error(app, e))?;
     Ok(CompiledKernel {
         app,
-        engine,
         entry: entry.to_string(),
         spec_fingerprint: spec.fingerprint(),
         report,
         compile_ns: start.elapsed().as_nanos() as u64,
-        code,
+        code: Arc::new(code),
     })
 }
 
 /// [`compile_kernel`] over the canonical functional spec for `(app,
 /// ds, threads)` — the form the store, fleets and benches use.
 pub fn compile_kernel_for(
-    engine: ExecutionEngine,
     tu: &TranslationUnit,
     entry: &str,
     app: App,
     ds: Dataset,
     threads: u32,
 ) -> Result<CompiledKernel, SocratesError> {
-    let spec = functional_spec(app, ds, threads);
-    compile_kernel(engine, tu, entry, app, &spec)
+    compile_kernel(tu, entry, app, &functional_spec(app, ds, threads))
 }
 
 #[cfg(test)]
@@ -366,15 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn labels_round_trip_through_parse() {
-        for engine in ExecutionEngine::ALL {
-            assert_eq!(engine.label().parse::<ExecutionEngine>().unwrap(), engine);
-        }
-        assert!("llvm".parse::<ExecutionEngine>().is_err());
-        assert_eq!(ExecutionEngine::default(), ExecutionEngine::Bytecode);
-    }
-
-    #[test]
     fn functional_dims_are_clamped() {
         for app in App::ALL {
             for (_, v) in functional_dims(app, Dataset::Large) {
@@ -387,47 +304,21 @@ mod tests {
     fn both_engines_agree_on_a_weaved_clone() {
         let app = App::TwoMm;
         let (tu, entry) = weaved_clone(app);
-        let ast =
-            compile_kernel_for(ExecutionEngine::Ast, &tu, &entry, app, Dataset::Mini, 4).unwrap();
-        let byte = compile_kernel_for(
-            ExecutionEngine::Bytecode,
-            &tu,
-            &entry,
-            app,
-            Dataset::Mini,
-            4,
-        )
-        .unwrap();
-        assert_eq!(ast.report, byte.report);
-        assert!(ast.code.is_none());
-        let code = byte.code.as_ref().expect("bytecode keeps compiled code");
-        assert!(code.op_count() > 0);
+        let kernel = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 4).unwrap();
+        let reference =
+            minivm::interpret(&tu, &entry, &functional_spec(app, Dataset::Mini, 4)).unwrap();
+        assert_eq!(kernel.report, reference);
+        assert!(kernel.code.op_count() > 0);
         // Re-running the cached code reproduces the build-time report.
-        assert_eq!(byte.run().unwrap(), byte.report);
+        assert_eq!(kernel.run().unwrap(), kernel.report);
     }
 
     #[test]
     fn thread_count_is_configuration_not_data() {
         let app = App::Atax;
         let (tu, entry) = weaved_clone(app);
-        let a = compile_kernel_for(
-            ExecutionEngine::Bytecode,
-            &tu,
-            &entry,
-            app,
-            Dataset::Mini,
-            1,
-        )
-        .unwrap();
-        let b = compile_kernel_for(
-            ExecutionEngine::Bytecode,
-            &tu,
-            &entry,
-            app,
-            Dataset::Mini,
-            16,
-        )
-        .unwrap();
+        let a = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 1).unwrap();
+        let b = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 16).unwrap();
         assert_eq!(a.report, b.report);
         // …but the specialized artifacts are distinct cache entries.
         assert_ne!(a.spec_fingerprint, b.spec_fingerprint);
@@ -448,13 +339,11 @@ mod tests {
                 KernelArg::Double(v) => spec.arg(v),
             };
         }
-        for engine in ExecutionEngine::ALL {
-            let err = compile_kernel(engine, &tu, &entry, app, &spec).unwrap_err();
-            assert_eq!(err.stage(), StageId::Lower);
-            let text = err.to_string();
-            assert!(text.starts_with("[lower] syrk:"), "got: {text}");
-            assert!(text.contains(lara::THREADS_VAR), "got: {text}");
-        }
+        let err = compile_kernel(&tu, &entry, app, &spec).unwrap_err();
+        assert_eq!(err.stage(), StageId::Lower);
+        let text = err.to_string();
+        assert!(text.starts_with("[lower] syrk:"), "got: {text}");
+        assert!(text.contains(lara::THREADS_VAR), "got: {text}");
     }
 
     #[test]

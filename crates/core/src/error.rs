@@ -6,13 +6,6 @@
 //! [`StageId`] it originated from and carries human-readable context
 //! (the application name, the file path, …), so a batch run over many
 //! applications produces attributable diagnostics.
-//!
-//! The pre-pipeline names [`ToolchainError`] and [`KnowledgeIoError`]
-//! remain as *name-level* aliases of [`SocratesError`]: code that only
-//! names the error type keeps compiling, but the variant set changed
-//! (context-carrying struct variants, `Cobayn` → `Train`) and the old
-//! blanket `From` impls are gone — construct errors through the
-//! [`SocratesError`] constructors instead.
 
 use polybench::App;
 use std::fmt;
@@ -129,13 +122,6 @@ pub enum SocratesError {
         /// Underlying I/O error.
         source: std::io::Error,
     },
-    /// Malformed or unserialisable artifact JSON.
-    Format {
-        /// What was being (de)serialised.
-        context: String,
-        /// Underlying serde diagnostic.
-        source: serde_json::Error,
-    },
     /// A knob configuration has no compiled clone version.
     UnknownVersion {
         /// Application whose version table was consulted.
@@ -158,14 +144,6 @@ pub enum SocratesError {
     },
 }
 
-/// Pre-pipeline name of [`SocratesError`] (name-level alias; the
-/// variant set is the unified, stage-tagged one).
-pub type ToolchainError = SocratesError;
-
-/// Pre-pipeline name of [`SocratesError`] (name-level alias; the
-/// variant set is the unified, stage-tagged one).
-pub type KnowledgeIoError = SocratesError;
-
 impl SocratesError {
     /// The pipeline stage this error originated from.
     pub fn stage(&self) -> StageId {
@@ -176,7 +154,7 @@ impl SocratesError {
             SocratesError::Weave { .. } => StageId::Weave,
             SocratesError::Analyze { .. } => StageId::Analyze,
             SocratesError::Lower { .. } => StageId::Lower,
-            SocratesError::Io { .. } | SocratesError::Format { .. } => StageId::Persist,
+            SocratesError::Io { .. } => StageId::Persist,
             SocratesError::UnknownVersion { .. } => StageId::Dispatch,
             SocratesError::InvalidConfig { .. } => StageId::Runtime,
             SocratesError::Transport { .. } => StageId::Transport,
@@ -240,14 +218,6 @@ impl SocratesError {
         }
     }
 
-    /// Builds a persistence format error; `context` names the artifact.
-    pub fn format(context: impl Into<String>, source: serde_json::Error) -> Self {
-        SocratesError::Format {
-            context: context.into(),
-            source,
-        }
-    }
-
     /// Builds a dispatch error: `config` has no compiled version in
     /// `app`'s version table.
     pub fn unknown_version(app: App, config: impl fmt::Display) -> Self {
@@ -299,9 +269,6 @@ impl fmt::Display for SocratesError {
             SocratesError::Io { path, source } => {
                 write!(f, "{}: knowledge file I/O failed: {source}", path.display())
             }
-            SocratesError::Format { context, source } => {
-                write!(f, "{context}: knowledge file malformed: {source}")
-            }
             SocratesError::UnknownVersion { app, config } => {
                 write!(f, "{app}: configuration {config} has no compiled version")
             }
@@ -324,7 +291,6 @@ impl std::error::Error for SocratesError {
             SocratesError::Weave { source, .. } => Some(source),
             SocratesError::Lower { source, .. } => Some(source),
             SocratesError::Io { source, .. } => Some(source),
-            SocratesError::Format { source, .. } => Some(source),
             SocratesError::Analyze { .. }
             | SocratesError::UnknownVersion { .. }
             | SocratesError::InvalidConfig { .. }
@@ -360,16 +326,6 @@ mod tests {
         assert_eq!(e.stage(), StageId::Dispatch);
         assert!(e.to_string().contains("cfg-label"));
         assert!(e.to_string().contains("no compiled version"));
-    }
-
-    #[test]
-    fn legacy_aliases_refer_to_the_unified_type() {
-        let e: ToolchainError = SocratesError::parse(
-            App::Syrk,
-            minic::parse("int main( {").expect_err("invalid source"),
-        );
-        assert!(matches!(e, KnowledgeIoError::Parse { .. }));
-        assert_eq!(e.stage(), StageId::Parse);
     }
 
     #[test]

@@ -3,14 +3,12 @@
 //! runtimes, plus the event stream ([`FleetEvent`]) their observers
 //! consume.
 //!
-//! Historically each runtime exposed its own round loop
-//! (`step_round`/`run_for`); the redesign re-keys everything to the
-//! **virtual clock**: `run_until(t)` advances a runtime to virtual
-//! time `t`, `run_events(n)` processes a bounded number of scheduler
-//! events, and registered observers see every arrival, step, publish
-//! and retirement as it happens. The lockstep runtimes implement the
-//! surface on top of their unchanged (bit-identical) round semantics —
-//! one synchronized round is one scheduler event — while
+//! Everything is keyed to the **virtual clock**: `run_until(t)`
+//! advances a runtime to virtual time `t`, `run_events(n)` processes a
+//! bounded number of scheduler events, and registered observers see
+//! every arrival, step, publish and retirement as it happens. The
+//! lockstep runtimes implement the surface on top of their round
+//! semantics — one synchronized round is one scheduler event — while
 //! [`crate::EventFleet`] implements it natively on a discrete-event
 //! heap.
 
@@ -143,9 +141,8 @@ pub type EventObserver = Box<dyn FnMut(&FleetEvent) + Send>;
 /// Time is the **virtual clock**, not rounds: `run_until(t)` advances
 /// the runtime until every schedulable instance has reached virtual
 /// time `t`, however many scheduler events that takes. For the
-/// lockstep implementors one scheduler event is one synchronized round
-/// (their round semantics are unchanged and bit-identical to the
-/// historical `step_round` loop); for the event-driven runtime it is
+/// lockstep implementors one scheduler event is one synchronized round;
+/// for the event-driven runtime it is
 /// one heap event (a step, an arrival or a retirement).
 pub trait FleetRuntime {
     /// Advances the runtime until no schedulable instance's virtual

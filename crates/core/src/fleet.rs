@@ -34,10 +34,10 @@
 //! the columnar arena into the cache
 //! ([`SharedKnowledge::drain_changes_into`]) — and the cache itself is
 //! copy-on-write ([`Knowledge`] is `Arc`-backed), so a stale instance
-//! adopts it with a reference-count bump instead of a deep clone. Set
-//! [`FleetConfig::incremental_refresh`] to `false` for the
-//! full-rebuild reference path the equivalence tests pin the
-//! incremental path against.
+//! adopts it with a reference-count bump instead of a deep clone. The
+//! full-rebuild reference ([`SharedKnowledge::snapshot`]) lives in the
+//! tests: `crates/margot/tests/shared_props.rs` checks drained deltas
+//! against it, and the fleet tests check the pool cache against it.
 //!
 //! # Failure isolation
 //!
@@ -49,12 +49,13 @@
 //! Rounds are **bit-identical at any rayon thread count**: instances
 //! only read shared state during the parallel phase, and all mutation
 //! (publish + schedule bookkeeping) happens sequentially in instance
-//! order at the barrier (pinned by `tests/fleet_equivalence.rs`).
+//! order at the barrier. `tests/fleet_equivalence.rs` pins the traces
+//! to digests of the serial reference, and CI re-runs it under
+//! `RAYON_NUM_THREADS=1/2/8` (one thread steps the instances serially).
 
-use crate::engine::{CompiledKernel, ExecutionEngine};
+use crate::engine::CompiledKernel;
 use crate::error::SocratesError;
 use crate::events::{EventObserver, FleetEvent, FleetRuntime, InstanceId};
-use crate::knowledge_io::save_knowledge;
 use crate::runtime::{AdaptiveApplication, TraceSample};
 use crate::snapshot::{KnowledgeSnapshot, SnapshotFingerprint};
 use crate::toolchain::EnhancedApp;
@@ -67,7 +68,6 @@ use polybench::{App, Dataset};
 use rayon::prelude::*;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Priority of the constraint the power arbiter manages on each
@@ -121,26 +121,9 @@ pub struct FleetConfig {
     /// different points proceed without contention. Must be ≥ 1
     /// ([`FleetConfig::validate`]).
     pub knowledge_shards: usize,
-    /// Refresh the pool's barrier-time cache incrementally (patch only
-    /// the changed points; instances adopt [`margot::KnowledgeDelta`]s
-    /// when they kept up with the epoch). `false` selects the
-    /// full-rebuild/full-clone reference path — bit-identical output,
-    /// kept for equivalence tests and baseline benchmarks.
-    pub incremental_refresh: bool,
     /// Global power budget (watts) split across active instances;
     /// `None` leaves every instance unconstrained.
     pub power_budget_w: Option<f64>,
-    /// Step rounds over rayon (`true`) or on the calling thread
-    /// (`false`, the sequential reference the equivalence tests pin the
-    /// parallel path against).
-    pub parallel_step: bool,
-    /// Which functional engine compiles the pool kernels. Kernels are
-    /// lowered once per `(pool, thread count)` at the round barrier and
-    /// cached ([`FleetStats::kernel_builds`] /
-    /// [`FleetStats::kernel_cache_hits`]); instances never compile in
-    /// their step. The default is the bytecode backend; the AST
-    /// interpreter is the bit-identical reference.
-    pub engine: ExecutionEngine,
     /// Prune each pool's cooperative exploration schedule with the
     /// static analyzer before the sweep starts
     /// ([`crate::analysis_prune`]): configurations whose specialization
@@ -170,8 +153,8 @@ pub struct FleetConfig {
     /// the in-process [`Fleet::new`] rejects them.
     pub distributed: Option<crate::transport::DistributedConfig>,
     /// How the runtime advances the fleet's virtual clock — lockstep
-    /// rounds (the reference semantics, bit-identical to the historical
-    /// `step_round` loop) or the sparse discrete-event scheduler.
+    /// rounds (the reference semantics) or the sparse discrete-event
+    /// scheduler.
     /// [`Schedule::EventDriven`] configurations boot through
     /// [`crate::EventFleet::new`]; [`Fleet::new`] rejects them.
     pub schedule: Schedule,
@@ -182,8 +165,8 @@ pub struct FleetConfig {
 pub enum Schedule {
     /// Synchronized rounds: every due instance steps once, then all
     /// observations merge at a sequential barrier in instance order.
-    /// The reference semantics — bit-identical to the historical
-    /// `step_round`/`run_for` loop at any rayon thread count.
+    /// The reference semantics — bit-identical at any rayon thread
+    /// count.
     #[default]
     Lockstep,
     /// A discrete-event scheduler on the virtual clock: each instance
@@ -203,10 +186,7 @@ impl Default for FleetConfig {
             knowledge_window: 8,
             min_observations: 1,
             knowledge_shards: margot::DEFAULT_SHARDS,
-            incremental_refresh: true,
             power_budget_w: None,
-            parallel_step: true,
-            engine: ExecutionEngine::default(),
             analysis_prune: false,
             warm_start: None,
             distributed: None,
@@ -419,13 +399,6 @@ impl FleetConfigBuilder {
         Ok(self)
     }
 
-    /// Sets [`FleetConfig::incremental_refresh`].
-    #[must_use]
-    pub fn incremental_refresh(mut self, incremental: bool) -> Self {
-        self.config.incremental_refresh = incremental;
-        self
-    }
-
     /// Sets [`FleetConfig::power_budget_w`].
     ///
     /// # Errors
@@ -435,20 +408,6 @@ impl FleetConfigBuilder {
         check_power_budget(budget_w)?;
         self.config.power_budget_w = budget_w;
         Ok(self)
-    }
-
-    /// Sets [`FleetConfig::parallel_step`].
-    #[must_use]
-    pub fn parallel_step(mut self, parallel: bool) -> Self {
-        self.config.parallel_step = parallel;
-        self
-    }
-
-    /// Sets [`FleetConfig::engine`].
-    #[must_use]
-    pub fn engine(mut self, engine: ExecutionEngine) -> Self {
-        self.config.engine = engine;
-        self
     }
 
     /// Sets [`FleetConfig::analysis_prune`].
@@ -590,14 +549,13 @@ struct Pool {
 impl Pool {
     /// Compiles (or reuses) the config-specialized kernel for one
     /// thread count. Called only from barrier/sequential code.
-    fn ensure_kernel(&mut self, engine: ExecutionEngine, threads: u32) {
+    fn ensure_kernel(&mut self, threads: u32) {
         use std::collections::hash_map::Entry;
         match self.kernels.entry(threads) {
             Entry::Occupied(_) => self.kernel_cache_hits += 1,
             Entry::Vacant(slot) => {
                 self.kernel_builds += 1;
                 let compiled = crate::engine::compile_kernel_for(
-                    engine,
                     &self.weaved,
                     &self.entry,
                     self.app,
@@ -613,26 +571,18 @@ impl Pool {
 
     /// Refreshes the cached snapshot. Called only from barrier
     /// (sequential) code.
-    fn refresh_cache(&mut self, incremental: bool) {
-        if incremental {
-            // Dirty inserts are always paired with an epoch bump, so an
-            // unmoved epoch means there is nothing to drain — skip the
-            // per-shard lock sweep entirely.
-            if self.shared.epoch() == self.cache_epoch {
-                return;
-            }
-            // Patch only the points whose effective values changed
-            // since the last barrier, straight out of the arena;
-            // O(changed) instead of O(points), with no intermediate
-            // point list.
-            let (to_epoch, _patched) = self.shared.drain_changes_into(&mut self.cache);
-            self.cache_epoch = to_epoch;
-        } else if self.shared.epoch() != self.cache_epoch {
-            // Reference path: full effective-knowledge rebuild.
-            let (epoch, knowledge) = self.shared.snapshot();
-            self.cache_epoch = epoch;
-            self.cache = knowledge;
+    fn refresh_cache(&mut self) {
+        // Dirty inserts are always paired with an epoch bump, so an
+        // unmoved epoch means there is nothing to drain — skip the
+        // per-shard lock sweep entirely.
+        if self.shared.epoch() == self.cache_epoch {
+            return;
         }
+        // Patch only the points whose effective values changed since
+        // the last barrier, straight out of the arena; O(changed)
+        // instead of O(points), with no intermediate point list.
+        let (to_epoch, _patched) = self.shared.drain_changes_into(&mut self.cache);
+        self.cache_epoch = to_epoch;
     }
 }
 
@@ -852,8 +802,8 @@ impl Fleet {
     /// The functional execution report of `app`'s compiled kernel
     /// specialized for `threads`, or `None` if that specialization was
     /// never built (or its lowering failed). Reports are bit-identical
-    /// across [`ExecutionEngine`]s and across thread counts — the
-    /// thread knob is configuration, not data.
+    /// to [`minivm::interpret`] and across thread counts — the thread
+    /// knob is configuration, not data.
     pub fn kernel_report(&self, app: App, threads: u32) -> Option<ExecutionReport> {
         self.pools
             .iter()
@@ -876,7 +826,7 @@ impl Fleet {
         let pool = self.pool_for(&enhanced, &rank);
         let mut app = AdaptiveApplication::with_machine(enhanced, rank, machine);
         let epoch = if self.config.share_knowledge {
-            self.pools[pool].refresh_cache(self.config.incremental_refresh);
+            self.pools[pool].refresh_cache();
             app.set_knowledge(self.pools[pool].cache.clone());
             self.pools[pool].cache_epoch
         } else {
@@ -1002,75 +952,15 @@ impl Fleet {
         }
     }
 
-    /// One synchronized round: every active instance performs one
-    /// MAPE-K (or exploration) step concurrently, then all observations
-    /// are merged into the shared knowledge in instance order. Returns
-    /// the number of steps taken.
-    #[deprecated(note = "use the FleetRuntime surface: run_events(1) is one synchronized round")]
-    pub fn step_round(&mut self) -> usize {
-        self.step_round_inner()
-    }
-
-    /// Steps rounds until every active instance has advanced its own
-    /// virtual clock by `duration_s` seconds (instances run at their
-    /// own speed: faster ones take more invocations per wall round).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duration_s` is not strictly positive.
-    #[deprecated(
-        note = "use the FleetRuntime surface: run_until(t) advances to an absolute virtual time"
-    )]
-    pub fn run_for(&mut self, duration_s: f64) {
-        self.run_for_inner(duration_s);
-    }
-
-    /// The non-deprecated internals of [`step_round`](Self::step_round).
-    fn step_round_inner(&mut self) -> usize {
+    /// One synchronized round over every active instance; returns the
+    /// number of steps taken.
+    fn step_all(&mut self) -> usize {
         let due: Vec<bool> = self
             .instances
             .iter_mut()
             .map(|m| instance_mut(m).active)
             .collect();
         self.round_with(&due)
-    }
-
-    /// The non-deprecated internals of [`run_for`](Self::run_for):
-    /// rounds against per-instance deadlines `now + duration`.
-    fn run_for_inner(&mut self, duration_s: f64) -> u64 {
-        assert!(duration_s > 0.0, "duration must be positive");
-        let deadlines: Vec<f64> = self
-            .instances
-            .iter_mut()
-            .map(|m| {
-                let inst = instance_mut(m);
-                inst.app.now_s() + duration_s
-            })
-            .collect();
-        self.rounds_to_deadlines(&deadlines)
-    }
-
-    /// Rounds until every active instance has reached its own absolute
-    /// deadline; returns the number of rounds (scheduler events).
-    fn rounds_to_deadlines(&mut self, deadlines: &[f64]) -> u64 {
-        let mut rounds = 0;
-        loop {
-            let due: Vec<bool> = self
-                .instances
-                .iter_mut()
-                .zip(deadlines)
-                .map(|(m, &deadline)| {
-                    let inst = instance_mut(m);
-                    inst.active && inst.app.now_s() < deadline
-                })
-                .collect();
-            if !due.iter().any(|&d| d) {
-                break;
-            }
-            self.round_with(&due);
-            rounds += 1;
-        }
-        rounds
     }
 
     /// The execution trace of instance `id` so far.
@@ -1117,7 +1007,7 @@ impl Fleet {
     /// The current merged (online) knowledge for `app`, or `None` if no
     /// instance of it was ever added. If several pools share the
     /// application (different design knowledge), the first-created
-    /// pool is reported; use [`Fleet::persist_learned`] to export all.
+    /// pool is reported.
     pub fn learned_knowledge(&self, app: App) -> Option<Knowledge<KnobConfig>> {
         self.pools
             .iter()
@@ -1160,38 +1050,6 @@ impl Fleet {
                 p.schedule.total(),
             )
         })
-    }
-
-    /// Persists every pool's learned knowledge as
-    /// `<dir>/<app>_learned.json` (loadable with
-    /// [`crate::load_knowledge`], so a future toolchain run can seed
-    /// from deployment experience); returns the written paths. When
-    /// several pools share an application name (instances enhanced by
-    /// different toolchain configurations), later pools get a
-    /// `_<pool index>` suffix instead of overwriting the first.
-    ///
-    /// # Errors
-    ///
-    /// Returns a persist-stage [`SocratesError`] on I/O failure.
-    pub fn persist_learned(&self, dir: impl AsRef<Path>) -> Result<Vec<PathBuf>, SocratesError> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(|e| SocratesError::io(dir, e))?;
-        let mut written: Vec<PathBuf> = Vec::with_capacity(self.pools.len());
-        for (i, pool) in self.pools.iter().enumerate() {
-            let first_of_app = self
-                .pools
-                .iter()
-                .position(|p| p.app == pool.app)
-                .expect("pool exists");
-            let path = if first_of_app == i {
-                dir.join(format!("{}_learned.json", pool.app.name()))
-            } else {
-                dir.join(format!("{}_learned_{i}.json", pool.app.name()))
-            };
-            save_knowledge(&pool.shared.knowledge(), &path)?;
-            written.push(path);
-        }
-        Ok(written)
     }
 
     /// Finds (or creates) the shared pool for an enhanced app. Pools
@@ -1275,11 +1133,10 @@ impl Fleet {
             pruned_infeasible,
             pruned_dominated,
         });
-        let engine = self.config.engine;
         let pool = self.pools.len() - 1;
         // Warm the single-thread specialization at pool creation: the
         // common boot configuration runs compiled from round one.
-        self.pools[pool].ensure_kernel(engine, 1);
+        self.pools[pool].ensure_kernel(1);
         pool
     }
 
@@ -1443,14 +1300,10 @@ impl Fleet {
                 }
             }
         };
-        let stepped: Vec<Option<StepOutcome>> = if self.config.parallel_step {
-            (0..self.instances.len())
-                .into_par_iter()
-                .map(step_one)
-                .collect()
-        } else {
-            (0..self.instances.len()).map(step_one).collect()
-        };
+        let stepped: Vec<Option<StepOutcome>> = (0..self.instances.len())
+            .into_par_iter()
+            .map(step_one)
+            .collect();
 
         // The barrier: group the round's observations by pool in
         // instance order, merge each pool's batch with one lock
@@ -1521,17 +1374,16 @@ impl Fleet {
                     pool.schedule
                         .mark_explored_batch(batch.iter().map(|(config, _)| config));
                 }
-                pool.refresh_cache(self.config.incremental_refresh);
+                pool.refresh_cache();
             }
         }
         // Kernel specialization happens here at the barrier — never in
         // an instance's step — so a fleet of N instances running the
         // same configuration lowers it exactly once, even with
         // knowledge sharing off.
-        let engine = self.config.engine;
         for (pool, tns) in self.pools.iter_mut().zip(&kernel_tns) {
             for &tn in tns {
-                pool.ensure_kernel(engine, tn);
+                pool.ensure_kernel(tn);
             }
         }
         if any_failed {
@@ -1578,18 +1430,31 @@ pub(crate) fn dense_id(id: usize) -> InstanceId {
 impl FleetRuntime for Fleet {
     /// Rounds until every active instance's own virtual clock has
     /// reached the absolute time `t_s`; one scheduler event is one
-    /// synchronized round. From a fresh boot (all clocks at zero) this
-    /// is exactly the historical `run_for(t_s)` round sequence.
+    /// synchronized round.
     fn run_until(&mut self, t_s: f64) -> u64 {
-        let deadlines = vec![t_s; self.instances.len()];
-        self.rounds_to_deadlines(&deadlines)
+        let mut rounds = 0;
+        loop {
+            let due: Vec<bool> = self
+                .instances
+                .iter_mut()
+                .map(|m| {
+                    let inst = instance_mut(m);
+                    inst.active && inst.app.now_s() < t_s
+                })
+                .collect();
+            if !due.iter().any(|&d| d) {
+                return rounds;
+            }
+            self.round_with(&due);
+            rounds += 1;
+        }
     }
 
     /// Runs `n` synchronized rounds (stopping early once no instance
     /// is active); returns the rounds run.
     fn run_events(&mut self, n: u64) -> u64 {
         for done in 0..n {
-            if self.step_round_inner() == 0 {
+            if self.step_all() == 0 {
                 return done;
             }
         }
@@ -1616,12 +1481,9 @@ impl FleetRuntime for Fleet {
 
 #[cfg(test)]
 mod tests {
-    // The pinned reference tests exercise the deprecated round surface
-    // on purpose: it must stay bit-identical until removal.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::toolchain::Toolchain;
+    use crate::trace::trace_digest;
     use polybench::Dataset;
 
     fn quick_enhanced(app: App) -> EnhancedApp {
@@ -1642,6 +1504,17 @@ mod tests {
         Fleet::new(config).expect("valid fleet config")
     }
 
+    /// Order-sensitive content digest of a knowledge base.
+    fn knowledge_digest(k: &Knowledge<KnobConfig>) -> u64 {
+        margot::shard_content_hash(k.points().iter().enumerate())
+    }
+
+    fn trace_digests(fleet: &Fleet) -> Vec<u64> {
+        (0..fleet.len())
+            .map(|id| trace_digest(&fleet.trace(id)))
+            .collect()
+    }
+
     #[test]
     fn spawn_boots_instances_with_independent_noise() {
         let enhanced = quick_enhanced(App::TwoMm);
@@ -1649,7 +1522,7 @@ mod tests {
         let ids = fleet.spawn(&enhanced, &rank(), 7, 3);
         assert_eq!(ids, vec![0, 1, 2]);
         assert_eq!(fleet.active_instances(), 3);
-        fleet.step_round();
+        fleet.step_all();
         let t0 = fleet.trace(0)[0].time_s;
         let t1 = fleet.trace(1)[0].time_s;
         assert_ne!(t0, t1, "forked machines must see distinct noise");
@@ -1661,7 +1534,7 @@ mod tests {
         let mut fleet = fleet_with(FleetConfig::default());
         fleet.spawn(&enhanced, &rank(), 3, 2);
         assert_eq!(fleet.knowledge_epoch(App::TwoMm), Some(0));
-        let steps = fleet.step_round();
+        let steps = fleet.step_all();
         assert_eq!(steps, 2);
         assert_eq!(fleet.knowledge_epoch(App::TwoMm), Some(2));
         let learned = fleet.learned_knowledge(App::TwoMm).unwrap();
@@ -1767,11 +1640,8 @@ mod tests {
             .unwrap()
             .knowledge_shards(4)
             .unwrap()
-            .incremental_refresh(false)
             .power_budget_w(Some(400.0))
             .unwrap()
-            .parallel_step(false)
-            .engine(ExecutionEngine::Bytecode)
             .analysis_prune(true)
             .schedule(Schedule::EventDriven)
             .build()
@@ -1781,10 +1651,7 @@ mod tests {
         assert_eq!(config.knowledge_window, 16);
         assert_eq!(config.min_observations, 2);
         assert_eq!(config.knowledge_shards, 4);
-        assert!(!config.incremental_refresh);
         assert_eq!(config.power_budget_w, Some(400.0));
-        assert!(!config.parallel_step);
-        assert_eq!(config.engine, ExecutionEngine::Bytecode);
         assert!(config.analysis_prune);
         assert_eq!(config.schedule, Schedule::EventDriven);
 
@@ -1800,36 +1667,31 @@ mod tests {
     #[test]
     fn the_runtime_surface_matches_the_legacy_round_loop() {
         let enhanced = quick_enhanced(App::TwoMm);
-        let boot = || {
-            let mut fleet = fleet_with(FleetConfig::default());
-            fleet.spawn(&enhanced, &rank(), 7, 3);
-            fleet
-        };
-        // From a fresh boot (all clocks at zero) run_until(t) is the
-        // historical run_for(t) round sequence, bit for bit.
-        let mut legacy = boot();
-        legacy.run_for(2.0);
-        let mut unified = boot();
-        let rounds = unified.run_until(2.0);
-        assert!(rounds > 0);
-        assert_eq!(unified.rounds(), legacy.rounds());
-        assert!(unified.virtual_now_s() >= 2.0);
-        assert_eq!(unified.active_count(), 3);
-        for id in 0..3 {
-            assert_eq!(
-                unified.trace(id).to_vec(),
-                legacy.trace(id).to_vec(),
-                "instance {id} diverged"
-            );
-        }
+        let mut fleet = fleet_with(FleetConfig::default());
+        fleet.spawn(&enhanced, &rank(), 7, 3);
+        // From a fresh boot run_until(t) is the retired run_for(t) round
+        // sequence, bit for bit: rounds, traces and learned knowledge
+        // are pinned to that loop's output.
+        let rounds = fleet.run_until(2.0);
+        assert_eq!(rounds, 69);
+        assert_eq!(fleet.rounds(), 69);
+        assert!(fleet.virtual_now_s() >= 2.0);
+        assert_eq!(fleet.active_count(), 3);
         assert_eq!(
-            unified.learned_knowledge(App::TwoMm),
-            legacy.learned_knowledge(App::TwoMm)
+            trace_digests(&fleet),
+            [
+                0xff57_2268_8d28_bdd1,
+                0x2816_33c2_866b_2bbc,
+                0xe31e_e492_c22a_44a8
+            ]
+        );
+        assert_eq!(
+            knowledge_digest(&fleet.learned_knowledge(App::TwoMm).unwrap()),
+            0x8394_cfde_0ae7_c963
         );
         // run_events(n) is n synchronized rounds.
-        let before = unified.rounds();
-        assert_eq!(unified.run_events(2), 2);
-        assert_eq!(unified.rounds(), before + 2);
+        assert_eq!(fleet.run_events(2), 2);
+        assert_eq!(fleet.rounds(), 71);
     }
 
     #[test]
@@ -1905,12 +1767,12 @@ mod tests {
         fleet.spawn(&enhanced, &rank(), 3, 3);
         fleet.set_power_budget(Some(300.0));
         assert_eq!(fleet.power_share_w(), Some(100.0));
-        fleet.step_round();
+        fleet.step_all();
         // Emptying the knowledge makes the next plan step panic inside
         // the MAPE-K loop ("toolchain produced non-empty knowledge") —
         // a deterministic stand-in for any instance-level bug.
         fleet.with_instance_mut(0, |app| app.set_knowledge(Knowledge::new()));
-        let steps = fleet.step_round();
+        let steps = fleet.step_all();
         assert_eq!(steps, 2, "the two healthy instances keep stepping");
         let stats = fleet.stats();
         assert_eq!(stats.instances, 3);
@@ -1926,7 +1788,7 @@ mod tests {
         // The fleet keeps running; the failed instance's trace is
         // frozen but still readable through its recovered lock.
         let frozen = fleet.trace(0).len();
-        fleet.run_for(0.5);
+        fleet.run_until(fleet.virtual_now_s() + 0.5);
         assert_eq!(fleet.trace(0).len(), frozen);
         assert!(fleet.trace(1).len() > 1);
     }
@@ -1951,7 +1813,7 @@ mod tests {
         assert!(doctored.try_version_of(&missing).is_err());
         fleet.add_instance(enhanced.clone(), rank(), enhanced.platform.machine(1));
         fleet.add_instance(doctored, rank(), enhanced.platform.machine(2));
-        let steps = fleet.step_round();
+        let steps = fleet.step_all();
         assert_eq!(steps, 2, "the stale assignment must not panic");
         let trace = fleet.trace(1);
         assert_eq!(trace.len(), 1);
@@ -1976,7 +1838,7 @@ mod tests {
         let enhanced = quick_enhanced(App::TwoMm);
         let mut fleet = fleet_with(FleetConfig::default());
         fleet.spawn(&enhanced, &rank(), 3, 2);
-        fleet.step_round();
+        fleet.step_all();
         let epoch = fleet.knowledge_epoch(App::TwoMm).unwrap();
         // Publishing an empty bundle directly against the pool's shared
         // knowledge is accepted but changes nothing — no epoch bump,
@@ -1991,24 +1853,39 @@ mod tests {
     #[test]
     fn incremental_and_full_refresh_agree() {
         let enhanced = quick_enhanced(App::TwoMm);
-        let run = |incremental_refresh: bool, knowledge_shards: usize| {
+        let run = |knowledge_shards: usize| {
             let mut fleet = fleet_with(FleetConfig {
-                incremental_refresh,
                 knowledge_shards,
                 ..FleetConfig::default()
             });
             fleet.spawn(&enhanced, &rank(), 3, 4);
-            fleet.run_for(2.0);
-            let traces: Vec<_> = (0..4).map(|id| fleet.trace(id)).collect();
+            fleet.run_until(2.0);
+            // The incrementally patched pool cache is the full
+            // effective-knowledge rebuild.
+            let pool = &fleet.pools[0];
+            assert_eq!(
+                pool.shared.snapshot(),
+                (pool.cache_epoch, pool.cache.clone())
+            );
             (
-                traces,
-                fleet.learned_knowledge(App::TwoMm).unwrap(),
+                trace_digests(&fleet),
+                knowledge_digest(&fleet.learned_knowledge(App::TwoMm).unwrap()),
                 fleet.knowledge_epoch(App::TwoMm).unwrap(),
             )
         };
-        let incremental = run(true, margot::DEFAULT_SHARDS);
-        let reference = run(false, 1);
-        assert_eq!(incremental, reference);
+        // Pinned to the retired single-shard, full-rebuild reference.
+        let reference = (
+            vec![
+                0xeca5_39aa_cba3_5513,
+                0x99ef_6e21_95a1_aad6,
+                0x0a59_eb9c_2a5b_c342,
+                0xa0fb_d3ed_78b7_e76d,
+            ],
+            0xaf98_0978_ffb4_c2fb,
+            267,
+        );
+        assert_eq!(run(margot::DEFAULT_SHARDS), reference);
+        assert_eq!(run(1), reference);
     }
 
     #[test]
@@ -2019,7 +1896,7 @@ mod tests {
             ..FleetConfig::default()
         });
         fleet.spawn(&enhanced, &rank(), 3, 2);
-        fleet.run_for(1.0);
+        fleet.run_until(1.0);
         assert_eq!(fleet.knowledge_epoch(App::TwoMm), Some(0));
         assert_eq!(
             fleet.learned_knowledge(App::TwoMm).unwrap(),
@@ -2037,7 +1914,7 @@ mod tests {
         fleet.spawn(&enhanced, &rank(), 3, 4);
         let total = enhanced.knowledge.len();
         for _ in 0..8 {
-            fleet.step_round();
+            fleet.step_all();
         }
         let (covered, t) = fleet.exploration_coverage(App::TwoMm).unwrap();
         assert_eq!(t, total);
@@ -2074,7 +1951,7 @@ mod tests {
         fleet.spawn(&enhanced, &Rank::minimize(Metric::exec_time()), 3, 2);
         // 2 instances × 70 W each: the unconstrained pick draws >100 W.
         fleet.set_power_budget(Some(140.0));
-        fleet.run_for(3.0);
+        fleet.run_until(3.0);
         for id in 0..2 {
             for s in fleet.trace(id) {
                 assert!(
@@ -2091,10 +1968,10 @@ mod tests {
         let enhanced = quick_enhanced(App::TwoMm);
         let mut fleet = fleet_with(FleetConfig::default());
         fleet.spawn(&enhanced, &rank(), 3, 2);
-        fleet.step_round();
+        fleet.step_all();
         fleet.retire_instance(0);
         let frozen_len = fleet.trace(0).len();
-        assert_eq!(fleet.step_round(), 1, "only instance 1 steps");
+        assert_eq!(fleet.step_all(), 1, "only instance 1 steps");
         assert_eq!(fleet.trace(0).len(), frozen_len);
         assert_eq!(fleet.active_instances(), 1);
         // An orderly retirement is not a failure.
@@ -2106,7 +1983,7 @@ mod tests {
         let enhanced = quick_enhanced(App::TwoMm);
         let mut fleet = fleet_with(FleetConfig::default());
         fleet.spawn(&enhanced, &rank(), 3, 2);
-        fleet.run_for(2.0);
+        fleet.run_until(2.0);
         let learned = fleet.learned_knowledge(App::TwoMm).unwrap();
         let machine = enhanced.platform.machine(123);
         let id = fleet.add_instance(enhanced.clone(), rank(), machine);
@@ -2142,7 +2019,7 @@ mod tests {
         let learned = fleet.learned_knowledge(App::Mvt).unwrap();
         assert_eq!(learned.len(), enhanced.knowledge.len());
         // And the pruned fleet still steps normally.
-        assert_eq!(fleet.step_round(), 2);
+        assert_eq!(fleet.step_all(), 2);
 
         // The default configuration prunes nothing.
         let mut plain = fleet_with(FleetConfig::default());
@@ -2161,7 +2038,7 @@ mod tests {
         let mut fleet = fleet_with(FleetConfig::default());
         fleet.spawn(&twomm, &rank(), 3, 2);
         fleet.spawn(&mvt, &rank(), 3, 2);
-        fleet.run_for(1.0);
+        fleet.run_until(1.0);
         let k2 = fleet.learned_knowledge(App::TwoMm).unwrap();
         let km = fleet.learned_knowledge(App::Mvt).unwrap();
         assert_ne!(k2, km);
@@ -2176,7 +2053,7 @@ mod tests {
         fleet.spawn(&enhanced, &rank(), 3, 4);
         let boot = fleet.stats();
         assert_eq!(boot.kernel_builds, 1, "pool creation warms threads=1");
-        fleet.run_for(2.0);
+        fleet.run_until(2.0);
         let stats = fleet.stats();
         // One lowering per distinct thread count the fleet ran; every
         // other (instance, round) pair hit the pool cache.
@@ -2201,21 +2078,16 @@ mod tests {
     #[test]
     fn ast_and_bytecode_fleets_agree_on_kernel_reports() {
         let enhanced = quick_enhanced(App::Atax);
-        let run = |engine: ExecutionEngine| {
-            let mut fleet = fleet_with(FleetConfig {
-                engine,
-                ..FleetConfig::default()
-            });
-            fleet.spawn(&enhanced, &rank(), 3, 2);
-            fleet.run_for(1.0);
-            (fleet.kernel_report(App::Atax, 1).unwrap(), fleet.trace(0))
-        };
-        let (ast_report, ast_trace) = run(ExecutionEngine::Ast);
-        let (byte_report, byte_trace) = run(ExecutionEngine::Bytecode);
-        assert_eq!(ast_report, byte_report, "engines must be bit-identical");
+        let mut fleet = fleet_with(FleetConfig::default());
+        fleet.spawn(&enhanced, &rank(), 3, 2);
+        fleet.run_until(1.0);
+        let entry = &enhanced.multiversioned.version_functions[0];
+        let spec = crate::engine::functional_spec(App::Atax, enhanced.dataset, 1);
+        let reference = minivm::interpret(&enhanced.weaved, entry, &spec).unwrap();
         assert_eq!(
-            ast_trace, byte_trace,
-            "the engine never perturbs the MAPE-K loop"
+            fleet.kernel_report(App::Atax, 1),
+            Some(reference),
+            "the pool's bytecode must match the AST interpreter"
         );
     }
 
@@ -2225,7 +2097,7 @@ mod tests {
         // A donor fleet learns for a while, then cuts a snapshot.
         let mut donor = fleet_with(FleetConfig::default());
         donor.spawn(&enhanced, &rank(), 3, 2);
-        donor.run_for(2.0);
+        donor.run_until(2.0);
         let fingerprint = SnapshotFingerprint::new(App::TwoMm.name(), "Medium", 0);
         let snapshot = donor
             .knowledge_snapshot(App::TwoMm, fingerprint)
@@ -2262,7 +2134,7 @@ mod tests {
         let adopted = warm.with_instance_mut(id, |app| app.manager().asrtm().knowledge().clone());
         assert_shipped(&adopted, "the joiner's warm cache");
         // The warm pool keeps learning on top of the seed.
-        warm.step_round();
+        warm.step_all();
         assert!(warm.knowledge_epoch(App::TwoMm).unwrap() > 0);
     }
 
@@ -2271,7 +2143,7 @@ mod tests {
         let enhanced = quick_enhanced(App::TwoMm);
         let mut donor = fleet_with(FleetConfig::default());
         donor.spawn(&enhanced, &rank(), 3, 2);
-        donor.run_for(2.0);
+        donor.run_until(2.0);
         let snapshot = donor
             .knowledge_snapshot(
                 App::TwoMm,
@@ -2302,7 +2174,7 @@ mod tests {
         assert_eq!(warm.learned_knowledge(App::ThreeMm).unwrap(), merged);
         // ...but one real observation of a config fully replaces the
         // foreign guess instead of averaging against a seeded window.
-        warm.step_round();
+        warm.step_all();
         let after = warm.learned_knowledge(App::ThreeMm).unwrap();
         let sampled = warm
             .with_instance_mut(id, |app| app.trace().last().map(|s| s.config.clone()))
@@ -2346,12 +2218,18 @@ mod tests {
         let enhanced = quick_enhanced(App::TwoMm);
         let mut fleet = fleet_with(FleetConfig::default());
         fleet.spawn(&enhanced, &rank(), 3, 2);
-        fleet.run_for(1.0);
-        let dir = std::env::temp_dir().join(format!("socrates-fleet-{}", std::process::id()));
-        let written = fleet.persist_learned(&dir).unwrap();
-        assert_eq!(written.len(), 1);
-        let loaded = crate::knowledge_io::load_knowledge(&written[0]).unwrap();
-        assert_eq!(loaded, fleet.learned_knowledge(App::TwoMm).unwrap());
-        std::fs::remove_dir_all(&dir).ok();
+        fleet.run_until(1.0);
+        let snapshot = fleet
+            .knowledge_snapshot(App::TwoMm, SnapshotFingerprint::new("2mm", "Medium", 0))
+            .unwrap();
+        let path = std::env::temp_dir().join(format!("socrates-fleet-{}.bin", std::process::id()));
+        snapshot.save(&path).unwrap();
+        let loaded = KnowledgeSnapshot::load(&path).unwrap();
+        assert_eq!(loaded, snapshot);
+        assert_eq!(
+            loaded.knowledge,
+            fleet.learned_knowledge(App::TwoMm).unwrap()
+        );
+        std::fs::remove_file(&path).ok();
     }
 }

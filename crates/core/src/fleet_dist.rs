@@ -270,7 +270,6 @@ impl DistributedFleet {
             .cloned()
             .unwrap_or_else(|| enhanced.app.kernel_name());
         let kernel = Arc::new(crate::engine::compile_kernel_for(
-            config.engine,
             &enhanced.weaved,
             &entry,
             enhanced.app,
@@ -329,7 +328,7 @@ impl DistributedFleet {
     }
 
     /// The functional execution report of the fleet's shared compiled
-    /// kernel (bit-identical across [`crate::ExecutionEngine`]s).
+    /// kernel (bit-identical to [`minivm::interpret`]).
     pub fn kernel_report(&self) -> ExecutionReport {
         self.kernel.report
     }
@@ -584,60 +583,9 @@ impl DistributedFleet {
 
     /// One synchronized round over all active instances; returns the
     /// number of steps taken.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the FleetRuntime surface: run_events(1) runs one synchronized round"
-    )]
-    pub fn step_round(&mut self) -> usize {
-        self.step_round_inner()
-    }
-
-    /// Steps rounds until every active instance advanced its own
-    /// virtual clock by `duration_s` seconds (mirrors
-    /// [`crate::Fleet::run_for`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duration_s` is not strictly positive.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the FleetRuntime surface: run_until(t) advances to an absolute virtual time"
-    )]
-    pub fn run_for(&mut self, duration_s: f64) {
-        assert!(duration_s > 0.0, "duration must be positive");
-        let deadlines: Vec<f64> = self
-            .nodes
-            .iter()
-            .map(|n| n.app.now_s() + duration_s)
-            .collect();
-        self.rounds_to_deadlines(&deadlines);
-    }
-
-    /// The non-deprecated internals of
-    /// [`step_round`](Self::step_round), shared with the
-    /// [`FleetRuntime`] surface.
-    fn step_round_inner(&mut self) -> usize {
+    fn step_all(&mut self) -> usize {
         let due: Vec<bool> = self.nodes.iter().map(|n| n.active).collect();
         self.round_with(&due)
-    }
-
-    /// Rounds until every active node has reached its own deadline;
-    /// returns the rounds run.
-    fn rounds_to_deadlines(&mut self, deadlines: &[f64]) -> u64 {
-        let mut rounds = 0;
-        loop {
-            let due: Vec<bool> = self
-                .nodes
-                .iter()
-                .zip(deadlines)
-                .map(|(n, &deadline)| n.active && n.app.now_s() < deadline)
-                .collect();
-            if !due.iter().any(|&d| d) {
-                return rounds;
-            }
-            self.round_with(&due);
-            rounds += 1;
-        }
     }
 
     /// Runs anti-entropy repair rounds — no application steps — until
@@ -788,11 +736,7 @@ impl DistributedFleet {
             }
             Some(node.app.step())
         };
-        if self.config.parallel_step {
-            (0..cells.len()).into_par_iter().map(step_one).collect()
-        } else {
-            (0..cells.len()).map(step_one).collect()
-        }
+        (0..cells.len()).into_par_iter().map(step_one).collect()
     }
 
     fn publish_phase(&mut self, stepped: &[Option<TraceSample>]) {
@@ -1291,19 +1235,28 @@ impl DistributedFleet {
 impl FleetRuntime for DistributedFleet {
     /// Rounds until every active node's own virtual clock has reached
     /// the absolute time `t_s`; one scheduler event is one
-    /// synchronized round (tick, deliver, adopt, step, publish). From
-    /// a fresh boot this is exactly the historical `run_for(t_s)`
-    /// round sequence, bit-identically.
+    /// synchronized round (tick, deliver, adopt, step, publish).
     fn run_until(&mut self, t_s: f64) -> u64 {
-        let deadlines = vec![t_s; self.nodes.len()];
-        self.rounds_to_deadlines(&deadlines)
+        let mut rounds = 0;
+        loop {
+            let due: Vec<bool> = self
+                .nodes
+                .iter()
+                .map(|n| n.active && n.app.now_s() < t_s)
+                .collect();
+            if !due.iter().any(|&d| d) {
+                return rounds;
+            }
+            self.round_with(&due);
+            rounds += 1;
+        }
     }
 
     /// Runs `n` synchronized rounds (stopping early once no node is
     /// active); returns the rounds run.
     fn run_events(&mut self, n: u64) -> u64 {
         for done in 0..n {
-            if self.step_round_inner() == 0 {
+            if self.step_all() == 0 {
                 return done;
             }
         }
@@ -1347,10 +1300,6 @@ fn gossip_targets(
 
 #[cfg(test)]
 mod tests {
-    // The pinned reference tests exercise the deprecated round surface
-    // on purpose: it must stay bit-identical until removal.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::toolchain::Toolchain;
     use crate::transport::LinkConfig;
@@ -1427,32 +1376,36 @@ mod tests {
     #[test]
     fn the_runtime_surface_matches_the_legacy_round_loop() {
         let enhanced = quick_enhanced();
-        let boot = || {
-            let mut fleet =
-                DistributedFleet::new(dist_config(DistributedConfig::default()), &enhanced)
-                    .unwrap();
-            fleet.spawn(&Rank::throughput_per_watt2(), 9, 3);
-            fleet
-        };
-        let mut legacy = boot();
-        legacy.run_for(2.0);
-        let mut unified = boot();
-        let rounds = unified.run_until(2.0);
-        assert!(rounds > 0);
-        assert_eq!(unified.rounds(), legacy.rounds());
-        assert!(unified.virtual_now_s() >= 2.0);
-        assert_eq!(unified.active_count(), 3);
-        for id in 0..3 {
-            assert_eq!(unified.trace(id), legacy.trace(id), "node {id} diverged");
-        }
+        let mut fleet =
+            DistributedFleet::new(dist_config(DistributedConfig::default()), &enhanced).unwrap();
+        fleet.spawn(&Rank::throughput_per_watt2(), 9, 3);
+        // From a fresh boot run_until(t) is the retired run_for(t) round
+        // sequence, bit for bit: rounds, traces and the broker's
+        // knowledge are pinned to that loop's output.
+        let rounds = fleet.run_until(2.0);
+        assert_eq!(rounds, 90);
+        assert_eq!(fleet.rounds(), 90);
+        assert!(fleet.virtual_now_s() >= 2.0);
+        assert_eq!(fleet.active_count(), 3);
+        let digests: Vec<u64> = (0..3)
+            .map(|id| crate::trace::trace_digest(&fleet.trace(id)))
+            .collect();
         assert_eq!(
-            unified.authoritative_knowledge(),
-            legacy.authoritative_knowledge()
+            digests,
+            [
+                0xae14_1310_7e7a_2a48,
+                0x0ef5_4683_d09d_8a03,
+                0xfae7_60c9_dc8b_5bc5
+            ]
+        );
+        let knowledge = fleet.authoritative_knowledge();
+        assert_eq!(
+            margot::shard_content_hash(knowledge.points().iter().enumerate()),
+            0xcaf9_859c_2dc6_b3ec
         );
         // run_events(n) is n synchronized rounds.
-        let before = unified.rounds();
-        assert_eq!(unified.run_events(2), 2);
-        assert_eq!(unified.rounds(), before + 2);
+        assert_eq!(fleet.run_events(2), 2);
+        assert_eq!(fleet.rounds(), 92);
     }
 
     #[test]
@@ -1505,21 +1458,14 @@ mod tests {
     #[test]
     fn construction_compiles_the_shared_kernel_on_both_engines() {
         let enhanced = quick_enhanced();
-        let report = |engine: crate::ExecutionEngine| {
-            DistributedFleet::new(
-                FleetConfig {
-                    engine,
-                    ..dist_config(DistributedConfig::default())
-                },
-                &enhanced,
-            )
-            .unwrap()
-            .kernel_report()
-        };
+        let fleet =
+            DistributedFleet::new(dist_config(DistributedConfig::default()), &enhanced).unwrap();
+        let entry = &enhanced.multiversioned.version_functions[0];
+        let spec = crate::engine::functional_spec(App::TwoMm, enhanced.dataset, 1);
         assert_eq!(
-            report(crate::ExecutionEngine::Ast),
-            report(crate::ExecutionEngine::Bytecode),
-            "the distributed fleet's engines must be bit-identical"
+            fleet.kernel_report(),
+            minivm::interpret(&enhanced.weaved, entry, &spec).unwrap(),
+            "the shared bytecode kernel must match the AST interpreter"
         );
     }
 
@@ -1554,7 +1500,7 @@ mod tests {
         fleet.spawn(&Rank::throughput_per_watt2(), 3, 3);
         assert_eq!(fleet.active_instances(), 3);
         for _ in 0..4 {
-            assert_eq!(fleet.step_round(), 3);
+            assert_eq!(fleet.step_all(), 3);
         }
         assert_eq!(fleet.drain().unwrap(), 0, "an ideal link has no backlog");
         assert!(fleet.converged());
@@ -1591,7 +1537,7 @@ mod tests {
         let mut fleet = DistributedFleet::new(dist_config(dist), &enhanced).unwrap();
         fleet.spawn(&Rank::throughput_per_watt2(), 5, 4);
         for _ in 0..6 {
-            fleet.step_round();
+            fleet.step_all();
         }
         fleet.drain().expect("a 30% loss model must drain");
         assert!(fleet.converged());
@@ -1612,11 +1558,11 @@ mod tests {
             DistributedFleet::new(dist_config(DistributedConfig::default()), &enhanced).unwrap();
         fleet.spawn(&Rank::throughput_per_watt2(), 7, 2);
         for _ in 0..5 {
-            fleet.step_round();
+            fleet.step_all();
         }
         let late = fleet.add_instance(Rank::throughput_per_watt2(), enhanced.platform.machine(99));
         for _ in 0..5 {
-            fleet.step_round();
+            fleet.step_all();
         }
         fleet.drain().unwrap();
         assert_eq!(
@@ -1635,7 +1581,7 @@ mod tests {
         // distributed deployment ships.
         let mut donor = crate::fleet::Fleet::new(FleetConfig::default()).unwrap();
         donor.spawn(&enhanced, &Rank::throughput_per_watt2(), 3, 2);
-        donor.run_for(2.0);
+        donor.run_until(2.0);
         let snapshot = donor
             .knowledge_snapshot(
                 App::TwoMm,
@@ -1662,11 +1608,11 @@ mod tests {
         for id in 0..2 {
             assert_eq!(fleet.node_knowledge(id), warmed, "node {id} booted cold");
         }
-        fleet.step_round();
+        fleet.step_all();
         // A churn joiner is welcomed with the warmed (and since
         // updated) knowledge, never the cold design state.
         let late = fleet.add_instance(Rank::throughput_per_watt2(), enhanced.platform.machine(42));
-        fleet.step_round();
+        fleet.step_all();
         fleet.drain().unwrap();
         assert_eq!(fleet.node_knowledge(late), fleet.authoritative_knowledge());
         assert_ne!(fleet.node_knowledge(late), enhanced.knowledge);
@@ -1678,11 +1624,11 @@ mod tests {
         let mut fleet =
             DistributedFleet::new(dist_config(DistributedConfig::default()), &enhanced).unwrap();
         fleet.spawn(&Rank::throughput_per_watt2(), 3, 3);
-        fleet.step_round();
+        fleet.step_all();
         assert!(fleet.retire_instance(0));
         assert!(!fleet.retire_instance(0), "already retired");
         let frozen = fleet.trace(0).len();
-        assert_eq!(fleet.step_round(), 2);
+        assert_eq!(fleet.step_all(), 2);
         assert_eq!(fleet.trace(0).len(), frozen);
         fleet.drain().unwrap();
         assert_eq!(fleet.node_knowledge(1), fleet.node_knowledge(2));

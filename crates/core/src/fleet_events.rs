@@ -709,7 +709,8 @@ impl EventFleet {
         let id = match self.free.pop() {
             Some(slot) => {
                 let s = &mut self.slots[slot as usize];
-                s.generation = s.generation.wrapping_add(1);
+                // Free slots never sit at u32::MAX (see `retire_at`).
+                s.generation += 1;
                 s.live = true;
                 s.inst = inst;
                 InstanceId::new(slot, s.generation)
@@ -739,7 +740,11 @@ impl EventFleet {
         let slot = id.slot() as usize;
         let pool = self.slots[slot].inst.pool as usize;
         self.slots[slot].live = false;
-        self.free.push(id.slot());
+        // A slot whose generation is exhausted retires for good: reusing
+        // it would wrap to generation 0 and alias a dead handle.
+        if self.slots[slot].generation < u32::MAX {
+            self.free.push(id.slot());
+        }
         self.live_count -= 1;
         self.pools[pool].live -= 1;
         self.retired += 1;
@@ -1288,6 +1293,22 @@ mod tests {
         // the slot's new occupant.
         fleet.run_events(50);
         assert!(fleet.stats().stale_dropped > 0);
+    }
+
+    #[test]
+    fn exhausted_slot_generations_retire_the_slot() {
+        let enhanced = quick_enhanced(App::TwoMm);
+        let mut fleet = EventFleet::new(event_config()).unwrap();
+        let old = fleet.spawn(&enhanced, &rank(), 1, 1)[0];
+        // Stand-in for 2^32 reuses of the slot.
+        fleet.slots[old.slot() as usize].generation = u32::MAX;
+        let last = InstanceId::new(old.slot(), u32::MAX);
+        assert!(fleet.retire(last));
+        let fresh = fleet.spawn(&enhanced, &rank(), 1, 1)[0];
+        assert_ne!(fresh.slot(), old.slot(), "the exhausted slot is not reused");
+        assert_eq!(fresh.generation(), 0);
+        assert!(!fleet.is_live(old) && !fleet.is_live(last));
+        assert_eq!(fleet.stats().slots, 2);
     }
 
     #[test]

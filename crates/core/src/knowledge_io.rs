@@ -1,14 +1,15 @@
-//! Knowledge persistence — the analogue of mARGOt's operating-point list
-//! files: the DSE writes the application knowledge once at design time;
-//! the deployed adaptive binary loads it at `margot_init()` time.
+//! The binary knowledge codec and the atomic-write helper behind every
+//! persisted artifact.
 //!
-//! The [`crate::ArtifactStore`] builds on these functions to persist
-//! [`crate::ProfiledKnowledge`] artifacts transparently (see
-//! [`crate::ArtifactStore::with_persist_dir`]); they remain available
-//! for direct use.
+//! [`wire_to_bytes`]/[`wire_from_bytes`] frame the messages of the
+//! distributed knowledge exchange ([`crate::transport`]);
+//! [`delta_to_bytes`]/[`delta_from_bytes`] frame a standalone
+//! [`KnowledgeDelta`]. The same length-prefixed primitives encode the
+//! shippable [`crate::KnowledgeSnapshot`] artifacts, which land on disk
+//! through [`write_atomic_bytes`].
 //!
-//! All failures are persist-stage [`SocratesError`]s carrying the file
-//! path or artifact context.
+//! Decode failures are transport-stage [`SocratesError`]s; file I/O
+//! failures are persist-stage errors carrying the path.
 
 use crate::error::SocratesError;
 use crate::transport::{Observation, WireMessage};
@@ -57,107 +58,13 @@ pub(crate) fn write_atomic_bytes(path: &Path, contents: &[u8]) -> Result<(), Soc
     })
 }
 
-/// [`write_atomic_bytes`] for UTF-8 contents.
-pub(crate) fn write_atomic(path: &Path, contents: &str) -> Result<(), SocratesError> {
-    write_atomic_bytes(path, contents.as_bytes())
-}
-
-/// Serialises a knowledge base to a JSON string.
-///
-/// # Errors
-///
-/// Returns a persist-stage [`SocratesError`] on serialisation failure
-/// (never happens for well-formed knowledge).
-pub fn knowledge_to_json(knowledge: &Knowledge<KnobConfig>) -> Result<String, SocratesError> {
-    serde_json::to_string_pretty(knowledge).map_err(|e| SocratesError::format("knowledge", e))
-}
-
-/// Parses a knowledge base from a JSON string.
-///
-/// # Errors
-///
-/// Returns a persist-stage [`SocratesError`] on malformed input.
-pub fn knowledge_from_json(json: &str) -> Result<Knowledge<KnobConfig>, SocratesError> {
-    serde_json::from_str(json).map_err(|e| SocratesError::format("knowledge", e))
-}
-
-/// Writes a knowledge base to a file, atomically: the JSON is staged
-/// in a temporary file in the same directory and renamed into place,
-/// so a crash mid-save cannot leave a truncated knowledge file.
-///
-/// # Errors
-///
-/// Returns a persist-stage [`SocratesError`] on I/O or serialisation
-/// failure.
-pub fn save_knowledge(
-    knowledge: &Knowledge<KnobConfig>,
-    path: impl AsRef<Path>,
-) -> Result<(), SocratesError> {
-    write_atomic(path.as_ref(), &knowledge_to_json(knowledge)?)
-}
-
-/// Reads a knowledge base from a file.
-///
-/// # Errors
-///
-/// Returns a persist-stage [`SocratesError`] on I/O failure or
-/// malformed content.
-pub fn load_knowledge(path: impl AsRef<Path>) -> Result<Knowledge<KnobConfig>, SocratesError> {
-    let path = path.as_ref();
-    let json = std::fs::read_to_string(path).map_err(|e| SocratesError::io(path, e))?;
-    knowledge_from_json(&json)
-}
-
-/// Serialises a knowledge delta to a JSON string — the wire form the
-/// distributed runtime ships between broker and nodes. The schema is
-/// pinned by `tests/golden/knowledge_delta.json`.
-///
-/// # Errors
-///
-/// Returns a persist-stage [`SocratesError`] on serialisation failure
-/// (never happens for well-formed deltas).
-pub fn delta_to_json(delta: &KnowledgeDelta<KnobConfig>) -> Result<String, SocratesError> {
-    serde_json::to_string_pretty(delta).map_err(|e| SocratesError::format("knowledge delta", e))
-}
-
-/// Parses a knowledge delta from a JSON string.
-///
-/// # Errors
-///
-/// Returns a persist-stage [`SocratesError`] on malformed input.
-pub fn delta_from_json(json: &str) -> Result<KnowledgeDelta<KnobConfig>, SocratesError> {
-    serde_json::from_str(json).map_err(|e| SocratesError::format("knowledge delta", e))
-}
-
-/// Serialises a wire message of the distributed knowledge exchange to
-/// a JSON string. The schema is pinned by
-/// `tests/golden/wire_messages.json`.
-///
-/// # Errors
-///
-/// Returns a persist-stage [`SocratesError`] on serialisation failure
-/// (never happens for well-formed messages).
-pub fn wire_to_json(msg: &WireMessage) -> Result<String, SocratesError> {
-    serde_json::to_string_pretty(msg).map_err(|e| SocratesError::format("wire message", e))
-}
-
-/// Parses a wire message from a JSON string.
-///
-/// # Errors
-///
-/// Returns a persist-stage [`SocratesError`] on malformed input.
-pub fn wire_from_json(json: &str) -> Result<WireMessage, SocratesError> {
-    serde_json::from_str(json).map_err(|e| SocratesError::format("wire message", e))
-}
-
 // ---------------------------------------------------------------------------
 // Binary wire codec
 // ---------------------------------------------------------------------------
 //
-// The runtime wire format of the distributed knowledge exchange. JSON
-// stays as the *pinned compatibility layer* (the golden files and the
-// persistence paths above); everything that travels through
-// [`crate::transport::SimNet`] is encoded with this length-prefixed binary codec.
+// The runtime wire format of the distributed knowledge exchange:
+// everything that travels through [`crate::transport::SimNet`] is
+// encoded with this length-prefixed binary codec.
 //
 // Format, all integers little-endian:
 //
@@ -165,7 +72,7 @@ pub fn wire_from_json(json: &str) -> Result<WireMessage, SocratesError> {
 // * u8/u32/u64      = fixed-width LE
 // * usize           = u64 LE
 // * f64             = raw IEEE-754 bits LE (`to_le_bytes`); NaN
-//                     round-trips **bit-exactly**, unlike JSON
+//                     round-trips **bit-exactly**
 // * bool            = u8 (0 / 1)
 // * str             = u32 byte length ++ UTF-8 bytes
 // * seq<T>          = u32 element count ++ elements
@@ -411,7 +318,14 @@ impl<'a> ByteReader<'a> {
     }
 
     pub(crate) fn len(&mut self) -> Result<usize, SocratesError> {
-        Ok(self.u32()? as usize)
+        let n = self.u32()? as usize;
+        // Every encoded element takes at least one byte, so a count
+        // beyond the remaining input is truncation — rejected before
+        // the callers size an allocation by it.
+        if n > self.buf.len() - self.pos {
+            return Err(Self::err("truncated input"));
+        }
+        Ok(n)
     }
 
     pub(crate) fn str(&mut self) -> Result<&'a str, SocratesError> {
@@ -660,105 +574,53 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_knowledge() {
-        let k = sample_knowledge();
-        let json = knowledge_to_json(&k).unwrap();
-        let back = knowledge_from_json(&json).unwrap();
-        assert_eq!(k, back);
-    }
-
-    #[test]
     fn file_roundtrip() {
-        let k = sample_knowledge();
-        let dir = std::env::temp_dir().join("socrates-knowledge-test");
+        let dir = std::env::temp_dir().join(format!(
+            "socrates-atomic-roundtrip-test-{}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("kb.json");
-        save_knowledge(&k, &path).unwrap();
-        let back = load_knowledge(&path).unwrap();
-        assert_eq!(k, back);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn delta_round_trips_through_json() {
-        let k = sample_knowledge();
-        let delta = margot::KnowledgeDelta {
-            from_epoch: 3,
-            to_epoch: 5,
-            changed: vec![(0, k.points()[0].clone()), (2, k.points()[2].clone())],
-        };
-        let json = delta_to_json(&delta).unwrap();
-        let back = delta_from_json(&json).unwrap();
-        assert_eq!(delta, back);
-    }
-
-    #[test]
-    fn wire_messages_round_trip_through_json() {
-        let k = sample_knowledge();
-        let msgs = vec![
-            WireMessage::Join { node: 3 },
-            WireMessage::Ack { count: 7 },
-            WireMessage::Delta {
-                shard: 2,
-                delta: margot::KnowledgeDelta {
-                    from_epoch: 0,
-                    to_epoch: 1,
-                    changed: vec![(1, k.points()[1].clone())],
-                },
-            },
-            WireMessage::SyncRequest {
-                versions: vec![0, 4, 2],
-            },
-            WireMessage::Welcome {
-                knowledge: k.clone(),
-                versions: vec![1, 1, 0],
-            },
-        ];
-        for msg in msgs {
-            let json = wire_to_json(&msg).unwrap();
-            let back = wire_from_json(&json).unwrap();
-            assert_eq!(msg, back);
-        }
-    }
-
-    #[test]
-    fn malformed_delta_is_a_format_error() {
-        let err = delta_from_json("{not json").unwrap_err();
-        assert!(matches!(err, SocratesError::Format { .. }));
-        assert_eq!(err.stage(), StageId::Persist);
-        let err = wire_from_json("42").unwrap_err();
-        assert!(matches!(err, SocratesError::Format { .. }));
-    }
-
-    #[test]
-    fn malformed_json_is_a_format_error() {
-        let err = knowledge_from_json("{not json").unwrap_err();
-        assert!(matches!(err, SocratesError::Format { .. }));
-        assert_eq!(err.stage(), StageId::Persist);
-        assert!(err.to_string().contains("malformed"));
+        let path = dir.join("kb.bin");
+        let bytes = wire_to_bytes(&WireMessage::Welcome {
+            knowledge: sample_knowledge(),
+            versions: vec![1, 0],
+        })
+        .unwrap();
+        write_atomic_bytes(&path, &bytes).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_file_is_an_io_error_with_the_path() {
-        let err = load_knowledge("/nonexistent/kb.json").unwrap_err();
+        let err = crate::KnowledgeSnapshot::load("/nonexistent/kb.bin").unwrap_err();
         assert!(matches!(err, SocratesError::Io { .. }));
         assert_eq!(err.stage(), StageId::Persist);
-        assert!(err.to_string().contains("/nonexistent/kb.json"));
+        assert!(err.to_string().contains("/nonexistent/kb.bin"));
     }
 
     #[test]
     fn save_leaves_no_temp_file_and_replaces_atomically() {
-        let k = sample_knowledge();
-        let dir = std::env::temp_dir().join("socrates-atomic-save-test");
+        let dir =
+            std::env::temp_dir().join(format!("socrates-atomic-save-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("kb.json");
+        let path = dir.join("kb.bin");
         std::fs::write(&path, "old contents").unwrap();
-        save_knowledge(&k, &path).unwrap();
-        assert_eq!(load_knowledge(&path).unwrap(), k);
+        let delta = margot::KnowledgeDelta {
+            from_epoch: 0,
+            to_epoch: 1,
+            changed: vec![(0, sample_knowledge().points()[0].clone())],
+        };
+        let bytes = delta_to_bytes(&delta).unwrap();
+        write_atomic_bytes(&path, &bytes).unwrap();
+        assert_eq!(
+            delta_from_bytes(&std::fs::read(&path).unwrap()).unwrap(),
+            delta
+        );
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name())
-            .filter(|n| n != "kb.json")
+            .filter(|n| n != "kb.bin")
             .collect();
         assert!(
             leftovers.is_empty(),
@@ -777,7 +639,7 @@ mod tests {
         let dir = std::env::temp_dir().join("socrates-concurrent-atomic-test");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("kb.json");
+        let path = dir.join("kb.bin");
         let writers = 8;
         let rounds = 25;
         let payload = |w: usize| format!("writer-{w}-").repeat(200);
@@ -787,7 +649,8 @@ mod tests {
                 let contents = payload(w);
                 scope.spawn(move || {
                     for _ in 0..rounds {
-                        write_atomic(&path, &contents).expect("concurrent atomic write");
+                        write_atomic_bytes(&path, contents.as_bytes())
+                            .expect("concurrent atomic write");
                     }
                 });
             }
@@ -800,7 +663,7 @@ mod tests {
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name())
-            .filter(|n| n != "kb.json")
+            .filter(|n| n != "kb.bin")
             .collect();
         assert!(
             leftovers.is_empty(),

@@ -96,9 +96,9 @@ pub use artifact::{
 pub use engine::{
     analysis_prune, analyze_kernel, analyze_kernel_for, compile_kernel, compile_kernel_for,
     ensure_safe, full_scale_spec, functional_dims, functional_spec, CompiledKernel,
-    ExecutionEngine, FUNCTIONAL_DIM_CAP,
+    FUNCTIONAL_DIM_CAP,
 };
-pub use error::{KnowledgeIoError, SocratesError, StageId, ToolchainError};
+pub use error::{SocratesError, StageId};
 pub use events::{EventObserver, FleetEvent, FleetRuntime, InstanceId};
 pub use fleet::{
     Fleet, FleetConfig, FleetConfigBuilder, FleetStats, Schedule, FLEET_POWER_PRIORITY,
@@ -106,9 +106,7 @@ pub use fleet::{
 pub use fleet_dist::{DistStats, DistributedFleet};
 pub use fleet_events::{Arrival, EventFleet, EventFleetStats, WorkloadCurve, WorkloadTrace};
 pub use knowledge_io::{
-    delta_from_bytes, delta_from_json, delta_to_bytes, delta_to_json, knowledge_from_json,
-    knowledge_to_json, load_knowledge, save_knowledge, wire_from_bytes, wire_from_json,
-    wire_to_bytes, wire_to_json, WIRE_MAGIC,
+    delta_from_bytes, delta_to_bytes, wire_from_bytes, wire_to_bytes, WIRE_MAGIC,
 };
 pub use minivm::ExecutionReport;
 pub use pipeline::{socrates_pipeline, stages, Pipeline, Stage, StageContext};

@@ -21,7 +21,6 @@
 //! per-app path at any thread count.
 
 use crate::artifact::ArtifactStore;
-use crate::engine::ExecutionEngine;
 use crate::error::SocratesError;
 use crate::pipeline::{socrates_pipeline, StageContext};
 use crate::platform::Platform;
@@ -53,11 +52,6 @@ pub struct Toolchain {
     /// The deployment target the DSE profiles against (topology plus
     /// timing/power/noise models and the seed-to-machine factory).
     pub platform: Platform,
-    /// Which engine executes the weaved kernels functionally during
-    /// profiling (config-specialized bytecode by default; the AST
-    /// interpreter is the bit-identical reference). Part of the
-    /// fingerprint, so the engines never share artifact cache entries.
-    pub engine: ExecutionEngine,
 }
 
 impl Default for Toolchain {
@@ -69,7 +63,6 @@ impl Default for Toolchain {
             cobayn_predictions: 4,
             training_top_fraction: 0.15,
             platform: Platform::xeon_e5_2630_v3(),
-            engine: ExecutionEngine::default(),
         }
     }
 }
@@ -404,15 +397,6 @@ mod tests {
             ..base.clone()
         };
         assert_ne!(base.fingerprint(), other_seed.fingerprint());
-        let other_engine = Toolchain {
-            engine: ExecutionEngine::Ast,
-            ..base.clone()
-        };
-        assert_ne!(
-            base.fingerprint(),
-            other_engine.fingerprint(),
-            "engine choice must partition the artifact cache"
-        );
         let other_platform = Toolchain {
             platform: Platform::with_topology(
                 "mini",

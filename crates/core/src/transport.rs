@@ -12,15 +12,14 @@
 //!   a seeded per-link RNG drawing latency (which reorders messages),
 //!   drops and duplicates, so any lossy schedule is **deterministic
 //!   and replayable** from the [`LinkConfig`] seed.
-//! - [`WireMessage`] — the serialisable protocol: observations, acks,
-//!   per-shard [`margot::KnowledgeDelta`]s, epoch-vector sync
-//!   requests/responses, gossip summaries and join/snapshot messages.
-//!   On the wire, messages travel as length-prefixed **binary frames**
+//! - [`WireMessage`] — the protocol: observations, acks, per-shard
+//!   [`margot::KnowledgeDelta`]s, epoch-vector sync requests/responses,
+//!   gossip summaries and join/snapshot messages. On the wire, messages
+//!   travel as length-prefixed **binary frames**
 //!   ([`crate::wire_to_bytes`]) — [`SimNet::send`] encodes once and
 //!   [`SimNet::poll_due`] decodes on delivery, so every distributed
-//!   test exercises the codec. The JSON encoding remains as the pinned
-//!   compatibility layer (golden files under `tests/golden/`,
-//!   serialisation helpers: [`crate::wire_to_json`]).
+//!   test exercises the codec. The frame format is pinned by the
+//!   binary golden files under `tests/golden/`.
 //! - [`Replica`] — a replicated observation log with a **canonical
 //!   fold order**. Observations are totally ordered by `(round,
 //!   origin)`; a replica folds its log into a [`SharedKnowledge`] in
@@ -53,7 +52,6 @@ use margot::{Knowledge, KnowledgeDelta, MetricValues, OperatingPoint, SharedKnow
 use platform_sim::KnobConfig;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound::{Excluded, Unbounded};
 
@@ -72,7 +70,7 @@ pub const BROKER: NodeId = NodeId::MAX;
 /// `(round, origin)` is the observation's identity *and* its position
 /// in the canonical fold order; `seq` is the origin's contiguous
 /// per-node counter (what summaries and acks watermark against).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Observation {
     /// The node that measured this observation.
     pub origin: NodeId,
@@ -93,11 +91,10 @@ impl Observation {
     }
 }
 
-/// The serialisable knowledge-exchange protocol. JSON (de)serialisation
-/// lives in [`crate::wire_to_json`] / [`crate::wire_from_json`];
-/// the schema is pinned by
-/// `tests/golden/wire_messages.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The knowledge-exchange protocol. Frames are encoded with
+/// [`crate::wire_to_bytes`] / [`crate::wire_from_bytes`]; the format is
+/// pinned by `tests/golden/wire_messages.bin`.
+#[derive(Debug, Clone, PartialEq)]
 pub enum WireMessage {
     /// A node announces itself (mid-run churn); answered with
     /// [`WireMessage::Welcome`] (star) or [`WireMessage::WelcomeLog`]

@@ -53,7 +53,6 @@
 
 use crate::knowledge::{Knowledge, OperatingPoint};
 use crate::metric::{Metric, MetricValues};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -231,12 +230,12 @@ struct PointRef {
 /// `from_epoch` lands exactly on the `to_epoch` knowledge — bit-
 /// identical to adopting a full snapshot.
 ///
-/// Deltas serialise (serde, plus the binary wire codec in the
-/// `socrates` crate), so a coordinator can ship them over a wire
-/// instead of a shared address space — the distributed runtime's
-/// knowledge-exchange payload (`socrates::transport`). The JSON schema
-/// is pinned by a golden file in the `socrates` crate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Deltas encode with the binary wire codec in the `socrates` crate,
+/// so a coordinator can ship them over a wire instead of a shared
+/// address space — the distributed runtime's knowledge-exchange
+/// payload (`socrates::transport`). The format is pinned by a golden
+/// file in the `socrates` crate.
+#[derive(Debug, Clone, PartialEq)]
 pub struct KnowledgeDelta<K> {
     /// The epoch the receiver must be at for the patch to be exact.
     pub from_epoch: u64,

@@ -11,7 +11,9 @@
 
 use margot::Rank;
 use polybench::{App, Dataset};
-use socrates::{Fleet, FleetConfig, FleetEvent, FleetRuntime, Toolchain};
+use socrates::{
+    ArtifactStore, Fleet, FleetConfig, FleetEvent, FleetRuntime, SnapshotFingerprint, Toolchain,
+};
 
 fn main() {
     let toolchain = Toolchain {
@@ -101,10 +103,15 @@ fn main() {
         publishes.load(std::sync::atomic::Ordering::Relaxed)
     );
 
-    // The fleet's learned knowledge outlives the deployment: persist it
-    // for the next toolchain run to seed from.
-    let dir = std::env::temp_dir().join("socrates-fleet-knowledge");
-    let written = fleet.persist_learned(&dir).expect("persist");
+    // The fleet's learned knowledge outlives the deployment: ship it as
+    // a snapshot the next deployment warm-starts from.
+    let store = ArtifactStore::with_persist_dir(std::env::temp_dir().join("socrates-fleet"));
+    let snapshot = fleet
+        .knowledge_snapshot(App::TwoMm, SnapshotFingerprint::of(&toolchain, App::TwoMm))
+        .expect("the fleet ran 2mm");
+    let written = store
+        .save_snapshot(&toolchain, App::TwoMm, &snapshot)
+        .expect("persist");
     println!();
-    println!("learned knowledge persisted to {}", written[0].display());
+    println!("learned knowledge persisted to {}", written.display());
 }

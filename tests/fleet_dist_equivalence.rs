@@ -9,15 +9,11 @@
 //! observed under loss/latency is attributable to the link model, not
 //! to the exchange protocol.
 
-// These suites pin the deprecated round surface on purpose: it must
-// stay bit-identical to the unified FleetRuntime path until removal.
-#![allow(deprecated)]
-
 use margot::Rank;
 use polybench::{App, Dataset};
 use socrates::{
-    DistTopology, DistributedConfig, DistributedFleet, EnhancedApp, Fleet, FleetConfig, LinkConfig,
-    Toolchain,
+    trace_digest, DistTopology, DistributedConfig, DistributedFleet, EnhancedApp, Fleet,
+    FleetConfig, FleetRuntime, LinkConfig, Toolchain,
 };
 
 const INSTANCES: usize = 8;
@@ -61,7 +57,7 @@ type Learned = margot::Knowledge<platform_sim::KnobConfig>;
 fn run_reference(enhanced: &EnhancedApp, duration_s: f64) -> (Traces, Learned) {
     let mut fleet = Fleet::new(reference_config()).expect("valid config");
     fleet.spawn(enhanced, &Rank::throughput_per_watt2(), SEED, INSTANCES);
-    fleet.run_for(duration_s);
+    fleet.run_until(duration_s);
     let traces = (0..INSTANCES).map(|id| fleet.trace(id)).collect();
     (traces, fleet.learned_knowledge(App::TwoMm).unwrap())
 }
@@ -73,7 +69,7 @@ fn run_distributed(
 ) -> (Traces, Learned) {
     let mut fleet = DistributedFleet::new(dist_config(topology), enhanced).expect("valid config");
     fleet.spawn(&Rank::throughput_per_watt2(), SEED, INSTANCES);
-    fleet.run_for(duration_s);
+    fleet.run_until(duration_s);
     fleet.drain().expect("an ideal link drains immediately");
     assert!(fleet.converged());
     let traces = (0..INSTANCES).map(|id| fleet.trace(id)).collect();
@@ -113,23 +109,39 @@ fn ideal_full_mesh_gossip_is_bit_identical_to_the_in_process_fleet() {
     assert_eq!(dist_knowledge, ref_knowledge);
 }
 
+/// The expected digests were recorded from the serial reference (nodes
+/// stepped one after another on the calling thread); CI re-runs this
+/// file at `RAYON_NUM_THREADS` 1, 2 and 8.
 #[test]
 fn parallel_and_serial_distributed_rounds_are_bit_identical() {
     let enhanced = quick_enhanced(App::TwoMm);
-    let run = |parallel_step: bool| {
-        let mut config = dist_config(DistTopology::BrokerStar);
-        config.parallel_step = parallel_step;
-        let mut fleet = DistributedFleet::new(config, &enhanced).expect("valid config");
-        fleet.spawn(&Rank::throughput_per_watt2(), SEED, INSTANCES);
-        fleet.run_for(5.0);
-        fleet.drain().expect("ideal link drains");
-        (
-            (0..INSTANCES).map(|id| fleet.trace(id)).collect::<Vec<_>>(),
-            fleet.authoritative_knowledge(),
-            fleet.canonical_ops(),
-        )
-    };
-    assert_eq!(run(true), run(false));
+    let mut fleet =
+        DistributedFleet::new(dist_config(DistTopology::BrokerStar), &enhanced).expect("valid");
+    fleet.spawn(&Rank::throughput_per_watt2(), SEED, INSTANCES);
+    fleet.run_until(5.0);
+    fleet.drain().expect("ideal link drains");
+    let digests: Vec<u64> = (0..INSTANCES)
+        .map(|id| trace_digest(&fleet.trace(id)))
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            0x673d_a7e9_6284_590e,
+            0x9e58_5a39_8654_f23c,
+            0xdd1a_302b_518f_4a8f,
+            0x4d6e_3a5e_65c8_33cf,
+            0xb373_13c6_8e30_f5d5,
+            0xf95d_a647_db47_85b6,
+            0xb930_df57_2ef1_854e,
+            0xa518_4964_ef09_6c3e,
+        ]
+    );
+    let knowledge = fleet.authoritative_knowledge();
+    assert_eq!(
+        margot::shard_content_hash(knowledge.points().iter().enumerate()),
+        0x2514_0d34_0ff2_ebf5
+    );
+    assert_eq!(fleet.canonical_ops().len(), 1819);
 }
 
 #[test]
@@ -140,7 +152,7 @@ fn repeated_distributed_runs_are_reproducible() {
             DistributedFleet::new(dist_config(DistTopology::Gossip { fanout: 2 }), &enhanced)
                 .expect("valid config");
         fleet.spawn(&Rank::throughput_per_watt2(), SEED, 4);
-        fleet.run_for(4.0);
+        fleet.run_until(4.0);
         fleet.drain().expect("ideal link drains");
         (
             (0..4).map(|id| fleet.trace(id)).collect::<Vec<_>>(),

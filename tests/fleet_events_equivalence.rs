@@ -9,8 +9,9 @@
 //!    join/retire traffic, while the slot pool stays bounded by the
 //!    peak live count.
 //! 3. **Lockstep**: the unified [`FleetRuntime`] surface over
-//!    `Schedule::Lockstep` is bit-identical to the legacy
-//!    `step_round`/`run_for` loop on **every** polybench application.
+//!    `Schedule::Lockstep` is bit-identical to the retired per-instance
+//!    round loop on **every** polybench application (its trace digests
+//!    are pinned).
 //!
 //! CI re-runs this file under forced `RAYON_NUM_THREADS` values
 //! (1, 2, 8), so the identities hold at any worker count.
@@ -200,17 +201,6 @@ fn churn_replay_never_reuses_handles() {
     );
 }
 
-/// Drives the legacy deprecated round loop for comparison; isolated in
-/// one function so the rest of the suite stays deprecation-clean.
-#[allow(deprecated)]
-fn legacy_run(enhanced: &EnhancedApp, horizon_s: f64) -> Vec<u64> {
-    let mut fleet = Fleet::new(FleetConfig::default()).expect("valid fleet config");
-    fleet.spawn(enhanced, &Rank::throughput_per_watt2(), 2018, 3);
-    fleet.set_power_budget(Some(3.0 * 90.0));
-    fleet.run_for(horizon_s);
-    (0..3).map(|id| trace_digest(&fleet.trace(id))).collect()
-}
-
 fn unified_run(enhanced: &EnhancedApp, horizon_s: f64) -> Vec<u64> {
     let mut fleet = Fleet::new(FleetConfig::default()).expect("valid fleet config");
     fleet.spawn(enhanced, &Rank::throughput_per_watt2(), 2018, 3);
@@ -219,18 +209,81 @@ fn unified_run(enhanced: &EnhancedApp, horizon_s: f64) -> Vec<u64> {
     (0..3).map(|id| trace_digest(&fleet.trace(id))).collect()
 }
 
+/// Per-instance trace digests of the retired `run_for(1.5)` round loop
+/// over a 3-instance, 270 W fleet, one row per app in `App::ALL` order.
+const LEGACY_DIGESTS: [[u64; 3]; 12] = [
+    [
+        0x54b0_c254_f0c6_a979,
+        0x4b7b_2ad9_2aab_902a,
+        0x0d00_d222_1493_fa2b,
+    ],
+    [
+        0x874c_546f_cfb2_b74d,
+        0x57eb_57e8_cc3f_7d17,
+        0x693c_9ed0_96b6_048b,
+    ],
+    [
+        0x0ab3_4f46_b44e_4d4f,
+        0xdb23_bb07_f7d3_ff90,
+        0x3eef_a648_28c3_fc79,
+    ],
+    [
+        0x0314_3ad1_9448_e93b,
+        0x770e_1a22_e304_5849,
+        0xf74c_ab46_b26f_b21d,
+    ],
+    [
+        0x8871_8872_b3d6_c23d,
+        0xcec8_214f_2659_eece,
+        0xd92f_d7bb_0fc2_bf2c,
+    ],
+    [
+        0xbf51_d566_7a30_b503,
+        0xc219_5cde_89e9_0063,
+        0x8b44_a31c_88de_73ae,
+    ],
+    [
+        0x867d_e8e6_ada9_6ab7,
+        0x289e_f78c_d8b1_7667,
+        0x76a4_328f_5bb3_89e1,
+    ],
+    [
+        0x732c_5ddd_4649_601e,
+        0x309b_1bd1_2446_fc4a,
+        0xdcd9_3f6a_7aac_4bbe,
+    ],
+    [
+        0xb755_5c1f_5594_507b,
+        0x5fdd_df09_19a5_bc8e,
+        0x0c23_3bf3_ce39_e515,
+    ],
+    [
+        0xb431_b6e6_d0c2_553c,
+        0x87ec_407a_dfc2_9c31,
+        0x6f91_e7a4_311f_bfc9,
+    ],
+    [
+        0x021d_b208_7670_ff24,
+        0xbae1_7c11_3188_169b,
+        0x09ba_427d_5037_8f88,
+    ],
+    [
+        0x33c6_971c_2a50_e236,
+        0x5056_d3e7_8a4c_cb2c,
+        0x1aea_7e13_adb4_4e77,
+    ],
+];
+
 /// `Schedule::Lockstep` under the unified [`FleetRuntime`] surface is
-/// the legacy round loop, bit for bit, on every polybench application
-/// — the compatibility contract that lets the deprecated surface go
-/// away without anyone noticing.
+/// the retired round loop, bit for bit, on every polybench application.
 #[test]
 fn lockstep_runtime_matches_legacy_step_round_on_all_apps() {
-    for app in App::ALL {
+    for (app, expected) in App::ALL.into_iter().zip(LEGACY_DIGESTS) {
         let enhanced = quick_enhanced(app);
         assert_eq!(
-            legacy_run(&enhanced, 1.5),
             unified_run(&enhanced, 1.5),
-            "{app:?}: unified FleetRuntime trace != legacy step_round trace"
+            expected,
+            "{app:?}: unified FleetRuntime trace != legacy round-loop trace"
         );
     }
 }

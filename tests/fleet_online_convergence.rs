@@ -10,13 +10,9 @@
 //! space cooperatively and re-ranks on true observations.
 //! `fleet_bench` reports the full numbers in BENCH.md.
 
-// These suites pin the deprecated round surface on purpose: it must
-// stay bit-identical to the unified FleetRuntime path until removal.
-#![allow(deprecated)]
-
 use margot::Rank;
 use polybench::{App, Dataset};
-use socrates::{Fleet, FleetConfig, Toolchain, TraceSample};
+use socrates::{Fleet, FleetConfig, FleetRuntime, Toolchain, TraceSample};
 
 const DRIFT_FACTOR: f64 = 1.6;
 const HORIZON_S: f64 = 150.0;
@@ -67,7 +63,7 @@ fn online_fleet_beats_frozen_knowledge_under_deployment_drift() {
             &drifted.machine(7),
             INSTANCES,
         );
-        fleet.run_for(HORIZON_S);
+        fleet.run_until(HORIZON_S);
         if share_knowledge {
             let (covered, total) = fleet.exploration_coverage(App::TwoMm).unwrap();
             assert_eq!(
@@ -115,7 +111,7 @@ fn analysis_pruned_fleet_still_converges_under_drift() {
             &drifted.machine(7),
             INSTANCES,
         );
-        fleet.run_for(PRUNED_HORIZON_S);
+        fleet.run_until(PRUNED_HORIZON_S);
         if share_knowledge {
             let stats = fleet.stats();
             assert!(

@@ -1,18 +1,10 @@
-//! Golden wire-schema regression: the distributed runtime's
-//! serialised knowledge exchange — [`margot::KnowledgeDelta`] and
-//! every [`socrates::transport::WireMessage`] variant — must be
-//! **byte-identical** against the checked-in files under
-//! `tests/golden/`, in both encodings:
-//!
-//! - the **JSON compatibility layer** (`*.json`), pinning field
-//!   names, field order, variant tags and float formatting (like the
-//!   golden trace pins the `TraceSample` schema), and
-//! - the **binary wire format** (`*.bin`) the runtime actually ships
-//!   through the transport, pinning the frame layout byte-for-byte.
-//!
-//! A bridge test decodes the pinned JSON through the compatibility
-//! layer and re-encodes it binary, asserting both goldens describe
-//! the *same* in-memory messages.
+//! Golden wire-format regression: the distributed runtime's encoded
+//! knowledge exchange — [`margot::KnowledgeDelta`] and every
+//! [`socrates::transport::WireMessage`] variant — must be
+//! **byte-identical** against the checked-in binary files under
+//! `tests/golden/`, pinning the frame layout the runtime ships through
+//! the transport byte-for-byte. The goldens must also decode back to
+//! exactly the in-memory messages they were written from.
 //!
 //! Regenerate after an *intentional* schema change with:
 //!
@@ -23,10 +15,7 @@
 use margot::{Knowledge, KnowledgeDelta, Metric, MetricValues, OperatingPoint};
 use platform_sim::{BindingPolicy, CompilerFlag, CompilerOptions, KnobConfig, OptLevel};
 use socrates::transport::{Observation, WireMessage};
-use socrates::{
-    delta_from_bytes, delta_from_json, delta_to_bytes, delta_to_json, wire_from_bytes,
-    wire_from_json, wire_to_bytes, wire_to_json,
-};
+use socrates::{delta_from_bytes, delta_to_bytes, wire_from_bytes, wire_to_bytes};
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -100,30 +89,6 @@ fn sample_messages() -> Vec<WireMessage> {
     ]
 }
 
-fn check_golden(name: &str, serialized: &str) {
-    let path = golden_path(name);
-    if std::env::var("SOCRATES_REGEN_GOLDEN").is_ok() {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
-        std::fs::write(&path, serialized).expect("write golden");
-        eprintln!(
-            "regenerated {} ({} bytes)",
-            path.display(),
-            serialized.len()
-        );
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); regenerate with SOCRATES_REGEN_GOLDEN=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        serialized, golden,
-        "{name}: wire bytes drifted from the golden file"
-    );
-}
-
 fn check_golden_bytes(name: &str, serialized: &[u8]) {
     let path = golden_path(name);
     if std::env::var("SOCRATES_REGEN_GOLDEN").is_ok() {
@@ -182,43 +147,6 @@ fn unpack_frames(bytes: &[u8]) -> Vec<Vec<u8>> {
 }
 
 #[test]
-fn knowledge_delta_is_byte_stable_against_the_golden_file() {
-    let json = delta_to_json(&sample_delta()).expect("delta serialises");
-    check_golden("knowledge_delta.json", &json);
-}
-
-#[test]
-fn wire_messages_are_byte_stable_against_the_golden_file() {
-    let json: Vec<String> = sample_messages()
-        .iter()
-        .map(|m| wire_to_json(m).expect("message serialises"))
-        .collect();
-    check_golden("wire_messages.json", &format!("[{}]", json.join(",\n")));
-}
-
-#[test]
-fn golden_delta_round_trips_byte_stably() {
-    if std::env::var("SOCRATES_REGEN_GOLDEN").is_ok() {
-        return; // the golden file is being rewritten concurrently
-    }
-    let golden =
-        std::fs::read_to_string(golden_path("knowledge_delta.json")).expect("golden delta present");
-    let parsed = delta_from_json(&golden).expect("golden delta parses");
-    assert_eq!(parsed, sample_delta(), "golden content drifted");
-    let reserialized = delta_to_json(&parsed).expect("reserialises");
-    assert_eq!(reserialized, golden, "format(parse(x)) != x");
-}
-
-#[test]
-fn every_wire_variant_round_trips_through_serde() {
-    for msg in sample_messages() {
-        let json = wire_to_json(&msg).expect("serialises");
-        let back = wire_from_json(&json).expect("parses");
-        assert_eq!(back, msg, "round-trip changed the message");
-    }
-}
-
-#[test]
 fn binary_knowledge_delta_is_byte_stable_against_the_golden_file() {
     let bytes = delta_to_bytes(&sample_delta()).expect("delta encodes");
     check_golden_bytes("knowledge_delta.bin", &bytes);
@@ -245,42 +173,20 @@ fn golden_binary_delta_round_trips_byte_stably() {
     assert_eq!(reencoded, golden, "encode(decode(x)) != x");
 }
 
-/// The compatibility bridge: decoding the pinned *JSON* goldens
-/// through the compat layer must yield exactly the in-memory messages
-/// the pinned *binary* goldens decode to — the two encodings describe
-/// one schema.
 #[test]
-fn json_goldens_decode_identically_to_binary_goldens() {
+fn golden_binary_messages_round_trip_byte_stably() {
     if std::env::var("SOCRATES_REGEN_GOLDEN").is_ok() {
-        return; // the golden files are being rewritten concurrently
+        return; // the golden file is being rewritten concurrently
     }
-    let delta_json = std::fs::read_to_string(golden_path("knowledge_delta.json"))
-        .expect("golden JSON delta present");
-    let delta_bin = std::fs::read(golden_path("knowledge_delta.bin")).expect("golden bin present");
-    assert_eq!(
-        delta_from_json(&delta_json).expect("compat layer decodes"),
-        delta_from_bytes(&delta_bin).expect("binary decodes"),
-        "the two delta goldens describe different deltas"
-    );
-    let msgs_json = std::fs::read_to_string(golden_path("wire_messages.json"))
-        .expect("golden JSON messages present");
-    let from_json: Vec<WireMessage> =
-        serde_json::from_str(&msgs_json).expect("compat layer decodes the golden array");
-    let msgs_bin = std::fs::read(golden_path("wire_messages.bin")).expect("golden bin present");
-    let from_bin: Vec<WireMessage> = unpack_frames(&msgs_bin)
+    let golden = std::fs::read(golden_path("wire_messages.bin")).expect("golden bin present");
+    let decoded: Vec<WireMessage> = unpack_frames(&golden)
         .iter()
         .map(|f| wire_from_bytes(f).expect("binary decodes"))
         .collect();
-    assert_eq!(
-        from_json, from_bin,
-        "the two message goldens describe different messages"
-    );
-    assert_eq!(from_bin, sample_messages(), "golden content drifted");
-    // Re-encoding the compat-decoded messages reproduces the binary
-    // golden byte-for-byte.
-    let reencoded: Vec<Vec<u8>> = from_json
+    assert_eq!(decoded, sample_messages(), "golden content drifted");
+    let reencoded: Vec<Vec<u8>> = decoded
         .iter()
         .map(|m| wire_to_bytes(m).expect("encodes"))
         .collect();
-    assert_eq!(pack_frames(&reencoded), msgs_bin);
+    assert_eq!(pack_frames(&reencoded), golden, "encode(decode(x)) != x");
 }

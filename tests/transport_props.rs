@@ -11,17 +11,13 @@
 //! schedule — loss, latency, duplication, topology, churn — from the
 //! proptest-generated parameters, so failures replay deterministically.
 
-// These suites pin the deprecated round surface on purpose: it must
-// stay bit-identical to the unified FleetRuntime path until removal.
-#![allow(deprecated)]
-
 use margot::{Knowledge, MetricValues, Rank, SharedKnowledge};
 use polybench::{App, Dataset};
 use proptest::prelude::*;
 use socrates::transport::{Observation, Replica};
 use socrates::{
-    DistTopology, DistributedConfig, DistributedFleet, EnhancedApp, FleetConfig, LinkConfig,
-    Toolchain,
+    DistTopology, DistributedConfig, DistributedFleet, EnhancedApp, FleetConfig, FleetRuntime,
+    LinkConfig, Toolchain,
 };
 use std::sync::OnceLock;
 
@@ -148,9 +144,7 @@ proptest! {
     fn any_seeded_loss_schedule_converges_to_the_reference(s in scenario_strategy()) {
         let mut fleet = build_fleet(&s);
         fleet.spawn(&Rank::throughput_per_watt2(), s.seed ^ 0xf1ee7, s.nodes);
-        for _ in 0..s.rounds {
-            fleet.step_round();
-        }
+        fleet.run_events(s.rounds as u64);
         fleet.drain().expect("any drop_prob < 1 must drain");
         prop_assert!(fleet.converged());
         // Every node made every round (nothing lost from the log):
@@ -181,16 +175,12 @@ proptest! {
         let mut fleet = build_fleet(&s);
         fleet.spawn(&Rank::throughput_per_watt2(), s.seed ^ 0x101, s.nodes);
         let join_after = join_after.min(s.rounds);
-        for _ in 0..join_after {
-            fleet.step_round();
-        }
+        fleet.run_events(join_after as u64);
         let late = fleet.add_instance(
             Rank::throughput_per_watt2(),
             enhanced().platform.machine(s.seed ^ 0xbeef),
         );
-        for _ in join_after..s.rounds {
-            fleet.step_round();
-        }
+        fleet.run_events((s.rounds - join_after) as u64);
         fleet.drain().expect("any drop_prob < 1 must drain");
         prop_assert!(fleet.converged());
         let reference = reference_fold(&fleet);

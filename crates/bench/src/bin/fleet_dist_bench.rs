@@ -15,15 +15,19 @@
 //! invariant `tests/transport_props.rs` pins property-wise).
 //!
 //! Numbers land in `results/fleet_dist.json`
-//! (`results/fleet_dist_smoke.json` for the CI smoke configuration)
+//! (`results/fleet_dist_smoke.json` for the small smoke configuration)
 //! and BENCH.md.
 //!
 //! Run with `cargo run -p socrates-bench --bin fleet_dist_bench
-//! --release` (`--smoke` for the small CI configuration).
+//! --release` (`--smoke` for the small configuration). `--check` is
+//! the CI gate: it reruns the full grid, writes nothing, and fails on
+//! any drift of the deterministic columns (drain rounds, message and
+//! byte counts, refolds and replayed observations) against the
+//! committed `results/fleet_dist.json`. `wall_ms` is not gated.
 
 use margot::{Rank, SharedKnowledge};
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use socrates::{
     DistTopology, DistributedConfig, DistributedFleet, EnhancedApp, FleetConfig, FleetRuntime,
     LinkConfig,
@@ -39,7 +43,7 @@ const NODES_SMOKE: usize = 8;
 const ROUNDS: usize = 12;
 const ROUNDS_SMOKE: usize = 6;
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct DistRow {
     topology: String,
     nodes: usize,
@@ -56,17 +60,47 @@ struct DistRow {
     msgs_duplicated: u64,
     /// Encoded wire bytes handed to the transport.
     bytes_sent: u64,
-    /// Fold rollbacks forced by out-of-canonical-order arrivals
-    /// (checkpoint rollbacks and full refolds alike).
+    /// Per-point fold rollbacks forced by out-of-canonical-order
+    /// arrivals.
     refolds: u64,
     /// Observations re-folded by those rollbacks — the actual replay
-    /// overhead, suffix-proportional under checkpointed refolds.
+    /// overhead, one point's suffix per rollback.
     refold_ops_replayed: u64,
     wall_ms: f64,
 }
 
+impl DistRow {
+    /// What identifies a cell of the grid.
+    fn cell(&self) -> (&str, usize, usize, u64, u64, u64) {
+        (
+            &self.topology,
+            self.nodes,
+            self.rounds,
+            self.drop_prob.to_bits(),
+            self.dup_prob.to_bits(),
+            self.max_latency,
+        )
+    }
+
+    /// The columns a seeded run reproduces exactly.
+    fn exact_columns(&self) -> [(&'static str, u64); 8] {
+        [
+            ("drain_rounds", self.drain_rounds),
+            ("msgs_sent", self.msgs_sent),
+            ("msgs_delivered", self.msgs_delivered),
+            ("msgs_dropped", self.msgs_dropped),
+            ("msgs_duplicated", self.msgs_duplicated),
+            ("bytes_sent", self.bytes_sent),
+            ("refolds", self.refolds),
+            ("refold_ops_replayed", self.refold_ops_replayed),
+        ]
+    }
+}
+
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let check = std::env::args().any(|a| a == "--check");
+    // The gate compares against the full-grid baseline.
+    let smoke = !check && std::env::args().any(|a| a == "--smoke");
     let (nodes, rounds) = if smoke {
         (NODES_SMOKE, ROUNDS_SMOKE)
     } else {
@@ -162,12 +196,61 @@ fn main() {
         }
         println!();
     }
+    if check {
+        check_against_baseline(&out);
+        return;
+    }
     let name = if smoke {
         "fleet_dist_smoke"
     } else {
         "fleet_dist"
     };
     socrates_bench::write_json(name, &out);
+}
+
+/// Compares every deterministic column of the run against
+/// `results/fleet_dist.json` and exits nonzero on any drift (the CI
+/// gate). Both sides must cover the same cells.
+fn check_against_baseline(rows: &[DistRow]) {
+    let path = socrates_bench::results_dir().join("fleet_dist.json");
+    let json = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("no committed baseline at {}: {e}", path.display()));
+    let baseline: Vec<DistRow> =
+        serde_json::from_str(&json).expect("committed baseline parses as DistRow list");
+    let mut drift = Vec::new();
+    if baseline.len() != rows.len() {
+        drift.push(format!(
+            "the run has {} cells, the baseline {}",
+            rows.len(),
+            baseline.len()
+        ));
+    }
+    for row in rows {
+        let Some(base) = baseline.iter().find(|b| b.cell() == row.cell()) else {
+            drift.push(format!("cell {:?} is not in the baseline", row.cell()));
+            continue;
+        };
+        for ((name, now), (_, then)) in row.exact_columns().iter().zip(base.exact_columns()) {
+            if *now != then {
+                drift.push(format!(
+                    "{} drop {} latency {}: {name} {now} vs baseline {then}",
+                    row.topology, row.drop_prob, row.max_latency
+                ));
+            }
+        }
+    }
+    if !drift.is_empty() {
+        eprintln!("\nfleet_dist gate FAILED against {}:", path.display());
+        for d in &drift {
+            eprintln!("  - {d}");
+        }
+        std::process::exit(1);
+    }
+    println!(
+        "fleet_dist gate passed: {} cells match {} exactly",
+        rows.len(),
+        path.display()
+    );
 }
 
 /// Asserts the cell actually converged onto the canonical

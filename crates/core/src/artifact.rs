@@ -111,8 +111,13 @@ struct ArtifactKey {
 }
 
 /// Snapshot of the store's cache behaviour: how many lookups hit, and
-/// how many times each stage actually executed. The equivalence tests
+/// how many artifacts each stage contributed. The equivalence tests
 /// pin the O(n) corpus property with these counters.
+///
+/// A build counts only when its insert wins. Two threads that miss the
+/// same key concurrently may both run the stage; the one whose insert
+/// loses the race returns the winner's artifact and counts as a hit,
+/// so every lookup is exactly one build or one hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
     /// Lookups answered from cache.
@@ -888,7 +893,9 @@ impl ArtifactStore {
 /// Returns the cached artifact for `key`, or runs `build`, inserts and
 /// returns it. The lock is *not* held while building (stages recurse
 /// into the store for their inputs); concurrent builders of the same
-/// key produce identical values and the first insert wins.
+/// key produce identical values and the first insert wins. Only the
+/// winning insert counts as a build; a builder that lost the race
+/// returns the winner's artifact and counts as a hit.
 fn get_or_build<K: std::hash::Hash + Eq + Copy, T>(
     map: &Mutex<HashMap<K, Arc<T>>>,
     hits: &AtomicU64,
@@ -901,8 +908,13 @@ fn get_or_build<K: std::hash::Hash + Eq + Copy, T>(
         return Ok(Arc::clone(hit));
     }
     let value = Arc::new(build()?);
-    builds.fetch_add(1, Ordering::Relaxed);
     let mut guard = map.lock().expect("artifact map poisoned");
+    let counter = if guard.contains_key(&key) {
+        hits
+    } else {
+        builds
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
     Ok(Arc::clone(guard.entry(key).or_insert(value)))
 }
 
@@ -992,6 +1004,38 @@ mod tests {
         assert_eq!(stats.analysis_builds, 1);
         assert_eq!(stats.analysis_hits, 1);
         assert_eq!(stats.kernel_builds, 1);
+    }
+
+    #[test]
+    fn racing_builders_of_one_key_count_one_build() {
+        // Every thread misses the cache and builds (the barrier holds
+        // them all inside `build` until each has started), so exactly
+        // one insert wins and the rest return its artifact.
+        const THREADS: usize = 4;
+        let map = Mutex::new(HashMap::new());
+        let (hits, builds) = (AtomicU64::new(0), AtomicU64::new(0));
+        let barrier = std::sync::Barrier::new(THREADS);
+        let values: Vec<Arc<usize>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (map, hits, builds, barrier) = (&map, &hits, &builds, &barrier);
+                    scope.spawn(move || {
+                        get_or_build(map, hits, builds, 7u32, || {
+                            barrier.wait();
+                            Ok(t)
+                        })
+                        .unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1);
+        assert_eq!(hits.load(Ordering::Relaxed), THREADS as u64 - 1);
+        assert!(
+            values.iter().all(|v| Arc::ptr_eq(v, &values[0])),
+            "every racer returns the winning insert"
+        );
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!    (canonical `(round, origin)` order) and broadcasts per-shard
 //!    deltas, cascading within the phase so an ideal link behaves
 //!    exactly like the in-process barrier;
-//! 2. **adopt** — nodes whose effective knowledge moved hand the
-//!    refreshed knowledge to their AS-RTM;
+//! 2. **adopt** — nodes patch the operating points their effective
+//!    knowledge moved on into their AS-RTM;
 //! 3. **step** — every due instance performs one MAPE-K step
 //!    (optionally over rayon; nodes are fully independent, so the
 //!    rounds stay bit-identical at any thread count);
@@ -77,9 +77,6 @@ struct Broker {
     /// reconcile against).
     versions: Vec<u64>,
     members: BTreeSet<NodeId>,
-    /// `(epoch, refolds)` of the replica at the last published diff,
-    /// so an idle flush is O(1).
-    last_flush: (u64, u64),
 }
 
 /// Star-mode node state: an effective-knowledge cache reconciled via
@@ -99,13 +96,11 @@ struct GossipState {
     /// Observations newly learned this round (own step + fresh
     /// arrivals), forwarded to the next rotation targets.
     outbox: Vec<Observation>,
-    /// `(epoch, refolds)` of the replica at the last adoption.
-    adopted: (u64, u64),
 }
 
 enum NodeSync {
     Star(StarState),
-    /// Boxed: a full replica (log + checkpoints + warm seed) dwarfs
+    /// Boxed: a full replica (log + per-point saved states) dwarfs
     /// the star node's cache-and-epoch-vector state.
     Gossip(Box<GossipState>),
 }
@@ -135,12 +130,12 @@ pub struct DistStats {
     pub active: usize,
     /// Rounds stepped so far (drain repair rounds included).
     pub rounds: u64,
-    /// Total refolds across all replicas: how often an
-    /// out-of-canonical-order arrival rolled a fold back (to a
-    /// checkpoint, or to design knowledge when none covered it).
+    /// Total per-point rollbacks across all replicas: how often an
+    /// out-of-canonical-order arrival rolled the one operating point it
+    /// observed back to that point's newest saved state below it.
     pub refolds: u64,
     /// Total observations those rollbacks re-folded: the actual replay
-    /// overhead, suffix-proportional under checkpointing.
+    /// overhead, the suffix of one point per rollback.
     pub refold_ops_replayed: u64,
     /// Transport counters.
     pub net: NetStats,
@@ -282,7 +277,6 @@ impl DistributedFleet {
                 published: enhanced.knowledge.clone(),
                 versions: vec![0; config.knowledge_shards],
                 members: BTreeSet::new(),
-                last_flush: (0, 0),
             }),
             DistTopology::Gossip { .. } => None,
         };
@@ -410,7 +404,6 @@ impl DistributedFleet {
                     self.enhanced.app,
                 ),
                 outbox: Vec::new(),
-                adopted: (0, 0),
             })),
         };
         self.nodes.push(DistNode {
@@ -713,11 +706,12 @@ impl DistributedFleet {
                     }
                 }
                 NodeSync::Gossip(g) => {
+                    // The node holds the replica's knowledge as of the
+                    // previous take, so the delta patches it exactly.
                     g.replica.fold_pending();
-                    let state = (g.replica.epoch(), g.replica.refolds());
-                    if state != g.adopted {
+                    let delta = g.replica.take_changes();
+                    if !delta.is_empty() && !node.app.apply_knowledge_delta(&delta) {
                         node.app.set_knowledge(g.replica.knowledge());
-                        g.adopted = state;
                     }
                 }
             }
@@ -912,10 +906,11 @@ impl DistributedFleet {
             WireMessage::Ops { ops } => {
                 if let NodeSync::Gossip(g) = &mut self.nodes[idx].sync {
                     for op in ops {
-                        if g.replica.insert(op.clone()) {
-                            // Fresh rumor: forward it on the next
-                            // rotation.
-                            g.outbox.push(op);
+                        if !g.replica.contains(op.op_id()) {
+                            // Fresh rumor: log it and forward it on the
+                            // next rotation.
+                            g.outbox.push(op.clone());
+                            g.replica.insert(op);
                         }
                     }
                 }
@@ -1101,26 +1096,22 @@ impl DistributedFleet {
             return false;
         };
         broker.replica.fold_pending();
-        let state = (broker.replica.epoch(), broker.replica.refolds());
-        if state == broker.last_flush {
+        let moved = broker.replica.take_changes();
+        if moved.is_empty() {
             return false;
         }
-        broker.last_flush = state;
-        let fresh = broker.replica.knowledge();
+        // Only the points the fold moved can differ from what was
+        // published; one that ended where it was published is not
+        // re-broadcast.
         let mut by_shard: BTreeMap<usize, Vec<(usize, OperatingPoint<KnobConfig>)>> =
             BTreeMap::new();
-        for (pos, (old, new)) in broker
-            .published
-            .points()
-            .iter()
-            .zip(fresh.points())
-            .enumerate()
-        {
-            if old != new {
+        for (pos, new) in moved.changed {
+            if broker.published.points()[pos] != new {
+                broker.published.patch_point(pos, new.clone());
                 by_shard
                     .entry(self.shard_map[pos])
                     .or_default()
-                    .push((pos, new.clone()));
+                    .push((pos, new));
             }
         }
         for (shard, changed) in by_shard {
@@ -1142,7 +1133,6 @@ impl DistributedFleet {
                 );
             }
         }
-        broker.published = fresh;
         true
     }
 

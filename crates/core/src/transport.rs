@@ -23,12 +23,14 @@
 //! - [`Replica`] — a replicated observation log with a **canonical
 //!   fold order**. Observations are totally ordered by `(round,
 //!   origin)`; a replica folds its log into a [`SharedKnowledge`] in
-//!   that order regardless of arrival order (late arrivals trigger a
-//!   refold). Two replicas holding the same set of observations
-//!   therefore expose bit-identical effective knowledge *and*
-//!   per-shard epoch vectors — the invariant every reconciliation
-//!   path reduces to, and the one the transport property tests pin
-//!   against a single-mutex [`SharedKnowledge`] reference.
+//!   that order regardless of arrival order. Operating points fold
+//!   independently, so a late arrival rolls back and replays only the
+//!   point it observed. Two replicas holding the same set of
+//!   observations therefore expose bit-identical effective knowledge
+//!   *and* per-shard epoch vectors — the invariant every
+//!   reconciliation path reduces to, and the one the transport
+//!   property tests pin against a single-mutex [`SharedKnowledge`]
+//!   reference.
 //!
 //! Reconciliation works per topology ([`DistTopology`]):
 //!
@@ -48,12 +50,13 @@
 //!   with them the folded knowledge — converge once the links drain.
 
 use crate::error::SocratesError;
-use margot::{Knowledge, KnowledgeDelta, MetricValues, OperatingPoint, SharedKnowledge};
+use margot::{
+    Knowledge, KnowledgeDelta, MetricValues, OperatingPoint, PointState, SharedKnowledge,
+};
 use platform_sim::KnobConfig;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound::{Excluded, Unbounded};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Identifies one participant of the exchange. Instance nodes are
 /// numbered in spawn order (so the canonical observation order matches
@@ -494,64 +497,62 @@ impl SimNet {
     }
 }
 
-/// Fold-state checkpoint cadence: one checkpoint every this many
-/// folded observations.
-const CHECKPOINT_EVERY: usize = 8;
+/// Saved-state cadence of a [`Replica`]: one saved fold state of a
+/// point every this many of that point's own observations.
+const SAVE_EVERY: usize = 8;
 
-/// Bound on retained checkpoints; beyond it the oldest is dropped
-/// (rollbacks below the retained range fall back to a full refold).
-const MAX_CHECKPOINTS: usize = 32;
+/// One operating point's share of a [`Replica`]: the canonical keys of
+/// its observations and its fold state saved along them.
+#[derive(Debug, Default)]
+struct PointLog {
+    /// Keys of the point's logged observations, ascending.
+    keys: Vec<(u64, NodeId)>,
+    /// `saved[j]` is the point's state after folding
+    /// `keys[..j * SAVE_EVERY]`; entry 0 is its boot state (warm seed
+    /// included), captured when its first observation arrives.
+    saved: Vec<PointState>,
+    /// The live state is the fold of `keys[..folded]`, unless `stale`.
+    folded: usize,
+    /// An observation arrived below `folded`: the live state must roll
+    /// back to `saved.last()` before the replay.
+    stale: bool,
+}
 
-/// A snapshot of the canonical fold after a prefix of the log: the
-/// fold of every logged observation with key ≤ `key`. An insertion at
-/// or below a checkpoint's key invalidates it (the checkpoint no
-/// longer covers its prefix) and is dropped, so every *retained*
-/// checkpoint stays exact — rolling back to one and replaying the
-/// suffix is bit-identical to a full refold from design knowledge.
-#[derive(Debug)]
-struct Checkpoint {
-    key: (u64, NodeId),
-    folded: SharedKnowledge<KnobConfig>,
-    ops_folded: usize,
+/// One origin's share of a [`Replica`]'s log.
+#[derive(Debug, Default)]
+struct OriginLog {
+    /// Logged sequence number → round.
+    seqs: BTreeMap<u64, u64>,
+    /// Every sequence number below this one is logged.
+    contiguous: u64,
 }
 
 /// A replicated observation log folded into a [`SharedKnowledge`] in
 /// the canonical `(round, origin)` order.
 ///
-/// The fold is a pure function of the log *set*: observations that
-/// arrive out of canonical order roll the fold back — to the newest
-/// retained checkpoint below the insertion, or to the design
-/// knowledge when none remains (both counted in
-/// [`refolds`](Self::refolds)) — and replay the suffix, so two
-/// replicas holding the same observations always expose bit-identical
+/// The fold is a pure function of the log *set*. Operating points fold
+/// independently, so each point keeps the canonical keys of its own
+/// observations plus a saved state every 8 of them. An
+/// observation that arrives below what its point already folded rolls
+/// that point alone back to its newest saved state at or below the
+/// insertion and replays the point's suffix (counted in
+/// [`refolds`](Self::refolds) and
+/// [`refold_ops_replayed`](Self::refold_ops_replayed)). Two replicas
+/// holding the same observations therefore expose bit-identical
 /// effective knowledge and per-shard epoch vectors, no matter how the
-/// network interleaved, dropped or duplicated the messages in
-/// between. Checkpointing makes the usual late arrival cost
-/// proportional to the *suffix* behind it, not to the whole log
-/// (replayed work is surfaced by
-/// [`refold_ops_replayed`](Self::refold_ops_replayed)).
+/// network interleaved, dropped or duplicated the messages in between,
+/// and a late arrival costs the suffix of one point, not of the log.
 #[derive(Debug)]
 pub struct Replica {
-    design: Knowledge<KnobConfig>,
-    window: usize,
-    min_observations: u64,
-    shards: usize,
-    /// Warm-boot seed applied before any log replay (and re-applied on
-    /// every full refold): `(snapshot knowledge, copies per point)`.
-    /// Part of the fold recipe, so the fold stays a pure function of
-    /// `(design, seed, log set)`.
-    seed: Option<(Knowledge<KnobConfig>, usize)>,
     log: BTreeMap<(u64, NodeId), Observation>,
-    /// origin → (seq → round): the per-origin index summaries and
-    /// retransmissions work from.
-    per_origin: BTreeMap<NodeId, BTreeMap<u64, u64>>,
+    per_origin: BTreeMap<NodeId, OriginLog>,
     folded: SharedKnowledge<KnobConfig>,
-    frontier: Option<(u64, NodeId)>,
-    /// Prefix-fold snapshots, ascending by key.
-    checkpoints: Vec<Checkpoint>,
-    /// Observations folded into `folded` since the last full refold.
-    ops_folded: usize,
-    needs_refold: bool,
+    /// Per knowledge position.
+    points: Vec<PointLog>,
+    /// Positions with logged observations not yet folded.
+    pending: BTreeSet<usize>,
+    /// The epoch at the last [`take_changes`](Self::take_changes).
+    taken_epoch: u64,
     refolds: u64,
     refold_ops_replayed: u64,
 }
@@ -573,162 +574,153 @@ impl Replica {
         min_observations: u64,
         shards: usize,
     ) -> Self {
-        let folded = Self::fresh(&design, window, min_observations, shards);
+        let points = (0..design.len()).map(|_| PointLog::default()).collect();
         Replica {
-            design,
-            window,
-            min_observations,
-            shards,
-            seed: None,
             log: BTreeMap::new(),
             per_origin: BTreeMap::new(),
-            folded,
-            frontier: None,
-            checkpoints: Vec::new(),
-            ops_folded: 0,
-            needs_refold: false,
+            folded: SharedKnowledge::new(design, window)
+                .with_min_observations(min_observations)
+                .with_shards(shards),
+            points,
+            pending: BTreeSet::new(),
+            taken_epoch: 0,
             refolds: 0,
             refold_ops_replayed: 0,
         }
-    }
-
-    fn fresh(
-        design: &Knowledge<KnobConfig>,
-        window: usize,
-        min_observations: u64,
-        shards: usize,
-    ) -> SharedKnowledge<KnobConfig> {
-        SharedKnowledge::new(design.clone(), window)
-            .with_min_observations(min_observations)
-            .with_shards(shards)
     }
 
     /// Builder-style: warm-boots the fold from a shipped snapshot,
     /// filling every shipped point's observation windows with `copies`
     /// identical samples ([`SharedKnowledge::seed_observations`])
     /// *before* any logged observation replays over them. The seed is
-    /// part of the fold recipe — full refolds re-apply it — so two
-    /// replicas constructed with the same `(design, seed, log set)`
-    /// stay bit-identical no matter how the network reorders delivery.
+    /// part of every point's boot state, so two replicas constructed
+    /// with the same `(design, seed, log set)` stay bit-identical no
+    /// matter how the network reorders delivery. The seeded points that
+    /// moved are in the first [`take_changes`](Self::take_changes).
     ///
     /// # Panics
     ///
     /// Panics if observations were already logged: a seed slid under
-    /// an existing log would not be reproduced by the checkpoints
-    /// taken before it existed.
+    /// an existing log would not be in the boot states captured before
+    /// it existed.
     #[must_use]
-    pub fn with_warm_seed(mut self, seed: Knowledge<KnobConfig>, copies: usize) -> Self {
+    pub fn with_warm_seed(self, seed: Knowledge<KnobConfig>, copies: usize) -> Self {
         assert!(
             self.log.is_empty(),
             "warm seed must be installed before the first logged observation"
         );
         self.folded.seed_observations(&seed, copies);
-        self.seed = Some((seed, copies));
         self
+    }
+
+    /// Whether the observation `op_id` (its `(round, origin)`) is
+    /// logged — the cheap duplicate test before cloning a rumor.
+    pub fn contains(&self, op_id: (u64, NodeId)) -> bool {
+        self.log.contains_key(&op_id)
     }
 
     /// Records one observation; returns `false` for duplicates (same
     /// `(round, origin)`), which merge idempotently. An observation
-    /// sorting at or before the fold frontier rolls the fold back to
-    /// the newest checkpoint below it (or schedules a full refold when
-    /// none remains); only the suffix is then replayed.
+    /// sorting below what its point already folded marks that point
+    /// for a rollback to its newest saved state at or below the
+    /// insertion; [`fold_pending`](Self::fold_pending) replays only the
+    /// point's suffix.
     pub fn insert(&mut self, op: Observation) -> bool {
         let key = op.op_id();
         if self.log.contains_key(&key) {
             return false;
         }
-        if let Some(frontier) = self.frontier {
-            if key <= frontier && !self.needs_refold {
-                match self.checkpoints.iter().rposition(|c| c.key < key) {
-                    Some(i) => {
-                        // Roll back to the newest prefix fold that the
-                        // insertion leaves intact; checkpoints above it
-                        // no longer cover their prefix and are dropped.
-                        let cp = &self.checkpoints[i];
-                        self.refold_ops_replayed += (self.ops_folded - cp.ops_folded) as u64;
-                        self.folded = cp.folded.fork();
-                        self.frontier = Some(cp.key);
-                        self.ops_folded = cp.ops_folded;
-                        self.checkpoints.truncate(i + 1);
-                        self.refolds += 1;
-                    }
-                    None => self.needs_refold = true,
-                }
+        if let Some(pos) = self.folded.position_of(&op.config) {
+            let point = &mut self.points[pos];
+            if point.saved.is_empty() {
+                // The point's first observation: nothing of it is
+                // folded yet, so its live state is its boot state.
+                point.saved.extend(self.folded.point_state(pos));
             }
+            let at = point.keys.partition_point(|k| *k < key);
+            point.keys.insert(at, key);
+            if at < point.folded {
+                // Saved states past the insertion no longer cover a
+                // prefix of the point's keys.
+                point.stale = true;
+                point.saved.truncate(at / SAVE_EVERY + 1);
+            }
+            self.pending.insert(pos);
         }
-        self.per_origin
-            .entry(op.origin)
-            .or_default()
-            .insert(op.seq, op.round);
+        let origin = self.per_origin.entry(op.origin).or_default();
+        origin.seqs.insert(op.seq, op.round);
+        while origin.seqs.contains_key(&origin.contiguous) {
+            origin.contiguous += 1;
+        }
         self.log.insert(key, op);
         true
     }
 
-    /// Folds every logged observation that is not yet reflected in
-    /// the effective knowledge, in canonical order. Cheap when the
-    /// log grew only past the frontier (or rolled back to a
-    /// checkpoint); a full refold from design knowledge otherwise.
+    /// Folds every logged observation that is not yet reflected in the
+    /// effective knowledge. Each point with new observations either
+    /// folds them on top of its live state or, after a late arrival,
+    /// rolls back to its newest saved state at or below it and
+    /// re-publishes its suffix in canonical order.
     pub fn fold_pending(&mut self) {
-        if self.needs_refold {
-            self.refold_ops_replayed += self.ops_folded as u64;
-            self.folded = Self::fresh(
-                &self.design,
-                self.window,
-                self.min_observations,
-                self.shards,
-            );
-            if let Some((seed, copies)) = &self.seed {
-                self.folded.seed_observations(seed, *copies);
-            }
-            self.checkpoints.clear();
-            self.ops_folded = 0;
-            self.frontier = None;
-            self.refolds += 1;
-            self.needs_refold = false;
-        }
-        let range = match self.frontier {
-            Some(frontier) => self.log.range((Excluded(frontier), Unbounded)),
-            None => self.log.range(..),
-        };
-        for (key, op) in range {
-            self.folded.publish(&op.config, &op.observed);
-            self.ops_folded += 1;
-            if self.ops_folded.is_multiple_of(CHECKPOINT_EVERY) {
-                if self.checkpoints.len() == MAX_CHECKPOINTS {
-                    self.checkpoints.remove(0);
+        for pos in std::mem::take(&mut self.pending) {
+            let point = &mut self.points[pos];
+            if std::mem::take(&mut point.stale) {
+                if let Some(saved) = point.saved.last() {
+                    let at = (point.saved.len() - 1) * SAVE_EVERY;
+                    self.folded.restore_point(saved);
+                    self.refolds += 1;
+                    self.refold_ops_replayed += (point.folded - at) as u64;
+                    point.folded = at;
                 }
-                self.checkpoints.push(Checkpoint {
-                    key: *key,
-                    folded: self.folded.fork(),
-                    ops_folded: self.ops_folded,
-                });
+            }
+            while let Some(key) = point.keys.get(point.folded) {
+                let op = &self.log[key];
+                self.folded.publish(&op.config, &op.observed);
+                point.folded += 1;
+                if point.folded.is_multiple_of(SAVE_EVERY) {
+                    point.saved.extend(self.folded.point_state(pos));
+                }
             }
         }
-        self.frontier = self.log.keys().next_back().copied();
     }
 
     /// Whether observations are logged but not yet folded.
     pub fn pending(&self) -> bool {
-        self.needs_refold || self.frontier != self.log.keys().next_back().copied()
+        !self.pending.is_empty()
     }
 
-    /// The folded knowledge epoch (meaningful relative to
-    /// [`refolds`](Self::refolds): a refold restarts the count).
+    /// The folded knowledge epoch: the sum of the per-shard epochs,
+    /// equal across replicas holding the same observations once folded.
     pub fn epoch(&self) -> u64 {
         self.folded.epoch()
     }
 
-    /// How many times an out-of-canonical-order arrival rolled the
-    /// fold back (to a checkpoint or, when none covered the insertion,
-    /// all the way to design knowledge).
+    /// The operating points whose effective values moved since the
+    /// previous call — every point a fold changed or rolled back, and
+    /// at boot every point the warm seed moved — as a delta from the
+    /// knowledge of the previous call (`from_epoch`) to the current
+    /// fold (`to_epoch`), ascending by position. Patching the previous
+    /// call's knowledge with it reproduces [`knowledge`](Self::knowledge)
+    /// exactly; before the first call, that is the design knowledge the
+    /// replica was built over.
+    pub fn take_changes(&mut self) -> KnowledgeDelta<KnobConfig> {
+        let (to_epoch, changed) = self.folded.drain_changes();
+        KnowledgeDelta {
+            from_epoch: std::mem::replace(&mut self.taken_epoch, to_epoch),
+            to_epoch,
+            changed,
+        }
+    }
+
+    /// How many times a late arrival rolled one point's fold back to
+    /// one of its saved states.
     pub fn refolds(&self) -> u64 {
         self.refolds
     }
 
     /// Total observations re-folded by rollbacks: the replay overhead
     /// late arrivals actually cost, as opposed to the first-time folds.
-    /// With checkpointing this grows with the *suffix* behind each late
-    /// arrival, not with the whole log.
+    /// Each rollback replays the suffix of one point, not of the log.
     pub fn refold_ops_replayed(&self) -> u64 {
         self.refold_ops_replayed
     }
@@ -757,17 +749,7 @@ impl Replica {
     pub fn summary(&self) -> Vec<(NodeId, u64)> {
         self.per_origin
             .iter()
-            .map(|(&origin, seqs)| {
-                let mut count = 0u64;
-                for &seq in seqs.keys() {
-                    if seq == count {
-                        count += 1;
-                    } else {
-                        break;
-                    }
-                }
-                (origin, count)
-            })
+            .map(|(&origin, log)| (origin, log.contiguous))
             .collect()
     }
 
@@ -778,9 +760,9 @@ impl Replica {
     pub fn missing_for(&self, counts: &[(NodeId, u64)]) -> Vec<Observation> {
         let theirs: BTreeMap<NodeId, u64> = counts.iter().copied().collect();
         let mut out = Vec::new();
-        for (&origin, seqs) in &self.per_origin {
+        for (&origin, log) in &self.per_origin {
             let have = theirs.get(&origin).copied().unwrap_or(0);
-            for (_, &round) in seqs.range(have..) {
+            for (_, &round) in log.seqs.range(have..) {
                 out.push(self.log[&(round, origin)].clone());
             }
         }
@@ -952,6 +934,30 @@ mod tests {
             reference.publish(&o.config, &o.observed);
         }
         assert_eq!(replica.knowledge(), reference.knowledge());
+    }
+
+    #[test]
+    fn rollbacks_hand_out_points_that_moved_back() {
+        // Window 2, two observations to override: 61 then 61 moves
+        // the point to 61. A late 41 between them makes every replayed
+        // publish leave the mean at the design value 51, so no publish
+        // marks the point changed — the rollback itself must.
+        let mut replica = Replica::new(design(), 2, 2, 3);
+        replica.insert(op(0, 0, 1, 1, 61.0));
+        replica.insert(op(0, 1, 3, 1, 61.0));
+        replica.fold_pending();
+        let mut known = design();
+        assert!(replica.take_changes().apply_to(&mut known));
+        assert_eq!(known.points()[0].metric(&Metric::power()), Some(61.0));
+        replica.insert(op(1, 0, 2, 1, 41.0));
+        replica.fold_pending();
+        assert_eq!(replica.refolds(), 1);
+        assert_eq!(replica.refold_ops_replayed(), 2);
+        let delta = replica.take_changes();
+        assert_eq!(delta.len(), 1);
+        assert!(delta.apply_to(&mut known));
+        assert_eq!(known, design(), "the point moved back to its design values");
+        assert_eq!(known, replica.knowledge());
     }
 
     #[test]

@@ -71,6 +71,6 @@ pub use metric::{Metric, MetricValues};
 pub use monitor::Monitor;
 pub use requirements::{Cmp, Constraint, Rank, RankDirection, RankKind};
 pub use shared::{
-    shard_content_hash, shard_index, KnowledgeDelta, SharedKnowledge, DEFAULT_SHARDS,
+    shard_content_hash, shard_index, KnowledgeDelta, PointState, SharedKnowledge, DEFAULT_SHARDS,
 };
 pub use states::{OptimizationState, StateRegistry, UnknownStateError};

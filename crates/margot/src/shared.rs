@@ -19,10 +19,18 @@
 //! per metric — a flat `slots × window` ring-buffer block plus parallel
 //! `start`/`len`/`total` vectors. A publish is an O(1) index lookup
 //! followed by a ring write; no per-observation allocation, no tree
-//! rebalancing, and window means stream over contiguous memory. The
-//! immutable layout (design points, config index, slot→position map) is
-//! shared behind an `Arc`, so [`fork`](SharedKnowledge::fork)ing the
-//! base for checkpointing copies only the mutable column state.
+//! rebalancing, and window means stream over contiguous memory.
+//!
+//! # Per-point state
+//!
+//! Operating points fold independently: a publish touches only its own
+//! slot's windows, and every epoch is a sum of per-point change counts.
+//! [`point_state`](SharedKnowledge::point_state) captures one point's
+//! windows, totals, change count and dropped-value count;
+//! [`restore_point`](SharedKnowledge::restore_point) puts them back,
+//! moving the epochs by the change-count difference. That is the
+//! rollback primitive of a replica that refolds only the point a late
+//! observation touched.
 //!
 //! # Sharding
 //!
@@ -56,13 +64,12 @@ use crate::metric::{Metric, MetricValues};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Default number of lock shards ([`SharedKnowledge::with_shards`]).
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// The immutable half of the arena, shared (`Arc`) between the base and
-/// its [`fork`](SharedKnowledge::fork)s: design points, the config →
+/// The immutable half of the arena: design points, the config →
 /// `(shard, slot)` index, and the slot → knowledge-position map.
 #[derive(Debug)]
 struct Layout<K> {
@@ -81,7 +88,7 @@ struct Layout<K> {
 /// `slots × window` block of ring buffers plus parallel ring
 /// bookkeeping, mirroring [`Monitor`](crate::Monitor)'s sliding-window semantics
 /// bit-for-bit (same push order, same oldest→newest summation).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct MetricCol {
     /// Ring storage; slot `s` owns `buf[s*window .. (s+1)*window]`.
     buf: Vec<f64>,
@@ -139,13 +146,20 @@ impl MetricCol {
     }
 
     /// The ring contents of `slot`, oldest→newest.
-    fn ordered(&self, slot: usize, window: usize) -> Vec<f64> {
-        let len = self.len[slot] as usize;
+    fn ordered(&self, slot: usize, window: usize) -> impl Iterator<Item = f64> + '_ {
         let base = slot * window;
         let start = self.start[slot] as usize;
-        (0..len)
-            .map(|i| self.buf[base + (start + i) % window])
-            .collect()
+        (0..self.len[slot] as usize).map(move |i| self.buf[base + (start + i) % window])
+    }
+
+    /// Replaces `slot`'s ring with `values` (oldest→newest, at most
+    /// `window` of them) and its all-time count with `total`.
+    fn set(&mut self, slot: usize, window: usize, values: &[f64], total: u64) {
+        let base = slot * window;
+        self.buf[base..base + values.len()].copy_from_slice(values);
+        self.start[slot] = 0;
+        self.len[slot] = values.len() as u32;
+        self.total[slot] = total;
     }
 }
 
@@ -159,7 +173,7 @@ struct Shard {
     epoch: AtomicU64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ShardState {
     /// Number of slots (points) in this shard.
     slots: usize,
@@ -167,6 +181,12 @@ struct ShardState {
     /// parallel to `cols`.
     metrics: Vec<Metric>,
     cols: Vec<MetricCol>,
+    /// Per slot: publishes that changed the point's effective values.
+    /// The shard epoch is their sum.
+    changes: Vec<u64>,
+    /// Per slot: non-finite values dropped at publish. The global
+    /// dropped count is their sum over all shards.
+    dropped: Vec<u64>,
     /// Slots whose effective point changed since the last drain,
     /// ordered so drains are deterministic.
     dirty: BTreeSet<usize>,
@@ -218,6 +238,34 @@ impl ShardState {
 struct PointRef {
     shard: usize,
     slot: usize,
+}
+
+/// The fold state of one operating point, captured by
+/// [`SharedKnowledge::point_state`] and put back by
+/// [`SharedKnowledge::restore_point`]: the point's observation windows
+/// and all-time counts, how many publishes changed its effective
+/// values, and how many of its values were dropped as non-finite.
+/// Opaque: restoring it is the only thing to do with it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PointState {
+    position: usize,
+    /// `(metric, samples in the window, all-time count)` for every
+    /// metric the point has accepted a sample of.
+    windows: Vec<(Metric, usize, u64)>,
+    /// The windows' samples back to back, each oldest→newest.
+    values: Vec<f64>,
+    changes: u64,
+    dropped: u64,
+}
+
+/// Moves `counter` from holding a contribution of `from` to one of
+/// `to`.
+fn shift(counter: &AtomicU64, from: u64, to: u64) {
+    if to >= from {
+        counter.fetch_add(to - from, Ordering::AcqRel);
+    } else {
+        counter.fetch_sub(from - to, Ordering::AcqRel);
+    }
 }
 
 /// A batch of refreshed operating points between two epochs: what a
@@ -368,7 +416,7 @@ where
 /// ```
 #[derive(Debug)]
 pub struct SharedKnowledge<K> {
-    layout: Arc<Layout<K>>,
+    layout: Layout<K>,
     shards: Vec<Shard>,
     /// Global epoch: total number of effective-knowledge changes.
     epoch: AtomicU64,
@@ -392,7 +440,7 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
         assert!(window > 0, "window must be positive");
         let (layout, shards) = Self::build(design, window, DEFAULT_SHARDS);
         SharedKnowledge {
-            layout: Arc::new(layout),
+            layout,
             shards,
             epoch: AtomicU64::new(0),
             min_observations: 1,
@@ -433,50 +481,31 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
         if shards == self.shards.len() {
             return self; // already laid out like this (e.g. the default)
         }
-        // Window contents can exist at epoch 0 (published values that
-        // exactly reproduce the design expectations change nothing);
-        // carry them over to the new layout, keyed by position.
-        let window = self.layout.window;
-        let mut carried: Vec<Vec<(Metric, Vec<f64>, u64)>> =
-            vec![Vec::new(); self.layout.design.len()];
-        for (shard, s) in self.shards.iter_mut().enumerate() {
-            let state = s.state.get_mut().unwrap_or_else(PoisonError::into_inner);
-            for (c, metric) in state.metrics.iter().enumerate() {
-                let col = &state.cols[c];
-                for (slot, &pos) in self.layout.positions[shard].iter().enumerate() {
-                    if col.total[slot] > 0 {
-                        carried[pos].push((
-                            metric.clone(),
-                            col.ordered(slot, window),
-                            col.total[slot],
-                        ));
-                    }
-                }
-            }
-        }
-        let (layout, new_shards) = Self::build(self.layout.design.clone(), window, shards);
-        self.layout = Arc::new(layout);
+        // Window contents and dropped values can exist at epoch 0
+        // (published values that exactly reproduce the design
+        // expectations change nothing); carry them over to the new
+        // layout, keyed by position.
+        let carried: Vec<PointState> = (0..self.len())
+            .filter_map(|pos| self.point_state(pos))
+            .filter(|state| !state.windows.is_empty() || state.dropped > 0)
+            .collect();
+        let (layout, new_shards) =
+            Self::build(self.layout.design.clone(), self.layout.window, shards);
+        self.layout = layout;
         self.shards = new_shards;
-        for (pos, metrics) in carried.into_iter().enumerate() {
-            if metrics.is_empty() {
-                continue;
-            }
-            let config = &self.layout.design.points()[pos].config;
-            let at = *self.layout.index.get(config).expect("point is indexed");
-            let state = self.shards[at.shard]
+        // Each restore adds its point's dropped values back.
+        self.dropped = AtomicU64::new(0);
+        for state in &carried {
+            self.restore_point(state);
+        }
+        // Nothing effective changed: no drain owes anyone these points.
+        for shard in &mut self.shards {
+            shard
                 .state
                 .get_mut()
-                .unwrap_or_else(PoisonError::into_inner);
-            for (metric, values, total) in metrics {
-                let c = state.ensure_col(&metric, window);
-                for value in values {
-                    state.cols[c].push(at.slot, window, value);
-                }
-                // Restore the all-time count (values aged out of the
-                // ring are gone, but their count still gates
-                // `min_observations`).
-                state.cols[c].total[at.slot] = total;
-            }
+                .unwrap_or_else(PoisonError::into_inner)
+                .dirty
+                .clear();
         }
         self
     }
@@ -503,6 +532,8 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
                     slots: group.len(),
                     metrics: Vec::new(),
                     cols: Vec::new(),
+                    changes: vec![0; group.len()],
+                    dropped: vec![0; group.len()],
                     dirty: BTreeSet::new(),
                 }),
                 epoch: AtomicU64::new(0),
@@ -524,34 +555,6 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
             .state
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// An independent deep copy of the mutable state (columns, dirty
-    /// sets, epochs) sharing the immutable layout — the checkpointing
-    /// primitive behind incremental replica refolds. Intended for
-    /// quiescent bases (shards are locked one at a time, so a fork
-    /// taken while other threads publish may straddle a batch).
-    pub fn fork(&self) -> SharedKnowledge<K> {
-        let shards = self
-            .shards
-            .iter()
-            .map(|s| Shard {
-                state: Mutex::new(
-                    s.state
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .clone(),
-                ),
-                epoch: AtomicU64::new(s.epoch.load(Ordering::Acquire)),
-            })
-            .collect();
-        SharedKnowledge {
-            layout: Arc::clone(&self.layout),
-            shards,
-            epoch: AtomicU64::new(self.epoch.load(Ordering::Acquire)),
-            min_observations: self.min_observations,
-            dropped: AtomicU64::new(self.dropped.load(Ordering::Relaxed)),
-        }
     }
 
     /// The current knowledge version: the number of publishes that
@@ -579,6 +582,85 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
     /// The shard `config` lives in, or `None` for unknown configs.
     pub fn shard_of(&self, config: &K) -> Option<usize> {
         self.layout.index.get(config).map(|r| r.shard)
+    }
+
+    /// The position of `config` in the effective [`Knowledge`] (the
+    /// design knowledge's order), or `None` for unknown configs.
+    pub fn position_of(&self, config: &K) -> Option<usize> {
+        let at = self.layout.index.get(config)?;
+        Some(self.layout.positions[at.shard][at.slot])
+    }
+
+    /// Where the point at `position` lives, or `None` out of range.
+    fn point_ref(&self, position: usize) -> Option<PointRef> {
+        let config = &self.layout.design.points().get(position)?.config;
+        self.layout.index.get(config).copied()
+    }
+
+    /// Captures the fold state of the point at `position`: its
+    /// windows, all-time counts, change count and dropped-value count.
+    /// `None` when `position` is out of range.
+    pub fn point_state(&self, position: usize) -> Option<PointState> {
+        let at = self.point_ref(position)?;
+        let state = self.lock_shard(at.shard);
+        let window = self.layout.window;
+        let mut windows = Vec::new();
+        let mut values = Vec::new();
+        for (metric, col) in state.metrics.iter().zip(&state.cols) {
+            let total = col.total[at.slot];
+            if total > 0 {
+                windows.push((metric.clone(), col.len[at.slot] as usize, total));
+                values.extend(col.ordered(at.slot, window));
+            }
+        }
+        Some(PointState {
+            position,
+            windows,
+            values,
+            changes: state.changes[at.slot],
+            dropped: state.dropped[at.slot],
+        })
+    }
+
+    /// Puts a point back into the fold state `saved` captured: every
+    /// window and all-time count of the point, its change count and its
+    /// dropped-value count. The global and shard epochs move by the
+    /// change-count difference and
+    /// [`dropped_observations`](Self::dropped_observations) by the
+    /// dropped-count difference, so they stay sums over the points. No
+    /// other point is touched. The point is marked dirty, so the next
+    /// drain re-reads it.
+    ///
+    /// Returns `false` (and changes nothing) when `saved` does not fit
+    /// this knowledge base: a position out of range, or a window longer
+    /// than this base's. Restore into the base the state was captured
+    /// from, or one over the same design knowledge and window.
+    pub fn restore_point(&self, saved: &PointState) -> bool {
+        let window = self.layout.window;
+        let Some(at) = self.point_ref(saved.position) else {
+            return false;
+        };
+        if saved.windows.iter().any(|&(_, len, _)| len > window) {
+            return false;
+        }
+        let mut state = self.lock_shard(at.shard);
+        for col in &mut state.cols {
+            col.set(at.slot, window, &[], 0);
+        }
+        let mut values = saved.values.as_slice();
+        for (metric, len, total) in &saved.windows {
+            let (ring, rest) = values.split_at(*len);
+            let c = state.ensure_col(metric, window);
+            state.cols[c].set(at.slot, window, ring, *total);
+            values = rest;
+        }
+        let changes = std::mem::replace(&mut state.changes[at.slot], saved.changes);
+        shift(&self.shards[at.shard].epoch, changes, saved.changes);
+        shift(&self.epoch, changes, saved.changes);
+        let dropped = std::mem::replace(&mut state.dropped[at.slot], saved.dropped);
+        shift(&self.dropped, dropped, saved.dropped);
+        state.dirty.insert(at.slot);
+        true
     }
 
     /// Number of operating points.
@@ -619,6 +701,7 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
             if !value.is_finite() {
                 // The Monitor::push policy at the shared level: drop
                 // and count, never poison a window mean.
+                state.dropped[slot] += 1;
                 self.dropped.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
@@ -632,6 +715,16 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
                 != state.effective_value(slot, metric, design, window, self.min_observations);
         }
         changed
+    }
+
+    /// Records that a publish changed the effective values of
+    /// `(shard, slot)`: marks it dirty and advances its change count
+    /// and both epochs. Caller holds the shard lock.
+    fn record_change(&self, state: &mut ShardState, shard: usize, slot: usize) {
+        state.dirty.insert(slot);
+        state.changes[slot] += 1;
+        self.shards[shard].epoch.fetch_add(1, Ordering::AcqRel);
+        self.epoch.fetch_add(1, Ordering::AcqRel);
     }
 
     /// The effective operating point of `(shard, slot)`: window means
@@ -675,9 +768,7 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
         let design = &self.layout.design.points()[pos].metrics;
         let mut state = self.lock_shard(at.shard);
         if self.merge_into(&mut state, at.slot, design, observed) {
-            state.dirty.insert(at.slot);
-            self.shards[at.shard].epoch.fetch_add(1, Ordering::AcqRel);
-            self.epoch.fetch_add(1, Ordering::AcqRel);
+            self.record_change(&mut state, at.shard, at.slot);
         }
         true
     }
@@ -712,9 +803,7 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
         let mut state = self.lock_shard(at.shard);
         let changed = self.merge_into(&mut state, at.slot, design, observed);
         if changed {
-            state.dirty.insert(at.slot);
-            self.shards[at.shard].epoch.fetch_add(1, Ordering::AcqRel);
-            self.epoch.fetch_add(1, Ordering::AcqRel);
+            self.record_change(&mut state, at.shard, at.slot);
             cache.patch_point(pos, self.effective_point(&state, at.shard, at.slot));
         }
         Some((pos, changed))
@@ -752,6 +841,7 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
                 let design = &self.layout.design.points()[pos].metrics;
                 if self.merge_into(&mut state, slot, design, observed) {
                     state.dirty.insert(slot);
+                    state.changes[slot] += 1;
                     changed += 1;
                 }
             }
@@ -1276,30 +1366,80 @@ mod tests {
         assert_eq!(reference.shard_epoch(0), reference.epoch());
     }
 
+    fn power(value: f64) -> MetricValues {
+        MetricValues::new().with(Metric::power(), value)
+    }
+
     #[test]
-    fn fork_is_an_independent_deep_copy() {
-        let shared = SharedKnowledge::new(design(), 4).with_shards(3);
-        shared.publish(&1, &MetricValues::new().with(Metric::power(), 60.0));
-        let fork = shared.fork();
-        assert_eq!(fork.epoch(), shared.epoch());
-        assert_eq!(fork.knowledge(), shared.knowledge());
-        for s in 0..shared.shard_count() {
-            assert_eq!(fork.shard_epoch(s), shared.shard_epoch(s));
+    fn restore_point_rewinds_one_point_and_its_epochs() {
+        // min_observations 2 makes the all-time totals observable, and
+        // five samples through a window of 4 wrap the ring.
+        let base = || {
+            SharedKnowledge::new(design(), 4)
+                .with_min_observations(2)
+                .with_shards(3)
+        };
+        let shared = base();
+        for p in [60.0, 61.0, 62.0, 63.0, 64.0] {
+            shared.publish(&1, &power(p));
         }
-        // Diverge the fork: the original must not see it, and vice
-        // versa.
-        fork.publish(&2, &MetricValues::new().with(Metric::power(), 99.0));
-        assert_eq!(shared.epoch(), 1);
-        assert_eq!(fork.epoch(), 2);
-        shared.publish(&1, &MetricValues::new().with(Metric::power(), 70.0));
-        assert_ne!(fork.knowledge(), shared.knowledge());
-        // The fork continues bit-identically to a twin fed the same
-        // stream from scratch.
-        let twin = SharedKnowledge::new(design(), 4).with_shards(3);
-        twin.publish(&1, &MetricValues::new().with(Metric::power(), 60.0));
-        twin.publish(&2, &MetricValues::new().with(Metric::power(), 99.0));
-        assert_eq!(fork.knowledge(), twin.knowledge());
-        assert_eq!(fork.epoch(), twin.epoch());
+        let saved = shared.point_state(0).expect("position 0 exists");
+        // Move point 1 on, and touch point 2 (in whichever shard).
+        shared.publish(&1, &power(90.0));
+        shared.publish(&1, &power(91.0));
+        shared.publish(&2, &power(99.0));
+        shared.publish(&2, &power(98.0));
+        assert!(shared.restore_point(&saved));
+        assert_eq!(shared.point_state(0).as_ref(), Some(&saved));
+        // A twin fed only what the restored state covers: point 1's
+        // windows, totals and change count are back, point 2 keeps its
+        // publishes, and the epochs moved by point 1's changes alone.
+        let twin = base();
+        for p in [60.0, 61.0, 62.0, 63.0, 64.0] {
+            twin.publish(&1, &power(p));
+        }
+        twin.publish(&2, &power(99.0));
+        twin.publish(&2, &power(98.0));
+        assert_eq!(shared.knowledge(), twin.knowledge());
+        assert_eq!(shared.epoch(), twin.epoch());
+        for s in 0..shared.shard_count() {
+            assert_eq!(shared.shard_epoch(s), twin.shard_epoch(s));
+        }
+        // The restored point continues bit-identically to the twin.
+        for p in [70.0, 71.0] {
+            shared.publish(&1, &power(p));
+            twin.publish(&1, &power(p));
+        }
+        assert_eq!(shared.knowledge(), twin.knowledge());
+        assert_eq!(shared.epoch(), twin.epoch());
+        assert_eq!(shared.shard_hashes(), twin.shard_hashes());
+        // The restore left the point dirty for the next drain.
+        let (_, changed) = shared.drain_changes();
+        assert!(changed.iter().any(|(pos, _)| *pos == 0));
+    }
+
+    #[test]
+    fn restore_point_refuses_states_that_do_not_fit() {
+        let shared = SharedKnowledge::new(design(), 4);
+        assert_eq!(shared.point_state(2), None, "out of range");
+        let wide = SharedKnowledge::new(design(), 4);
+        for p in [60.0, 61.0, 62.0] {
+            wide.publish(&1, &power(p));
+        }
+        let saved = wide.point_state(0).unwrap();
+        let narrow = SharedKnowledge::new(design(), 2);
+        assert!(!narrow.restore_point(&saved), "three samples, window 2");
+        assert_eq!(
+            narrow.knowledge(),
+            design(),
+            "a refused restore changes nothing"
+        );
+        let mut longer: Vec<OperatingPoint<u32>> = design().points().to_vec();
+        longer.push(OperatingPoint::new(3, power(70.0)));
+        let longer = SharedKnowledge::new(longer.into_iter().collect(), 4);
+        longer.publish(&3, &power(75.0));
+        assert!(!shared.restore_point(&longer.point_state(2).unwrap()));
+        assert_eq!(shared.epoch(), 0);
     }
 
     #[test]
@@ -1374,24 +1514,35 @@ mod tests {
     }
 
     #[test]
-    fn fork_preserves_the_dropped_observation_count() {
-        // Regression: a fork (the replica checkpoint primitive) must
-        // carry the drop counter — checkpoint rollback would otherwise
-        // silently reset it.
+    fn restore_point_brings_back_the_dropped_count() {
+        // Regression: a restore (the replica rollback primitive) must
+        // bring back the point's share of the drop counter — a rollback
+        // would otherwise count replayed drops twice.
         let shared = SharedKnowledge::new(design(), 4).with_shards(3);
         let nan = MetricValues::from_unvalidated([(Metric::power(), f64::NAN)]);
         shared.publish(&1, &nan);
         shared.publish(&2, &nan);
-        assert_eq!(shared.dropped_observations(), 2);
-        let fork = shared.fork();
-        assert_eq!(fork.dropped_observations(), 2, "fork keeps the count");
-        fork.publish(&1, &nan);
-        assert_eq!(fork.dropped_observations(), 3);
-        assert_eq!(shared.dropped_observations(), 2, "forks are independent");
+        let saved = shared.point_state(0).unwrap();
+        shared.publish(&1, &nan);
+        shared.publish(&2, &nan);
+        assert_eq!(shared.dropped_observations(), 4);
+        assert!(shared.restore_point(&saved));
+        assert_eq!(
+            shared.dropped_observations(),
+            3,
+            "point 1 is back to one drop, point 2 keeps its two"
+        );
         // Resharding (epoch still 0: NaN publishes never bump it) must
-        // also carry the counter through the rebuild.
+        // also carry the counter, per point, through the rebuild.
         let resharded = shared.with_shards(2);
-        assert_eq!(resharded.dropped_observations(), 2);
+        assert_eq!(resharded.dropped_observations(), 3);
+        assert!(
+            resharded.drain_changes().1.is_empty(),
+            "carrying changes no effective value, so it dirties nothing"
+        );
+        // A state captured before the rebuild still restores by position.
+        assert!(resharded.restore_point(&saved));
+        assert_eq!(resharded.dropped_observations(), 3);
     }
 
     #[test]

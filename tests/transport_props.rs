@@ -11,7 +11,7 @@
 //! schedule — loss, latency, duplication, topology, churn — from the
 //! proptest-generated parameters, so failures replay deterministically.
 
-use margot::{Knowledge, MetricValues, Rank, SharedKnowledge};
+use margot::{Knowledge, Metric, MetricValues, Rank, SharedKnowledge};
 use polybench::{App, Dataset};
 use proptest::prelude::*;
 use socrates::transport::{Observation, Replica};
@@ -192,13 +192,13 @@ proptest! {
         prop_assert_eq!(fleet.epoch_vector(late), fleet.epoch_vector(0));
     }
 
-    /// The replica's checkpointed fold is a pure function of the
-    /// *set* of logged observations (plus design knowledge and warm
-    /// seed): any arrival order — including orders that roll the fold
-    /// back to a checkpoint or force full refolds — lands on exactly
-    /// the canonical in-order fold, knowledge and epoch vector alike.
-    /// Re-delivering observations that checkpoints already cover must
-    /// be a no-op: no pending work, no extra rollback.
+    /// The replica's fold is a pure function of the *set* of logged
+    /// observations (plus design knowledge and warm seed): any arrival
+    /// order — including orders that roll points back to their saved
+    /// states — lands on exactly the canonical in-order fold, knowledge
+    /// and epoch vector alike. Re-delivering observations the fold
+    /// already covers must be a no-op: no pending work, no extra
+    /// rollback.
     #[test]
     fn replica_fold_is_arrival_order_independent(
         seed in any::<u64>(),
@@ -207,8 +207,8 @@ proptest! {
     ) {
         let design = enhanced().knowledge.clone();
         let configs = design.points();
-        // 64 deterministic observations (4 origins × 16 rounds): well
-        // past CHECKPOINT_EVERY, so rollbacks have checkpoints to hit.
+        // 64 deterministic observations (4 origins × 16 rounds) spread
+        // over the design points.
         let ops: Vec<Observation> = (0..16u64)
             .flat_map(|round| (0..4u32).map(move |origin| (round, origin)))
             .map(|(round, origin)| {
@@ -261,9 +261,9 @@ proptest! {
         }
         replica.fold_pending();
 
-        // Re-deliver the whole checkpointed prefix once more: every
-        // insert is a duplicate, nothing becomes pending, and no
-        // rollback is charged.
+        // Re-deliver the first half of the log once more: every insert
+        // is a duplicate, nothing becomes pending, and no rollback is
+        // charged.
         let refolds_before = replica.refolds();
         for op in ops.iter().take(ops.len() / 2) {
             prop_assert!(!replica.insert(op.clone()));
@@ -274,5 +274,142 @@ proptest! {
         prop_assert_eq!(replica.knowledge(), reference.knowledge());
         prop_assert_eq!(replica.shard_epochs(), reference.shard_epochs());
         prop_assert_eq!(replica.epoch(), reference.epoch());
+    }
+}
+
+/// Design positions the differential test's observations land on: few
+/// enough that points collect more than one saved state's worth of
+/// observations, so rollbacks restore saved states past the boot one.
+const HOT_POINTS: [usize; 6] = [0, 7, 13, 21, 30, 47];
+
+/// The measured values of a generated observation: mostly finite, with
+/// a few that are repeated (publishes that move no mean) and a few
+/// non-finite (dropped and counted at publish).
+fn generated_values(selector: u32) -> MetricValues {
+    let power = match selector {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        s => 50.0 + f64::from(s % 4) * 5.0,
+    };
+    let time = if selector == 2 {
+        f64::NEG_INFINITY
+    } else {
+        0.05 + f64::from(selector) * 0.01
+    };
+    MetricValues::from_unvalidated([(Metric::exec_time(), time), (Metric::power(), power)])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Differential check of the per-point rollback fold against the
+    /// plain in-order fold: whatever the arrival order — duplicates,
+    /// folds interleaved anywhere, warm seed on or off, non-finite
+    /// values — a replica ends on exactly the knowledge, epoch and
+    /// shard epochs of a [`SharedKnowledge`] with the same shard count
+    /// fed every observation once in canonical `(round, origin)` order.
+    /// Along the way, patching the previous `knowledge()` with each
+    /// `take_changes()` reproduces the new one exactly.
+    #[test]
+    fn replica_matches_the_canonical_shared_knowledge_fold(
+        cells in prop::collection::vec(
+            (0u64..12, 0u32..4, 0usize..HOT_POINTS.len(), 0u32..9, any::<u64>()),
+            1..150,
+        ),
+        warm in any::<bool>(),
+        shards in 1usize..6,
+        // Past the window of 4, the all-time totals gate the override.
+        min_observations in 1u64..7,
+        fold_every in 1usize..9,
+        dup_every in 2usize..7,
+    ) {
+        let design = enhanced().knowledge.clone();
+        // One observation per (round, origin); seq numbers follow each
+        // origin's rounds.
+        let mut ops: Vec<(Observation, u64)> = Vec::new();
+        for &(round, origin, point, selector, shuffle) in &cells {
+            if ops.iter().any(|(op, _)| op.op_id() == (round, origin)) {
+                continue;
+            }
+            ops.push((
+                Observation {
+                    origin,
+                    seq: 0,
+                    round,
+                    config: design.points()[HOT_POINTS[point]].config.clone(),
+                    observed: generated_values(selector),
+                },
+                shuffle,
+            ));
+        }
+        ops.sort_by_key(|(op, _)| op.op_id());
+        for origin in 0..4 {
+            for (seq, (op, _)) in ops.iter_mut().filter(|(op, _)| op.origin == origin).enumerate() {
+                op.seq = seq as u64;
+            }
+        }
+        let seed: Knowledge<platform_sim::KnobConfig> = design
+            .points()
+            .iter()
+            .take(10)
+            .map(|p| {
+                let mut p = p.clone();
+                let power = p.metric(&Metric::power()).unwrap_or(50.0) * 1.1;
+                p.metrics.insert(Metric::power(), power);
+                p
+            })
+            .collect();
+
+        // Reference: the plain fold, canonical order, each op once.
+        let reference = SharedKnowledge::new(design.clone(), 4)
+            .with_min_observations(min_observations)
+            .with_shards(shards);
+        if warm {
+            reference.seed_observations(&seed, 3);
+        }
+        for (op, _) in &ops {
+            reference.publish(&op.config, &op.observed);
+        }
+
+        let mut replica = Replica::new(design.clone(), 4, min_observations, shards);
+        if warm {
+            replica = replica.with_warm_seed(seed, 3);
+        }
+        let mut arrival: Vec<&(Observation, u64)> = ops.iter().collect();
+        arrival.sort_by_key(|(op, shuffle)| (*shuffle, op.op_id()));
+        // What a consumer of take_changes holds: the design knowledge
+        // before the first call (the warm seed's moves come in it).
+        let mut known = design.clone();
+        let mut taken_epoch = 0;
+        for (n, (op, _)) in arrival.iter().enumerate() {
+            prop_assert!(replica.insert(op.clone()));
+            if n % dup_every == dup_every - 1 {
+                let (earlier, _) = arrival[n / 2];
+                prop_assert!(replica.contains(earlier.op_id()));
+                prop_assert!(!replica.insert(earlier.clone()), "duplicates merge idempotently");
+            }
+            if n % fold_every == 0 {
+                replica.fold_pending();
+                prop_assert!(!replica.pending());
+                let delta = replica.take_changes();
+                prop_assert_eq!(delta.from_epoch, taken_epoch);
+                prop_assert_eq!(delta.to_epoch, replica.epoch());
+                taken_epoch = delta.to_epoch;
+                prop_assert!(delta.apply_to(&mut known));
+                prop_assert_eq!(&known, &replica.knowledge(), "take_changes missed a point");
+            }
+        }
+        replica.fold_pending();
+        prop_assert!(!replica.pending());
+        let delta = replica.take_changes();
+        prop_assert!(delta.apply_to(&mut known));
+
+        prop_assert_eq!(replica.len(), ops.len());
+        prop_assert_eq!(replica.knowledge(), reference.knowledge());
+        prop_assert_eq!(&known, &reference.knowledge());
+        prop_assert_eq!(replica.epoch(), reference.epoch());
+        let reference_epochs: Vec<u64> =
+            (0..reference.shard_count()).map(|s| reference.shard_epoch(s)).collect();
+        prop_assert_eq!(replica.shard_epochs(), reference_epochs);
     }
 }

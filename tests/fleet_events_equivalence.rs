@@ -12,6 +12,10 @@
 //!    `Schedule::Lockstep` is bit-identical to the retired per-instance
 //!    round loop on **every** polybench application (its trace digests
 //!    are pinned).
+//! 4. **Pinned event runs**: a seeded diurnal 2mm run, with and
+//!    without a power budget, reproduces recorded constants (event
+//!    digest, counters, knowledge epoch, learned-knowledge hash), so a
+//!    change to the merge-on-publish path cannot drift unnoticed.
 //!
 //! CI re-runs this file under forced `RAYON_NUM_THREADS` values
 //! (1, 2, 8), so the identities hold at any worker count.
@@ -286,4 +290,69 @@ fn lockstep_runtime_matches_legacy_step_round_on_all_apps() {
             "{app:?}: unified FleetRuntime trace != legacy round-loop trace"
         );
     }
+}
+
+/// One seeded diurnal event run of 2mm, with or without a fleet power
+/// budget: the event digest, the fleet counters, the knowledge epoch
+/// and a content hash of the learned knowledge.
+fn diurnal_run(budget_w: Option<f64>) -> (u64, socrates::EventFleetStats, Option<u64>, u64) {
+    let trace = WorkloadTrace {
+        seed: 2018,
+        horizon_s: 6.0,
+        base_rate_hz: 2.0,
+        mean_lifetime_s: 3.0,
+        curve: WorkloadCurve::Diurnal {
+            period_s: 6.0,
+            amplitude: 0.5,
+        },
+    };
+    let mut fleet = EventFleet::new(event_config()).expect("valid fleet config");
+    fleet.set_power_budget(budget_w);
+    fleet
+        .drive(&trace, enhanced(), &Rank::throughput_per_watt2())
+        .expect("valid trace");
+    fleet.run_until(trace.horizon_s + 2.0);
+    let learned = fleet.learned_knowledge(App::TwoMm).expect("2mm pool");
+    (
+        fleet.event_digest(),
+        fleet.stats(),
+        fleet.knowledge_epoch(App::TwoMm),
+        margot::shard_content_hash(learned.points().iter().enumerate()),
+    )
+}
+
+/// The event runtime's merge-on-publish path pinned to constants: a
+/// seeded diurnal run reproduces the recorded event stream, fleet
+/// counters, knowledge epoch and learned knowledge, with and without
+/// a binding power budget.
+#[test]
+fn seeded_diurnal_runs_match_pinned_constants() {
+    let stats = |events| socrates::EventFleetStats {
+        spawned: 9,
+        active: 0,
+        retired: 9,
+        slots: 6,
+        events,
+        stale_dropped: 9,
+    };
+    assert_eq!(
+        diurnal_run(None),
+        (
+            0x5034_3874_b982_130c,
+            stats(436),
+            Some(409),
+            0x8f87_329e_9d8f_cd1c
+        ),
+        "unconstrained"
+    );
+    assert_eq!(
+        diurnal_run(Some(300.0)),
+        (
+            0x197d_a3df_570a_3c65,
+            stats(329),
+            Some(302),
+            0x037c_bf04_24bd_aaf7
+        ),
+        "300 W budget"
+    );
 }

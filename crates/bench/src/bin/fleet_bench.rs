@@ -3,7 +3,7 @@
 //! Two studies, numbers recorded in `BENCH.md`:
 //!
 //! 1. **Scaling** — N-instance fleets (N = 1, 2, 4, 8, 16) of the
-//!    adaptive 2mm binary stepped over rayon for 60 virtual seconds:
+//!    adaptive 2mm binary stepped in lockstep for 60 virtual seconds:
 //!    total invocations, virtual throughput and host wall time.
 //! 2. **Online convergence under drift** — the fleet deploys onto a
 //!    machine running hotter than the design-time platform

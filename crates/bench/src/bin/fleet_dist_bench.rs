@@ -10,7 +10,7 @@
 //! fleet's common knowledge can be once the exchange quiesces.
 //!
 //! Every cell is verified, not just timed: after the drain the bench
-//! asserts all nodes converged onto the canonical single-mutex
+//! asserts all nodes converged onto the canonical single-shard
 //! [`margot::SharedKnowledge`] fold of every observation (the same
 //! invariant `tests/transport_props.rs` pins property-wise).
 //!
@@ -254,7 +254,7 @@ fn check_against_baseline(rows: &[DistRow]) {
 }
 
 /// Asserts the cell actually converged onto the canonical
-/// single-mutex reference fold (drain guarantees it; the bench
+/// single-shard reference fold (drain guarantees it; the bench
 /// re-checks rather than trusting the implementation it measures).
 fn verify_converged(fleet: &DistributedFleet, enhanced: &EnhancedApp, nodes: usize) {
     assert!(fleet.converged(), "drain returned but fleet not converged");
@@ -270,7 +270,7 @@ fn verify_converged(fleet: &DistributedFleet, enhanced: &EnhancedApp, nodes: usi
         assert_eq!(
             fleet.node_knowledge(id),
             reference,
-            "node {id} diverged from the single-mutex reference"
+            "node {id} diverged from the single-shard reference"
         );
     }
 }

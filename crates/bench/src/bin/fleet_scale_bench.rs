@@ -1,19 +1,21 @@
-//! Fleet scaling experiment: the sharded knowledge layer against the
-//! single-mutex baseline.
+//! Fleet scaling experiment: lockstep round cost from 16 to 4096
+//! instances, at one knowledge shard and at the default sixteen.
 //!
 //! For each fleet size N the same deployment is stepped for a fixed
 //! number of synchronized rounds in two modes:
 //!
-//! - **baseline** — `knowledge_shards = 1`: every publish serialises
-//!   on one global lock.
-//! - **sharded** — the defaults: config-hash lock shards, one lock
-//!   acquisition per shard per round (batched barrier merge).
+//! - **baseline** — `knowledge_shards = 1`;
+//! - **sharded** — the defaults ([`margot::DEFAULT_SHARDS`] shards).
 //!
-//! Both modes patch dirty points incrementally into the pool cache and
-//! are bit-identical in output (pinned by `tests/fleet_equivalence.rs`
-//! and re-asserted here on the learned knowledge), so the comparison is
-//! pure overhead. Numbers land in
-//! `results/fleet_scale.json` (`results/fleet_scale_smoke.json` for
+//! The shared knowledge has one owner and one columnar arena in both
+//! modes: shards only partition its snapshots, deltas and epoch
+//! vector, so the two modes run the same round loop and differ only in
+//! that wire partition. Both patch dirty points incrementally into the
+//! pool cache and are bit-identical in output (pinned by
+//! `tests/fleet_equivalence.rs` and re-asserted here on the learned
+//! knowledge). The two mode names and their committed cells stay so
+//! that the `--check` gate keeps comparing like with like. Numbers land
+//! in `results/fleet_scale.json` (`results/fleet_scale_smoke.json` for
 //! the smoke configuration, so the committed baseline is never
 //! clobbered by CI) and BENCH.md.
 //!
@@ -87,7 +89,7 @@ fn main() {
     };
     let enhanced = socrates_bench::subsampled_twomm(KNOWLEDGE_POINTS);
     println!(
-        "Fleet knowledge-layer scaling — sharded vs single-mutex baseline\n\
+        "Fleet scaling — default shards vs one shard\n\
          ({KNOWLEDGE_POINTS}-point knowledge, {ROUNDS} synchronized rounds per cell)\n"
     );
     println!(

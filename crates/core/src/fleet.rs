@@ -4,7 +4,7 @@
 //! is not one process on one machine — it is many instances, on
 //! heterogeneous machines, all running the same MAPE-K loop. A
 //! [`Fleet`] boots N [`AdaptiveApplication`] instances and steps them
-//! concurrently over rayon on the virtual clock, while a shared
+//! in instance order on the virtual clock, while a shared
 //! [`margot::SharedKnowledge`] layer per application lets every
 //! instance publish its monitor observations and pull the others'
 //! discoveries (the Collective-Mind-style crowdsourced repository).
@@ -13,8 +13,8 @@
 //!
 //! - **Online knowledge sharing** — each step's observation is merged
 //!   into the shared knowledge at a deterministic round barrier; each
-//!   instance detects refreshed knowledge with one epoch load and
-//!   adopts it before its next plan step.
+//!   instance detects refreshed knowledge with one epoch comparison
+//!   and adopts it before its next plan step.
 //! - **Cooperative exploration** — a [`dse::ExplorationSchedule`]
 //!   assigns still-unobserved configurations round-robin across the
 //!   instances, so the fleet sweeps the design space online once
@@ -23,35 +23,33 @@
 //!   evenly across active instances by adjusting each AS-RTM's power
 //!   constraint as instances join and leave.
 //!
-//! # Scaling: sharded knowledge, incremental refresh
+//! # Rounds: one loop, one barrier, incremental refresh
 //!
-//! The shared knowledge is **lock-sharded** ([`SharedKnowledge`] with
-//! [`FleetConfig::knowledge_shards`] shards): publishes to different
-//! operating points contend only within a shard, and the round's
-//! observations are merged **as one batch per shard** under a single
-//! lock acquisition. The pool's barrier-time cache is refreshed
+//! A round is one loop over the due instances in instance order: each
+//! is assigned its exploration slot, adopts its pool's barrier-time
+//! cache, steps, and adds its observation to its pool's batch. Steps
+//! read only that cache, so the barrier that follows is the only place
+//! knowledge moves: each pool merges its batch in instance order
+//! ([`SharedKnowledge::publish_batch`]), then refreshes its cache
 //! **incrementally** — the changed points are drained straight out of
 //! the columnar arena into the cache
-//! ([`SharedKnowledge::drain_changes_into`]) — and the cache itself is
+//! ([`SharedKnowledge::drain_changes_into`]). The cache is
 //! copy-on-write ([`Knowledge`] is `Arc`-backed), so a stale instance
 //! adopts it with a reference-count bump instead of a deep clone. The
 //! full-rebuild reference ([`SharedKnowledge::snapshot`]) lives in the
 //! tests: `crates/margot/tests/shared_props.rs` checks drained deltas
 //! against it, and the fleet tests check the pool cache against it.
+//! [`FleetConfig::knowledge_shards`] only partitions the knowledge's
+//! snapshots and epoch vector; traces are identical at any shard
+//! count. `tests/fleet_equivalence.rs` pins the traces to digests.
 //!
 //! # Failure isolation
 //!
-//! A panic inside one instance's step no longer aborts the fleet: the
-//! panic is caught, the poisoned instance lock is recovered, and the
-//! failed instance is deactivated and counted in [`Fleet::stats`]
-//! while its power share is redistributed to the survivors.
-//!
-//! Rounds are **bit-identical at any rayon thread count**: instances
-//! only read shared state during the parallel phase, and all mutation
-//! (publish + schedule bookkeeping) happens sequentially in instance
-//! order at the barrier. `tests/fleet_equivalence.rs` pins the traces
-//! to digests of the serial reference, and CI re-runs it under
-//! `RAYON_NUM_THREADS=1/2/8` (one thread steps the instances serially).
+//! A panic inside one instance's step does not abort the fleet: the
+//! panic is caught, and the failed instance is deactivated and counted
+//! in [`Fleet::stats`] while its power share is redistributed to the
+//! survivors. An exploration assignment it never executed goes back to
+//! the sweep at the barrier.
 
 use crate::engine::CompiledKernel;
 use crate::error::SocratesError;
@@ -65,10 +63,9 @@ use minic::TranslationUnit;
 use minivm::ExecutionReport;
 use platform_sim::{KnobConfig, Machine};
 use polybench::{App, Dataset};
-use rayon::prelude::*;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// Priority of the constraint the power arbiter manages on each
 /// instance (higher than typical application constraints, so the global
@@ -115,11 +112,10 @@ pub struct FleetConfig {
     /// overrides the design-time expectation. Must be ≥ 1
     /// ([`FleetConfig::validate`]).
     pub min_observations: u64,
-    /// Lock shards of each pool's [`SharedKnowledge`]. 1 reproduces the
-    /// single-mutex reference; the default
-    /// ([`margot::DEFAULT_SHARDS`]) lets concurrent publishes to
-    /// different points proceed without contention. Must be ≥ 1
-    /// ([`FleetConfig::validate`]).
+    /// Shards of each pool's [`SharedKnowledge`]: how its snapshots and
+    /// epoch vector are partitioned ([`KnowledgeSnapshot`] carries one
+    /// epoch per shard). Traces and learned knowledge are identical at
+    /// any shard count. Must be ≥ 1 ([`FleetConfig::validate`]).
     pub knowledge_shards: usize,
     /// Global power budget (watts) split across active instances;
     /// `None` leaves every instance unconstrained.
@@ -163,10 +159,9 @@ pub struct FleetConfig {
 /// How a fleet runtime advances its virtual clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Schedule {
-    /// Synchronized rounds: every due instance steps once, then all
-    /// observations merge at a sequential barrier in instance order.
-    /// The reference semantics — bit-identical at any rayon thread
-    /// count.
+    /// Synchronized rounds: every due instance steps once, in instance
+    /// order, then all observations merge at a barrier in instance
+    /// order. The reference semantics.
     #[default]
     Lockstep,
     /// A discrete-event scheduler on the virtual clock: each instance
@@ -280,8 +275,8 @@ fn check_min_observations(min_observations: u64) -> Result<(), SocratesError> {
 fn check_knowledge_shards(shards: usize) -> Result<(), SocratesError> {
     if shards == 0 {
         return Err(SocratesError::invalid_config(
-            "knowledge_shards must be >= 1: the shared knowledge needs at least one lock \
-             shard (1 = the single-mutex reference)",
+            "knowledge_shards must be >= 1: the shared knowledge partitions its snapshots \
+             and epoch vector into at least one shard",
         ));
     }
     Ok(())
@@ -521,9 +516,8 @@ struct Pool {
     /// the fleet with frozen near-ties mid-flight.
     burst: VecDeque<KnobConfig>,
     /// Effective-knowledge snapshot maintained **once per pool** at the
-    /// round barrier (and only when the epoch moved); the parallel
-    /// phase hands stale instances this knowledge without touching
-    /// the pool locks.
+    /// round barrier (and only when the epoch moved); stale instances
+    /// adopt this knowledge before they step.
     cache_epoch: u64,
     cache: Knowledge<KnobConfig>,
     /// The weaved program the pool's kernels are lowered from, and the
@@ -548,7 +542,7 @@ struct Pool {
 
 impl Pool {
     /// Compiles (or reuses) the config-specialized kernel for one
-    /// thread count. Called only from barrier/sequential code.
+    /// thread count. Called only at pool creation and at the barrier.
     fn ensure_kernel(&mut self, threads: u32) {
         use std::collections::hash_map::Entry;
         match self.kernels.entry(threads) {
@@ -573,8 +567,7 @@ impl Pool {
     /// (sequential) code.
     fn refresh_cache(&mut self) {
         // Dirty inserts are always paired with an epoch bump, so an
-        // unmoved epoch means there is nothing to drain — skip the
-        // per-shard lock sweep entirely.
+        // unmoved epoch means there is nothing to drain.
         if self.shared.epoch() == self.cache_epoch {
             return;
         }
@@ -593,49 +586,16 @@ struct Instance {
     /// Last shared-knowledge epoch this instance adopted.
     epoch: u64,
     steps: u64,
-    /// Exploration configuration assigned for the next step.
-    assigned: Option<KnobConfig>,
     active: bool,
     /// Whether this instance was deactivated by a panic in its step
     /// (as opposed to an orderly [`Fleet::retire_instance`]).
     failed: bool,
-    /// The recovered panic message of a failed instance, for diagnosis
+    /// The caught panic message of a failed instance, for diagnosis
     /// ([`Fleet::failure_reason`]).
     failure: Option<String>,
     /// Whether the power arbiter installed a constraint on this
     /// instance (so budget removal only removes what the fleet added).
     arbited: bool,
-}
-
-/// Recovers a possibly poisoned instance lock: a panic in one
-/// instance's step poisons only that instance's mutex, and the instance
-/// is deactivated — the data under the lock stays consistent enough to
-/// read (trace, clock, energy) and must not take the fleet down.
-fn lock_instance(m: &Mutex<Instance>) -> MutexGuard<'_, Instance> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The `&mut self` counterpart of [`lock_instance`].
-fn instance_mut(m: &mut Mutex<Instance>) -> &mut Instance {
-    m.get_mut().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// What one instance did in a round's parallel phase.
-enum StepOutcome {
-    /// A MAPE-K (or exploration) step producing an observation. `stale`
-    /// carries an exploration assignment that could not be executed
-    /// (no compiled version) so the barrier returns it to the sweep.
-    Stepped {
-        pool: usize,
-        sample: TraceSample,
-        stale: Option<KnobConfig>,
-    },
-    /// The step panicked; the instance was deactivated. `stale` carries
-    /// its unexecuted exploration assignment, if any.
-    Failed {
-        pool: usize,
-        stale: Option<KnobConfig>,
-    },
 }
 
 /// Fleet membership and health counters (see [`Fleet::stats`]).
@@ -663,8 +623,8 @@ pub struct FleetStats {
     pub schedule_pruned_dominated: u64,
 }
 
-/// A fleet of concurrently stepping adaptive-application instances
-/// sharing a live knowledge base.
+/// A fleet of adaptive-application instances stepping in synchronized
+/// rounds while sharing a live knowledge base.
 ///
 /// # Examples
 ///
@@ -682,7 +642,7 @@ pub struct FleetStats {
 pub struct Fleet {
     config: FleetConfig,
     pools: Vec<Pool>,
-    instances: Vec<Mutex<Instance>>,
+    instances: Vec<Instance>,
     rounds: u64,
     /// Registered event-stream observers ([`FleetRuntime::observe`]).
     /// Only touched from sequential (barrier) code; pure consumers, so
@@ -747,18 +707,12 @@ impl Fleet {
 
     /// Number of instances still stepping.
     pub fn active_instances(&self) -> usize {
-        self.instances
-            .iter()
-            .filter(|m| lock_instance(m).active)
-            .count()
+        self.instances.iter().filter(|inst| inst.active).count()
     }
 
     /// Number of instances deactivated by a panic inside their step.
     pub fn failed_instances(&self) -> usize {
-        self.instances
-            .iter()
-            .filter(|m| lock_instance(m).failed)
-            .count()
+        self.instances.iter().filter(|inst| inst.failed).count()
     }
 
     /// The recovered panic message of a failed instance, or `None` if
@@ -768,15 +722,14 @@ impl Fleet {
     ///
     /// Panics if `id` is out of range.
     pub fn failure_reason(&self, id: usize) -> Option<String> {
-        lock_instance(&self.instances[id]).failure.clone()
+        self.instances[id].failure.clone()
     }
 
     /// Membership and health counters in one consistent read.
     pub fn stats(&self) -> FleetStats {
         let mut active = 0;
         let mut failed = 0;
-        for m in &self.instances {
-            let inst = lock_instance(m);
+        for inst in &self.instances {
             active += usize::from(inst.active);
             failed += usize::from(inst.failed);
         }
@@ -833,17 +786,16 @@ impl Fleet {
             0
         };
         let t_s = app.now_s();
-        self.instances.push(Mutex::new(Instance {
+        self.instances.push(Instance {
             app,
             pool,
             epoch,
             steps: 0,
-            assigned: None,
             active: true,
             failed: false,
             failure: None,
             arbited: false,
-        }));
+        });
         self.rebalance_power();
         let id = self.instances.len() - 1;
         self.emit(FleetEvent::Arrived {
@@ -899,7 +851,7 @@ impl Fleet {
     ///
     /// Panics if `id` is out of range.
     pub fn retire_instance(&mut self, id: usize) -> bool {
-        let inst = instance_mut(&mut self.instances[id]);
+        let inst = &mut self.instances[id];
         if !inst.active {
             return false;
         }
@@ -955,11 +907,7 @@ impl Fleet {
     /// One synchronized round over every active instance; returns the
     /// number of steps taken.
     fn step_all(&mut self) -> usize {
-        let due: Vec<bool> = self
-            .instances
-            .iter_mut()
-            .map(|m| instance_mut(m).active)
-            .collect();
+        let due: Vec<bool> = self.instances.iter().map(|inst| inst.active).collect();
         self.round_with(&due)
     }
 
@@ -969,7 +917,7 @@ impl Fleet {
     ///
     /// Panics if `id` is out of range.
     pub fn trace(&self, id: usize) -> Vec<TraceSample> {
-        lock_instance(&self.instances[id]).app.trace().to_vec()
+        self.instances[id].app.trace().to_vec()
     }
 
     /// Virtual time of instance `id`, seconds.
@@ -978,7 +926,7 @@ impl Fleet {
     ///
     /// Panics if `id` is out of range.
     pub fn now_s(&self, id: usize) -> f64 {
-        lock_instance(&self.instances[id]).app.now_s()
+        self.instances[id].app.now_s()
     }
 
     /// Total energy drawn by instance `id`, joules.
@@ -987,7 +935,7 @@ impl Fleet {
     ///
     /// Panics if `id` is out of range.
     pub fn energy_j(&self, id: usize) -> f64 {
-        lock_instance(&self.instances[id]).app.energy_j()
+        self.instances[id].app.energy_j()
     }
 
     /// Runs `f` against instance `id`'s adaptive application (e.g. to
@@ -1001,7 +949,7 @@ impl Fleet {
         id: usize,
         f: impl FnOnce(&mut AdaptiveApplication) -> R,
     ) -> R {
-        f(&mut instance_mut(&mut self.instances[id]).app)
+        f(&mut self.instances[id].app)
     }
 
     /// The current merged (online) knowledge for `app`, or `None` if no
@@ -1142,18 +1090,12 @@ impl Fleet {
 
     /// Splits the global budget evenly across active instances.
     fn rebalance_power(&mut self) {
-        let active = self
-            .instances
-            .iter_mut()
-            .map(|m| instance_mut(m).active)
-            .filter(|&a| a)
-            .count();
+        let active = self.active_instances();
         let share = match self.config.power_budget_w {
             Some(w) if active > 0 => Some(w / active as f64),
             _ => None,
         };
-        for m in &mut self.instances {
-            let inst = instance_mut(m);
+        for inst in &mut self.instances {
             if !inst.active {
                 continue;
             }
@@ -1187,128 +1129,14 @@ impl Fleet {
         }
     }
 
-    /// One round over the instances marked due: assign exploration
-    /// slots (sequential), step (parallel), merge observations
-    /// (sequential, instance order — the determinism barrier).
+    /// One round over the instances marked due, in instance order: each
+    /// is assigned its exploration slot, adopts its pool's barrier-time
+    /// cache, steps, and adds its observation to its pool's batch. The
+    /// barrier then merges each pool's batch — the determinism contract.
     fn round_with(&mut self, due: &[bool]) -> usize {
         assert_eq!(due.len(), self.instances.len());
+        let share = self.config.share_knowledge;
         let interval = self.config.exploration_interval;
-        if self.config.share_knowledge && interval > 0 {
-            for (id, &is_due) in due.iter().enumerate() {
-                if !is_due {
-                    continue;
-                }
-                let (pool, explore) = {
-                    let inst = instance_mut(&mut self.instances[id]);
-                    if !inst.active {
-                        continue;
-                    }
-                    (inst.pool, inst.steps % interval == interval - 1)
-                };
-                // Warm-boot validation outranks the interval: while the
-                // snapshot head's burst queue is non-empty, every step
-                // is a forced re-validation sample. The queue is a few
-                // hundred entries fleet-wide, so this window is over in
-                // the first seconds of the run.
-                let assigned = match self.pools[pool].burst.pop_front() {
-                    Some(cfg) => Some(cfg),
-                    None if explore => self.pools[pool].schedule.next_unexplored(),
-                    None => None,
-                };
-                if assigned.is_some() {
-                    instance_mut(&mut self.instances[id]).assigned = assigned;
-                }
-            }
-        }
-
-        let pools = &self.pools;
-        let config = &self.config;
-        let instances = &self.instances;
-        let step_one = |id: usize| -> Option<StepOutcome> {
-            if !due[id] {
-                return None;
-            }
-            // One instance's panic must not take the fleet down: catch
-            // it, recover the (now poisoned) lock and deactivate the
-            // instance; survivors keep stepping.
-            let stepped = catch_unwind(AssertUnwindSafe(|| {
-                let mut inst = lock_instance(&instances[id]);
-                if !inst.active {
-                    return None;
-                }
-                if config.share_knowledge {
-                    // Epoch probe against the pool's barrier-time
-                    // cache: no pool lock and no per-instance snapshot
-                    // rebuild. The cache is copy-on-write, so a stale
-                    // instance adopts it with a reference-count bump —
-                    // per-instance delta patching would force a deep
-                    // copy of the instance's own point list and is
-                    // strictly worse here.
-                    let pool = &pools[inst.pool];
-                    if pool.cache_epoch != inst.epoch {
-                        inst.app.set_knowledge(pool.cache.clone());
-                        inst.epoch = pool.cache_epoch;
-                    }
-                }
-                // Cloned, not taken: if the step panics mid-flight the
-                // assignment survives in `inst.assigned` for the
-                // failure path to return to the sweep.
-                let (sample, stale) = match inst.assigned.clone() {
-                    // A stale assignment (e.g. a configuration with no
-                    // compiled version after a knowledge refresh) falls
-                    // back to a normal AS-RTM step instead of aborting;
-                    // the barrier returns the config to the sweep so
-                    // coverage is not over-reported.
-                    Some(cfg) => match inst.app.step_forced(cfg.clone()) {
-                        Ok(sample) => (sample, None),
-                        Err(_) => (inst.app.step(), Some(cfg)),
-                    },
-                    None => (inst.app.step(), None),
-                };
-                inst.assigned = None;
-                inst.steps += 1;
-                Some(StepOutcome::Stepped {
-                    pool: inst.pool,
-                    sample,
-                    stale,
-                })
-            }));
-            match stepped {
-                Ok(outcome) => outcome,
-                Err(payload) => {
-                    // Keep the panic message: an operator seeing a
-                    // failed instance in the stats needs to know why
-                    // it died (this also preserves evidence should the
-                    // panic be a fleet bug rather than an instance
-                    // bug).
-                    let reason = payload
-                        .downcast_ref::<&'static str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    let mut inst = lock_instance(&instances[id]);
-                    inst.active = false;
-                    inst.failed = true;
-                    inst.failure = Some(reason);
-                    // An assignment the panicking step never consumed
-                    // goes back to the sweep at the barrier.
-                    let stale = inst.assigned.take();
-                    Some(StepOutcome::Failed {
-                        pool: inst.pool,
-                        stale,
-                    })
-                }
-            }
-        };
-        let stepped: Vec<Option<StepOutcome>> = (0..self.instances.len())
-            .into_par_iter()
-            .map(step_one)
-            .collect();
-
-        // The barrier: group the round's observations by pool in
-        // instance order, merge each pool's batch with one lock
-        // acquisition per knowledge shard, then refresh each pool's
-        // cache incrementally from the changed points.
         let mut steps = 0;
         let mut any_failed = false;
         let mut per_pool: Vec<Vec<(KnobConfig, MetricValues)>> =
@@ -1321,45 +1149,102 @@ impl Fleet {
         let observing = !self.observers.is_empty();
         let mut step_events: Vec<FleetEvent> = Vec::new();
         let mut publishers: Vec<(usize, usize)> = Vec::new();
-        for (id, outcome) in stepped.into_iter().enumerate() {
-            match outcome {
-                Some(StepOutcome::Stepped {
-                    pool,
-                    sample,
-                    stale,
-                }) => {
-                    steps += 1;
-                    kernel_tns[pool].push(sample.config.tn);
-                    if observing {
-                        step_events.push(FleetEvent::Stepped {
-                            id: dense_id(id),
-                            t_start_s: sample.t_start_s,
-                            time_s: sample.time_s,
-                            power_w: sample.power_w,
-                            forced: sample.forced,
-                        });
-                        if self.config.share_knowledge {
-                            publishers.push((id, pool));
-                        }
+        for (id, inst) in self.instances.iter_mut().enumerate() {
+            if !due[id] || !inst.active {
+                continue;
+            }
+            let pool = &mut self.pools[inst.pool];
+            // Warm-boot validation outranks the interval: while the
+            // snapshot head's burst queue is non-empty, every step is a
+            // forced re-validation sample. The queue is a few hundred
+            // entries fleet-wide, so this window is over in the first
+            // seconds of the run.
+            let assigned = if share && interval > 0 {
+                match pool.burst.pop_front() {
+                    Some(cfg) => Some(cfg),
+                    None if inst.steps % interval == interval - 1 => {
+                        pool.schedule.next_unexplored()
                     }
-                    if self.config.share_knowledge {
-                        let observed = sample.observed_metrics();
-                        per_pool[pool].push((sample.config, observed));
-                    }
-                    if let Some(cfg) = stale {
-                        requeues[pool].push(cfg);
-                    }
+                    None => None,
                 }
-                Some(StepOutcome::Failed { pool, stale }) => {
+            } else {
+                None
+            };
+            // One instance's panic must not take the fleet down: catch
+            // it and deactivate the instance; survivors keep stepping.
+            let stepped = catch_unwind(AssertUnwindSafe(|| {
+                // Epoch probe against the pool's barrier-time cache. The
+                // cache is copy-on-write, so a stale instance adopts it
+                // with a reference-count bump — per-instance delta
+                // patching would force a deep copy of the instance's own
+                // point list and is strictly worse here.
+                if share && pool.cache_epoch != inst.epoch {
+                    inst.app.set_knowledge(pool.cache.clone());
+                    inst.epoch = pool.cache_epoch;
+                }
+                // A stale assignment (e.g. a configuration with no
+                // compiled version after a knowledge refresh) falls back
+                // to a normal AS-RTM step instead of aborting.
+                match assigned.clone().map(|cfg| inst.app.step_forced(cfg)) {
+                    Some(Ok(sample)) => (sample, true),
+                    _ => (inst.app.step(), false),
+                }
+            }));
+            let sample = match stepped {
+                Ok((sample, executed)) => {
+                    if !executed {
+                        // The barrier returns an unexecuted assignment
+                        // to the sweep, so coverage is not
+                        // over-reported.
+                        requeues[inst.pool].extend(assigned);
+                    }
+                    sample
+                }
+                Err(payload) => {
+                    // Keep the panic message: an operator seeing a
+                    // failed instance in the stats needs to know why it
+                    // died (this also preserves evidence should the
+                    // panic be a fleet bug rather than an instance bug).
+                    let reason = payload
+                        .downcast_ref::<&'static str>()
+                        .map(|s| (*s).to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_string());
+                    inst.active = false;
+                    inst.failed = true;
+                    inst.failure = Some(reason);
+                    // An assignment the panicking step never consumed
+                    // goes back to the sweep at the barrier.
+                    requeues[inst.pool].extend(assigned);
                     any_failed = true;
-                    if let Some(cfg) = stale {
-                        requeues[pool].push(cfg);
-                    }
+                    continue;
                 }
-                None => {}
+            };
+            inst.steps += 1;
+            steps += 1;
+            kernel_tns[inst.pool].push(sample.config.tn);
+            if observing {
+                step_events.push(FleetEvent::Stepped {
+                    id: dense_id(id),
+                    t_start_s: sample.t_start_s,
+                    time_s: sample.time_s,
+                    power_w: sample.power_w,
+                    forced: sample.forced,
+                });
+                if share {
+                    publishers.push((id, inst.pool));
+                }
+            }
+            if share {
+                let observed = sample.observed_metrics();
+                per_pool[inst.pool].push((sample.config, observed));
             }
         }
-        if self.config.share_knowledge {
+
+        // The barrier: merge each pool's batch in instance order, then
+        // refresh each pool's cache incrementally from the changed
+        // points.
+        if share {
             for ((pool, batch), requeue) in self.pools.iter_mut().zip(&per_pool).zip(&requeues) {
                 // Unexecuted assignments rejoin the sweep *before* this
                 // round's organic coverage is folded in: a config
@@ -1401,7 +1286,7 @@ impl Fleet {
                 self.emit(event);
             }
             for (id, pool) in publishers {
-                let t_s = lock_instance(&self.instances[id]).app.now_s();
+                let t_s = self.instances[id].app.now_s();
                 self.emit(FleetEvent::Published {
                     id: dense_id(id),
                     t_s,
@@ -1436,11 +1321,8 @@ impl FleetRuntime for Fleet {
         loop {
             let due: Vec<bool> = self
                 .instances
-                .iter_mut()
-                .map(|m| {
-                    let inst = instance_mut(m);
-                    inst.active && inst.app.now_s() < t_s
-                })
+                .iter()
+                .map(|inst| inst.active && inst.app.now_s() < t_s)
                 .collect();
             if !due.iter().any(|&d| d) {
                 return rounds;
@@ -1470,7 +1352,7 @@ impl FleetRuntime for Fleet {
     fn virtual_now_s(&self) -> f64 {
         self.instances
             .iter()
-            .map(|m| lock_instance(m).app.now_s())
+            .map(|inst| inst.app.now_s())
             .fold(0.0, f64::max)
     }
 
@@ -1786,7 +1668,7 @@ mod tests {
         // The failed instance's power share went back into the pot.
         assert_eq!(fleet.power_share_w(), Some(150.0));
         // The fleet keeps running; the failed instance's trace is
-        // frozen but still readable through its recovered lock.
+        // frozen but still readable.
         let frozen = fleet.trace(0).len();
         fleet.run_until(fleet.virtual_now_s() + 0.5);
         assert_eq!(fleet.trace(0).len(), frozen);

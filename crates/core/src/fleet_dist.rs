@@ -21,9 +21,8 @@
 //!    exactly like the in-process barrier;
 //! 2. **adopt** — nodes patch the operating points their effective
 //!    knowledge moved on into their AS-RTM;
-//! 3. **step** — every due instance performs one MAPE-K step
-//!    (optionally over rayon; nodes are fully independent, so the
-//!    rounds stay bit-identical at any thread count);
+//! 3. **step** — every due instance performs one MAPE-K step, in node
+//!    order;
 //! 4. **publish** — each stepped node emits its observation into the
 //!    exchange (star: resent until acked; gossip: rumored to rotating
 //!    peers) plus periodic anti-entropy traffic.
@@ -36,7 +35,7 @@
 //! `tests/fleet_dist_equivalence.rs`). Under any seeded loss/latency
 //! model, [`DistributedFleet::drain`] runs anti-entropy until every
 //! connected node holds the same effective knowledge — equal to the
-//! canonical single-mutex fold of all observations (pinned by
+//! canonical single-shard fold of all observations (pinned by
 //! `tests/transport_props.rs`) — and reports how many repair rounds
 //! that took.
 //!
@@ -61,9 +60,8 @@ use margot::{Knowledge, KnowledgeDelta, OperatingPoint, Rank};
 use minivm::ExecutionReport;
 use platform_sim::{KnobConfig, Machine};
 use polybench::App;
-use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The central knowledge service of a star deployment: owns the
 /// authoritative canonical fold and the monotone per-shard broadcast
@@ -558,7 +556,7 @@ impl DistributedFleet {
 
     /// Every observation the authoritative participant has logged, in
     /// canonical `(round, origin)` order — the input of the
-    /// single-mutex reference fold the property tests compare
+    /// single-shard reference fold the property tests compare
     /// against. Complete once [`drain`](Self::drain) returned.
     pub fn canonical_ops(&self) -> Vec<Observation> {
         if let Some(broker) = &self.broker {
@@ -719,18 +717,11 @@ impl DistributedFleet {
     }
 
     fn step_phase(&mut self, due: &[bool]) -> Vec<Option<TraceSample>> {
-        let cells: Vec<Mutex<&mut DistNode>> = self.nodes.iter_mut().map(Mutex::new).collect();
-        let step_one = |i: usize| -> Option<TraceSample> {
-            if !due[i] {
-                return None;
-            }
-            let mut node = cells[i].lock().expect("each index locked exactly once");
-            if !node.active {
-                return None;
-            }
-            Some(node.app.step())
-        };
-        (0..cells.len()).into_par_iter().map(step_one).collect()
+        self.nodes
+            .iter_mut()
+            .zip(due)
+            .map(|(node, &due)| (due && node.active).then(|| node.app.step()))
+            .collect()
     }
 
     fn publish_phase(&mut self, stepped: &[Option<TraceSample>]) {

@@ -23,7 +23,7 @@
 //! - Knowledge merges happen **per publish event**
 //!   ([`margot::SharedKnowledge::publish_into`]): the observation
 //!   folds into the columnar arena and the changed point patches the
-//!   pool's effective cache under one shard lock, instead of a
+//!   pool's effective cache in the same call, instead of a
 //!   barrier-time drain sweep. The cooperative sweep claims
 //!   configurations at publish time too
 //!   ([`dse::ExplorationSchedule::claim`]).

@@ -27,8 +27,8 @@
 //! fans targets out over rayon, bit-identical to the serial path. The
 //! [`AdaptiveApplication`] then replays the weaved binary's MAPE-K loop
 //! on the simulated NUMA platform ([`platform_sim`]), and a [`Fleet`]
-//! steps many such instances concurrently while they share a live,
-//! epoch-versioned knowledge base ([`margot::SharedKnowledge`]),
+//! steps many such instances in synchronized rounds while they share a
+//! live, epoch-versioned knowledge base ([`margot::SharedKnowledge`]),
 //! sweep the design space cooperatively and split a global power
 //! budget — the paper's *online* loop at deployment scale. A
 //! [`DistributedFleet`] takes the same loop across process

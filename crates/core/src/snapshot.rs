@@ -130,8 +130,7 @@ pub struct KnowledgeSnapshot {
 
 impl KnowledgeSnapshot {
     /// Cuts a snapshot from a live knowledge base: epoch, shard epoch
-    /// vector and effective knowledge are read as one consistent
-    /// triple (all shard locks held).
+    /// vector and effective knowledge, read as one consistent triple.
     pub fn capture(shared: &SharedKnowledge<KnobConfig>, fingerprint: SnapshotFingerprint) -> Self {
         let (epoch, shard_epochs, knowledge) = shared.versioned_snapshot();
         KnowledgeSnapshot {

@@ -29,7 +29,7 @@
 //!   observations therefore expose bit-identical effective knowledge
 //!   *and* per-shard epoch vectors — the invariant every
 //!   reconciliation path reduces to, and the one the transport
-//!   property tests pin against a single-mutex [`SharedKnowledge`]
+//!   property tests pin against a single-shard [`SharedKnowledge`]
 //!   reference.
 //!
 //! Reconciliation works per topology ([`DistTopology`]):
@@ -560,8 +560,8 @@ pub struct Replica {
 impl Replica {
     /// An empty replica over `design` knowledge, folding observations
     /// through sliding windows of `window` samples, overriding design
-    /// values after `min_observations`, across `shards` lock shards
-    /// (the shard count fixes the epoch-vector layout).
+    /// values after `min_observations`, across `shards` shards (the
+    /// shard count fixes the epoch-vector layout).
     ///
     /// # Panics
     ///

@@ -10,6 +10,7 @@ use crate::knowledge::{Knowledge, OperatingPoint};
 use crate::metric::{Metric, MetricValues};
 use crate::requirements::{Constraint, Rank};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// The AS-RTM: knowledge + requirements + feedback → best configuration.
@@ -201,8 +202,10 @@ impl<K: Clone + PartialEq> AsRtm<K> {
             let best_violation = vectors
                 .iter()
                 .min_by(|a, b| {
-                    a.partial_cmp(b)
-                        .expect("violations are finite-or-inf comparable")
+                    a.iter()
+                        .zip(b.iter())
+                        .map(|(x, y)| x.total_cmp(y))
+                        .fold(Ordering::Equal, Ordering::then)
                 })?
                 .clone();
             (0..pts.len())
@@ -353,5 +356,36 @@ mod tests {
     fn set_constraint_value_reports_missing() {
         let mut rtm = AsRtm::new(kb(), Rank::minimize(Metric::exec_time()));
         assert!(!rtm.set_constraint_value(&Metric::power(), 100.0));
+    }
+
+    #[test]
+    fn a_nan_bound_relaxes_instead_of_panicking() {
+        // Regression: a NaN bound made every violation NaN, and the
+        // infeasible path panicked comparing the violation vectors.
+        let mut rtm = AsRtm::new(kb(), Rank::minimize(Metric::exec_time()));
+        rtm.add_constraint(Constraint::new(
+            Metric::power(),
+            Cmp::LessOrEqual,
+            100.0,
+            10,
+        ));
+        assert_eq!(rtm.best().unwrap().config, 2);
+        assert!(rtm.set_constraint_value(&Metric::power(), f64::NAN));
+        // No point satisfies a NaN bound and every violation is
+        // infinite, so the rank decides among all points.
+        assert_eq!(rtm.best().unwrap().config, 3);
+    }
+
+    #[test]
+    fn an_infinite_lower_bound_relaxes_instead_of_panicking() {
+        // Regression: `>= +inf` violates by inf/inf = NaN on every point.
+        let mut rtm = AsRtm::new(kb(), Rank::minimize(Metric::exec_time()));
+        rtm.add_constraint(Constraint::new(
+            Metric::throughput(),
+            Cmp::GreaterOrEqual,
+            f64::INFINITY,
+            10,
+        ));
+        assert_eq!(rtm.best().unwrap().config, 3);
     }
 }

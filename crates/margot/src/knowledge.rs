@@ -117,39 +117,30 @@ impl<K> Knowledge<K> {
         K: Clone,
     {
         assert!(!objectives.is_empty(), "need at least one objective");
-        let usable: Vec<&OperatingPoint<K>> = self
+        // Each usable point with its objective values, sign-normalised
+        // so that larger is better.
+        let usable: Vec<(&OperatingPoint<K>, Vec<f64>)> = self
             .points
             .iter()
-            .filter(|p| objectives.iter().all(|(m, _)| p.metric(m).is_some()))
+            .filter_map(|p| {
+                let values = objectives
+                    .iter()
+                    .map(|(m, larger_better)| {
+                        p.metric(m).map(|v| if *larger_better { v } else { -v })
+                    })
+                    .collect::<Option<Vec<f64>>>()?;
+                Some((p, values))
+            })
             .collect();
-        let dominated = |a: &OperatingPoint<K>, b: &OperatingPoint<K>| {
-            // b dominates a: >= on all objectives, > on at least one
-            // (after sign-normalising so larger is better).
-            let mut strictly = false;
-            for (m, larger_better) in objectives {
-                let (mut va, mut vb) = (
-                    a.metric(m).expect("filtered"),
-                    b.metric(m).expect("filtered"),
-                );
-                if !larger_better {
-                    va = -va;
-                    vb = -vb;
-                }
-                if vb < va {
-                    return false;
-                }
-                if vb > va {
-                    strictly = true;
-                }
-            }
-            strictly
+        // b dominates a: no worse on any objective, better on one.
+        let dominated = |a: &[f64], b: &[f64]| {
+            !a.iter().zip(b).any(|(va, vb)| vb < va) && a.iter().zip(b).any(|(va, vb)| vb > va)
         };
-        let mut out = Vec::new();
-        for a in &usable {
-            if !usable.iter().any(|b| dominated(a, b)) {
-                out.push((*a).clone());
-            }
-        }
+        let out: Vec<OperatingPoint<K>> = usable
+            .iter()
+            .filter(|(_, a)| !usable.iter().any(|(_, b)| dominated(a, b)))
+            .map(|(p, _)| (*p).clone())
+            .collect();
         Knowledge {
             points: Arc::new(out),
         }

@@ -18,13 +18,13 @@
 //!   observed/expected ratios;
 //! - **MAPE-K facade** — [`ApplicationManager`]: the `init` /
 //!   `update` / `start`/`stop` API the LARA weaver injects;
-//! - **Online knowledge** — [`SharedKnowledge`]: a thread-safe,
+//! - **Online knowledge** — [`SharedKnowledge`]: a single-owner,
 //!   epoch-versioned knowledge base that merges runtime observations
 //!   from many deployed instances (windowed means per point), the
-//!   paper's online crowdsourcing loop. Lock-sharded for concurrent
-//!   publishes, with per-shard dirty tracking so coordinators refresh
-//!   caches incrementally and ship [`KnowledgeDelta`]s instead of full
-//!   clones.
+//!   paper's online crowdsourcing loop. One columnar arena with dirty
+//!   tracking, so coordinators refresh caches incrementally and ship
+//!   [`KnowledgeDelta`]s instead of full clones; shards partition its
+//!   snapshots, deltas and epoch vectors for the wire.
 //!
 //! ## Example
 //!
@@ -54,6 +54,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod asrtm;
 mod knowledge;

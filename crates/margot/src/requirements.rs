@@ -83,7 +83,9 @@ impl Constraint {
         get(&self.metric).is_some_and(|v| self.cmp.holds(v, self.value))
     }
 
-    /// Violation magnitude, normalised by the bound: 0 when satisfied.
+    /// Violation magnitude, normalised by the bound: 0 when satisfied,
+    /// infinite when the metric is missing or the magnitude is not a
+    /// number (a NaN bound or value, or ∞/∞ against an infinite bound).
     pub fn violation(&self, values: &MetricValues) -> f64 {
         self.violation_with(|m| values.get(m))
     }
@@ -97,7 +99,12 @@ impl Constraint {
             return 0.0;
         }
         let scale = self.value.abs().max(1e-12);
-        (v - self.value).abs() / scale
+        let violation = (v - self.value).abs() / scale;
+        if violation.is_nan() {
+            f64::INFINITY
+        } else {
+            violation
+        }
     }
 }
 
@@ -232,6 +239,11 @@ mod tests {
         assert!(!c.satisfied_by(&values(1.0, 130.0)));
         assert_eq!(c.violation(&values(1.0, 90.0)), 0.0);
         assert!((c.violation(&values(1.0, 130.0)) - 0.3).abs() < 1e-12);
+        // A violation that is not a number counts as infinite.
+        let nan_bound = Constraint::new(Metric::power(), Cmp::LessOrEqual, f64::NAN, 1);
+        assert_eq!(nan_bound.violation(&values(1.0, 90.0)), f64::INFINITY);
+        let unreachable = Constraint::new(Metric::power(), Cmp::GreaterOrEqual, f64::INFINITY, 1);
+        assert_eq!(unreachable.violation(&values(1.0, 90.0)), f64::INFINITY);
     }
 
     #[test]

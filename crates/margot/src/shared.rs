@@ -13,18 +13,26 @@
 //!
 //! # Columnar arena
 //!
-//! Points are stored in a dense **columnar arena** rather than a map of
-//! monitors per point: configs are interned to `(shard, slot)` indices
-//! at construction, and each shard keeps one structure-of-arrays column
-//! per metric — a flat `slots × window` ring-buffer block plus parallel
-//! `start`/`len`/`total` vectors. A publish is an O(1) index lookup
-//! followed by a ring write; no per-observation allocation, no tree
-//! rebalancing, and window means stream over contiguous memory.
+//! Points are stored in one dense **columnar arena** indexed by
+//! knowledge position rather than a map of monitors per point: configs
+//! are interned to positions at construction, and the arena keeps one
+//! structure-of-arrays column per metric — a flat `points × window`
+//! ring-buffer block plus parallel `start`/`len`/`total` vectors. A
+//! publish is an O(1) index lookup followed by a ring write; no
+//! per-observation allocation, no tree rebalancing, and window means
+//! stream over contiguous memory.
+//!
+//! The arena has a single owner: it sits behind one `RefCell`, so a
+//! knowledge base is `Send` but not `Sync`. Every runtime folds its
+//! observations on one thread — the lockstep barrier in instance order,
+//! the event loop per publish event, a replica per received
+//! observation — and sharing one knowledge base across threads does
+//! not compile.
 //!
 //! # Per-point state
 //!
 //! Operating points fold independently: a publish touches only its own
-//! slot's windows, and every epoch is a sum of per-point change counts.
+//! point's windows, and every epoch is a sum of per-point change counts.
 //! [`point_state`](SharedKnowledge::point_state) captures one point's
 //! windows, totals, change count and dropped-value count;
 //! [`restore_point`](SharedKnowledge::restore_point) puts them back,
@@ -32,167 +40,163 @@
 //! rollback primitive of a replica that refolds only the point a late
 //! observation touched.
 //!
-//! # Sharding
+//! # Shards
 //!
-//! The points are split into `S` **lock shards** (deterministic
-//! config-hash → shard), so concurrent publishes to different operating
-//! points contend only when they land in the same shard — the layer
-//! scales with the fleet instead of serialising every instance on one
-//! global mutex. Batch publishes ([`publish_batch`]) group a whole
-//! round of observations by shard and merge each group under a single
-//! lock acquisition.
+//! The points are partitioned into `S` **shards** (deterministic
+//! config-hash → shard). Shards hold no data of their own: they are
+//! the unit snapshots, per-shard deltas and epoch-vector repair are cut
+//! along ([`shard_epoch`], [`shard_hash`], [`versioned_snapshot`]), so
+//! a peer that missed one shard's update re-syncs that shard alone.
+//! The effective knowledge is bit-identical at any shard count.
 //!
 //! # Versioning
 //!
-//! A global **epoch counter** plus one epoch per shard let readers
-//! detect refreshed knowledge with one atomic load. Epochs advance
-//! **iff an effective value actually changed**: a publish that leaves
-//! every window mean where it was (an empty observation, or a value
-//! equal to the current mean) does not invalidate anybody's snapshot.
-//! Changed points are tracked as a per-shard *dirty set*; a coordinator
+//! One epoch counter per shard, plus the global epoch (their sum), let
+//! readers detect refreshed knowledge without cloning it. Epochs
+//! advance **iff an effective value actually changed**: a publish that
+//! leaves every window mean where it was (an empty observation, or a
+//! value equal to the current mean) does not invalidate anybody's
+//! snapshot. Changed points are tracked in a *dirty set*; a coordinator
 //! drains them straight out of the arena — patching its cached
 //! [`Knowledge`] in place with [`drain_changes_into`], or materialising
 //! a [`KnowledgeDelta`] for the wire with [`drain_changes`] — instead
 //! of rebuilding the whole effective knowledge.
 //!
-//! [`publish_batch`]: SharedKnowledge::publish_batch
+//! [`shard_epoch`]: SharedKnowledge::shard_epoch
+//! [`shard_hash`]: SharedKnowledge::shard_hash
+//! [`versioned_snapshot`]: SharedKnowledge::versioned_snapshot
 //! [`drain_changes`]: SharedKnowledge::drain_changes
 //! [`drain_changes_into`]: SharedKnowledge::drain_changes_into
 
 use crate::knowledge::{Knowledge, OperatingPoint};
 use crate::metric::{Metric, MetricValues};
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Default number of lock shards ([`SharedKnowledge::with_shards`]).
+/// Default number of shards ([`SharedKnowledge::with_shards`]).
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// The immutable half of the arena: design points, the config →
-/// `(shard, slot)` index, and the slot → knowledge-position map.
-#[derive(Debug)]
-struct Layout<K> {
-    design: Knowledge<K>,
-    /// Config → shard/slot, fixed at construction, so a publish is an
-    /// O(1) lookup that touches only its own shard's lock.
-    index: HashMap<K, PointRef>,
-    /// `positions[shard][slot]` = position of that slot's point in the
-    /// effective [`Knowledge`] (the design knowledge's insertion
-    /// order), so sharding never reorders the published view.
-    positions: Vec<Vec<usize>>,
-    window: usize,
-}
-
-/// One metric's structure-of-arrays column within a shard: a flat
-/// `slots × window` block of ring buffers plus parallel ring
-/// bookkeeping, mirroring [`Monitor`](crate::Monitor)'s sliding-window semantics
-/// bit-for-bit (same push order, same oldest→newest summation).
+/// One metric's structure-of-arrays column: a flat `points × window`
+/// block of ring buffers plus parallel ring bookkeeping, mirroring
+/// [`Monitor`](crate::Monitor)'s sliding-window semantics bit-for-bit
+/// (same push order, same oldest→newest summation).
 #[derive(Debug)]
 struct MetricCol {
-    /// Ring storage; slot `s` owns `buf[s*window .. (s+1)*window]`.
+    /// Ring storage; position `p` owns `buf[p*window .. (p+1)*window]`.
     buf: Vec<f64>,
-    /// Ring start (index of the oldest sample) per slot.
+    /// Ring start (index of the oldest sample) per position.
     start: Vec<u32>,
-    /// Samples currently in the ring per slot.
+    /// Samples currently in the ring per position.
     len: Vec<u32>,
-    /// Total accepted observations ever per slot (ages past the
+    /// Total accepted observations ever per position (ages past the
     /// window), gating `min_observations` exactly like
     /// [`Monitor::total_observations`](crate::Monitor::total_observations).
     total: Vec<u64>,
 }
 
 impl MetricCol {
-    fn new(slots: usize, window: usize) -> Self {
+    fn new(points: usize, window: usize) -> Self {
         MetricCol {
-            buf: vec![0.0; slots * window],
-            start: vec![0; slots],
-            len: vec![0; slots],
-            total: vec![0; slots],
+            buf: vec![0.0; points * window],
+            start: vec![0; points],
+            len: vec![0; points],
+            total: vec![0; points],
         }
     }
 
-    /// Pushes one (finite) sample into `slot`'s ring, evicting the
+    /// Pushes one (finite) sample into `pos`'s ring, evicting the
     /// oldest at capacity — the [`Monitor::push`](crate::Monitor::push) accept path.
-    fn push(&mut self, slot: usize, window: usize, value: f64) {
-        let base = slot * window;
-        let start = self.start[slot] as usize;
-        let len = self.len[slot] as usize;
+    fn push(&mut self, pos: usize, window: usize, value: f64) {
+        let base = pos * window;
+        let start = self.start[pos] as usize;
+        let len = self.len[pos] as usize;
         if len == window {
             self.buf[base + start] = value;
-            self.start[slot] = ((start + 1) % window) as u32;
+            self.start[pos] = ((start + 1) % window) as u32;
         } else {
             self.buf[base + (start + len) % window] = value;
-            self.len[slot] = (len + 1) as u32;
+            self.len[pos] = (len + 1) as u32;
         }
-        self.total[slot] += 1;
+        self.total[pos] += 1;
     }
 
-    /// Window mean of `slot`, summing oldest→newest from 0.0 — the
+    /// Window mean of `pos`, summing oldest→newest from 0.0 — the
     /// exact float-order of [`Monitor::mean`](crate::Monitor::mean), so the arena is
     /// bit-identical to the monitor-per-point representation.
-    fn mean(&self, slot: usize, window: usize) -> Option<f64> {
-        let len = self.len[slot] as usize;
+    fn mean(&self, pos: usize, window: usize) -> Option<f64> {
+        let len = self.len[pos] as usize;
         if len == 0 {
             return None;
         }
-        let base = slot * window;
-        let start = self.start[slot] as usize;
-        let mut sum = 0.0;
-        for i in 0..len {
-            sum += self.buf[base + (start + i) % window];
+        Some(self.ordered(pos, window).fold(0.0, |sum, v| sum + v) / len as f64)
+    }
+
+    /// The value this column contributes to `pos`'s effective point:
+    /// the window mean once `min_observations` samples were accepted
+    /// and the mean is finite, `None` otherwise (the design-time
+    /// expectation stands).
+    fn learned(&self, pos: usize, window: usize, min_observations: u64) -> Option<f64> {
+        if self.total[pos] < min_observations {
+            return None;
         }
-        Some(sum / len as f64)
+        self.mean(pos, window).filter(|mean| mean.is_finite())
     }
 
-    /// The ring contents of `slot`, oldest→newest.
-    fn ordered(&self, slot: usize, window: usize) -> impl Iterator<Item = f64> + '_ {
-        let base = slot * window;
-        let start = self.start[slot] as usize;
-        (0..self.len[slot] as usize).map(move |i| self.buf[base + (start + i) % window])
+    /// The ring contents of `pos`, oldest→newest.
+    fn ordered(&self, pos: usize, window: usize) -> impl Iterator<Item = f64> + '_ {
+        let base = pos * window;
+        let start = self.start[pos] as usize;
+        (0..self.len[pos] as usize).map(move |i| self.buf[base + (start + i) % window])
     }
 
-    /// Replaces `slot`'s ring with `values` (oldest→newest, at most
+    /// Replaces `pos`'s ring with `values` (oldest→newest, at most
     /// `window` of them) and its all-time count with `total`.
-    fn set(&mut self, slot: usize, window: usize, values: &[f64], total: u64) {
-        let base = slot * window;
+    fn set(&mut self, pos: usize, window: usize, values: &[f64], total: u64) {
+        let base = pos * window;
         self.buf[base..base + values.len()].copy_from_slice(values);
-        self.start[slot] = 0;
-        self.len[slot] = values.len() as u32;
-        self.total[slot] = total;
+        self.start[pos] = 0;
+        self.len[pos] = values.len() as u32;
+        self.total[pos] = total;
     }
 }
 
-/// One lock shard: the mutable columnar state for its slots plus the
-/// dirty slots whose effective values changed since the last drain.
+/// The mutable half of a [`SharedKnowledge`]: the metric columns over
+/// every point plus the change bookkeeping, all indexed by knowledge
+/// position.
 #[derive(Debug)]
-struct Shard {
-    state: Mutex<ShardState>,
-    /// This shard's epoch: advanced once per publish that changed an
-    /// effective value of one of its points. Lock-free to read.
-    epoch: AtomicU64,
-}
-
-#[derive(Debug)]
-struct ShardState {
-    /// Number of slots (points) in this shard.
-    slots: usize,
-    /// Metric universe of this shard in first-published order;
-    /// parallel to `cols`.
+struct Arena {
+    /// Metric universe in first-published order; parallel to `cols`.
     metrics: Vec<Metric>,
     cols: Vec<MetricCol>,
-    /// Per slot: publishes that changed the point's effective values.
-    /// The shard epoch is their sum.
+    /// Per position: publishes that changed the point's effective
+    /// values.
     changes: Vec<u64>,
-    /// Per slot: non-finite values dropped at publish. The global
-    /// dropped count is their sum over all shards.
+    /// Per position: non-finite values dropped at publish.
     dropped: Vec<u64>,
-    /// Slots whose effective point changed since the last drain,
+    /// Positions whose effective point changed since the last drain,
     /// ordered so drains are deterministic.
     dirty: BTreeSet<usize>,
+    /// Per shard: the sum of its points' change counts.
+    shard_epochs: Vec<u64>,
 }
 
-impl ShardState {
+impl Arena {
+    fn new(points: usize, shards: usize) -> Self {
+        Arena {
+            metrics: Vec::new(),
+            cols: Vec::new(),
+            changes: vec![0; points],
+            dropped: vec![0; points],
+            dirty: BTreeSet::new(),
+            shard_epochs: vec![0; shards],
+        }
+    }
+
+    fn epoch(&self) -> u64 {
+        self.shard_epochs.iter().sum()
+    }
+
     fn col_index(&self, metric: &Metric) -> Option<usize> {
         self.metrics.iter().position(|m| m == metric)
     }
@@ -202,42 +206,11 @@ impl ShardState {
             Some(i) => i,
             None => {
                 self.metrics.push(metric.clone());
-                self.cols.push(MetricCol::new(self.slots, window));
+                self.cols.push(MetricCol::new(self.changes.len(), window));
                 self.cols.len() - 1
             }
         }
     }
-
-    /// The effective value of one metric of `slot`: the window mean
-    /// once it is sufficiently observed (and finite), the design-time
-    /// expectation otherwise.
-    fn effective_value(
-        &self,
-        slot: usize,
-        metric: &Metric,
-        design: &MetricValues,
-        window: usize,
-        min_observations: u64,
-    ) -> Option<f64> {
-        if let Some(c) = self.col_index(metric) {
-            let col = &self.cols[c];
-            if col.total[slot] >= min_observations {
-                if let Some(mean) = col.mean(slot, window) {
-                    if mean.is_finite() {
-                        return Some(mean);
-                    }
-                }
-            }
-        }
-        design.get(metric)
-    }
-}
-
-/// Where a config lives: `(shard, slot within the shard)`.
-#[derive(Debug, Clone, Copy)]
-struct PointRef {
-    shard: usize,
-    slot: usize,
 }
 
 /// The fold state of one operating point, captured by
@@ -256,16 +229,6 @@ pub struct PointState {
     values: Vec<f64>,
     changes: u64,
     dropped: u64,
-}
-
-/// Moves `counter` from holding a contribution of `from` to one of
-/// `to`.
-fn shift(counter: &AtomicU64, from: u64, to: u64) {
-    if to >= from {
-        counter.fetch_add(to - from, Ordering::AcqRel);
-    } else {
-        counter.fetch_sub(from - to, Ordering::AcqRel);
-    }
 }
 
 /// A batch of refreshed operating points between two epochs: what a
@@ -357,7 +320,7 @@ impl Hasher for Fnv1a {
     }
 }
 
-/// The deterministic shard `config` maps to under `shards` lock shards:
+/// The deterministic shard `config` maps to under `shards` shards:
 /// FNV-1a over the config's `Hash` impl — exactly the assignment
 /// [`SharedKnowledge`] uses internally, exposed so detached artifacts
 /// (serialised snapshots, wire-side replicas) can group points by shard
@@ -393,8 +356,8 @@ where
     hasher.finish()
 }
 
-/// A thread-safe, versioned knowledge base shared by a fleet of
-/// adaptive-application instances.
+/// A versioned knowledge base shared by a fleet of adaptive-application
+/// instances.
 ///
 /// # Examples
 ///
@@ -416,36 +379,52 @@ where
 /// ```
 #[derive(Debug)]
 pub struct SharedKnowledge<K> {
-    layout: Layout<K>,
-    shards: Vec<Shard>,
-    /// Global epoch: total number of effective-knowledge changes.
-    epoch: AtomicU64,
+    design: Knowledge<K>,
+    /// Config → position in the effective [`Knowledge`] (the design
+    /// knowledge's order), fixed at construction.
+    index: HashMap<K, usize>,
+    /// Position → shard.
+    shards: Vec<usize>,
+    window: usize,
     min_observations: u64,
-    /// Non-finite observed values dropped at publish (the
-    /// [`Monitor::push`](crate::Monitor::push) policy, counted at the shared-knowledge
-    /// level).
-    dropped: AtomicU64,
+    arena: RefCell<Arena>,
 }
 
 impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
     /// Wraps a design-time knowledge base; every published observation
     /// is merged through a sliding window of `window` samples per
     /// `(point, metric)`. Points are spread over [`DEFAULT_SHARDS`]
-    /// lock shards ([`with_shards`](Self::with_shards) to tune).
+    /// shards ([`with_shards`](Self::with_shards) to tune).
     ///
     /// # Panics
     ///
     /// Panics if `window` is zero (same contract as [`Monitor::new`](crate::Monitor::new)).
     pub fn new(design: Knowledge<K>, window: usize) -> Self {
         assert!(window > 0, "window must be positive");
-        let (layout, shards) = Self::build(design, window, DEFAULT_SHARDS);
+        let index = design
+            .points()
+            .iter()
+            .enumerate()
+            .map(|(pos, point)| (point.config.clone(), pos))
+            .collect();
+        let arena = RefCell::new(Arena::new(design.len(), DEFAULT_SHARDS));
         SharedKnowledge {
-            layout,
-            shards,
-            epoch: AtomicU64::new(0),
+            shards: Self::partition(&design, DEFAULT_SHARDS),
+            design,
+            index,
+            window,
             min_observations: 1,
-            dropped: AtomicU64::new(0),
+            arena,
         }
+    }
+
+    /// Each position's shard under `shards` shards.
+    fn partition(design: &Knowledge<K>, shards: usize) -> Vec<usize> {
+        design
+            .points()
+            .iter()
+            .map(|point| shard_index(&point.config, shards))
+            .collect()
     }
 
     /// Builder-style: observations needed before a window mean overrides
@@ -456,14 +435,13 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
         self
     }
 
-    /// Builder-style: redistributes the points over `shards` lock
-    /// shards. One shard reproduces the unsharded reference behaviour
-    /// (every publish serialises on a single lock); the output is
-    /// bit-identical at any shard count.
+    /// Builder-style: repartitions the points over `shards` shards.
+    /// Shards only partition snapshots, deltas and epoch-vector repair;
+    /// the effective knowledge and the global epoch are bit-identical
+    /// at any shard count.
     ///
-    /// Must be called **before the first publish**: resharding resets
-    /// the per-shard epochs and dirty sets, which cannot be re-
-    /// attributed once observations have merged.
+    /// Must be called **before the first publish**: the shard epochs
+    /// restart from zero.
     ///
     /// # Panics
     ///
@@ -475,98 +453,28 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
         assert_eq!(
             self.epoch(),
             0,
-            "with_shards must be called before the first publish: resharding would \
-             discard the per-shard epochs and dirty sets"
+            "with_shards must be called before the first publish: the shard epochs \
+             restart from zero"
         );
-        if shards == self.shards.len() {
-            return self; // already laid out like this (e.g. the default)
-        }
-        // Window contents and dropped values can exist at epoch 0
-        // (published values that exactly reproduce the design
-        // expectations change nothing); carry them over to the new
-        // layout, keyed by position.
-        let carried: Vec<PointState> = (0..self.len())
-            .filter_map(|pos| self.point_state(pos))
-            .filter(|state| !state.windows.is_empty() || state.dropped > 0)
-            .collect();
-        let (layout, new_shards) =
-            Self::build(self.layout.design.clone(), self.layout.window, shards);
-        self.layout = layout;
-        self.shards = new_shards;
-        // Each restore adds its point's dropped values back.
-        self.dropped = AtomicU64::new(0);
-        for state in &carried {
-            self.restore_point(state);
-        }
-        // Nothing effective changed: no drain owes anyone these points.
-        for shard in &mut self.shards {
-            shard
-                .state
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .dirty
-                .clear();
-        }
+        self.shards = Self::partition(&self.design, shards);
+        let arena = self.arena.get_mut();
+        arena.shard_epochs = vec![0; shards];
+        // Nothing effective has changed yet, so no drain owes anyone a
+        // point.
+        arena.dirty.clear();
         self
-    }
-
-    /// Builds the immutable layout plus empty per-shard column state.
-    fn build(design: Knowledge<K>, window: usize, shards: usize) -> (Layout<K>, Vec<Shard>) {
-        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        let mut index = HashMap::with_capacity(design.len());
-        for (pos, point) in design.points().iter().enumerate() {
-            let shard = shard_index(&point.config, shards);
-            index.insert(
-                point.config.clone(),
-                PointRef {
-                    shard,
-                    slot: positions[shard].len(),
-                },
-            );
-            positions[shard].push(pos);
-        }
-        let shard_vec = positions
-            .iter()
-            .map(|group| Shard {
-                state: Mutex::new(ShardState {
-                    slots: group.len(),
-                    metrics: Vec::new(),
-                    cols: Vec::new(),
-                    changes: vec![0; group.len()],
-                    dropped: vec![0; group.len()],
-                    dirty: BTreeSet::new(),
-                }),
-                epoch: AtomicU64::new(0),
-            })
-            .collect();
-        (
-            Layout {
-                design,
-                index,
-                positions,
-                window,
-            },
-            shard_vec,
-        )
-    }
-
-    fn lock_shard(&self, shard: usize) -> MutexGuard<'_, ShardState> {
-        self.shards[shard]
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The current knowledge version: the number of publishes that
     /// changed an effective value. Readers compare it against their
     /// last synced epoch to detect refreshed knowledge without cloning.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.arena.borrow().epoch()
     }
 
-    /// Number of lock shards.
+    /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.arena.borrow().shard_epochs.len()
     }
 
     /// The epoch of shard `shard`: how many publishes changed an
@@ -576,49 +484,43 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
     ///
     /// Panics if `shard >= shard_count()`.
     pub fn shard_epoch(&self, shard: usize) -> u64 {
-        self.shards[shard].epoch.load(Ordering::Acquire)
+        self.arena.borrow().shard_epochs[shard]
     }
 
     /// The shard `config` lives in, or `None` for unknown configs.
     pub fn shard_of(&self, config: &K) -> Option<usize> {
-        self.layout.index.get(config).map(|r| r.shard)
+        self.index.get(config).map(|&pos| self.shards[pos])
     }
 
     /// The position of `config` in the effective [`Knowledge`] (the
     /// design knowledge's order), or `None` for unknown configs.
     pub fn position_of(&self, config: &K) -> Option<usize> {
-        let at = self.layout.index.get(config)?;
-        Some(self.layout.positions[at.shard][at.slot])
-    }
-
-    /// Where the point at `position` lives, or `None` out of range.
-    fn point_ref(&self, position: usize) -> Option<PointRef> {
-        let config = &self.layout.design.points().get(position)?.config;
-        self.layout.index.get(config).copied()
+        self.index.get(config).copied()
     }
 
     /// Captures the fold state of the point at `position`: its
     /// windows, all-time counts, change count and dropped-value count.
     /// `None` when `position` is out of range.
     pub fn point_state(&self, position: usize) -> Option<PointState> {
-        let at = self.point_ref(position)?;
-        let state = self.lock_shard(at.shard);
-        let window = self.layout.window;
+        if position >= self.len() {
+            return None;
+        }
+        let arena = self.arena.borrow();
         let mut windows = Vec::new();
         let mut values = Vec::new();
-        for (metric, col) in state.metrics.iter().zip(&state.cols) {
-            let total = col.total[at.slot];
+        for (metric, col) in arena.metrics.iter().zip(&arena.cols) {
+            let total = col.total[position];
             if total > 0 {
-                windows.push((metric.clone(), col.len[at.slot] as usize, total));
-                values.extend(col.ordered(at.slot, window));
+                windows.push((metric.clone(), col.len[position] as usize, total));
+                values.extend(col.ordered(position, self.window));
             }
         }
         Some(PointState {
             position,
             windows,
             values,
-            changes: state.changes[at.slot],
-            dropped: state.dropped[at.slot],
+            changes: arena.changes[position],
+            dropped: arena.dropped[position],
         })
     }
 
@@ -636,41 +538,38 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
     /// than this base's. Restore into the base the state was captured
     /// from, or one over the same design knowledge and window.
     pub fn restore_point(&self, saved: &PointState) -> bool {
-        let window = self.layout.window;
-        let Some(at) = self.point_ref(saved.position) else {
-            return false;
-        };
-        if saved.windows.iter().any(|&(_, len, _)| len > window) {
+        let (pos, window) = (saved.position, self.window);
+        if pos >= self.len() || saved.windows.iter().any(|&(_, len, _)| len > window) {
             return false;
         }
-        let mut state = self.lock_shard(at.shard);
-        for col in &mut state.cols {
-            col.set(at.slot, window, &[], 0);
+        let mut arena = self.arena.borrow_mut();
+        let arena = &mut *arena;
+        for col in &mut arena.cols {
+            col.set(pos, window, &[], 0);
         }
         let mut values = saved.values.as_slice();
         for (metric, len, total) in &saved.windows {
             let (ring, rest) = values.split_at(*len);
-            let c = state.ensure_col(metric, window);
-            state.cols[c].set(at.slot, window, ring, *total);
+            let c = arena.ensure_col(metric, window);
+            arena.cols[c].set(pos, window, ring, *total);
             values = rest;
         }
-        let changes = std::mem::replace(&mut state.changes[at.slot], saved.changes);
-        shift(&self.shards[at.shard].epoch, changes, saved.changes);
-        shift(&self.epoch, changes, saved.changes);
-        let dropped = std::mem::replace(&mut state.dropped[at.slot], saved.dropped);
-        shift(&self.dropped, dropped, saved.dropped);
-        state.dirty.insert(at.slot);
+        let shard_epoch = &mut arena.shard_epochs[self.shards[pos]];
+        *shard_epoch = *shard_epoch - arena.changes[pos] + saved.changes;
+        arena.changes[pos] = saved.changes;
+        arena.dropped[pos] = saved.dropped;
+        arena.dirty.insert(pos);
         true
     }
 
     /// Number of operating points.
     pub fn len(&self) -> usize {
-        self.layout.design.len()
+        self.design.len()
     }
 
     /// Whether the shared knowledge has no points.
     pub fn is_empty(&self) -> bool {
-        self.layout.design.is_empty()
+        self.design.is_empty()
     }
 
     /// Non-finite observed values dropped (and counted) by
@@ -680,71 +579,67 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
     /// from the wire, whose decoders deliberately perform no finiteness
     /// validation ([`MetricValues::from_unvalidated`]).
     pub fn dropped_observations(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.arena.borrow().dropped.iter().sum()
     }
 
-    /// Merges `observed` into `slot`'s columns; returns whether the
-    /// point's effective values changed. Only the observed metrics are
-    /// compared — untouched columns cannot change — so the hot publish
-    /// path stays O(|observed|) with no point clones. Caller holds the
-    /// shard lock.
-    fn merge_into(
-        &self,
-        state: &mut ShardState,
-        slot: usize,
-        design: &MetricValues,
-        observed: &MetricValues,
-    ) -> bool {
-        let window = self.layout.window;
+    /// Merges `observed` into the point at `pos` and, when one of its
+    /// effective values changed, marks it dirty and advances its change
+    /// count and shard epoch. Only the observed metrics are compared —
+    /// untouched columns cannot change — so the hot publish path stays
+    /// O(|observed|) with no point clones. Returns whether the point
+    /// changed.
+    fn merge(&self, arena: &mut Arena, pos: usize, observed: &MetricValues) -> bool {
+        let design = &self.design.points()[pos].metrics;
+        let (window, min_observations) = (self.window, self.min_observations);
+        let effective = |arena: &Arena, metric: &Metric| {
+            arena
+                .col_index(metric)
+                .and_then(|c| arena.cols[c].learned(pos, window, min_observations))
+                .or_else(|| design.get(metric))
+        };
         let mut changed = false;
         for (metric, value) in observed.iter() {
             if !value.is_finite() {
                 // The Monitor::push policy at the shared level: drop
                 // and count, never poison a window mean.
-                state.dropped[slot] += 1;
-                self.dropped.fetch_add(1, Ordering::Relaxed);
+                arena.dropped[pos] += 1;
                 continue;
             }
-            let before = state.effective_value(slot, metric, design, window, self.min_observations);
-            let c = state.ensure_col(metric, window);
-            state.cols[c].push(slot, window, value);
+            let before = effective(arena, metric);
+            let c = arena.ensure_col(metric, window);
+            arena.cols[c].push(pos, window, value);
             // Effective values are finite by construction (non-finite
             // means fall back to the finite design value), so `!=` on
             // the options is an exact change test.
-            changed |= before
-                != state.effective_value(slot, metric, design, window, self.min_observations);
+            changed |= before != effective(arena, metric);
+        }
+        if changed {
+            arena.dirty.insert(pos);
+            arena.changes[pos] += 1;
+            arena.shard_epochs[self.shards[pos]] += 1;
         }
         changed
     }
 
-    /// Records that a publish changed the effective values of
-    /// `(shard, slot)`: marks it dirty and advances its change count
-    /// and both epochs. Caller holds the shard lock.
-    fn record_change(&self, state: &mut ShardState, shard: usize, slot: usize) {
-        state.dirty.insert(slot);
-        state.changes[slot] += 1;
-        self.shards[shard].epoch.fetch_add(1, Ordering::AcqRel);
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// The effective operating point of `(shard, slot)`: window means
-    /// override the design values for every metric with at least
-    /// `min_observations`. Caller holds the shard lock.
-    fn effective_point(&self, state: &ShardState, shard: usize, slot: usize) -> OperatingPoint<K> {
-        let pos = self.layout.positions[shard][slot];
-        let design = &self.layout.design.points()[pos];
+    /// The effective operating point at `pos`: window means override
+    /// the design values for every metric with at least
+    /// `min_observations`.
+    fn effective_point(&self, arena: &Arena, pos: usize) -> OperatingPoint<K> {
+        let design = &self.design.points()[pos];
         let mut metrics = design.metrics.clone();
-        for (c, metric) in state.metrics.iter().enumerate() {
-            let col = &state.cols[c];
-            if col.total[slot] >= self.min_observations {
-                if let Some(mean) = col.mean(slot, self.layout.window) {
-                    if mean.is_finite() {
-                        metrics.insert(metric.clone(), mean);
-                    }
-                }
+        for (metric, col) in arena.metrics.iter().zip(&arena.cols) {
+            if let Some(mean) = col.learned(pos, self.window, self.min_observations) {
+                metrics.insert(metric.clone(), mean);
             }
         }
         OperatingPoint::new(design.config.clone(), metrics)
+    }
+
+    /// The whole effective knowledge, in design order.
+    fn effective(&self, arena: &Arena) -> Knowledge<K> {
+        (0..self.len())
+            .map(|pos| self.effective_point(arena, pos))
+            .collect()
     }
 
     /// Merges one runtime observation of `config` into the shared
@@ -761,28 +656,23 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
     /// ([`dropped_observations`](Self::dropped_observations)) instead
     /// of poisoning a window mean.
     pub fn publish(&self, config: &K, observed: &MetricValues) -> bool {
-        let Some(&at) = self.layout.index.get(config) else {
+        let Some(&pos) = self.index.get(config) else {
             return false;
         };
-        let pos = self.layout.positions[at.shard][at.slot];
-        let design = &self.layout.design.points()[pos].metrics;
-        let mut state = self.lock_shard(at.shard);
-        if self.merge_into(&mut state, at.slot, design, observed) {
-            self.record_change(&mut state, at.shard, at.slot);
-        }
+        self.merge(&mut self.arena.borrow_mut(), pos, observed);
         true
     }
 
     /// Merges one observation and — when it changed an effective value
-    /// — patches the updated point **straight into** `cache` under the
-    /// same shard lock: the merge-on-publish path of an event-driven
-    /// runtime, where knowledge folds in per publish event instead of
-    /// at a round barrier. Windows, dirty sets and epochs advance
-    /// exactly as [`publish`](Self::publish) (the slot stays dirty so
-    /// *other* caches still see the change on their next drain), so a
-    /// sequence of `publish_into` calls is bit-identical to the same
-    /// sequence of `publish` + [`drain_changes_into`](Self::drain_changes_into)
-    /// — without the all-shards drain sweep per event.
+    /// — patches the updated point **straight into** `cache`: the
+    /// merge-on-publish path of an event-driven runtime, where
+    /// knowledge folds in per publish event instead of at a round
+    /// barrier. Windows, dirty sets and epochs advance exactly as
+    /// [`publish`](Self::publish) (the point stays dirty so *other*
+    /// caches still see the change on their next drain), so a sequence
+    /// of `publish_into` calls is bit-identical to the same sequence of
+    /// `publish` + [`drain_changes_into`](Self::drain_changes_into) —
+    /// without the drain per event.
     ///
     /// Returns `None` when `config` is not a known operating point,
     /// otherwise `Some((position, changed))`. `cache` must descend from
@@ -797,60 +687,28 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
         observed: &MetricValues,
         cache: &mut Knowledge<K>,
     ) -> Option<(usize, bool)> {
-        let &at = self.layout.index.get(config)?;
-        let pos = self.layout.positions[at.shard][at.slot];
-        let design = &self.layout.design.points()[pos].metrics;
-        let mut state = self.lock_shard(at.shard);
-        let changed = self.merge_into(&mut state, at.slot, design, observed);
+        let &pos = self.index.get(config)?;
+        let mut arena = self.arena.borrow_mut();
+        let changed = self.merge(&mut arena, pos, observed);
         if changed {
-            self.record_change(&mut state, at.shard, at.slot);
-            cache.patch_point(pos, self.effective_point(&state, at.shard, at.slot));
+            cache.patch_point(pos, self.effective_point(&arena, pos));
         }
         Some((pos, changed))
     }
 
-    /// Merges a whole batch of observations — e.g. one fleet round —
-    /// grouping them by shard and taking each shard's lock **once** for
-    /// its whole group. Within a shard, observations merge in the order
-    /// given, so a deterministic input order (instance order at a round
-    /// barrier) yields bit-identical windows and epochs to publishing
-    /// one by one. Unknown configs are skipped; returns the number of
-    /// accepted observations.
+    /// Merges a whole batch of observations — e.g. one fleet round — in
+    /// the order given, so a deterministic input order (instance order
+    /// at a round barrier) yields bit-identical windows and epochs to
+    /// publishing one by one. Unknown configs are skipped; returns the
+    /// number of accepted observations.
     pub fn publish_batch<'a, I>(&self, observations: I) -> usize
     where
         K: 'a,
         I: IntoIterator<Item = (&'a K, &'a MetricValues)>,
     {
-        let mut by_shard: Vec<Vec<(usize, &MetricValues)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
         let mut accepted = 0;
         for (config, observed) in observations {
-            if let Some(&at) = self.layout.index.get(config) {
-                by_shard[at.shard].push((at.slot, observed));
-                accepted += 1;
-            }
-        }
-        for (shard, group) in by_shard.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let mut state = self.lock_shard(shard);
-            let mut changed = 0u64;
-            for (slot, observed) in group {
-                let pos = self.layout.positions[shard][slot];
-                let design = &self.layout.design.points()[pos].metrics;
-                if self.merge_into(&mut state, slot, design, observed) {
-                    state.dirty.insert(slot);
-                    state.changes[slot] += 1;
-                    changed += 1;
-                }
-            }
-            if changed > 0 {
-                self.shards[shard]
-                    .epoch
-                    .fetch_add(changed, Ordering::AcqRel);
-                self.epoch.fetch_add(changed, Ordering::AcqRel);
-            }
+            accepted += usize::from(self.publish(config, observed));
         }
         accepted
     }
@@ -877,7 +735,7 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
     pub fn seed_observations(&self, seed: &Knowledge<K>, copies: usize) -> usize {
         let mut seeded = 0;
         for p in seed.points() {
-            if !self.layout.index.contains_key(&p.config) {
+            if !self.index.contains_key(&p.config) {
                 continue;
             }
             for _ in 0..copies {
@@ -888,37 +746,27 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
         seeded
     }
 
-    /// Drains every shard's dirty set: the effective points that
-    /// changed since the last drain, as `(position, point)` pairs in
-    /// ascending position order, paired with the epoch the drain is
-    /// consistent with. A coordinator patches the points into its
-    /// cached [`Knowledge`] (one [`Knowledge::patch_point`] per changed
-    /// point) and records the returned epoch, instead of rebuilding the
+    /// Drains the dirty set: the effective points that changed since
+    /// the last drain, as `(position, point)` pairs in ascending
+    /// position order, paired with the epoch the drain is consistent
+    /// with. A coordinator patches the points into its cached
+    /// [`Knowledge`] (one [`Knowledge::patch_point`] per changed point)
+    /// and records the returned epoch, instead of rebuilding the
     /// effective knowledge from scratch — the incremental-refresh half
-    /// of the scaling story.
-    ///
-    /// All shard locks are held for the drain (like
-    /// [`snapshot`](Self::snapshot)), so the `(epoch, changes)` pair is
-    /// consistent even while other threads publish: a cache patched
-    /// with the changes *is* the `epoch` knowledge, and a later
-    /// `epoch() == recorded` comparison can safely skip re-draining.
+    /// of the scaling story. A cache patched with the changes *is* the
+    /// `epoch` knowledge, so a later `epoch() == recorded` comparison
+    /// can safely skip re-draining.
     pub fn drain_changes(&self) -> (u64, Vec<(usize, OperatingPoint<K>)>) {
-        let mut guards: Vec<MutexGuard<'_, ShardState>> =
-            (0..self.shards.len()).map(|s| self.lock_shard(s)).collect();
-        let epoch = self.epoch.load(Ordering::Acquire);
-        let mut out = Vec::new();
-        for (shard, state) in guards.iter_mut().enumerate() {
-            let dirty = std::mem::take(&mut state.dirty);
-            for slot in dirty {
-                let pos = self.layout.positions[shard][slot];
-                out.push((pos, self.effective_point(state, shard, slot)));
-            }
-        }
-        out.sort_by_key(|(pos, _)| *pos);
-        (epoch, out)
+        let mut arena = self.arena.borrow_mut();
+        let dirty = std::mem::take(&mut arena.dirty);
+        let changed = dirty
+            .into_iter()
+            .map(|pos| (pos, self.effective_point(&arena, pos)))
+            .collect();
+        (arena.epoch(), changed)
     }
 
-    /// Drains the dirty slots **straight into** `cache`, patching the
+    /// Drains the dirty points **straight into** `cache`, patching the
     /// changed positions in place — the arena-view counterpart of
     /// [`drain_changes`](Self::drain_changes) that skips the
     /// intermediate point list entirely (the coordinator's hot refresh
@@ -930,46 +778,24 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
     ///
     /// Panics if `cache` is shorter than the design knowledge.
     pub fn drain_changes_into(&self, cache: &mut Knowledge<K>) -> (u64, usize) {
-        let mut guards: Vec<MutexGuard<'_, ShardState>> =
-            (0..self.shards.len()).map(|s| self.lock_shard(s)).collect();
-        let epoch = self.epoch.load(Ordering::Acquire);
-        let mut patched = 0;
-        for (shard, state) in guards.iter_mut().enumerate() {
-            let dirty = std::mem::take(&mut state.dirty);
-            for slot in dirty {
-                let pos = self.layout.positions[shard][slot];
-                cache.patch_point(pos, self.effective_point(state, shard, slot));
-                patched += 1;
-            }
+        let mut arena = self.arena.borrow_mut();
+        let dirty = std::mem::take(&mut arena.dirty);
+        for &pos in &dirty {
+            cache.patch_point(pos, self.effective_point(&arena, pos));
         }
-        (epoch, patched)
+        (arena.epoch(), dirty.len())
     }
 
     /// The effective knowledge: design-time points with every
     /// sufficiently-observed metric replaced by its window mean.
     pub fn knowledge(&self) -> Knowledge<K> {
-        self.snapshot().1
+        self.effective(&self.arena.borrow())
     }
 
-    /// Epoch and effective knowledge read with all shard locks held, so
-    /// the pair is consistent even while other threads publish.
+    /// The epoch and the effective knowledge at that epoch.
     pub fn snapshot(&self) -> (u64, Knowledge<K>) {
-        let guards: Vec<MutexGuard<'_, ShardState>> =
-            (0..self.shards.len()).map(|s| self.lock_shard(s)).collect();
-        let epoch = self.epoch.load(Ordering::Acquire);
-        let total = self.layout.design.len();
-        let mut points: Vec<Option<OperatingPoint<K>>> = vec![None; total];
-        for (shard, state) in guards.iter().enumerate() {
-            for slot in 0..self.layout.positions[shard].len() {
-                let pos = self.layout.positions[shard][slot];
-                points[pos] = Some(self.effective_point(state, shard, slot));
-            }
-        }
-        let knowledge = points
-            .into_iter()
-            .map(|p| p.expect("every position is covered by exactly one shard"))
-            .collect();
-        (epoch, knowledge)
+        let arena = self.arena.borrow();
+        (arena.epoch(), self.effective(&arena))
     }
 
     /// Content hash of shard `shard`'s effective points:
@@ -982,63 +808,34 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
     ///
     /// Panics if `shard >= shard_count()`.
     pub fn shard_hash(&self, shard: usize) -> u64 {
-        let state = self.lock_shard(shard);
-        self.shard_hash_locked(&state, shard)
-    }
-
-    /// All per-shard content hashes, read with every shard lock held
-    /// (like [`snapshot`](Self::snapshot)) so the vector is consistent
-    /// even while other threads publish.
-    pub fn shard_hashes(&self) -> Vec<u64> {
-        let guards: Vec<MutexGuard<'_, ShardState>> =
-            (0..self.shards.len()).map(|s| self.lock_shard(s)).collect();
-        guards
-            .iter()
-            .enumerate()
-            .map(|(shard, state)| self.shard_hash_locked(state, shard))
-            .collect()
-    }
-
-    fn shard_hash_locked(&self, state: &ShardState, shard: usize) -> u64 {
-        // positions[shard] ascends by construction (design order), so
-        // slot order is ascending position order.
-        let points: Vec<(usize, OperatingPoint<K>)> = (0..self.layout.positions[shard].len())
-            .map(|slot| {
-                (
-                    self.layout.positions[shard][slot],
-                    self.effective_point(state, shard, slot),
-                )
-            })
+        let arena = self.arena.borrow();
+        assert!(
+            shard < arena.shard_epochs.len(),
+            "shard {shard} out of range"
+        );
+        let points: Vec<(usize, OperatingPoint<K>)> = (0..self.len())
+            .filter(|&pos| self.shards[pos] == shard)
+            .map(|pos| (pos, self.effective_point(&arena, pos)))
             .collect();
         shard_content_hash(points.iter().map(|(pos, point)| (*pos, point)))
     }
 
-    /// Epoch, per-shard epoch vector and effective knowledge read with
-    /// all shard locks held — the consistent triple a full-state
-    /// snapshot is cut from. Shard epochs only advance under their
-    /// shard's state lock, so the vector cannot move mid-read.
+    /// All per-shard content hashes, in shard order.
+    pub fn shard_hashes(&self) -> Vec<u64> {
+        (0..self.shard_count())
+            .map(|s| self.shard_hash(s))
+            .collect()
+    }
+
+    /// Epoch, per-shard epoch vector and effective knowledge at that
+    /// epoch — the consistent triple a full-state snapshot is cut from.
     pub fn versioned_snapshot(&self) -> (u64, Vec<u64>, Knowledge<K>) {
-        let guards: Vec<MutexGuard<'_, ShardState>> =
-            (0..self.shards.len()).map(|s| self.lock_shard(s)).collect();
-        let epoch = self.epoch.load(Ordering::Acquire);
-        let shard_epochs: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| s.epoch.load(Ordering::Acquire))
-            .collect();
-        let total = self.layout.design.len();
-        let mut points: Vec<Option<OperatingPoint<K>>> = vec![None; total];
-        for (shard, state) in guards.iter().enumerate() {
-            for slot in 0..self.layout.positions[shard].len() {
-                let pos = self.layout.positions[shard][slot];
-                points[pos] = Some(self.effective_point(state, shard, slot));
-            }
-        }
-        let knowledge = points
-            .into_iter()
-            .map(|p| p.expect("every position is covered by exactly one shard"))
-            .collect();
-        (epoch, shard_epochs, knowledge)
+        let arena = self.arena.borrow();
+        (
+            arena.epoch(),
+            arena.shard_epochs.clone(),
+            self.effective(&arena),
+        )
     }
 
     /// Number of operating points whose runtime observations have
@@ -1046,19 +843,15 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
     /// metrics are online values rather than design-time predictions)
     /// — the fleet's online coverage of the design space.
     pub fn observed_points(&self) -> usize {
-        (0..self.shards.len())
-            .map(|shard| {
-                let state = self.lock_shard(shard);
-                (0..self.layout.positions[shard].len())
-                    .filter(|&slot| {
-                        state
-                            .cols
-                            .iter()
-                            .any(|c| c.total[slot] >= self.min_observations)
-                    })
-                    .count()
+        let arena = self.arena.borrow();
+        (0..self.len())
+            .filter(|&pos| {
+                arena
+                    .cols
+                    .iter()
+                    .any(|c| c.total[pos] >= self.min_observations)
             })
-            .sum()
+            .count()
     }
 }
 
@@ -1309,7 +1102,7 @@ mod tests {
         }
         // The slot stays dirty for *other* caches: a fresh drain sees
         // every change the streamed cache already has.
-        let mut late = streamed.layout.design.clone();
+        let mut late = streamed.design.clone();
         let (_, patched) = streamed.drain_changes_into(&mut late);
         assert_eq!(patched, 2);
         assert_eq!(late, stream_cache);
@@ -1446,7 +1239,7 @@ mod tests {
     fn resharding_carries_pre_epoch_windows() {
         // A published value equal to the design expectation changes no
         // effective value (epoch stays 0) but still seeds the window;
-        // with_shards must carry that data to the new layout.
+        // with_shards must keep that data.
         let shared = SharedKnowledge::new(design(), 4).with_min_observations(2);
         shared.publish(&1, &MetricValues::new().with(Metric::power(), 50.0));
         assert_eq!(shared.epoch(), 0, "design-equal publish changes nothing");
@@ -1533,49 +1326,15 @@ mod tests {
             "point 1 is back to one drop, point 2 keeps its two"
         );
         // Resharding (epoch still 0: NaN publishes never bump it) must
-        // also carry the counter, per point, through the rebuild.
+        // also keep the counter, per point.
         let resharded = shared.with_shards(2);
         assert_eq!(resharded.dropped_observations(), 3);
         assert!(
             resharded.drain_changes().1.is_empty(),
-            "carrying changes no effective value, so it dirties nothing"
+            "resharding changes no effective value, so it dirties nothing"
         );
-        // A state captured before the rebuild still restores by position.
+        // A state captured before the reshard still restores by position.
         assert!(resharded.restore_point(&saved));
         assert_eq!(resharded.dropped_observations(), 3);
-    }
-
-    #[test]
-    fn concurrent_publishes_are_all_merged() {
-        let shared = std::sync::Arc::new(SharedKnowledge::new(design(), 1024));
-        let threads = 8u32;
-        let per_thread = 50u32;
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let shared = std::sync::Arc::clone(&shared);
-                scope.spawn(move || {
-                    for i in 0..per_thread {
-                        let v = f64::from(t * per_thread + i);
-                        shared.publish(&1, &MetricValues::new().with(Metric::power(), v));
-                    }
-                });
-            }
-        });
-        // Every publish that changed the running mean bumped the epoch;
-        // interleavings where a pushed value equals the current mean do
-        // not, so the epoch is at most one per publish but at least one
-        // (the first observation always changes the effective value).
-        let epoch = shared.epoch();
-        assert!(
-            epoch >= 1 && epoch <= u64::from(threads * per_thread),
-            "{epoch}"
-        );
-        // All 400 observations landed in the (large) window: the mean is
-        // the mean of 0..400 regardless of interleaving.
-        let mean = shared.knowledge().points()[0]
-            .metric(&Metric::power())
-            .unwrap();
-        let expect = f64::from(threads * per_thread - 1) / 2.0;
-        assert!((mean - expect).abs() < 1e-9, "{mean} vs {expect}");
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::metric::Metric;
 use crate::requirements::{Constraint, Rank};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -50,7 +50,7 @@ impl fmt::Display for UnknownStateError {
 impl std::error::Error for UnknownStateError {}
 
 /// A registry of named optimisation states with one active at a time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StateRegistry {
     states: BTreeMap<String, OptimizationState>,
     active: String,
@@ -79,6 +79,12 @@ impl StateRegistry {
     }
 
     /// The active state.
+    #[expect(
+        clippy::expect_used,
+        reason = "`active` always names a registered state: the constructor registers it, \
+                  `switch_to` only accepts registered names, states are never removed, and \
+                  decoding rejects a registry whose active state is missing"
+    )]
     pub fn active(&self) -> &OptimizationState {
         self.states.get(&self.active).expect("active state exists")
     }
@@ -124,6 +130,29 @@ impl StateRegistry {
             OptimizationState::new(Rank::maximize(Metric::throughput())),
         );
         reg
+    }
+}
+
+// Hand-written so that a decoded registry cannot name an active state
+// it does not hold, while keeping the derived
+// `{"states":{..},"active":".."}` shape.
+impl Deserialize for StateRegistry {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        if v.as_object().is_none() {
+            return Err(serde::Error::expected("state registry object", v));
+        }
+        let field = |name: &str| {
+            v.get_field(name)
+                .ok_or_else(|| serde::Error::custom(format!("missing field `{name}`")))
+        };
+        let states = BTreeMap::<String, OptimizationState>::from_value(field("states")?)?;
+        let active = String::from_value(field("active")?)?;
+        if !states.contains_key(&active) {
+            return Err(serde::Error::custom(format!(
+                "active state `{active}` is not a registered state"
+            )));
+        }
+        Ok(StateRegistry { states, active })
     }
 }
 
@@ -185,5 +214,17 @@ mod tests {
         let json = serde_json::to_string(&reg).unwrap();
         let back: StateRegistry = serde_json::from_str(&json).unwrap();
         assert_eq!(reg, back);
+    }
+
+    #[test]
+    fn decoding_rejects_an_unregistered_active_state() {
+        // Regression: this used to decode, and `active()` then panicked.
+        let err = serde_json::from_str::<StateRegistry>(r#"{"states":{},"active":"x"}"#)
+            .expect_err("the active state is not registered");
+        assert!(err.to_string().contains("`x`"), "{err}");
+        let json = serde_json::to_string(&StateRegistry::figure5()).unwrap();
+        let renamed = json.replace(r#""active":"energy""#, r#""active":"turbo""#);
+        assert_ne!(renamed, json);
+        assert!(serde_json::from_str::<StateRegistry>(&renamed).is_err());
     }
 }

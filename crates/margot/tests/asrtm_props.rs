@@ -7,10 +7,28 @@
 //!   priority order) is lexicographically minimal, so it satisfies
 //!   every constraint in the longest satisfiable priority prefix;
 //! - `set_constraint_value`, `set_rank` and `set_adjustment` never
-//!   panic on arbitrary finite inputs, and selection still succeeds.
+//!   panic on arbitrary inputs (any constraint bound, NaN and infinities
+//!   included; finite ratios), and selection still succeeds.
 
 use margot::{AsRtm, Cmp, Constraint, Knowledge, Metric, MetricValues, OperatingPoint, Rank};
 use proptest::prelude::*;
+
+/// Strategy: any `f64` — every bit pattern, with NaN, the infinities
+/// and the signed zeros drawn often enough to matter.
+fn any_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        3 => any::<u64>().prop_map(f64::from_bits),
+        1 => prop::sample::select(vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ]),
+    ]
+}
 
 /// Strategy: knowledge bases of 1..20 points with positive exec-time,
 /// power and derived throughput metrics.
@@ -146,14 +164,15 @@ proptest! {
     }
 
     /// Runtime requirement churn never panics and never loses the
-    /// ability to select: arbitrary finite constraint bounds, rank
-    /// switches and feedback ratios (including zero, negative and huge
-    /// values) keep `best()` returning a point.
+    /// ability to select: arbitrary constraint bounds (NaN and
+    /// infinities included), rank switches and finite feedback ratios
+    /// (including zero, negative and huge values) keep `best()`
+    /// returning a point.
     #[test]
     fn setters_never_panic_on_arbitrary_finite_inputs(
         kb in kb_strategy(),
         constraints in prop::collection::vec(constraint_strategy(), 0..5),
-        new_bounds in prop::collection::vec(-1e300f64..1e300, 1..5),
+        new_bounds in prop::collection::vec(any_f64(), 1..5),
         ratio in -1e300f64..1e300,
         first_rank in rank_strategy(),
         second_rank in rank_strategy(),

@@ -1,8 +1,10 @@
 //! Distributed-fleet determinism: over a **lossless zero-latency
 //! link**, the distributed fleet must be **bit-identical** to the
 //! in-process shared-knowledge fleet — same traces, same learned
-//! knowledge — in both topologies, at any rayon thread count (CI
-//! re-runs this file under forced `RAYON_NUM_THREADS` values).
+//! knowledge — in both topologies. Nodes step one after another in
+//! node order; CI still re-runs this file under forced
+//! `RAYON_NUM_THREADS` values because the toolchain that builds the
+//! app profiles it in parallel.
 //!
 //! This pins the distributed runtime's determinism contract: an ideal
 //! link is exactly the in-process round barrier, so every divergence
@@ -109,9 +111,8 @@ fn ideal_full_mesh_gossip_is_bit_identical_to_the_in_process_fleet() {
     assert_eq!(dist_knowledge, ref_knowledge);
 }
 
-/// The expected digests were recorded from the serial reference (nodes
-/// stepped one after another on the calling thread); CI re-runs this
-/// file at `RAYON_NUM_THREADS` 1, 2 and 8.
+/// The expected digests are those of the serial reference: nodes
+/// stepped one after another on the calling thread.
 #[test]
 fn parallel_and_serial_distributed_rounds_are_bit_identical() {
     let enhanced = quick_enhanced(App::TwoMm);

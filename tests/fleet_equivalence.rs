@@ -1,14 +1,13 @@
-//! Fleet determinism: stepping a fleet over rayon must be
-//! **bit-identical** to the sequential reference at any thread count.
+//! Fleet determinism: a lockstep fleet's traces and learned knowledge
+//! are pinned to digests of the serial reference.
 //!
-//! Mirrors `tests/pipeline_equivalence.rs`: the parallel phase of a
-//! round only *reads* shared state; all mutation (observation merge +
-//! exploration bookkeeping) happens at the round barrier in instance
-//! order. The expected trace and knowledge digests were recorded from
-//! the serial reference (instances stepped one after another on the
-//! calling thread); CI re-runs this file under forced
-//! `RAYON_NUM_THREADS` values (1, 2, 8), and one thread steps the
-//! instances serially, so every worker count must reproduce them.
+//! A round steps the instances one after another in instance order,
+//! and every knowledge merge and exploration update happens at the
+//! round barrier in instance order. The expected trace and knowledge
+//! digests are those of that serial reference. CI still re-runs this
+//! file under forced `RAYON_NUM_THREADS` values (1, 2, 8): the fleet
+//! steps on one thread, but the toolchain that builds its apps
+//! profiles them in parallel.
 
 use margot::{Knowledge, Metric, Rank};
 use platform_sim::KnobConfig;
@@ -98,11 +97,10 @@ fn repeated_runs_are_reproducible() {
 
 #[test]
 fn sharded_incremental_path_matches_the_single_mutex_reference() {
-    // The scaling path (sharded knowledge + batched barrier merge +
+    // The default path (16 knowledge shards + batched barrier merge +
     // incremental cache/delta adoption) must be bit-identical to the
     // single-shard, full-rebuild/full-clone reference, whose output is
-    // pinned below — at any rayon thread count (CI re-runs this under
-    // the forced thread matrix).
+    // pinned below.
     let enhanced = quick_enhanced(App::TwoMm);
     let run = |knowledge_shards: usize| {
         let mut fleet = build_fleet(knowledge_shards, &enhanced);

@@ -18,7 +18,8 @@
 //!    change to the merge-on-publish path cannot drift unnoticed.
 //!
 //! CI re-runs this file under forced `RAYON_NUM_THREADS` values
-//! (1, 2, 8), so the identities hold at any worker count.
+//! (1, 2, 8): the runtimes step on one thread, but the toolchain that
+//! builds their apps profiles them in parallel.
 
 use margot::Rank;
 use polybench::{App, Dataset};

@@ -1,7 +1,7 @@
 //! Property-based convergence tests of the distributed knowledge
 //! exchange: **any** seeded sequence of drops, reorders (latency
 //! jitter) and duplicates must still converge — once the links drain
-//! — to the canonical single-mutex [`margot::SharedKnowledge`]
+//! — to the canonical single-shard [`margot::SharedKnowledge`]
 //! reference fed the same observations in `(round, origin)` order;
 //! and a late-joining instance must catch up exactly.
 //!
@@ -119,8 +119,8 @@ fn build_fleet(s: &Scenario) -> DistributedFleet {
     DistributedFleet::new(config, enhanced()).expect("valid scenario config")
 }
 
-/// Folds the fleet's canonical observation log into a single-mutex,
-/// single-shard [`SharedKnowledge`] — the in-process reference every
+/// Folds the fleet's canonical observation log into a single-shard
+/// [`SharedKnowledge`] — the in-process reference every
 /// reconciliation path must land on.
 fn reference_fold(fleet: &DistributedFleet) -> Knowledge<platform_sim::KnobConfig> {
     let config = fleet.config();
@@ -139,7 +139,7 @@ proptest! {
     /// Whatever the link does — drop, delay, reorder, duplicate —
     /// once the links drain, every node holds the same effective
     /// knowledge and epoch vector, equal to the canonical
-    /// single-mutex fold of all observations.
+    /// single-shard fold of all observations.
     #[test]
     fn any_seeded_loss_schedule_converges_to_the_reference(s in scenario_strategy()) {
         let mut fleet = build_fleet(&s);
@@ -156,7 +156,7 @@ proptest! {
             prop_assert_eq!(
                 fleet.node_knowledge(id),
                 reference.clone(),
-                "node {} diverged from the single-mutex reference",
+                "node {} diverged from the single-shard reference",
                 id
             );
             prop_assert_eq!(

@@ -12,9 +12,9 @@
 //! Three fleet-level mechanisms ride on top of the per-instance loop:
 //!
 //! - **Online knowledge sharing** — each step's observation is merged
-//!   into the shared knowledge at a deterministic round barrier; each
-//!   instance detects refreshed knowledge with one epoch comparison
-//!   and adopts it before its next plan step.
+//!   into the shared knowledge at a deterministic round barrier, where
+//!   every active instance adopts the refreshed knowledge before its
+//!   next plan step.
 //! - **Cooperative exploration** — a [`dse::ExplorationSchedule`]
 //!   assigns still-unobserved configurations round-robin across the
 //!   instances, so the fleet sweeps the design space online once
@@ -26,19 +26,23 @@
 //! # Rounds: one loop, one barrier, incremental refresh
 //!
 //! A round is one loop over the due instances in instance order: each
-//! is assigned its exploration slot, adopts its pool's barrier-time
-//! cache, steps, and adds its observation to its pool's batch. Steps
-//! read only that cache, so the barrier that follows is the only place
+//! is assigned its exploration slot, steps on its pool's barrier-time
+//! cache, and adds its observation to its pool's batch. Steps read
+//! only that cache, so the barrier that follows is the only place
 //! knowledge moves: each pool merges its batch in instance order
 //! ([`SharedKnowledge::publish_batch`]), then refreshes its cache
-//! **incrementally** — the changed points are drained straight out of
-//! the columnar arena into the cache
-//! ([`SharedKnowledge::drain_changes_into`]). The cache is
-//! copy-on-write ([`Knowledge`] is `Arc`-backed), so a stale instance
-//! adopts it with a reference-count bump instead of a deep clone. The
-//! full-rebuild reference ([`SharedKnowledge::snapshot`]) lives in the
-//! tests: `crates/margot/tests/shared_props.rs` checks drained deltas
-//! against it, and the fleet tests check the pool cache against it.
+//! **incrementally** and double-buffered. The pool keeps two caches:
+//! the current one, which every active instance holds, and a spare
+//! one generation behind it, which none does. The barrier patches the
+//! spare in place with the points changed at the previous and at this
+//! barrier ([`SharedKnowledge::drain_changes`]), swaps it in, and every
+//! active instance adopts it right there. [`Knowledge`] is `Arc`-backed
+//! and carries the pool rank's [`margot::RankIndex`], so adoption is a
+//! reference-count bump, the patch re-keys the index in O(log n), and
+//! no round deep-copies the point list. The full-rebuild reference
+//! ([`SharedKnowledge::snapshot`]) lives in the tests:
+//! `crates/margot/tests/shared_props.rs` checks drained deltas against
+//! it, and the fleet tests check the pool cache against it.
 //! [`FleetConfig::knowledge_shards`] only partitions the knowledge's
 //! snapshots and epoch vector; traces are identical at any shard
 //! count. `tests/fleet_equivalence.rs` pins the traces to digests.
@@ -516,10 +520,17 @@ struct Pool {
     /// the fleet with frozen near-ties mid-flight.
     burst: VecDeque<KnobConfig>,
     /// Effective-knowledge snapshot maintained **once per pool** at the
-    /// round barrier (and only when the epoch moved); stale instances
-    /// adopt this knowledge before they step.
+    /// round barrier (and only when the epoch moved), indexed by the
+    /// rank of the pool's first instance; every active instance holds
+    /// it, and one under another rank plans by scanning.
     cache_epoch: u64,
     cache: Knowledge<KnobConfig>,
+    /// The cache one generation back, which no active instance holds:
+    /// the next refresh patches it in place and swaps it in.
+    spare: Knowledge<KnobConfig>,
+    /// Positions the last refresh changed: the spare lags the cache at
+    /// exactly these.
+    pending: Vec<usize>,
     /// The weaved program the pool's kernels are lowered from, and the
     /// clone they enter through.
     weaved: TranslationUnit,
@@ -563,18 +574,28 @@ impl Pool {
         }
     }
 
-    /// Refreshes the cached snapshot. Called only from barrier
-    /// (sequential) code.
+    /// Refreshes the cached snapshot: brings the spare level with the
+    /// cache, patches in the points changed since, and swaps the two.
+    /// The caller then re-adopts every active instance
+    /// ([`Fleet::adopt_caches`]) so none holds the new spare, and the
+    /// next refresh patches it without a copy. Sequential code only.
     fn refresh_cache(&mut self) {
         // Dirty inserts are always paired with an epoch bump, so an
         // unmoved epoch means there is nothing to drain.
         if self.shared.epoch() == self.cache_epoch {
             return;
         }
-        // Patch only the points whose effective values changed since
-        // the last barrier, straight out of the arena; O(changed)
-        // instead of O(points), with no intermediate point list.
-        let (to_epoch, _patched) = self.shared.drain_changes_into(&mut self.cache);
+        for &pos in &self.pending {
+            self.spare
+                .patch_point(pos, self.cache.points()[pos].clone());
+        }
+        self.pending.clear();
+        let (to_epoch, changed) = self.shared.drain_changes();
+        for (pos, point) in changed {
+            self.pending.push(pos);
+            self.spare.patch_point(pos, point);
+        }
+        std::mem::swap(&mut self.cache, &mut self.spare);
         self.cache_epoch = to_epoch;
     }
 }
@@ -777,14 +798,15 @@ impl Fleet {
     /// knowledge, inheriting everything the fleet already learned.
     pub fn add_instance(&mut self, enhanced: EnhancedApp, rank: Rank, machine: Machine) -> usize {
         let pool = self.pool_for(&enhanced, &rank);
-        let mut app = AdaptiveApplication::with_machine(enhanced, rank, machine);
-        let epoch = if self.config.share_knowledge {
+        let (knowledge, epoch) = if self.config.share_knowledge {
             self.pools[pool].refresh_cache();
-            app.set_knowledge(self.pools[pool].cache.clone());
-            self.pools[pool].cache_epoch
+            self.adopt_caches();
+            let pool = &self.pools[pool];
+            (pool.cache.clone(), pool.cache_epoch)
         } else {
-            0
+            (enhanced.knowledge.clone(), 0)
         };
+        let app = AdaptiveApplication::with_knowledge(enhanced, knowledge, rank, machine);
         let t_s = app.now_s();
         self.instances.push(Instance {
             app,
@@ -1064,6 +1086,8 @@ impl Fleet {
                 self.config.knowledge_window.min(WARM_HEAD_PASSES),
             );
         }
+        let mut cache = seeded;
+        cache.rank_by(rank);
         self.pools.push(Pool {
             app: enhanced.app,
             design: enhanced.knowledge.clone(),
@@ -1071,7 +1095,9 @@ impl Fleet {
             schedule: ExplorationSchedule::new(configs),
             burst,
             cache_epoch: 0,
-            cache: seeded,
+            spare: cache.clone(),
+            cache,
+            pending: Vec::new(),
             weaved: enhanced.weaved.clone(),
             entry,
             dataset: enhanced.dataset,
@@ -1130,9 +1156,11 @@ impl Fleet {
     }
 
     /// One round over the instances marked due, in instance order: each
-    /// is assigned its exploration slot, adopts its pool's barrier-time
-    /// cache, steps, and adds its observation to its pool's batch. The
-    /// barrier then merges each pool's batch — the determinism contract.
+    /// is assigned its exploration slot, steps on the pool cache it
+    /// adopted at the previous barrier, and adds its observation to its
+    /// pool's batch. The barrier then merges each pool's batch — the
+    /// determinism contract — refreshes each pool's cache, and every
+    /// active instance adopts it.
     fn round_with(&mut self, due: &[bool]) -> usize {
         assert_eq!(due.len(), self.instances.len());
         let share = self.config.share_knowledge;
@@ -1170,18 +1198,12 @@ impl Fleet {
             } else {
                 None
             };
+            // Every active instance adopted the cache at the last
+            // barrier or at its boot (`adopt_caches`).
+            debug_assert!(!share || pool.cache_epoch == inst.epoch);
             // One instance's panic must not take the fleet down: catch
             // it and deactivate the instance; survivors keep stepping.
             let stepped = catch_unwind(AssertUnwindSafe(|| {
-                // Epoch probe against the pool's barrier-time cache. The
-                // cache is copy-on-write, so a stale instance adopts it
-                // with a reference-count bump — per-instance delta
-                // patching would force a deep copy of the instance's own
-                // point list and is strictly worse here.
-                if share && pool.cache_epoch != inst.epoch {
-                    inst.app.set_knowledge(pool.cache.clone());
-                    inst.epoch = pool.cache_epoch;
-                }
                 // A stale assignment (e.g. a configuration with no
                 // compiled version after a knowledge refresh) falls back
                 // to a normal AS-RTM step instead of aborting.
@@ -1243,7 +1265,7 @@ impl Fleet {
 
         // The barrier: merge each pool's batch in instance order, then
         // refresh each pool's cache incrementally from the changed
-        // points.
+        // points, and hand it to every active instance.
         if share {
             for ((pool, batch), requeue) in self.pools.iter_mut().zip(&per_pool).zip(&requeues) {
                 // Unexecuted assignments rejoin the sweep *before* this
@@ -1261,6 +1283,7 @@ impl Fleet {
                 }
                 pool.refresh_cache();
             }
+            self.adopt_caches();
         }
         // Kernel specialization happens here at the barrier — never in
         // an instance's step — so a fleet of N instances running the
@@ -1295,6 +1318,22 @@ impl Fleet {
             }
         }
         steps
+    }
+
+    /// Every active instance whose pool cache moved adopts it: a
+    /// reference-count bump, the rank index already attached. Run
+    /// after each cache refresh, so no active instance holds a pool's
+    /// spare. Adopting at the barrier instead of before the next step
+    /// changes nothing an instance computes: it ends on the same
+    /// knowledge with the same refreshed current point.
+    fn adopt_caches(&mut self) {
+        for inst in self.instances.iter_mut().filter(|inst| inst.active) {
+            let pool = &self.pools[inst.pool];
+            if pool.cache_epoch != inst.epoch {
+                inst.app.set_knowledge(pool.cache.clone());
+                inst.epoch = pool.cache_epoch;
+            }
+        }
     }
 
     /// Delivers one event to every registered observer, in
@@ -1640,8 +1679,8 @@ mod tests {
     #[test]
     fn a_panicking_instance_is_deactivated_not_fatal() {
         let enhanced = quick_enhanced(App::TwoMm);
-        // Knowledge sharing off: with it on, the adoption path would
-        // repair the emptied knowledge before the step could panic.
+        // Knowledge sharing off, so no barrier hands the instance a
+        // pool cache in place of the emptied knowledge.
         let mut fleet = fleet_with(FleetConfig {
             share_knowledge: false,
             ..FleetConfig::default()
@@ -1768,6 +1807,89 @@ mod tests {
         );
         assert_eq!(run(margot::DEFAULT_SHARDS), reference);
         assert_eq!(run(1), reference);
+    }
+
+    #[test]
+    fn steady_barriers_patch_the_spare_in_place_and_instances_share_it() {
+        let mut fleet = fleet_with(FleetConfig::default());
+        fleet.spawn(&quick_enhanced(App::TwoMm), &rank(), 7, 4);
+        // The first barriers copy the buffers the pool was created
+        // sharing; from then on, neither is ever copied.
+        for _ in 0..3 {
+            fleet.step_all();
+        }
+        let storage = |k: &Knowledge<KnobConfig>| {
+            let index = k.rank_index().map(|i| i as *const margot::RankIndex);
+            (k.points().as_ptr(), index)
+        };
+        let mut swaps = 0;
+        for _ in 0..6 {
+            let pool = &fleet.pools[0];
+            let (epoch, cache, spare) =
+                (pool.cache_epoch, storage(&pool.cache), storage(&pool.spare));
+            assert!(cache.1.is_some(), "the cache carries the rank index");
+            fleet.step_all();
+            let pool = &fleet.pools[0];
+            if pool.cache_epoch != epoch {
+                swaps += 1;
+                assert_eq!(storage(&pool.cache), spare, "patched in place, swapped in");
+                assert_eq!(storage(&pool.spare), cache);
+            }
+            for inst in &fleet.instances {
+                let held = inst.app.manager().asrtm().knowledge();
+                assert_eq!(
+                    storage(held),
+                    storage(&pool.cache),
+                    "adopted at the barrier"
+                );
+            }
+        }
+        assert!(swaps > 0, "the rounds moved the knowledge");
+    }
+
+    #[test]
+    fn an_instance_under_another_rank_adopts_the_pool_index_and_scans() {
+        // Pools are keyed by app and design, not by rank: the cache
+        // carries the first instance's rank index, and an instance
+        // under another rank adopts it as is instead of rebuilding it.
+        let enhanced = quick_enhanced(App::TwoMm);
+        let other = Rank::minimize(Metric::exec_time());
+        let mut fleet = fleet_with(FleetConfig::default());
+        fleet.spawn(&enhanced, &rank(), 7, 2);
+        fleet.spawn(&enhanced, &other, 8, 2);
+        assert_eq!(fleet.pools.len(), 1);
+        // Joiners index their boot knowledge under their own rank;
+        // the first refresh hands every instance the pool's cache.
+        let boot = fleet.pools[0].cache_epoch;
+        for _ in 0..10 {
+            if fleet.pools[0].cache_epoch != boot {
+                break;
+            }
+            fleet.step_all();
+        }
+        assert_ne!(fleet.pools[0].cache_epoch, boot, "the knowledge moved");
+        for _ in 0..6 {
+            fleet.step_all();
+            let index = fleet.pools[0].cache.rank_index().expect("indexed cache");
+            assert_eq!(index.rank(), &rank());
+            for inst in &fleet.instances {
+                let asrtm = inst.app.manager().asrtm();
+                let held = asrtm.knowledge().rank_index().expect("adopted index");
+                assert!(std::ptr::eq(held, index), "adopted, not rebuilt");
+                // A constraint no point violates forces the scan.
+                let mut scan = asrtm.clone();
+                scan.add_constraint(Constraint::new(
+                    Metric::power(),
+                    Cmp::LessOrEqual,
+                    f64::INFINITY,
+                    0,
+                ));
+                assert_eq!(
+                    asrtm.best().map(|p| &p.config),
+                    scan.best().map(|p| &p.config)
+                );
+            }
+        }
     }
 
     #[test]

@@ -388,6 +388,10 @@ impl DistributedFleet {
     pub fn add_instance(&mut self, rank: Rank, machine: Machine) -> usize {
         let id = self.nodes.len() as NodeId;
         let founding = self.rounds == 0;
+        // Indexed once per fleet: every node's AS-RTM and star cache
+        // clone the index with the knowledge, adoptions reuse it, and
+        // patches re-key it.
+        self.enhanced.knowledge.rank_by(&rank);
         let sync = match self.dist.topology {
             DistTopology::BrokerStar => NodeSync::Star(StarState {
                 cache: self.enhanced.knowledge.clone(),

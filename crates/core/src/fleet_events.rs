@@ -295,7 +295,9 @@ impl EventPool {
         let Some(v) = self.rank.value_with(|m| p.metric(m)) else {
             return;
         };
-        if v.is_finite() && self.rank.better(v, self.selection.value) {
+        // A tie goes to the lower position, as in `rescan`.
+        let tie_below = v == self.selection.value && pos < self.selection.pos;
+        if v.is_finite() && (self.rank.better(v, self.selection.value) || tie_below) {
             self.selection.pos = pos;
             self.selection.value = v;
         }
@@ -1143,6 +1145,33 @@ mod tests {
             schedule: Schedule::EventDriven,
             ..FleetConfig::default()
         }
+    }
+
+    #[test]
+    fn a_patched_point_tying_the_winner_from_below_takes_over() {
+        let enhanced = quick_enhanced(App::TwoMm);
+        let mut fleet = EventFleet::new(event_config()).unwrap();
+        fleet.spawn(&enhanced, &rank(), 42, 1);
+        let pool = &mut fleet.pools[0];
+        let top = |cfg: &KnobConfig| {
+            margot::OperatingPoint::new(
+                cfg.clone(),
+                MetricValues::new()
+                    .with(Metric::throughput(), 1e6)
+                    .with(Metric::power(), 1.0),
+            )
+        };
+        let (low, high) = (3, 5);
+        let point = top(&pool.configs[high]);
+        pool.cache.patch_point(high, point);
+        pool.selection = Selection::invalid();
+        assert_eq!(pool.select(None), high);
+        let point = top(&pool.configs[low]);
+        pool.cache.patch_point(low, point);
+        pool.on_patch(low);
+        assert_eq!(pool.selection.pos, low, "a tie goes to the lower position");
+        pool.selection = Selection::invalid();
+        assert_eq!(pool.select(None), low, "as a rescan picks");
     }
 
     #[test]

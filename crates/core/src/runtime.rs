@@ -85,7 +85,22 @@ impl AdaptiveApplication {
     /// studies model deployment drift (the machine running hotter or
     /// slower than the design-time knowledge assumes).
     pub fn with_machine(enhanced: EnhancedApp, rank: Rank, machine: Machine) -> Self {
-        let mut manager = ApplicationManager::new(enhanced.knowledge.clone(), rank);
+        let knowledge = enhanced.knowledge.clone();
+        Self::with_knowledge(enhanced, knowledge, rank, machine)
+    }
+
+    /// [`with_machine`](Self::with_machine), planning over `knowledge`
+    /// from the start instead of the design knowledge: a fleet boots
+    /// its instances straight onto the pool's cache, whose rank index
+    /// is then reused instead of built for knowledge about to be
+    /// replaced.
+    pub(crate) fn with_knowledge(
+        enhanced: EnhancedApp,
+        knowledge: Knowledge<KnobConfig>,
+        rank: Rank,
+        machine: Machine,
+    ) -> Self {
+        let mut manager = ApplicationManager::new(knowledge, rank);
         for metric in [
             Metric::exec_time(),
             Metric::power(),

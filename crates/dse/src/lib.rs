@@ -30,6 +30,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use margot::{Knowledge, Metric, MetricValues, OperatingPoint};
 use platform_sim::{
@@ -471,14 +472,12 @@ impl<K: Clone + Eq + std::hash::Hash> ExplorationSchedule<K> {
     /// Returns `false` for unknown or currently-unexplored
     /// configurations.
     pub fn requeue(&mut self, config: &K) -> bool {
+        let Some(pos) = self.configs.iter().position(|c| c == config) else {
+            return false;
+        };
         if !self.swept.remove(config) {
             return false;
         }
-        let pos = self
-            .configs
-            .iter()
-            .position(|c| c == config)
-            .expect("swept configs are known");
         let moved = self.configs.remove(pos);
         self.configs.push(moved);
         if pos < self.cursor {

@@ -5,7 +5,17 @@
 //! (iii) runtime feedback from the monitors (as per-metric adjustment
 //! ratios). When no point satisfies every constraint, constraints are
 //! relaxed lowest-priority-first, mirroring mARGOt's behaviour.
+//!
+//! [`AsRtm::best`] has two paths with one result. With no constraints
+//! and a geometric or single-term linear rank, it plans from the
+//! [`crate::RankIndex`] its knowledge carries for that rank: only the
+//! points whose unscaled rank value lies near the top are evaluated
+//! with the feedback ratios. Otherwise — constraints (e.g. a power
+//! budget), multi-term linear ranks, knowledge adopted with another
+//! rank's index — it scans every point. Both return the best adjusted
+//! rank value, the lowest knowledge position breaking ties.
 
+use crate::index::RATIOS;
 use crate::knowledge::{Knowledge, OperatingPoint};
 use crate::metric::{Metric, MetricValues};
 use crate::requirements::{Constraint, Rank};
@@ -23,8 +33,10 @@ pub struct AsRtm<K> {
 }
 
 impl<K: Clone + PartialEq> AsRtm<K> {
-    /// Creates a manager over the given knowledge with an initial rank.
-    pub fn new(knowledge: Knowledge<K>, rank: Rank) -> Self {
+    /// Creates a manager over the given knowledge with an initial rank,
+    /// attaching the knowledge's rank index.
+    pub fn new(mut knowledge: Knowledge<K>, rank: Rank) -> Self {
+        knowledge.rank_by(&rank);
         AsRtm {
             knowledge,
             constraints: Vec::new(),
@@ -42,9 +54,15 @@ impl<K: Clone + PartialEq> AsRtm<K> {
     /// refreshed operating points from a shared online knowledge layer
     /// ([`crate::SharedKnowledge`]). Requirements, feedback ratios and
     /// constraints are untouched; the next [`best`](Self::best) call
-    /// selects over the new points.
+    /// selects over the new points. Knowledge that already carries an
+    /// index is adopted as is (a reference-count bump); when that index
+    /// orders by another rank, [`best`](Self::best) scans. Knowledge
+    /// without one is indexed under this rank.
     pub fn set_knowledge(&mut self, knowledge: Knowledge<K>) {
         self.knowledge = knowledge;
+        if self.knowledge.rank_index().is_none() {
+            self.knowledge.rank_by(&self.rank);
+        }
     }
 
     /// Patches only the changed operating points of a
@@ -54,7 +72,8 @@ impl<K: Clone + PartialEq> AsRtm<K> {
     /// (and changes nothing) if the delta does not line up with this
     /// knowledge; the caller must fall back to a full snapshot. The
     /// caller must also verify the knowledge is at the delta's
-    /// `from_epoch` — see [`crate::KnowledgeDelta::apply_to`].
+    /// `from_epoch` — see [`crate::KnowledgeDelta::apply_to`]. The rank
+    /// index re-keys each patched point in O(log n).
     #[must_use]
     pub fn apply_knowledge_delta(&mut self, delta: &crate::KnowledgeDelta<K>) -> bool {
         delta.apply_to(&mut self.knowledge)
@@ -65,9 +84,11 @@ impl<K: Clone + PartialEq> AsRtm<K> {
         &self.rank
     }
 
-    /// Replaces the rank (the paper's Fig. 5 requirement switch).
+    /// Replaces the rank (the paper's Fig. 5 requirement switch) and
+    /// re-indexes the knowledge under it.
     pub fn set_rank(&mut self, rank: Rank) {
         self.rank = rank;
+        self.knowledge.rank_by(&self.rank);
     }
 
     /// Adds a constraint; keeps the list sorted by priority (descending).
@@ -104,6 +125,7 @@ impl<K: Clone + PartialEq> AsRtm<K> {
     /// and the whole constraint set (mARGOt state switching).
     pub fn apply_state(&mut self, state: &crate::states::OptimizationState) {
         self.rank = state.rank.clone();
+        self.knowledge.rank_by(&self.rank);
         self.constraints = state.constraints.clone();
         self.constraints
             .sort_by_key(|c| std::cmp::Reverse(c.priority));
@@ -118,7 +140,8 @@ impl<K: Clone + PartialEq> AsRtm<K> {
     /// (`observed / expected`, clamped to `[0.25, 4.0]`).
     pub fn set_adjustment(&mut self, metric: Metric, ratio: f64) {
         let ratio = if ratio.is_finite() { ratio } else { 1.0 };
-        self.adjustments.insert(metric, ratio.clamp(0.25, 4.0));
+        self.adjustments
+            .insert(metric, ratio.clamp(*RATIOS.start(), *RATIOS.end()));
     }
 
     /// Clears all feedback ratios.
@@ -127,17 +150,21 @@ impl<K: Clone + PartialEq> AsRtm<K> {
     }
 
     /// Expected metrics of `op`, scaled by the current feedback ratios.
+    ///
+    /// Derived arithmetic, like [`best`](Self::best)'s lookups: a
+    /// product that leaves the finite range (or a non-finite value a
+    /// point arrived with) is kept as is, not rejected.
     pub fn adjusted_metrics(&self, op: &OperatingPoint<K>) -> MetricValues {
-        op.metrics
-            .iter()
-            .map(|(m, v)| {
-                let f = self.adjustments.get(m).copied().unwrap_or(1.0);
-                (m.clone(), v * f)
-            })
-            .collect()
+        MetricValues::from_unvalidated(op.metrics.iter().map(|(m, v)| {
+            let f = self.adjustments.get(m).copied().unwrap_or(1.0);
+            (m.clone(), v * f)
+        }))
     }
 
-    /// Selects the best operating point under the current requirements.
+    /// Selects the best operating point under the current requirements:
+    /// the best adjusted rank value among the feasible points (or,
+    /// when none is feasible, among the least-violating ones), the
+    /// lowest knowledge position breaking ties.
     ///
     /// Returns `None` only when the knowledge base is empty or the rank
     /// cannot be evaluated on any point.
@@ -146,7 +173,20 @@ impl<K: Clone + PartialEq> AsRtm<K> {
     /// × feedback ratio — the same arithmetic
     /// [`adjusted_metrics`](Self::adjusted_metrics) materialises), so
     /// the planning loop allocates nothing on the feasible path.
+    ///
+    /// With no constraints, feedback ratios inside the
+    /// [`set_adjustment`](Self::set_adjustment) clamp and a knowledge
+    /// index for the current rank (geometric or single-term linear), only
+    /// the index's candidates near the top are evaluated; otherwise
+    /// every point is. Both paths evaluate each point with the same
+    /// arithmetic and return the same point.
     pub fn best(&self) -> Option<&OperatingPoint<K>> {
+        self.best_position()
+            .and_then(|pos| self.knowledge.points().get(pos))
+    }
+
+    /// The knowledge position of [`best`](Self::best)'s point.
+    pub(crate) fn best_position(&self) -> Option<usize> {
         let pts = self.knowledge.points();
         if pts.is_empty() {
             return None;
@@ -178,6 +218,23 @@ impl<K: Clone + PartialEq> AsRtm<K> {
             );
             Some(v * f)
         };
+        if self.constraints.is_empty() && factors.iter().all(|(_, f)| RATIOS.contains(f)) {
+            if let Some(index) = self.knowledge.index_for(&self.rank) {
+                // The candidates hold every point that can reach the
+                // best value; evaluated in any order, "better, or equal
+                // at a lower position" keeps the scan's pick.
+                let mut best: Option<(usize, f64)> = None;
+                index.for_each_candidate(|i| {
+                    let Some(r) = self.rank.value_with(|m| adjusted(i, m)) else {
+                        return;
+                    };
+                    if best.is_none_or(|(bi, br)| self.rank.better(r, br) || (r == br && i < bi)) {
+                        best = Some((i, r));
+                    }
+                });
+                return best.map(|(i, _)| i);
+            }
+        }
         let feasible = |i: usize| {
             self.constraints
                 .iter()
@@ -229,7 +286,7 @@ impl<K: Clone + PartialEq> AsRtm<K> {
         } else {
             infeasible_candidates.into_iter().for_each(&mut consider);
         }
-        best.map(|(i, _)| &pts[i])
+        best.map(|(i, _)| i)
     }
 }
 
@@ -335,6 +392,70 @@ mod tests {
         rtm.set_adjustment(Metric::power(), f64::NAN);
         let adj = rtm.adjusted_metrics(&op);
         assert_eq!(adj.get(&Metric::power()).unwrap(), 50.0);
+    }
+
+    #[test]
+    fn adjusted_metrics_keep_values_best_handles() {
+        // Regression: the view collected through the finite-asserting
+        // insert and panicked where `best` returns a point.
+        let mut rtm = AsRtm::new(kb(), Rank::minimize(Metric::exec_time()));
+        let hot = OperatingPoint::new(
+            9,
+            MetricValues::new()
+                .with(Metric::exec_time(), 1.0)
+                .with(Metric::power(), 1e308),
+        );
+        rtm.set_knowledge([hot.clone()].into_iter().collect());
+        rtm.set_adjustment(Metric::power(), 4.0);
+        assert_eq!(rtm.best().unwrap().config, 9);
+        let adj = rtm.adjusted_metrics(&hot);
+        assert_eq!(adj.get(&Metric::power()), Some(f64::INFINITY));
+
+        let nan = OperatingPoint::new(
+            7,
+            MetricValues::from_unvalidated([
+                (Metric::exec_time(), 0.5),
+                (Metric::power(), f64::NAN),
+            ]),
+        );
+        rtm.set_knowledge([nan.clone()].into_iter().collect());
+        assert_eq!(rtm.best().unwrap().config, 7);
+        assert!(rtm
+            .adjusted_metrics(&nan)
+            .get(&Metric::power())
+            .unwrap()
+            .is_nan());
+    }
+
+    #[test]
+    fn the_index_path_keeps_the_scan_tie_rule() {
+        // cfg 2 and cfg 4 tie on the top Thr/W²; the lower position wins
+        // on the indexed path as on the scan.
+        let mk = |cfg, t: f64, p: f64| {
+            OperatingPoint::new(
+                cfg,
+                MetricValues::new()
+                    .with(Metric::exec_time(), t)
+                    .with(Metric::power(), p)
+                    .with(Metric::throughput(), 1.0 / t),
+            )
+        };
+        let k: Knowledge<u32> = [
+            mk(1, 0.4, 80.0),
+            mk(2, 1.0, 50.0),
+            mk(3, 0.15, 140.0),
+            mk(4, 1.0, 50.0),
+        ]
+        .into_iter()
+        .collect();
+        let mut rtm = AsRtm::new(k, Rank::throughput_per_watt2());
+        assert!(rtm.knowledge().rank_index().is_some());
+        assert_eq!(rtm.best().unwrap().config, 2);
+        rtm.set_adjustment(Metric::power(), 0.5);
+        assert_eq!(rtm.best().unwrap().config, 2);
+        // A constraint takes the scan; same tie rule.
+        rtm.add_constraint(Constraint::new(Metric::power(), Cmp::LessOrEqual, 60.0, 1));
+        assert_eq!(rtm.best().unwrap().config, 2);
     }
 
     #[test]

@@ -3,9 +3,20 @@
 //! The knowledge is built at design time by profiling the application over
 //! its software-knob space (DSE); each explored configuration becomes an
 //! [`OperatingPoint`] with its expected EFP values.
+//!
+//! A [`Knowledge`] can carry a [`RankIndex`] over its points
+//! ([`Knowledge::rank_by`]), which the AS-RTM plans from instead of
+//! scanning (see [`crate::AsRtm::best`] for when it still scans, and for
+//! the tie rule both paths share: the best value, then the lowest
+//! position). The index travels with the knowledge: clones share it,
+//! [`Knowledge::patch_point`] re-keys the patched position copy-on-write
+//! like the points, and equality and serde ignore it.
 
+use crate::index::RankIndex;
 use crate::metric::{Metric, MetricValues};
+use crate::requirements::Rank;
 use serde::{Deserialize, Serialize, Value};
+use std::fmt;
 use std::sync::Arc;
 
 /// One point of the application knowledge: a knob configuration plus the
@@ -33,20 +44,36 @@ impl<K> OperatingPoint<K> {
 /// The application knowledge base: the list of operating points the
 /// AS-RTM selects from.
 ///
-/// The point list is copy-on-write (`Arc`-backed): cloning a knowledge
-/// base — which every fleet instance does whenever it adopts the
-/// pool's refreshed cache — is a reference-count bump; the point
-/// vector is only deep-copied when a holder actually mutates it.
-#[derive(Debug, Clone, PartialEq)]
+/// The point list and the optional [`RankIndex`] are copy-on-write
+/// (`Arc`-backed): cloning a knowledge base — which every fleet
+/// instance does whenever it adopts the pool's refreshed cache — is a
+/// reference-count bump; each is only deep-copied when a holder
+/// actually mutates it.
+#[derive(Clone)]
 pub struct Knowledge<K> {
     points: Arc<Vec<OperatingPoint<K>>>,
+    index: Option<Arc<RankIndex>>,
 }
 
 impl<K> Default for Knowledge<K> {
     fn default() -> Self {
-        Knowledge {
-            points: Arc::new(Vec::new()),
-        }
+        Knowledge::from_points(Vec::new())
+    }
+}
+
+/// Two knowledge bases are equal when their points are: the index is
+/// derived from them.
+impl<K: PartialEq> PartialEq for Knowledge<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.points == other.points
+    }
+}
+
+impl<K: fmt::Debug> fmt::Debug for Knowledge<K> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Knowledge")
+            .field("points", &self.points)
+            .finish()
     }
 }
 
@@ -56,12 +83,50 @@ impl<K> Knowledge<K> {
         Self::default()
     }
 
-    /// Adds an operating point.
+    fn from_points(points: Vec<OperatingPoint<K>>) -> Self {
+        Knowledge {
+            points: Arc::new(points),
+            index: None,
+        }
+    }
+
+    /// Adds an operating point (and rebuilds an attached index).
     pub fn add(&mut self, op: OperatingPoint<K>)
     where
         K: Clone,
     {
         Arc::make_mut(&mut self.points).push(op);
+        self.reindex();
+    }
+
+    /// Attaches a [`RankIndex`] of the points under `rank` — a no-op
+    /// when one for that rank is already attached, so adopting an
+    /// indexed knowledge base costs nothing. Detaches the index when
+    /// the rank's shape admits none (the AS-RTM then scans).
+    pub fn rank_by(&mut self, rank: &Rank) {
+        if self.index_for(rank).is_none() {
+            self.index = RankIndex::build(rank, &self.points).map(Arc::new);
+        }
+    }
+
+    /// The attached index, if any.
+    pub fn rank_index(&self) -> Option<&RankIndex> {
+        self.index.as_deref()
+    }
+
+    /// The attached index when it orders by `rank` and covers every
+    /// point.
+    pub(crate) fn index_for(&self, rank: &Rank) -> Option<&RankIndex> {
+        self.index
+            .as_deref()
+            .filter(|index| index.len() == self.points.len() && index.rank() == rank)
+    }
+
+    /// Rebuilds an attached index after points were added.
+    fn reindex(&mut self) {
+        if let Some(index) = self.index.take() {
+            self.index = RankIndex::build(index.rank(), &self.points).map(Arc::new);
+        }
     }
 
     /// All operating points.
@@ -72,6 +137,7 @@ impl<K> Knowledge<K> {
     /// Replaces the point at `pos` in place — the primitive behind
     /// incremental knowledge refresh ([`crate::KnowledgeDelta`] patches
     /// only the changed points instead of rebuilding the whole base).
+    /// An attached index re-keys the position in O(log n).
     ///
     /// # Panics
     ///
@@ -80,7 +146,11 @@ impl<K> Knowledge<K> {
     where
         K: Clone,
     {
-        Arc::make_mut(&mut self.points)[pos] = point;
+        let points = Arc::make_mut(&mut self.points);
+        points[pos] = point;
+        if let Some(index) = &mut self.index {
+            Arc::make_mut(index).rekey(pos, &points[pos]);
+        }
     }
 
     /// Number of operating points.
@@ -141,29 +211,26 @@ impl<K> Knowledge<K> {
             .filter(|(_, a)| !usable.iter().any(|(_, b)| dominated(a, b)))
             .map(|(p, _)| (*p).clone())
             .collect();
-        Knowledge {
-            points: Arc::new(out),
-        }
+        Knowledge::from_points(out)
     }
 }
 
 impl<K> FromIterator<OperatingPoint<K>> for Knowledge<K> {
     fn from_iter<T: IntoIterator<Item = OperatingPoint<K>>>(iter: T) -> Self {
-        Knowledge {
-            points: Arc::new(iter.into_iter().collect()),
-        }
+        Knowledge::from_points(iter.into_iter().collect())
     }
 }
 
 impl<K: Clone> Extend<OperatingPoint<K>> for Knowledge<K> {
     fn extend<T: IntoIterator<Item = OperatingPoint<K>>>(&mut self, iter: T) {
         Arc::make_mut(&mut self.points).extend(iter);
+        self.reindex();
     }
 }
 
 // Hand-written serde keeping the derived `{"points":[...]}` shape the
 // golden files and persisted artifacts pin, while the in-memory layout
-// is Arc-backed.
+// is Arc-backed and the index is left out.
 impl<K: Serialize> Serialize for Knowledge<K> {
     fn to_value(&self) -> Value {
         Value::Object(vec![("points".to_string(), self.points.to_value())])
@@ -178,9 +245,7 @@ impl<K: Deserialize> Deserialize for Knowledge<K> {
         let points = v
             .get_field("points")
             .ok_or_else(|| serde::Error::custom("missing field `points`"))?;
-        Ok(Knowledge {
-            points: Arc::new(Vec::<OperatingPoint<K>>::from_value(points)?),
-        })
+        Ok(Knowledge::from_points(Vec::from_value(points)?))
     }
 }
 
@@ -220,6 +285,47 @@ mod tests {
             "mutation copies on write"
         );
         assert_eq!(snapshot.points()[0], op(1, 1.0, 50.0), "snapshot untouched");
+    }
+
+    #[test]
+    fn the_index_travels_with_clones_and_patches_copy_on_write() {
+        let rank = Rank::throughput_per_watt2();
+        let thr = |cfg: u32, t: f64, p: f64| {
+            let mut point = op(cfg, t, p);
+            point.metrics.insert(Metric::throughput(), 1.0 / t);
+            point
+        };
+        let mut k: Knowledge<u32> = [thr(1, 1.0, 50.0), thr(2, 0.5, 80.0)].into_iter().collect();
+        assert!(k.rank_index().is_none());
+        k.rank_by(&rank);
+        let index: *const RankIndex = k.rank_index().expect("geometric ranks index");
+        k.rank_by(&rank);
+        assert!(std::ptr::eq(index, k.rank_index().unwrap()), "no-op");
+        let snapshot = k.clone();
+        assert!(std::ptr::eq(index, snapshot.rank_index().unwrap()));
+        k.patch_point(1, thr(2, 0.1, 60.0));
+        assert!(!std::ptr::eq(index, k.rank_index().unwrap()), "copied");
+        let rebuilt = {
+            let mut fresh: Knowledge<u32> = k.points().iter().cloned().collect();
+            fresh.rank_by(&rank);
+            fresh
+        };
+        assert_eq!(k.rank_index(), rebuilt.rank_index());
+        assert_ne!(k.rank_index(), snapshot.rank_index());
+        k.add(thr(3, 2.0, 40.0));
+        assert_eq!(k.rank_index().map(RankIndex::len), Some(3), "rebuilt");
+        // Equality and serde see the points only.
+        let plain: Knowledge<u32> = k.points().iter().cloned().collect();
+        assert_eq!(plain, k);
+        assert_eq!(
+            serde_json::to_string(&plain).unwrap(),
+            serde_json::to_string(&k).unwrap()
+        );
+        k.rank_by(&Rank {
+            direction: crate::RankDirection::Maximize,
+            kind: crate::RankKind::Linear(vec![(Metric::power(), 1.0), (Metric::exec_time(), 1.0)]),
+        });
+        assert!(k.rank_index().is_none(), "multi-term linear ranks scan");
     }
 
     #[test]

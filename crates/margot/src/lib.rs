@@ -15,7 +15,16 @@
 //! - **AS-RTM** — [`AsRtm`]: constrained multi-objective selection
 //!   (prioritised [`Constraint`]s + a [`Rank`] such as the paper's
 //!   Thr/W²), with runtime feedback folded in as per-metric
-//!   observed/expected ratios;
+//!   observed/expected ratios. [`AsRtm::best`] has two paths with one
+//!   result — the best adjusted rank value, the lowest knowledge
+//!   position breaking ties. Without constraints, under a geometric or
+//!   single-term linear rank, it plans from the [`RankIndex`] its
+//!   knowledge carries for that rank and evaluates only the few points
+//!   near the top; otherwise it scans every point;
+//! - **Rank index** — [`RankIndex`]: a tournament tree over the points'
+//!   unscaled rank values that travels with the [`Knowledge`] it
+//!   indexes (shared by clones, re-keyed in O(log n) by
+//!   [`Knowledge::patch_point`], ignored by equality and serde);
 //! - **MAPE-K facade** — [`ApplicationManager`]: the `init` /
 //!   `update` / `start`/`stop` API the LARA weaver injects;
 //! - **Online knowledge** — [`SharedKnowledge`]: a single-owner,
@@ -57,6 +66,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod asrtm;
+mod index;
 mod knowledge;
 mod manager;
 mod metric;
@@ -66,6 +76,7 @@ mod shared;
 mod states;
 
 pub use asrtm::AsRtm;
+pub use index::RankIndex;
 pub use knowledge::{Knowledge, OperatingPoint};
 pub use manager::{ApplicationManager, DEFAULT_MONITOR_WINDOW};
 pub use metric::{Metric, MetricValues};

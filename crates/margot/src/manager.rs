@@ -29,6 +29,9 @@ pub struct ApplicationManager<K> {
     asrtm: AsRtm<K>,
     monitors: BTreeMap<Metric, Monitor>,
     current: Option<OperatingPoint<K>>,
+    /// Knowledge position of `current`, so adopting refreshed knowledge
+    /// refreshes it with one lookup.
+    current_pos: Option<usize>,
     region_open: bool,
     updates: u64,
 }
@@ -40,6 +43,7 @@ impl<K: Clone + PartialEq> ApplicationManager<K> {
             asrtm: AsRtm::new(knowledge, rank),
             monitors: BTreeMap::new(),
             current: None,
+            current_pos: None,
             region_open: false,
             updates: 0,
         }
@@ -82,12 +86,21 @@ impl<K: Clone + PartialEq> ApplicationManager<K> {
     /// knowledge, its expected metrics are refreshed in place so the
     /// *Analyse* step compares observations against the new
     /// expectations; the monitors keep their history. The next
-    /// [`update`](Self::update) re-plans over the new points.
+    /// [`update`](Self::update) re-plans over the new points. The
+    /// configuration is looked up at the position it was applied from
+    /// first, and searched for only when that position holds another
+    /// configuration.
     pub fn set_knowledge(&mut self, knowledge: Knowledge<K>) {
         if let Some(cur) = &mut self.current {
-            if let Some(refreshed) = knowledge.points().iter().find(|p| p.config == cur.config) {
+            let points = knowledge.points();
+            let pos = self
+                .current_pos
+                .filter(|&i| points.get(i).is_some_and(|p| p.config == cur.config))
+                .or_else(|| points.iter().position(|p| p.config == cur.config));
+            if let Some(refreshed) = pos.and_then(|i| points.get(i)) {
                 *cur = refreshed.clone();
             }
+            self.current_pos = pos;
         }
         self.asrtm.set_knowledge(knowledge);
     }
@@ -131,7 +144,8 @@ impl<K: Clone + PartialEq> ApplicationManager<K> {
     /// configuration. Returns `None` when the knowledge base is empty.
     pub fn update(&mut self) -> Option<K> {
         self.refresh_feedback();
-        let best = self.asrtm.best()?;
+        let pos = self.asrtm.best_position()?;
+        let best = self.asrtm.knowledge().points().get(pos)?;
         let changed = self
             .current
             .as_ref()
@@ -146,6 +160,7 @@ impl<K: Clone + PartialEq> ApplicationManager<K> {
         }
         let config = best.config.clone();
         self.current = Some(best);
+        self.current_pos = Some(pos);
         self.updates += 1;
         Some(config)
     }
@@ -365,6 +380,31 @@ mod tests {
         assert_eq!(m.update(), Some(3));
         m.set_rank(Rank::throughput_per_watt2());
         assert_eq!(m.update(), Some(1));
+    }
+
+    #[test]
+    fn adopted_knowledge_refreshes_the_current_point_at_its_position_or_by_search() {
+        let mut m = manager();
+        assert_eq!(m.update(), Some(3));
+        let hotter: Knowledge<u32> = kb()
+            .points()
+            .iter()
+            .map(|p| {
+                let mut p = p.clone();
+                p.metrics.insert(
+                    Metric::power(),
+                    p.metrics.get(&Metric::power()).unwrap() + 1.0,
+                );
+                p
+            })
+            .collect();
+        m.set_knowledge(hotter);
+        assert_eq!(m.current().unwrap().metric(&Metric::power()), Some(141.0));
+        // The applied position now holds another configuration.
+        let reversed: Knowledge<u32> = kb().points().iter().rev().cloned().collect();
+        m.set_knowledge(reversed);
+        assert_eq!(m.current().unwrap().config, 3);
+        assert_eq!(m.current().unwrap().metric(&Metric::power()), Some(140.0));
     }
 
     #[test]

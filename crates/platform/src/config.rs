@@ -97,10 +97,14 @@ impl CompilerFlag {
 
     /// Index in [`CompilerFlag::ALL`] (used as a bit position).
     pub fn bit(self) -> usize {
-        CompilerFlag::ALL
-            .iter()
-            .position(|f| *f == self)
-            .expect("flag in ALL")
+        match self {
+            CompilerFlag::UnsafeMathOptimizations => 0,
+            CompilerFlag::NoGuessBranchProbability => 1,
+            CompilerFlag::NoIvopts => 2,
+            CompilerFlag::NoTreeLoopOptimize => 3,
+            CompilerFlag::NoInlineFunctions => 4,
+            CompilerFlag::UnrollAllLoops => 5,
+        }
     }
 }
 
@@ -342,6 +346,13 @@ mod tests {
     fn flags_roundtrip_through_strings() {
         for f in CompilerFlag::ALL {
             assert_eq!(f.as_str().parse::<CompilerFlag>().unwrap(), f);
+        }
+    }
+
+    #[test]
+    fn flag_bits_index_all() {
+        for (i, f) in CompilerFlag::ALL.into_iter().enumerate() {
+            assert_eq!(f.bit(), i, "{f}");
         }
     }
 

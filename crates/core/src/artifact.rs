@@ -114,10 +114,10 @@ struct ArtifactKey {
 /// how many artifacts each stage contributed. The equivalence tests
 /// pin the O(n) corpus property with these counters.
 ///
-/// A build counts only when its insert wins. Two threads that miss the
-/// same key concurrently may both run the stage; the one whose insert
-/// loses the race returns the winner's artifact and counts as a hit,
-/// so every lookup is exactly one build or one hit.
+/// A build (or a knowledge load) counts only when its insert wins. Two
+/// threads that miss the same key concurrently may both run the stage;
+/// the one whose insert loses the race returns the winner's artifact
+/// and counts as a hit, so every lookup is exactly one build or one hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
     /// Lookups answered from cache.
@@ -140,10 +140,15 @@ pub struct StoreStats {
     /// Knowledge artifacts loaded from the persistence directory
     /// instead of being re-profiled.
     pub knowledge_loads: u64,
-    /// Kernel lowerings (one per `(app, dataset, config, threads)` — a
-    /// fleet of instances sharing a configuration compiles once).
+    /// Kernel lowerings, one per `(app, dataset, config, threads)`: a
+    /// fleet of instances sharing a configuration compiles once, and
+    /// profiling an app lowers each of its thread counts once. A build
+    /// runs its program only when it differs from the first kernel the
+    /// store ran for that `(app, dataset, config)`; otherwise it shares
+    /// that kernel's code and report.
     pub kernel_builds: u64,
-    /// Compiled-kernel lookups answered from cache.
+    /// Compiled-kernel lookups answered from cache (profiling looks up
+    /// each thread count once, not each profiled configuration).
     pub kernel_hits: u64,
     /// Static kernel analyses (one per `(app, dataset, config,
     /// threads)`, mirroring the compiled-kernel keying).
@@ -207,6 +212,9 @@ pub struct ArtifactStore {
     weaved: Mutex<HashMap<ArtifactKey, Arc<WeavedProgram>>>,
     knowledge: Mutex<HashMap<ArtifactKey, Arc<ProfiledKnowledge>>>,
     kernels: Mutex<HashMap<(ArtifactKey, u32), Arc<CompiledKernel>>>,
+    /// The first kernel each `(app, dataset, config)` ran: later thread
+    /// counts that lower to the same program share its code and report.
+    ran_kernels: Mutex<HashMap<ArtifactKey, Arc<CompiledKernel>>>,
     analyses: Mutex<HashMap<(ArtifactKey, u32), Arc<minivm::AnalysisReport>>>,
     counters: Counters,
 }
@@ -262,8 +270,10 @@ impl ArtifactStore {
         }
     }
 
-    /// Total wall-clock nanoseconds spent lowering kernels (kept out of
-    /// [`StoreStats`] so stats snapshots stay comparable with `==`).
+    /// Total wall-clock nanoseconds spent building kernels: every
+    /// lowering, plus the runs of the programs that had not run (kept
+    /// out of [`StoreStats`] so stats snapshots stay comparable with
+    /// `==`).
     pub fn kernel_compile_ns(&self) -> u64 {
         self.counters.kernel_compile_ns.load(Ordering::Relaxed)
     }
@@ -515,66 +525,52 @@ impl ArtifactStore {
             return Ok(Arc::clone(hit));
         }
         let profile = app.profile(toolchain.dataset);
-        let value = match self.load_persisted(toolchain, app, key.config) {
-            Some(knowledge) => {
-                self.counters
-                    .knowledge_loads
-                    .fetch_add(1, Ordering::Relaxed);
-                ProfiledKnowledge {
-                    app,
-                    knowledge,
-                    profile,
-                }
-            }
+        let (knowledge, counter) = match self.load_persisted(toolchain, app, key.config) {
+            Some(knowledge) => (knowledge, &self.counters.knowledge_loads),
             None => {
                 let predictions = self.flag_predictions(toolchain, app)?;
                 let space = dse::DesignSpace::socrates(
                     predictions.flags.clone(),
                     &toolchain.platform.topology,
                 );
+                // Every profiled configuration must also run
+                // functionally, and only its thread count reaches the
+                // kernel: lowering each thread count of the space, in
+                // order, makes an unbound pragma parameter surface here
+                // as the lowest failing thread count's lowering error,
+                // not deep inside a fleet run. Each distinct program
+                // runs once (see `compiled_kernel`). The sweep itself
+                // is the plain analytic `dse::profile`.
+                for &threads in &space.thread_counts {
+                    self.compiled_kernel(toolchain, app, threads)?;
+                }
                 let machine = toolchain.platform.machine(toolchain.seed ^ fnv(app.name()));
-                // Each profiled configuration also runs functionally:
-                // the kernel is lowered once per distinct thread count
-                // (cached) and
-                // an unbound pragma parameter surfaces here as a
-                // lowering error, not deep inside a fleet run. The
-                // executor only touches the kernel cache, so the
-                // analytic knowledge stays bit-identical to a plain
-                // `dse::profile` sweep.
-                let kernel_err: Mutex<Option<SocratesError>> = Mutex::new(None);
-                let knowledge = dse::profile_with_executor(
+                let knowledge = dse::profile(
                     &machine,
                     &profile,
                     &space.full_factorial(),
                     toolchain.dse_repetitions,
-                    &|cfg: &KnobConfig| {
-                        if let Err(e) = self.compiled_kernel(toolchain, app, cfg.tn) {
-                            kernel_err
-                                .lock()
-                                .expect("kernel error slot poisoned")
-                                .get_or_insert(e);
-                        }
-                    },
                 );
-                if let Some(e) = kernel_err.into_inner().expect("kernel error slot poisoned") {
-                    return Err(e);
-                }
-                self.counters.knowledge.fetch_add(1, Ordering::Relaxed);
                 // Persistence is best-effort, symmetric with loading:
                 // an unwritable cache directory must not discard a
                 // successfully profiled result.
                 self.save_persisted(toolchain, app, key.config, &knowledge)
                     .ok();
-                ProfiledKnowledge {
-                    app,
-                    knowledge,
-                    profile,
-                }
+                (knowledge, &self.counters.knowledge)
             }
         };
-        let value = Arc::new(value);
-        let mut guard = self.knowledge.lock().expect("knowledge map poisoned");
-        Ok(Arc::clone(guard.entry(key).or_insert(value)))
+        let value = ProfiledKnowledge {
+            app,
+            knowledge,
+            profile,
+        };
+        Ok(insert_counted(
+            &self.knowledge,
+            &self.counters.hits,
+            counter,
+            key,
+            value,
+        ))
     }
 
     /// The lowered, config-specialized kernel of `app` for a given
@@ -587,6 +583,10 @@ impl ArtifactStore {
     /// `__socrates_num_threads` pragma parameter as specialization
     /// constants. Built once per `(app, dataset, config, threads)` — a
     /// fleet of N instances sharing a configuration compiles once.
+    /// Every build lowers, but only the first kernel of an `(app,
+    /// dataset, config)` and lowerings that differ from it run: the
+    /// others share its code and report (see
+    /// [`compile_kernel`](crate::engine::compile_kernel)).
     ///
     /// # Errors
     ///
@@ -600,12 +600,12 @@ impl ArtifactStore {
         app: App,
         threads: u32,
     ) -> Result<Arc<CompiledKernel>, SocratesError> {
-        let key = (self.key(toolchain, app), threads);
+        let key = self.key(toolchain, app);
         get_or_build(
             &self.kernels,
             &self.counters.kernel_hits,
             &self.counters.kernel,
-            key,
+            (key, threads),
             || {
                 let weaved = self.weaved(toolchain, app)?;
                 let entry = weaved
@@ -614,13 +614,27 @@ impl ArtifactStore {
                     .first()
                     .cloned()
                     .unwrap_or_else(|| app.kernel_name());
+                let ran = self
+                    .ran_kernels
+                    .lock()
+                    .expect("ran-kernel map poisoned")
+                    .get(&key)
+                    .cloned();
                 let kernel = crate::engine::compile_kernel_for(
                     &weaved.weaved,
                     &entry,
                     app,
                     toolchain.dataset,
                     threads,
+                    ran.as_deref(),
                 )?;
+                if ran.is_none() {
+                    self.ran_kernels
+                        .lock()
+                        .expect("ran-kernel map poisoned")
+                        .entry(key)
+                        .or_insert_with(|| Arc::new(kernel.clone()));
+                }
                 self.counters
                     .kernel_compile_ns
                     .fetch_add(kernel.compile_ns, Ordering::Relaxed);
@@ -893,9 +907,8 @@ impl ArtifactStore {
 /// Returns the cached artifact for `key`, or runs `build`, inserts and
 /// returns it. The lock is *not* held while building (stages recurse
 /// into the store for their inputs); concurrent builders of the same
-/// key produce identical values and the first insert wins. Only the
-/// winning insert counts as a build; a builder that lost the race
-/// returns the winner's artifact and counts as a hit.
+/// key produce identical values and the first insert wins (see
+/// [`insert_counted`]).
 fn get_or_build<K: std::hash::Hash + Eq + Copy, T>(
     map: &Mutex<HashMap<K, Arc<T>>>,
     hits: &AtomicU64,
@@ -907,7 +920,21 @@ fn get_or_build<K: std::hash::Hash + Eq + Copy, T>(
         hits.fetch_add(1, Ordering::Relaxed);
         return Ok(Arc::clone(hit));
     }
-    let value = Arc::new(build()?);
+    let value = build()?;
+    Ok(insert_counted(map, hits, builds, key, value))
+}
+
+/// Inserts a freshly built `value` for `key` and returns the cached
+/// artifact. Only the winning insert counts on `builds`; a build that
+/// lost the race to a concurrent one returns the winner's artifact and
+/// counts as a hit.
+fn insert_counted<K: std::hash::Hash + Eq, T>(
+    map: &Mutex<HashMap<K, Arc<T>>>,
+    hits: &AtomicU64,
+    builds: &AtomicU64,
+    key: K,
+    value: T,
+) -> Arc<T> {
     let mut guard = map.lock().expect("artifact map poisoned");
     let counter = if guard.contains_key(&key) {
         hits
@@ -915,7 +942,7 @@ fn get_or_build<K: std::hash::Hash + Eq + Copy, T>(
         builds
     };
     counter.fetch_add(1, Ordering::Relaxed);
-    Ok(Arc::clone(guard.entry(key).or_insert(value)))
+    Arc::clone(guard.entry(key).or_insert_with(|| Arc::new(value)))
 }
 
 #[cfg(test)]
@@ -952,6 +979,10 @@ mod tests {
         let c = store.compiled_kernel(&tc, App::TwoMm, 8).unwrap();
         assert_ne!(a.spec_fingerprint, c.spec_fingerprint);
         assert_eq!(a.report, c.report, "thread count is config, not data");
+        assert!(
+            Arc::ptr_eq(&a.code, &c.code),
+            "both thread counts lower to one program, which ran once"
+        );
         let stats = store.stats();
         assert_eq!(stats.kernel_builds, 2);
         assert_eq!(stats.kernel_hits, 1);
@@ -1044,12 +1075,74 @@ mod tests {
         let store = ArtifactStore::new();
         let pk = store.profiled_knowledge(&tc, App::Atax).unwrap();
         let stats = store.stats();
-        // The profile sweep visits each tn many times (full factorial
-        // over CO × TN × BP) but lowers one kernel per distinct tn.
-        let distinct: std::collections::HashSet<u32> =
+        // The profile sweep covers each tn many times (full factorial
+        // over CO × TN × BP) but lowers one kernel per distinct tn and
+        // looks none up twice.
+        let distinct: std::collections::BTreeSet<u32> =
             pk.knowledge.points().iter().map(|p| p.config.tn).collect();
         assert_eq!(stats.kernel_builds, distinct.len() as u64);
-        assert!(stats.kernel_hits >= (pk.knowledge.len() - distinct.len()) as u64);
+        assert_eq!(stats.kernel_hits, 0);
+        // Every thread count lowered to one program, which ran once.
+        let kernels: Vec<Arc<CompiledKernel>> = distinct
+            .iter()
+            .map(|&tn| store.compiled_kernel(&tc, App::Atax, tn).unwrap())
+            .collect();
+        for k in &kernels {
+            let spec = k.spec_fingerprint;
+            assert!(Arc::ptr_eq(&k.code, &kernels[0].code), "spec {spec:x}");
+            assert_eq!(k.report, kernels[0].report);
+        }
+        assert_eq!(store.stats().kernel_builds, distinct.len() as u64);
+    }
+
+    #[test]
+    fn racing_profiles_count_one_knowledge_build_and_one_kernel_build_per_thread_count() {
+        // The barrier starts every lookup at once, so several racers
+        // usually miss the map and profile concurrently. The counts
+        // below hold under every interleaving: only the winning insert
+        // counts as the build (or the load), each other racer as a hit.
+        const THREADS: usize = 4;
+        let race = |store: &ArtifactStore| -> Vec<Arc<ProfiledKnowledge>> {
+            let tc = quick_toolchain();
+            let barrier = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            store.profiled_knowledge(&tc, App::Atax).unwrap()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            })
+        };
+        let dir = std::env::temp_dir().join(format!(
+            "socrates-racing-profiles-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let store = ArtifactStore::with_persist_dir(&dir);
+        let built = race(&store);
+        let stats = store.stats();
+        assert_eq!((stats.knowledge_builds, stats.knowledge_loads), (1, 0));
+        let threads = built[0].knowledge.points().iter().map(|p| p.config.tn);
+        let distinct: std::collections::BTreeSet<u32> = threads.collect();
+        assert_eq!(stats.kernel_builds, distinct.len() as u64);
+        assert!(built.iter().all(|k| Arc::ptr_eq(k, &built[0])));
+
+        // A load has no nested lookups, so the three racers that did not
+        // insert are exactly three hits.
+        let cold = ArtifactStore::with_persist_dir(&dir);
+        let loaded = race(&cold);
+        let stats = cold.stats();
+        assert_eq!((stats.knowledge_builds, stats.knowledge_loads), (0, 1));
+        assert_eq!(stats.hits, THREADS as u64 - 1);
+        assert!(loaded.iter().all(|k| Arc::ptr_eq(k, &loaded[0])));
+        assert_eq!(loaded[0].knowledge, built[0].knowledge);
+
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -18,11 +18,16 @@
 //!
 //! [`compile_kernel`] is the single entry point: it lowers one weaved
 //! clone under one [`SpecConfig`](minivm::SpecConfig) and returns a
-//! [`CompiledKernel`] artifact carrying the report, the lowering cost
-//! and the reusable compiled code. The
-//! [`ArtifactStore`](crate::ArtifactStore) caches these per
-//! `(app, dataset, config fingerprint)` so a fleet of N instances
-//! sharing a configuration compiles once.
+//! [`CompiledKernel`] artifact carrying the report, the build cost and
+//! the reusable compiled code. Every specialization is lowered, since
+//! lowering is what rejects an unbound pragma parameter, but a program
+//! runs only once: given a kernel that already ran, a lowering that is
+//! [`same_program`](minivm::CompiledKernel::same_program) shares its
+//! code and report instead of running again. The thread count only
+//! reaches pragmas, so every thread count of an app lowers to one
+//! program and runs once. The [`ArtifactStore`](crate::ArtifactStore)
+//! caches these per `(app, dataset, config fingerprint, threads)` so a
+//! fleet of N instances sharing a configuration compiles once.
 
 use crate::error::SocratesError;
 use minic::TranslationUnit;
@@ -77,12 +82,16 @@ pub struct CompiledKernel {
     /// Fingerprint of the [`SpecConfig`](minivm::SpecConfig) the kernel
     /// was specialized against (cache key component).
     pub spec_fingerprint: u64,
-    /// The execution result, computed once at build time; bit-identical
-    /// to [`minivm::interpret`] under the same spec.
+    /// The execution result, computed at build time by running the
+    /// program only when this program had not run; otherwise it is the
+    /// report of the kernel that ran it. Bit-identical to
+    /// [`minivm::interpret`] under the same spec either way.
     pub report: ExecutionReport,
-    /// Wall-clock cost of lowering + the build-time reference run.
+    /// Wall-clock cost of lowering, plus the run only when this program
+    /// had not run.
     pub compile_ns: u64,
-    /// The reusable compiled code.
+    /// The reusable compiled code, shared with every kernel of the same
+    /// program that reused this one's run.
     pub code: Arc<minivm::CompiledKernel>,
 }
 
@@ -239,29 +248,42 @@ pub fn analysis_prune(
 }
 
 /// Lowers one weaved clone of `app` under `spec` to bytecode and
-/// executes it once.
+/// executes it once, unless `ran` already ran the same program.
 ///
 /// Every pragma parameter the kernel references must be bound in
 /// `spec`; an unbound parameter is rejected here, at lowering time,
 /// with a [`StageId::Lower`](crate::StageId::Lower)-tagged
 /// [`SocratesError`] — never as a late lookup failure in the middle of
 /// a profiling sweep.
+///
+/// `ran` is a kernel the caller already built and ran, typically the
+/// same app under another thread count. When the new lowering is
+/// [`same_program`](minivm::CompiledKernel::same_program) as `ran`'s
+/// code, the result shares that code and report and skips the run;
+/// otherwise the program runs, so a kernel that traps still fails here.
 pub fn compile_kernel(
     tu: &TranslationUnit,
     entry: &str,
     app: App,
     spec: &SpecConfig,
+    ran: Option<&CompiledKernel>,
 ) -> Result<CompiledKernel, SocratesError> {
     let start = Instant::now();
-    let code = minivm::compile(tu, entry, spec).map_err(|e| lower_error(app, e))?;
-    let report = code.run().map_err(|e| lower_error(app, e))?;
+    let lowered = minivm::compile(tu, entry, spec).map_err(|e| lower_error(app, e))?;
+    let (code, report) = match ran {
+        Some(ran) if ran.code.same_program(&lowered) => (Arc::clone(&ran.code), ran.report),
+        _ => {
+            let report = lowered.run().map_err(|e| lower_error(app, e))?;
+            (Arc::new(lowered), report)
+        }
+    };
     Ok(CompiledKernel {
         app,
         entry: entry.to_string(),
         spec_fingerprint: spec.fingerprint(),
         report,
         compile_ns: start.elapsed().as_nanos() as u64,
-        code: Arc::new(code),
+        code,
     })
 }
 
@@ -273,8 +295,9 @@ pub fn compile_kernel_for(
     app: App,
     ds: Dataset,
     threads: u32,
+    ran: Option<&CompiledKernel>,
 ) -> Result<CompiledKernel, SocratesError> {
-    compile_kernel(tu, entry, app, &functional_spec(app, ds, threads))
+    compile_kernel(tu, entry, app, &functional_spec(app, ds, threads), ran)
 }
 
 #[cfg(test)]
@@ -304,7 +327,7 @@ mod tests {
     fn both_engines_agree_on_a_weaved_clone() {
         let app = App::TwoMm;
         let (tu, entry) = weaved_clone(app);
-        let kernel = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 4).unwrap();
+        let kernel = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 4, None).unwrap();
         let reference =
             minivm::interpret(&tu, &entry, &functional_spec(app, Dataset::Mini, 4)).unwrap();
         assert_eq!(kernel.report, reference);
@@ -317,8 +340,8 @@ mod tests {
     fn thread_count_is_configuration_not_data() {
         let app = App::Atax;
         let (tu, entry) = weaved_clone(app);
-        let a = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 1).unwrap();
-        let b = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 16).unwrap();
+        let a = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 1, None).unwrap();
+        let b = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 16, None).unwrap();
         assert_eq!(a.report, b.report);
         // …but the specialized artifacts are distinct cache entries.
         assert_ne!(a.spec_fingerprint, b.spec_fingerprint);
@@ -339,11 +362,15 @@ mod tests {
                 KernelArg::Double(v) => spec.arg(v),
             };
         }
-        let err = compile_kernel(&tu, &entry, app, &spec).unwrap_err();
+        let err = compile_kernel(&tu, &entry, app, &spec, None).unwrap_err();
         assert_eq!(err.stage(), StageId::Lower);
         let text = err.to_string();
         assert!(text.starts_with("[lower] syrk:"), "got: {text}");
         assert!(text.contains(lara::THREADS_VAR), "got: {text}");
+        // A kernel that already ran does not skip the lowering.
+        let ran = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 1, None).unwrap();
+        let again = compile_kernel(&tu, &entry, app, &spec, Some(&ran)).unwrap_err();
+        assert_eq!(again.to_string(), text);
     }
 
     #[test]

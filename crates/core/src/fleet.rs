@@ -542,6 +542,9 @@ struct Pool {
     /// round. Mutated only from barrier/sequential code, so the whole
     /// fleet of N instances compiles each specialization once.
     kernels: HashMap<u32, Option<Arc<CompiledKernel>>>,
+    /// The pool's first kernel that ran: a later thread count that
+    /// lowers to the same program shares its code and report.
+    ran_kernel: Option<Arc<CompiledKernel>>,
     kernel_builds: u64,
     kernel_cache_hits: u64,
     /// Configurations the static analyzer removed from this pool's
@@ -554,6 +557,8 @@ struct Pool {
 impl Pool {
     /// Compiles (or reuses) the config-specialized kernel for one
     /// thread count. Called only at pool creation and at the barrier.
+    /// A new thread count is lowered and compared with the pool's first
+    /// kernel that ran; only a different program runs.
     fn ensure_kernel(&mut self, threads: u32) {
         use std::collections::hash_map::Entry;
         match self.kernels.entry(threads) {
@@ -566,9 +571,13 @@ impl Pool {
                     self.app,
                     self.dataset,
                     threads,
+                    self.ran_kernel.as_deref(),
                 )
                 .ok()
                 .map(Arc::new);
+                if self.ran_kernel.is_none() {
+                    self.ran_kernel.clone_from(&compiled);
+                }
                 slot.insert(compiled);
             }
         }
@@ -777,7 +786,9 @@ impl Fleet {
     /// specialized for `threads`, or `None` if that specialization was
     /// never built (or its lowering failed). Reports are bit-identical
     /// to [`minivm::interpret`] and across thread counts — the thread
-    /// knob is configuration, not data.
+    /// knob is configuration, not data. Each thread count is lowered,
+    /// but its program runs only if it differs from the pool's first
+    /// kernel that ran; otherwise the report is that kernel's.
     pub fn kernel_report(&self, app: App, threads: u32) -> Option<ExecutionReport> {
         self.pools
             .iter()
@@ -1102,6 +1113,7 @@ impl Fleet {
             entry,
             dataset: enhanced.dataset,
             kernels: HashMap::new(),
+            ran_kernel: None,
             kernel_builds: 0,
             kernel_cache_hits: 0,
             pruned_infeasible,
@@ -2073,10 +2085,22 @@ mod tests {
         // Reports are exposed per specialization and identical across
         // thread counts — the thread knob is configuration, not data.
         let reference = fleet.kernel_report(App::TwoMm, 1).expect("warm kernel");
-        for tn in distinct_tns {
+        for &tn in &distinct_tns {
             assert_eq!(fleet.kernel_report(App::TwoMm, tn), Some(reference));
         }
         assert_eq!(fleet.kernel_report(App::Mvt, 1), None);
+        // Every thread count lowered to the program the pool ran at
+        // creation, so the pool holds that one program.
+        let pool = &fleet.pools[0];
+        let ran = pool.kernels[&1].as_ref().expect("warm kernel");
+        assert!(
+            distinct_tns.len() > 1,
+            "the sweep reached other thread counts"
+        );
+        for tn in distinct_tns {
+            let kernel = pool.kernels[&tn].as_ref().expect("kernel built");
+            assert!(Arc::ptr_eq(&kernel.code, &ran.code), "tn {tn}");
+        }
     }
 
     #[test]

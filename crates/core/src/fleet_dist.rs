@@ -268,6 +268,7 @@ impl DistributedFleet {
             enhanced.app,
             enhanced.dataset,
             1,
+            None,
         )?);
         let broker = match dist.topology {
             DistTopology::BrokerStar => Some(Broker {

@@ -15,6 +15,11 @@
 //! implementation [`profile_serial`] for any seed, repetition count
 //! and thread count.
 //!
+//! Profiling here is purely analytic: it measures the platform model
+//! and never runs a kernel. The toolchain that calls it lowers the
+//! functional kernel once per thread count of the space and runs each
+//! distinct lowered program once, outside the sweep.
+//!
 //! ## Example
 //!
 //! ```
@@ -141,40 +146,10 @@ pub fn profile(
     configs: &[KnobConfig],
     repetitions: u32,
 ) -> Knowledge<KnobConfig> {
-    profile_with_executor(machine, workload, configs, repetitions, &|_| {})
-}
-
-/// [`profile`] with a functional **executor** hook: `executor` is
-/// invoked once per configuration (concurrently, from rayon workers)
-/// before the analytic repetitions run. SOCRATES uses it to actually
-/// *execute* each profiled configuration's kernel on the selected
-/// execution engine — warming the compiled-kernel cache and surfacing
-/// lowering errors during the sweep — while this crate stays agnostic
-/// of the engine (the hook is an opaque closure).
-///
-/// The executor must not influence the analytic measurement (it
-/// receives the configuration, not the machine); with any executor the
-/// returned knowledge is bit-identical to [`profile`]'s, which is
-/// exactly what lets the engine switch default to the compiled path
-/// without perturbing profiled results.
-///
-/// # Panics
-///
-/// Panics if `repetitions` is zero.
-pub fn profile_with_executor(
-    machine: &Machine,
-    workload: &WorkloadProfile,
-    configs: &[KnobConfig],
-    repetitions: u32,
-    executor: &(dyn Fn(&KnobConfig) + Sync),
-) -> Knowledge<KnobConfig> {
     assert!(repetitions > 0, "need at least one repetition");
     (0..configs.len())
         .into_par_iter()
-        .map(|i| {
-            executor(&configs[i]);
-            profile_point(machine, workload, &configs[i], i as u64, repetitions)
-        })
+        .map(|i| profile_point(machine, workload, &configs[i], i as u64, repetitions))
         .collect::<Vec<_>>()
         .into_iter()
         .collect()
@@ -194,32 +169,11 @@ pub fn profile_serial(
     configs: &[KnobConfig],
     repetitions: u32,
 ) -> Knowledge<KnobConfig> {
-    profile_with_executor_serial(machine, workload, configs, repetitions, &|_| {})
-}
-
-/// The sequential reference implementation of
-/// [`profile_with_executor`]: identical output, configurations visited
-/// in order on the calling thread (so executor invocations are
-/// sequential too).
-///
-/// # Panics
-///
-/// Panics if `repetitions` is zero.
-pub fn profile_with_executor_serial(
-    machine: &Machine,
-    workload: &WorkloadProfile,
-    configs: &[KnobConfig],
-    repetitions: u32,
-    executor: &(dyn Fn(&KnobConfig) + Sync),
-) -> Knowledge<KnobConfig> {
     assert!(repetitions > 0, "need at least one repetition");
     configs
         .iter()
         .enumerate()
-        .map(|(i, cfg)| {
-            executor(cfg);
-            profile_point(machine, workload, cfg, i as u64, repetitions)
-        })
+        .map(|(i, cfg)| profile_point(machine, workload, cfg, i as u64, repetitions))
         .collect()
 }
 
@@ -641,26 +595,6 @@ mod tests {
                 assert!(!dominates, "{:?} dominated by {:?}", a.config, b.config);
             }
         }
-    }
-
-    #[test]
-    fn executor_hook_never_perturbs_the_knowledge() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let m = Machine::xeon_e5_2630_v3(11);
-        let configs = space().random_sample(24, 2);
-        let plain = profile(&m, &kernel(), &configs, 2);
-        let ran = AtomicUsize::new(0);
-        let hooked = profile_with_executor(&m, &kernel(), &configs, 2, &|_| {
-            ran.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(plain, hooked, "executor must be measurement-invisible");
-        assert_eq!(ran.load(Ordering::Relaxed), configs.len());
-        let ran_serial = AtomicUsize::new(0);
-        let serial = profile_with_executor_serial(&m, &kernel(), &configs, 2, &|_| {
-            ran_serial.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(plain, serial);
-        assert_eq!(ran_serial.load(Ordering::Relaxed), configs.len());
     }
 
     #[test]

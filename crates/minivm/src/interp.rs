@@ -108,9 +108,13 @@ impl<'a> Interp<'a> {
                 val: a.coerce(ty),
             });
         }
+        let Some(body) = f.body.as_ref() else {
+            return Err(EngineError::Unsupported {
+                what: format!("`{name}` has no body"),
+            });
+        };
         let saved = std::mem::take(&mut self.scopes);
         self.scopes.push(frame);
-        let body = f.body.as_ref().expect("definitions have bodies");
         let flow = self.exec_stmts(&body.stmts);
         self.scopes = saved;
         let ret = match flow? {
@@ -277,14 +281,16 @@ impl<'a> Interp<'a> {
                 })
             }
         };
-        self.scopes
-            .last_mut()
-            .expect("a scope is always active")
-            .push(Slot {
-                name: d.name.clone(),
-                ty,
-                val,
-            });
+        #[expect(
+            clippy::expect_used,
+            reason = "statements run only inside `call`, which pushes the parameter frame first"
+        )]
+        let scope = self.scopes.last_mut().expect("a scope is always active");
+        scope.push(Slot {
+            name: d.name.clone(),
+            ty,
+            val,
+        });
         Ok(())
     }
 

@@ -23,11 +23,28 @@ pub(crate) enum ElemTy {
 }
 
 /// A runtime scalar value.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// Equality is exact: floats compare by their bits, so `0.0 != -0.0`
+/// and a NaN equals itself. A value baked into a program (a scalar
+/// initializer, an entry argument) is part of what the program is, and
+/// the checksum hashes bits too.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Value {
     I(i64),
     F(f64),
 }
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        match (*self, *other) {
+            (Value::I(a), Value::I(b)) => a == b,
+            (Value::F(a), Value::F(b)) => a.to_bits() == b.to_bits(),
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Value {}
 
 impl Value {
     pub(crate) fn zero(ty: ElemTy) -> Value {
@@ -79,7 +96,7 @@ impl From<SpecValue> for Value {
 }
 
 /// One resolved file-scope declaration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct GlobalDef {
     pub(crate) elem: ElemTy,
     /// Base offset into the heap of `elem`'s type.
@@ -101,7 +118,7 @@ impl GlobalDef {
 }
 
 /// The resolved global memory map of a translation unit under a spec.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Layout {
     pub(crate) globals: Vec<GlobalDef>,
     pub(crate) by_name: HashMap<String, usize>,

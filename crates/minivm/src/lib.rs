@@ -38,6 +38,7 @@
 //! bookkeeping the compiler is allowed to fold away.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod analysis;
 mod interp;

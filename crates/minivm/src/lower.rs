@@ -163,7 +163,7 @@ pub(crate) enum IStmt {
 }
 
 /// An array referenced by the IR: element type plus heap extent.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ArrRef {
     pub(crate) base: u32,
     pub(crate) len: u32,
@@ -499,10 +499,12 @@ impl<'a> Lowerer<'a> {
         // outer `x` — same as the interpreter, which evaluates the
         // initializer before pushing the slot.
         out.push(IStmt::SetLocal(slot, ty, value));
-        self.scopes
-            .last_mut()
-            .expect("a scope is always active")
-            .push((d.name.clone(), slot, ty));
+        #[expect(
+            clippy::expect_used,
+            reason = "lowering starts in the parameter scope and pops only the scopes it pushes"
+        )]
+        let scope = self.scopes.last_mut().expect("a scope is always active");
+        scope.push((d.name.clone(), slot, ty));
         Ok(())
     }
 
@@ -678,7 +680,10 @@ impl<'a> Lowerer<'a> {
                 Some(acc) => fold_bini(IAlu::Add, acc, term),
             });
         }
-        Ok((arr, elem, flat.expect("arrays have at least one dimension")))
+        let flat = flat.ok_or_else(|| EngineError::Unsupported {
+            what: format!("`{name}` used without a subscript"),
+        })?;
+        Ok((arr, elem, flat))
     }
 
     /// Lowers a branch/loop condition: float conditions get an uncounted

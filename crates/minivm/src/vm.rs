@@ -16,12 +16,15 @@ use crate::{EngineError, ExecutionReport, RetValue};
 /// One bytecode instruction. Register operands are `u16` indices into
 /// the current frame's typed register files; `u32` operands are heap
 /// base offsets (globals) or jump targets.
-#[derive(Debug, Clone, Copy)]
+///
+/// Every operand is an integer, so equality is exact: a float
+/// immediate is kept as its IEEE bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Op {
     /// `ri[d] = imm`
     LdcI(u16, i64),
-    /// `rf[d] = imm`
-    LdcF(u16, f64),
+    /// `rf[d] = f64::from_bits(imm)`
+    LdcF(u16, u64),
     MovI(u16, u16),
     MovF(u16, u16),
     /// `rf[d] = ri[s] as f64` (uncounted cast)
@@ -67,7 +70,7 @@ pub(crate) enum Op {
 }
 
 /// One compiled function: ops plus register-file extents.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CodeFn {
     pub(crate) ops: Vec<Op>,
     pub(crate) params: Vec<(u16, ElemTy)>,
@@ -80,7 +83,10 @@ pub(crate) struct CodeFn {
 ///
 /// Everything configuration-dependent was resolved at lowering time, so
 /// running the same `CompiledKernel` twice is deterministic and
-/// bit-identical to interpreting the source under the same spec.
+/// bit-identical to interpreting the source under the same spec. A run
+/// reads nothing but these fields, so two kernels that are
+/// [`same_program`](CompiledKernel::same_program) run to equal results,
+/// errors included, whatever specs they were lowered from.
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
     pub(crate) layout: Layout,
@@ -220,6 +226,22 @@ impl CompiledKernel {
         })
     }
 
+    /// Whether `other` is exactly this program: the same layout
+    /// (globals, name map, heap sizes), array table, `init_array` and
+    /// entry code, and entry arguments. Every baked `f64` (code
+    /// immediates, scalar initializers, entry arguments) is compared by
+    /// its bits, so `0.0` and `-0.0` are different programs, as their
+    /// checksums are. When this holds, [`run`](CompiledKernel::run)
+    /// returns the same result for both, so a caller that ran one may
+    /// reuse its report for the other.
+    pub fn same_program(&self, other: &CompiledKernel) -> bool {
+        self.layout == other.layout
+            && self.arrays == other.arrays
+            && self.init == other.init
+            && self.entry == other.entry
+            && self.entry_args == other.entry_args
+    }
+
     /// Total instruction count across all compiled functions (an
     /// observability hook for tests and benches).
     pub fn op_count(&self) -> usize {
@@ -241,7 +263,7 @@ impl CompiledKernel {
         loop {
             match ops[pc] {
                 Op::LdcI(d, v) => ri[d as usize] = v,
-                Op::LdcF(d, v) => rf[d as usize] = v,
+                Op::LdcF(d, bits) => rf[d as usize] = f64::from_bits(bits),
                 Op::MovI(d, s) => ri[d as usize] = ri[s as usize],
                 Op::MovF(d, s) => rf[d as usize] = rf[s as usize],
                 Op::CvtIF(d, s) => rf[d as usize] = ri[s as usize] as f64,
@@ -500,6 +522,32 @@ impl Gen {
         }
     }
 
+    /// Emits a loop body under a fresh break/continue context and
+    /// returns the context's unpatched jumps.
+    fn loop_body(&mut self, body: &[IStmt]) -> Result<LoopCtx, EngineError> {
+        self.loops.push(LoopCtx {
+            breaks: Vec::new(),
+            continues: Vec::new(),
+        });
+        self.stmts(body)?;
+        #[expect(
+            clippy::expect_used,
+            reason = "the body pops every context it pushes, so the top is the one pushed above"
+        )]
+        let ctx = self.loops.pop().expect("loop context pushed above");
+        Ok(ctx)
+    }
+
+    /// Points a loop's `break`s at `end` and its `continue`s at `next`.
+    fn patch_loop(&mut self, ctx: LoopCtx, end: u32, next: u32) {
+        for at in ctx.breaks {
+            self.patch(at, end);
+        }
+        for at in ctx.continues {
+            self.patch(at, next);
+        }
+    }
+
     fn stmts(&mut self, stmts: &[IStmt]) -> Result<(), EngineError> {
         for s in stmts {
             self.reset_temps();
@@ -569,42 +617,22 @@ impl Gen {
                 let rc = self.expr(cond)?;
                 let jz = self.ops.len();
                 self.ops.push(Op::Jz(rc, 0));
-                self.loops.push(LoopCtx {
-                    breaks: Vec::new(),
-                    continues: Vec::new(),
-                });
-                self.stmts(body)?;
+                let ctx = self.loop_body(body)?;
                 self.ops.push(Op::Jmp(start));
                 let end = self.here();
                 self.patch(jz, end);
-                let ctx = self.loops.pop().expect("loop context pushed above");
-                for at in ctx.breaks {
-                    self.patch(at, end);
-                }
-                for at in ctx.continues {
-                    self.patch(at, start);
-                }
+                self.patch_loop(ctx, end, start);
                 Ok(())
             }
             IStmt::DoWhile { body, cond } => {
                 let start = self.here();
-                self.loops.push(LoopCtx {
-                    breaks: Vec::new(),
-                    continues: Vec::new(),
-                });
-                self.stmts(body)?;
+                let ctx = self.loop_body(body)?;
                 let cond_at = self.here();
                 self.reset_temps();
                 let rc = self.expr(cond)?;
                 self.ops.push(Op::Jnz(rc, start));
                 let end = self.here();
-                let ctx = self.loops.pop().expect("loop context pushed above");
-                for at in ctx.breaks {
-                    self.patch(at, end);
-                }
-                for at in ctx.continues {
-                    self.patch(at, cond_at);
-                }
+                self.patch_loop(ctx, end, cond_at);
                 Ok(())
             }
             IStmt::For {
@@ -625,11 +653,7 @@ impl Gen {
                     }
                     None => None,
                 };
-                self.loops.push(LoopCtx {
-                    breaks: Vec::new(),
-                    continues: Vec::new(),
-                });
-                self.stmts(body)?;
+                let ctx = self.loop_body(body)?;
                 let step_at = self.here();
                 self.stmts(step)?;
                 self.ops.push(Op::Jmp(start));
@@ -637,13 +661,7 @@ impl Gen {
                 if let Some(jz) = jz {
                     self.patch(jz, end);
                 }
-                let ctx = self.loops.pop().expect("loop context pushed above");
-                for at in ctx.breaks {
-                    self.patch(at, end);
-                }
-                for at in ctx.continues {
-                    self.patch(at, step_at);
-                }
+                self.patch_loop(ctx, end, step_at);
                 Ok(())
             }
             IStmt::Return(e) => {
@@ -709,7 +727,7 @@ impl Gen {
             }
             Some(ElemTy::F) => {
                 let t = self.temp(ElemTy::F)?;
-                self.ops.push(Op::LdcF(t, 0.0));
+                self.ops.push(Op::LdcF(t, 0.0f64.to_bits()));
                 self.ops.push(Op::RetF(t));
             }
         }
@@ -727,7 +745,7 @@ impl Gen {
             }
             IExpr::ConstF(v) => {
                 let t = self.temp(ElemTy::F)?;
-                self.ops.push(Op::LdcF(t, *v));
+                self.ops.push(Op::LdcF(t, v.to_bits()));
                 Ok(t)
             }
             // Symbolic constants exist only for the cost model; the

@@ -13,6 +13,11 @@
 //! 3. error parity: invalid configurations (unbound pragma parameters)
 //!    fail identically on both engines, before any execution.
 //!
+//! It also pins the reuse the toolchain builds on: two lowerings that
+//! are [`same_program`](minivm::CompiledKernel::same_program) run to
+//! equal results, errors included, so a kernel may share the report of
+//! one that already ran, and reuse never hides a trap.
+//!
 //! CI runs this suite at `RAYON_NUM_THREADS=1/2/8`; the engines are
 //! single-threaded by construction, so thread-count invariance is part
 //! of the contract.
@@ -21,6 +26,8 @@ use minic::genprog;
 use minivm::{compile, interpret, EngineError, SpecConfig, VmState};
 use polybench::{App, Dataset, KernelArg};
 use proptest::prelude::*;
+use socrates::{compile_kernel, StageId};
+use std::sync::Arc;
 
 /// Builds the execution spec for a generated program: bind every
 /// referenced parameter (cycling through the arbitrary values) — plus
@@ -68,6 +75,69 @@ proptest! {
         let first = kernel.run_with(&mut vm).expect("runs");
         let second = kernel.run_with(&mut vm).expect("runs");
         prop_assert_eq!(first, second);
+    }
+
+    /// Sharing a run is exact. Whenever the lowerings of a generated
+    /// program under two bindings (equal about half the time) are the
+    /// same program, both run to the same result; two lowerings of one
+    /// binding always are; and a kernel built with the first one as the
+    /// kernel that ran reports what a fresh run of its own program does.
+    #[test]
+    fn same_programs_run_to_the_same_result(
+        seed in 0u64..1_000_000,
+        first in prop::collection::vec(-4i64..4, 1..4),
+        second in prop::collection::vec(-4i64..4, 1..4),
+        equal in any::<bool>(),
+    ) {
+        let prog = genprog::generate(seed);
+        let tu = minic::parse(&prog.source).expect("generated programs parse");
+        let spec_a = spec_for(&prog.params, &first);
+        let spec_b = spec_for(&prog.params, if equal { &first } else { &second });
+        let a = compile(&tu, &prog.entry, &spec_a).expect("compiles");
+        let b = compile(&tu, &prog.entry, &spec_b).expect("compiles");
+        let again = compile(&tu, &prog.entry, &spec_a).expect("compiles");
+        prop_assert!(a.same_program(&again), "seed {}: one spec, two programs", seed);
+        let same = a.same_program(&b);
+        prop_assert!(same || !equal, "seed {}: equal bindings, two programs", seed);
+        if same {
+            prop_assert_eq!(a.run(), b.run(), "seed {} shared a wrong report", seed);
+        }
+        let ran = compile_kernel(&tu, &prog.entry, App::TwoMm, &spec_a, None).expect("runs");
+        let built = compile_kernel(&tu, &prog.entry, App::TwoMm, &spec_b, Some(&ran)).expect("runs");
+        prop_assert_eq!(built.report, b.run().expect("runs"));
+        prop_assert_eq!(Arc::ptr_eq(&built.code, &ran.code), same);
+    }
+
+    /// Reuse never hides a trap: an adversarial program that traps when
+    /// run on its own still fails at build time, with the same error,
+    /// when the kernel that ran is another program.
+    #[test]
+    fn trapping_programs_still_fail_beside_a_kernel_that_ran(
+        seed in 0u64..1_000_000,
+        value in -8i64..8,
+    ) {
+        let clean = genprog::generate(seed);
+        let clean_tu = minic::parse(&clean.source).expect("generated programs parse");
+        let clean_spec = spec_for(&clean.params, &[value]);
+        let ran = compile_kernel(&clean_tu, &clean.entry, App::TwoMm, &clean_spec, None)
+            .expect("clean programs run");
+        let prog = genprog::generate_adversarial(seed);
+        let tu = minic::parse(&prog.source).expect("adversarial programs parse");
+        let spec = spec_for(&prog.params, &[value]);
+        let alone = compile(&tu, &prog.entry, &spec).expect("compiles").run();
+        let built = compile_kernel(&tu, &prog.entry, App::TwoMm, &spec, Some(&ran));
+        match alone {
+            Err(trap) => {
+                let err = built.expect_err("a trapping program must fail its build");
+                prop_assert_eq!(err.stage(), StageId::Lower);
+                prop_assert!(err.to_string().ends_with(&trap.to_string()), "{}", err);
+            }
+            Ok(report) => {
+                let built = built.expect("a clean run builds");
+                prop_assert_eq!(built.report, report);
+                prop_assert!(!Arc::ptr_eq(&built.code, &ran.code));
+            }
+        }
     }
 
     /// The weaved path: a LARA-multiversioned Polybench clone (with the
@@ -149,4 +219,54 @@ fn unbound_pragma_parameter_errors_identically() {
         ),
         "expected an unbound-pragma error, got: {a}"
     );
+}
+
+/// A spec constant the code reads, not only a pragma, makes each
+/// binding its own program: the second binding runs instead of sharing
+/// the first one's report.
+#[test]
+fn a_constant_read_in_code_runs_once_per_binding() {
+    let src = r#"
+long out;
+void kernel() {
+#pragma omp parallel for num_threads(__socrates_num_threads)
+  for (int i = 0; i < 4; i++) out = out + __socrates_num_threads;
+}
+"#;
+    let tu = minic::parse(src).unwrap();
+    let spec = |threads: i64| SpecConfig::new().bind(lara::THREADS_VAR, threads);
+    let one = compile_kernel(&tu, "kernel", App::TwoMm, &spec(1), None).unwrap();
+    let two = compile_kernel(&tu, "kernel", App::TwoMm, &spec(2), Some(&one)).unwrap();
+    assert!(!one.code.same_program(&two.code));
+    assert!(!Arc::ptr_eq(&one.code, &two.code), "the second binding ran");
+    assert_ne!(one.report.checksum, two.report.checksum);
+    assert_eq!(two.report, interpret(&tu, "kernel", &spec(2)).unwrap());
+}
+
+/// Program equality compares baked floats by their bits: `0.0` and
+/// `-0.0`, as an entry argument or as a constant in code, are different
+/// programs, and storing them gives different checksums.
+#[test]
+fn signed_zeros_are_different_programs() {
+    let by_arg = minic::parse("double out;\nvoid kernel(double x) { out = x; }").unwrap();
+    let by_const = minic::parse("double out;\nvoid kernel() { out = Z; }").unwrap();
+    let cases = [
+        (
+            &by_arg,
+            SpecConfig::new().arg(0.0),
+            SpecConfig::new().arg(-0.0),
+        ),
+        (
+            &by_const,
+            SpecConfig::new().bind("Z", 0.0),
+            SpecConfig::new().bind("Z", -0.0),
+        ),
+    ];
+    for (tu, pos, neg) in cases {
+        let ran = compile_kernel(tu, "kernel", App::TwoMm, &pos, None).unwrap();
+        let built = compile_kernel(tu, "kernel", App::TwoMm, &neg, Some(&ran)).unwrap();
+        assert!(!ran.code.same_program(&built.code));
+        assert_ne!(ran.report.checksum, built.report.checksum);
+        assert_eq!(built.report, interpret(tu, "kernel", &neg).unwrap());
+    }
 }

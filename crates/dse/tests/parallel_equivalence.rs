@@ -4,8 +4,8 @@
 //! fixed machine seed and repetition count.
 
 use dse::{explore, profile, profile_serial, DesignSpace};
-use margot::Metric;
-use platform_sim::{paper_cf_combos, Machine, Topology, WorkloadProfile};
+use margot::{Knowledge, Metric};
+use platform_sim::{paper_cf_combos, KnobConfig, Machine, Topology, WorkloadProfile};
 
 /// Forces the rayon shim onto several worker threads so these tests
 /// exercise real cross-thread scheduling even on single-core CI boxes.
@@ -27,6 +27,51 @@ fn kernel() -> WorkloadProfile {
         .bytes(6e8)
         .parallel_fraction(0.995)
         .build()
+}
+
+/// FNV-1a over every metric of every point, by name and `to_bits`, in
+/// point order.
+fn knowledge_hash(k: &Knowledge<KnobConfig>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut write = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for p in k.points() {
+        for (metric, value) in p.metrics.iter() {
+            write(metric.as_str().as_bytes());
+            write(&value.to_bits().to_le_bytes());
+        }
+    }
+    h
+}
+
+/// The sweep's exact output, pinned: 96 sampled configurations at three
+/// `(seed, repetitions)` pairs hash to the recorded values.
+#[test]
+fn profile_matches_pinned_hashes() {
+    let configs = space().random_sample(96, 21);
+    let pinned = [
+        (0u64, 1u32, 0x11fd_eb9a_770b_810fu64),
+        (7, 3, 0x279e_fa0c_82c2_b708),
+        (12345, 5, 0x752f_bfe2_8366_fbe4),
+    ];
+    for (seed, repetitions, want) in pinned {
+        let k = profile(
+            &Machine::xeon_e5_2630_v3(seed),
+            &kernel(),
+            &configs,
+            repetitions,
+        );
+        assert_eq!(k.len(), configs.len());
+        let got = knowledge_hash(&k);
+        assert_eq!(
+            got, want,
+            "seed {seed}, reps {repetitions}: hash {got:#018x}"
+        );
+    }
 }
 
 #[test]

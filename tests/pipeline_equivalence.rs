@@ -18,6 +18,44 @@
 use polybench::{App, Dataset};
 use socrates::{ArtifactStore, Toolchain};
 
+/// FNV-1a over every metric of every point, by name and `to_bits`, in
+/// point order, across the apps in batch order.
+fn knowledge_hash(batch: &[socrates::EnhancedApp]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut write = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for e in batch {
+        for p in e.knowledge.points() {
+            for (metric, value) in p.metrics.iter() {
+                write(metric.as_str().as_bytes());
+                write(&value.to_bits().to_le_bytes());
+            }
+        }
+    }
+    h
+}
+
+/// The 12-app batch's design knowledge, pinned: Large dataset, seed 11,
+/// 3 DSE repetitions, every metric of all 6,144 points by its bits.
+#[test]
+fn batch_knowledge_matches_the_pinned_hash() {
+    let toolchain = Toolchain {
+        seed: 11,
+        dataset: Dataset::Large,
+        dse_repetitions: 3,
+        ..Toolchain::default()
+    };
+    let batch = toolchain.enhance_all(&App::ALL).expect("batch enhance");
+    let points: usize = batch.iter().map(|e| e.knowledge.len()).sum();
+    assert_eq!(points, 12 * 512);
+    let got = knowledge_hash(&batch);
+    assert_eq!(got, 0x7956_47c4_0e52_543b, "batch hash {got:#018x}");
+}
+
 fn quick() -> Toolchain {
     Toolchain {
         dataset: Dataset::Small,

@@ -4,7 +4,6 @@
 
 use cobayn::{iterative_compilation, Cobayn, CobaynConfig, TrainingApp};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use margot::Knowledge;
 use milepost::extract_function;
 use platform_sim::{BindingPolicy, KnobConfig, Machine, Topology};
 use polybench::{App, Dataset};
@@ -16,24 +15,16 @@ fn bench_full_factorial_profiling(c: &mut Criterion) {
     let space = dse::DesignSpace::socrates(platform_sim::paper_cf_combos().to_vec(), &topo);
     let configs = space.full_factorial();
     let profile = App::TwoMm.profile(Dataset::Large);
-    // Serial versus parallel sweep of the same 512-point space: the two
-    // paths produce bit-identical knowledge (see the dse crate's
-    // parallel_equivalence tests), so the only difference is wall time.
-    // The 20-repetition variant shows the regime where per-point work
-    // dominates the fork/collect overhead.
-    type ProfileFn =
-        fn(&Machine, &platform_sim::WorkloadProfile, &[KnobConfig], u32) -> Knowledge<KnobConfig>;
-    let paths: [(&str, ProfileFn); 2] =
-        [("serial", dse::profile_serial), ("parallel", dse::profile)];
-    for (label, profile_fn) in paths {
-        for reps in [3u32, 20] {
-            group.bench_function(format!("2mm-512x{reps}-{label}"), |b| {
-                b.iter(|| {
-                    let machine = Machine::xeon_e5_2630_v3(3);
-                    profile_fn(&machine, &profile, &configs, reps).len()
-                });
+    // The 512-point sweep at the toolchain's 3 repetitions and at 20,
+    // where the per-repetition noise draws dominate the one expectation
+    // each point computes.
+    for reps in [3u32, 20] {
+        group.bench_function(format!("2mm-512x{reps}"), |b| {
+            b.iter(|| {
+                let machine = Machine::xeon_e5_2630_v3(3);
+                dse::profile(&machine, &profile, &configs, reps).len()
             });
-        }
+        });
     }
     group.finish();
 }

@@ -20,7 +20,7 @@
 //! key, so concurrent computation of the same key is harmless: the
 //! first insert wins and every caller observes identical data.
 
-use crate::engine::CompiledKernel;
+use crate::engine::{CompiledKernel, KernelFamily};
 use crate::error::SocratesError;
 use crate::snapshot::{
     nearest_neighbour, KnowledgeSnapshot, SnapshotFingerprint, SNAPSHOT_FORMAT_VERSION,
@@ -36,7 +36,7 @@ use polybench::{App, Dataset};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Stage 1 artifact: the parsed original application.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,14 +72,29 @@ pub struct FlagPredictions {
 pub struct WeavedProgram {
     /// Which benchmark this is.
     pub app: App,
-    /// The weaved, adaptive program.
-    pub weaved: TranslationUnit,
+    /// The weaved, adaptive program, shared with the app's
+    /// [`KernelFamily`].
+    pub weaved: Arc<TranslationUnit>,
     /// Table I metrics for this application.
     pub metrics: WeavingMetrics,
     /// Multiversioning artefacts (clone names, wrapper, control vars).
     pub multiversioned: Multiversioned,
     /// Version table: index = `__socrates_version` value.
     pub versions: Vec<(CompilerOptions, BindingPolicy)>,
+}
+
+impl WeavedProgram {
+    /// The weaved clone functional kernels enter through: the first
+    /// version (`kernel_<app>_v0`; all clones share one body and differ
+    /// only in pragma flags, so one functional artifact covers the
+    /// version table), or the original kernel when there is none.
+    fn kernel_entry(&self) -> String {
+        self.multiversioned
+            .version_functions
+            .first()
+            .cloned()
+            .unwrap_or_else(|| self.app.kernel_name())
+    }
 }
 
 /// Stage 5 artifact: the design-time knowledge from the DSE.
@@ -140,12 +155,13 @@ pub struct StoreStats {
     /// Knowledge artifacts loaded from the persistence directory
     /// instead of being re-profiled.
     pub knowledge_loads: u64,
-    /// Kernel lowerings, one per `(app, dataset, config, threads)`: a
-    /// fleet of instances sharing a configuration compiles once, and
-    /// profiling an app lowers each of its thread counts once. A build
-    /// runs its program only when it differs from the first kernel the
-    /// store ran for that `(app, dataset, config)`; otherwise it shares
-    /// that kernel's code and report.
+    /// Kernel builds, one per `(app, dataset, config, threads)`: a fleet
+    /// of instances sharing a configuration builds once, and profiling
+    /// an app builds each of its thread counts once. Every build
+    /// validates its spec; it lowers and runs only when the first kernel
+    /// the app's [`KernelFamily`] ran would not lower the same under it,
+    /// and otherwise shares that kernel's code and report. Each of the
+    /// 12 Polybench apps lowers and runs once across its thread counts.
     pub kernel_builds: u64,
     /// Compiled-kernel lookups answered from cache (profiling looks up
     /// each thread count once, not each profiled configuration).
@@ -212,9 +228,9 @@ pub struct ArtifactStore {
     weaved: Mutex<HashMap<ArtifactKey, Arc<WeavedProgram>>>,
     knowledge: Mutex<HashMap<ArtifactKey, Arc<ProfiledKnowledge>>>,
     kernels: Mutex<HashMap<(ArtifactKey, u32), Arc<CompiledKernel>>>,
-    /// The first kernel each `(app, dataset, config)` ran: later thread
-    /// counts that lower to the same program share its code and report.
-    ran_kernels: Mutex<HashMap<ArtifactKey, Arc<CompiledKernel>>>,
+    /// One kernel family per `(app, dataset, config)`: its thread counts
+    /// share the family's one lowering and run.
+    families: Mutex<HashMap<ArtifactKey, Arc<KernelFamily>>>,
     analyses: Mutex<HashMap<(ArtifactKey, u32), Arc<minivm::AnalysisReport>>>,
     counters: Counters,
 }
@@ -271,7 +287,7 @@ impl ArtifactStore {
     }
 
     /// Total wall-clock nanoseconds spent building kernels: every
-    /// lowering, plus the runs of the programs that had not run (kept
+    /// validation, plus the lowerings and runs the builds made (kept
     /// out of [`StoreStats`] so stats snapshots stay comparable with
     /// `==`).
     pub fn kernel_compile_ns(&self) -> u64 {
@@ -285,7 +301,7 @@ impl ArtifactStore {
     }
 
     fn key(&self, toolchain: &Toolchain, app: App) -> ArtifactKey {
-        let mut memo = self.fingerprint.lock().expect("fingerprint memo poisoned");
+        let mut memo = lock(&self.fingerprint);
         let config = match memo.as_ref() {
             Some((cached, fp)) if cached == toolchain => *fp,
             _ => {
@@ -484,7 +500,7 @@ impl ArtifactStore {
                 let (weaved, metrics) = weaver.finish();
                 Ok(WeavedProgram {
                     app,
-                    weaved,
+                    weaved: Arc::new(weaved),
                     metrics,
                     multiversioned,
                     versions,
@@ -515,12 +531,7 @@ impl ArtifactStore {
         app: App,
     ) -> Result<Arc<ProfiledKnowledge>, SocratesError> {
         let key = self.key(toolchain, app);
-        if let Some(hit) = self
-            .knowledge
-            .lock()
-            .expect("knowledge map poisoned")
-            .get(&key)
-        {
+        if let Some(hit) = lock(&self.knowledge).get(&key) {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(hit));
         }
@@ -535,12 +546,13 @@ impl ArtifactStore {
                 );
                 // Every profiled configuration must also run
                 // functionally, and only its thread count reaches the
-                // kernel: lowering each thread count of the space, in
+                // kernel: building each thread count of the space, in
                 // order, makes an unbound pragma parameter surface here
                 // as the lowest failing thread count's lowering error,
-                // not deep inside a fleet run. Each distinct program
-                // runs once (see `compiled_kernel`). The sweep itself
-                // is the plain analytic `dse::profile`.
+                // not deep inside a fleet run. The app's kernel family
+                // lowers and runs its one program once (see
+                // `compiled_kernel`). The sweep itself is the plain
+                // analytic `dse::profile`.
                 for &threads in &space.thread_counts {
                     self.compiled_kernel(toolchain, app, threads)?;
                 }
@@ -576,17 +588,14 @@ impl ArtifactStore {
     /// The lowered, config-specialized kernel of `app` for a given
     /// thread count.
     ///
-    /// The kernel is the first weaved clone (`kernel_<app>_v0`; all
-    /// clones share one body and differ only in pragma flags, so one
-    /// functional artifact covers the version table), lowered with the
-    /// clamped functional dimensions, the baked entry arguments and the
+    /// The kernel is the first weaved clone, lowered with the clamped
+    /// functional dimensions, the baked entry arguments and the
     /// `__socrates_num_threads` pragma parameter as specialization
     /// constants. Built once per `(app, dataset, config, threads)` — a
-    /// fleet of N instances sharing a configuration compiles once.
-    /// Every build lowers, but only the first kernel of an `(app,
-    /// dataset, config)` and lowerings that differ from it run: the
-    /// others share its code and report (see
-    /// [`compile_kernel`](crate::engine::compile_kernel)).
+    /// fleet of N instances sharing a configuration builds once — by
+    /// the app's [`KernelFamily`]: every build validates its spec, and
+    /// the family lowers and runs its program once for all the thread
+    /// counts it lowers the same under.
     ///
     /// # Errors
     ///
@@ -607,40 +616,38 @@ impl ArtifactStore {
             &self.counters.kernel,
             (key, threads),
             || {
-                let weaved = self.weaved(toolchain, app)?;
-                let entry = weaved
-                    .multiversioned
-                    .version_functions
-                    .first()
-                    .cloned()
-                    .unwrap_or_else(|| app.kernel_name());
-                let ran = self
-                    .ran_kernels
-                    .lock()
-                    .expect("ran-kernel map poisoned")
-                    .get(&key)
-                    .cloned();
-                let kernel = crate::engine::compile_kernel_for(
-                    &weaved.weaved,
-                    &entry,
-                    app,
-                    toolchain.dataset,
-                    threads,
-                    ran.as_deref(),
-                )?;
-                if ran.is_none() {
-                    self.ran_kernels
-                        .lock()
-                        .expect("ran-kernel map poisoned")
-                        .entry(key)
-                        .or_insert_with(|| Arc::new(kernel.clone()));
-                }
+                let kernel = self.kernel_family(toolchain, app, key)?.kernel(threads)?;
                 self.counters
                     .kernel_compile_ns
                     .fetch_add(kernel.compile_ns, Ordering::Relaxed);
                 Ok(kernel)
             },
         )
+    }
+
+    /// The kernel family of `app` under `key`: the weaved program and
+    /// its first clone, created on first use.
+    fn kernel_family(
+        &self,
+        toolchain: &Toolchain,
+        app: App,
+        key: ArtifactKey,
+    ) -> Result<Arc<KernelFamily>, SocratesError> {
+        if let Some(family) = lock(&self.families).get(&key) {
+            return Ok(Arc::clone(family));
+        }
+        let weaved = self.weaved(toolchain, app)?;
+        let family = KernelFamily::new(
+            Arc::clone(&weaved.weaved),
+            weaved.kernel_entry(),
+            app,
+            toolchain.dataset,
+        );
+        Ok(Arc::clone(
+            lock(&self.families)
+                .entry(key)
+                .or_insert_with(|| Arc::new(family)),
+        ))
     }
 
     /// The static [`minivm::AnalysisReport`] for `app`'s weaved kernel
@@ -669,15 +676,9 @@ impl ArtifactStore {
             key,
             || {
                 let weaved = self.weaved(toolchain, app)?;
-                let entry = weaved
-                    .multiversioned
-                    .version_functions
-                    .first()
-                    .cloned()
-                    .unwrap_or_else(|| app.kernel_name());
                 let report = crate::engine::analyze_kernel_for(
                     &weaved.weaved,
-                    &entry,
+                    &weaved.kernel_entry(),
                     app,
                     toolchain.dataset,
                     threads,
@@ -756,14 +757,14 @@ impl ArtifactStore {
         snapshot: &KnowledgeSnapshot,
     ) -> Result<PathBuf, SocratesError> {
         let config = self.key(toolchain, app).config;
-        let path = self.snapshot_path(toolchain, app, config).ok_or_else(|| {
+        let dir = self.persist_dir.as_deref().ok_or_else(|| {
             SocratesError::invalid_config(
                 "snapshot persistence requires a store built with \
                  ArtifactStore::with_persist_dir",
             )
         })?;
-        let dir = path.parent().expect("snapshot path has a parent");
         std::fs::create_dir_all(dir).map_err(|e| SocratesError::io(dir, e))?;
+        let path = dir.join(snapshot_file(toolchain, app, config));
         snapshot.save(&path)?;
         Ok(path)
     }
@@ -782,9 +783,10 @@ impl ArtifactStore {
         app: App,
     ) -> Result<Option<KnowledgeSnapshot>, SocratesError> {
         let config = self.key(toolchain, app).config;
-        let Some(path) = self.snapshot_path(toolchain, app, config) else {
+        let Some(dir) = &self.persist_dir else {
             return Ok(None);
         };
+        let path = dir.join(snapshot_file(toolchain, app, config));
         if !path.exists() {
             return Ok(None);
         }
@@ -833,37 +835,6 @@ impl ArtifactStore {
             .map(|i| candidates.swap_remove(i)))
     }
 
-    /// Path of the persisted snapshot artifact for
-    /// `(app, dataset, config)`. The name embeds
-    /// [`SNAPSHOT_FORMAT_VERSION`] so artifacts written by an older
-    /// snapshot codec self-invalidate into misses; a renamed or
-    /// hand-corrupted file is still rejected by the in-band header
-    /// checks on load.
-    fn snapshot_path(&self, toolchain: &Toolchain, app: App, config: u64) -> Option<PathBuf> {
-        self.persist_dir.as_ref().map(|dir| {
-            dir.join(format!(
-                "{}-{:?}-{config:016x}.v{SNAPSHOT_FORMAT_VERSION}.snapshot.bin",
-                app.name(),
-                toolchain.dataset
-            ))
-        })
-    }
-
-    /// Path of the persisted design knowledge for `(app, dataset,
-    /// config)`. The name embeds [`KNOWLEDGE_FORMAT_VERSION`] so files
-    /// written by older profiling semantics self-invalidate, and its
-    /// `.design` infix keeps it apart from the learned snapshot of
-    /// [`ArtifactStore::save_snapshot`].
-    fn persist_path(&self, toolchain: &Toolchain, app: App, config: u64) -> Option<PathBuf> {
-        self.persist_dir.as_ref().map(|dir| {
-            dir.join(format!(
-                "{}-{:?}-{config:016x}.v{KNOWLEDGE_FORMAT_VERSION}.design.snapshot.bin",
-                app.name(),
-                toolchain.dataset
-            ))
-        })
-    }
-
     /// Tries to reload previously profiled knowledge; any unreadable,
     /// malformed or foreign file is treated as a miss (the DSE simply
     /// re-runs).
@@ -873,7 +844,10 @@ impl ArtifactStore {
         app: App,
         config: u64,
     ) -> Option<Knowledge<KnobConfig>> {
-        let path = self.persist_path(toolchain, app, config)?;
+        let path = self
+            .persist_dir
+            .as_ref()?
+            .join(design_file(toolchain, app, config));
         let snapshot = KnowledgeSnapshot::load(path).ok()?;
         (snapshot.fingerprint == SnapshotFingerprint::of(toolchain, app))
             .then_some(snapshot.knowledge)
@@ -886,11 +860,11 @@ impl ArtifactStore {
         config: u64,
         knowledge: &Knowledge<KnobConfig>,
     ) -> Result<(), SocratesError> {
-        let Some(path) = self.persist_path(toolchain, app, config) else {
+        let Some(dir) = self.persist_dir.as_deref() else {
             return Ok(());
         };
-        let dir = path.parent().expect("persist path has a parent");
         std::fs::create_dir_all(dir).map_err(|e| SocratesError::io(dir, e))?;
+        let path = dir.join(design_file(toolchain, app, config));
         // Design knowledge is the unlearned state: epoch 0, one shard.
         // `save` is atomic (stage + rename), so a crash mid-save can't
         // leave a truncated artifact that poisons the next warm start.
@@ -902,6 +876,40 @@ impl ArtifactStore {
         }
         .save(path)
     }
+}
+
+/// File name of the persisted snapshot artifact for `(app, dataset,
+/// config)`. The name embeds [`SNAPSHOT_FORMAT_VERSION`] so artifacts
+/// written by an older snapshot codec self-invalidate into misses; a
+/// renamed or hand-corrupted file is still rejected by the in-band
+/// header checks on load.
+fn snapshot_file(toolchain: &Toolchain, app: App, config: u64) -> String {
+    format!(
+        "{}-{:?}-{config:016x}.v{SNAPSHOT_FORMAT_VERSION}.snapshot.bin",
+        app.name(),
+        toolchain.dataset
+    )
+}
+
+/// File name of the persisted design knowledge for `(app, dataset,
+/// config)`. The name embeds [`KNOWLEDGE_FORMAT_VERSION`] so files
+/// written by older profiling semantics self-invalidate, and its
+/// `.design` infix keeps it apart from the learned snapshot of
+/// [`ArtifactStore::save_snapshot`].
+fn design_file(toolchain: &Toolchain, app: App, config: u64) -> String {
+    format!(
+        "{}-{:?}-{config:016x}.v{KNOWLEDGE_FORMAT_VERSION}.design.snapshot.bin",
+        app.name(),
+        toolchain.dataset
+    )
+}
+
+/// Locks one of the store's maps. A panic while the lock was held
+/// leaves nothing half-done: every critical section is one lookup or
+/// one insert of a finished artifact. So a poisoned lock is recovered,
+/// not propagated.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Returns the cached artifact for `key`, or runs `build`, inserts and
@@ -916,7 +924,7 @@ fn get_or_build<K: std::hash::Hash + Eq + Copy, T>(
     key: K,
     build: impl FnOnce() -> Result<T, SocratesError>,
 ) -> Result<Arc<T>, SocratesError> {
-    if let Some(hit) = map.lock().expect("artifact map poisoned").get(&key) {
+    if let Some(hit) = lock(map).get(&key) {
         hits.fetch_add(1, Ordering::Relaxed);
         return Ok(Arc::clone(hit));
     }
@@ -935,7 +943,7 @@ fn insert_counted<K: std::hash::Hash + Eq, T>(
     key: K,
     value: T,
 ) -> Arc<T> {
-    let mut guard = map.lock().expect("artifact map poisoned");
+    let mut guard = lock(map);
     let counter = if guard.contains_key(&key) {
         hits
     } else {
@@ -1093,6 +1101,26 @@ mod tests {
             assert_eq!(k.report, kernels[0].report);
         }
         assert_eq!(store.stats().kernel_builds, distinct.len() as u64);
+    }
+
+    #[test]
+    fn a_fresh_store_lowers_each_app_kernel_once_across_its_thread_counts() {
+        let tc = quick_toolchain();
+        let store = ArtifactStore::new();
+        let threads = tc.topology().logical_cpus();
+        assert_eq!(threads, 32);
+        for app in App::ALL {
+            store.profiled_knowledge(&tc, app).unwrap();
+        }
+        let stats = store.stats();
+        assert_eq!(
+            stats.kernel_builds,
+            App::ALL.len() as u64 * u64::from(threads)
+        );
+        assert_eq!(stats.kernel_hits, 0);
+        let families = lock(&store.families);
+        assert_eq!(families.len(), App::ALL.len());
+        assert!(families.values().all(|family| family.lowerings() == 1));
     }
 
     #[test]

@@ -16,18 +16,24 @@
 //! pins all twelve Polybench apps and `tests/engine_equivalence.rs`
 //! property-tests random generated programs against it.
 //!
-//! [`compile_kernel`] is the single entry point: it lowers one weaved
-//! clone under one [`SpecConfig`](minivm::SpecConfig) and returns a
+//! [`compile_kernel`] is the one-shot path: it lowers one weaved clone
+//! under one [`SpecConfig`](minivm::SpecConfig), runs it, and returns a
 //! [`CompiledKernel`] artifact carrying the report, the build cost and
-//! the reusable compiled code. Every specialization is lowered, since
-//! lowering is what rejects an unbound pragma parameter, but a program
-//! runs only once: given a kernel that already ran, a lowering that is
-//! [`same_program`](minivm::CompiledKernel::same_program) shares its
-//! code and report instead of running again. The thread count only
-//! reaches pragmas, so every thread count of an app lowers to one
-//! program and runs once. The [`ArtifactStore`](crate::ArtifactStore)
-//! caches these per `(app, dataset, config fingerprint, threads)` so a
-//! fleet of N instances sharing a configuration compiles once.
+//! the reusable compiled code. [`minivm::compile`] validates the spec
+//! before lowering, and it is validation, not the lowering proper, that
+//! rejects an unbound pragma parameter.
+//!
+//! A [`KernelFamily`] builds the kernels of one program: one weaved
+//! clone of one app on one dataset. Every spec is validated, but the
+//! program is lowered and run once: a later spec that the kernel that
+//! ran [`lowers_same_under`](minivm::CompiledKernel::lowers_same_under)
+//! shares its code and report. The thread count only reaches pragmas,
+//! which validation reads and lowering does not, so every thread count
+//! of an app is one lowering and one run. The
+//! [`ArtifactStore`](crate::ArtifactStore) keeps one family per `(app,
+//! dataset, config fingerprint)` and caches its kernels per thread
+//! count, so a fleet of N instances sharing a configuration builds
+//! once.
 
 use crate::error::SocratesError;
 use minic::TranslationUnit;
@@ -35,7 +41,8 @@ use minivm::{ExecutionReport, SpecConfig};
 use platform_sim::KnobConfig;
 use polybench::{App, Dataset, KernelArg};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Cap on the functional array dimensions (the analytic profile keeps
@@ -82,16 +89,17 @@ pub struct CompiledKernel {
     /// Fingerprint of the [`SpecConfig`](minivm::SpecConfig) the kernel
     /// was specialized against (cache key component).
     pub spec_fingerprint: u64,
-    /// The execution result, computed at build time by running the
-    /// program only when this program had not run; otherwise it is the
-    /// report of the kernel that ran it. Bit-identical to
+    /// The execution result: computed at build time by running the
+    /// program, or, for a [`KernelFamily`] kernel whose program already
+    /// ran, the report of that run. Bit-identical to
     /// [`minivm::interpret`] under the same spec either way.
     pub report: ExecutionReport,
-    /// Wall-clock cost of lowering, plus the run only when this program
-    /// had not run.
+    /// Wall-clock cost of the build: validation, plus the lowering and
+    /// the run when the build made them (a family kernel that shares
+    /// the run of its program made neither).
     pub compile_ns: u64,
-    /// The reusable compiled code, shared with every kernel of the same
-    /// program that reused this one's run.
+    /// The reusable compiled code, shared with every kernel of its
+    /// family that reused this one's run.
     pub code: Arc<minivm::CompiledKernel>,
 }
 
@@ -248,56 +256,128 @@ pub fn analysis_prune(
 }
 
 /// Lowers one weaved clone of `app` under `spec` to bytecode and
-/// executes it once, unless `ran` already ran the same program.
+/// executes it once: the one-shot path, for a single kernel of a
+/// program. A [`KernelFamily`] builds the many kernels of one program.
 ///
 /// Every pragma parameter the kernel references must be bound in
-/// `spec`; an unbound parameter is rejected here, at lowering time,
-/// with a [`StageId::Lower`](crate::StageId::Lower)-tagged
-/// [`SocratesError`] — never as a late lookup failure in the middle of
-/// a profiling sweep.
-///
-/// `ran` is a kernel the caller already built and ran, typically the
-/// same app under another thread count. When the new lowering is
-/// [`same_program`](minivm::CompiledKernel::same_program) as `ran`'s
-/// code, the result shares that code and report and skips the run;
-/// otherwise the program runs, so a kernel that traps still fails here.
+/// `spec`; validation rejects an unbound parameter here, before any
+/// lowering, with a [`StageId::Lower`](crate::StageId::Lower)-tagged
+/// [`SocratesError`], never as a late lookup failure in the middle of a
+/// profiling sweep. A program that traps fails here too.
 pub fn compile_kernel(
     tu: &TranslationUnit,
     entry: &str,
     app: App,
     spec: &SpecConfig,
-    ran: Option<&CompiledKernel>,
 ) -> Result<CompiledKernel, SocratesError> {
     let start = Instant::now();
-    let lowered = minivm::compile(tu, entry, spec).map_err(|e| lower_error(app, e))?;
-    let (code, report) = match ran {
-        Some(ran) if ran.code.same_program(&lowered) => (Arc::clone(&ran.code), ran.report),
-        _ => {
-            let report = lowered.run().map_err(|e| lower_error(app, e))?;
-            (Arc::new(lowered), report)
-        }
-    };
+    let code = minivm::compile(tu, entry, spec).map_err(|e| lower_error(app, e))?;
+    let report = code.run().map_err(|e| lower_error(app, e))?;
     Ok(CompiledKernel {
         app,
         entry: entry.to_string(),
         spec_fingerprint: spec.fingerprint(),
         report,
         compile_ns: start.elapsed().as_nanos() as u64,
-        code,
+        code: Arc::new(code),
     })
 }
 
 /// [`compile_kernel`] over the canonical functional spec for `(app,
-/// ds, threads)` — the form the store, fleets and benches use.
+/// ds, threads)`.
 pub fn compile_kernel_for(
     tu: &TranslationUnit,
     entry: &str,
     app: App,
     ds: Dataset,
     threads: u32,
-    ran: Option<&CompiledKernel>,
 ) -> Result<CompiledKernel, SocratesError> {
-    compile_kernel(tu, entry, app, &functional_spec(app, ds, threads), ran)
+    compile_kernel(tu, entry, app, &functional_spec(app, ds, threads))
+}
+
+/// The kernels of one program: one weaved program, the clone they enter
+/// through, the app and the dataset, plus the first kernel of it that
+/// ran.
+///
+/// [`kernel`](KernelFamily::kernel) validates every spec, so an unbound
+/// pragma parameter fails at [`StageId::Lower`](crate::StageId::Lower)
+/// whichever kernels ran before. When the kernel that ran
+/// [`lowers_same_under`](minivm::CompiledKernel::lowers_same_under) the
+/// spec, the new kernel shares its code and report; otherwise the spec
+/// is lowered and run, so a program that traps still fails its build.
+/// That check covers the spec only, so reuse is bound to one program by
+/// construction: a family owns its program text and never builds
+/// another's.
+#[derive(Debug)]
+pub struct KernelFamily {
+    tu: Arc<TranslationUnit>,
+    entry: String,
+    app: App,
+    dataset: Dataset,
+    /// The code and report of the family's first kernel that ran.
+    ran: OnceLock<(Arc<minivm::CompiledKernel>, ExecutionReport)>,
+    lowerings: AtomicU64,
+}
+
+impl KernelFamily {
+    /// The family of `entry` in `tu`, for `app` on `dataset`.
+    pub fn new(tu: Arc<TranslationUnit>, entry: impl Into<String>, app: App, ds: Dataset) -> Self {
+        KernelFamily {
+            tu,
+            entry: entry.into(),
+            app,
+            dataset: ds,
+            ran: OnceLock::new(),
+            lowerings: AtomicU64::new(0),
+        }
+    }
+
+    /// The kernel for `threads` under the canonical functional spec (see
+    /// [`kernel_with`](KernelFamily::kernel_with)).
+    ///
+    /// # Errors
+    ///
+    /// A [`StageId::Lower`](crate::StageId::Lower) error when the spec
+    /// fails validation, the program leaves the executable dialect, or
+    /// its run traps.
+    pub fn kernel(&self, threads: u32) -> Result<CompiledKernel, SocratesError> {
+        self.kernel_with(&functional_spec(self.app, self.dataset, threads))
+    }
+
+    /// The family's kernel under `spec`: validated, then either sharing
+    /// the code and report of the kernel that ran or lowered and run.
+    ///
+    /// # Errors
+    ///
+    /// As [`kernel`](KernelFamily::kernel).
+    pub fn kernel_with(&self, spec: &SpecConfig) -> Result<CompiledKernel, SocratesError> {
+        let start = Instant::now();
+        minivm::validate(&self.tu, &self.entry, spec).map_err(|e| lower_error(self.app, e))?;
+        let (code, report) = match self.ran.get() {
+            Some((code, report)) if code.lowers_same_under(spec) => (Arc::clone(code), *report),
+            _ => {
+                self.lowerings.fetch_add(1, Ordering::Relaxed);
+                let built = compile_kernel(&self.tu, &self.entry, self.app, spec)?;
+                // A racing first build may have won; either run is exact.
+                let _ = self.ran.set((Arc::clone(&built.code), built.report));
+                (built.code, built.report)
+            }
+        };
+        Ok(CompiledKernel {
+            app: self.app,
+            entry: self.entry.clone(),
+            spec_fingerprint: spec.fingerprint(),
+            report,
+            compile_ns: start.elapsed().as_nanos() as u64,
+            code,
+        })
+    }
+
+    /// Lowerings (each followed by a run) the family has made.
+    #[cfg(test)]
+    pub(crate) fn lowerings(&self) -> u64 {
+        self.lowerings.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(test)]
@@ -327,7 +407,7 @@ mod tests {
     fn both_engines_agree_on_a_weaved_clone() {
         let app = App::TwoMm;
         let (tu, entry) = weaved_clone(app);
-        let kernel = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 4, None).unwrap();
+        let kernel = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 4).unwrap();
         let reference =
             minivm::interpret(&tu, &entry, &functional_spec(app, Dataset::Mini, 4)).unwrap();
         assert_eq!(kernel.report, reference);
@@ -340,8 +420,8 @@ mod tests {
     fn thread_count_is_configuration_not_data() {
         let app = App::Atax;
         let (tu, entry) = weaved_clone(app);
-        let a = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 1, None).unwrap();
-        let b = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 16, None).unwrap();
+        let a = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 1).unwrap();
+        let b = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 16).unwrap();
         assert_eq!(a.report, b.report);
         // …but the specialized artifacts are distinct cache entries.
         assert_ne!(a.spec_fingerprint, b.spec_fingerprint);
@@ -362,15 +442,34 @@ mod tests {
                 KernelArg::Double(v) => spec.arg(v),
             };
         }
-        let err = compile_kernel(&tu, &entry, app, &spec, None).unwrap_err();
+        let err = compile_kernel(&tu, &entry, app, &spec).unwrap_err();
         assert_eq!(err.stage(), StageId::Lower);
         let text = err.to_string();
         assert!(text.starts_with("[lower] syrk:"), "got: {text}");
         assert!(text.contains(lara::THREADS_VAR), "got: {text}");
-        // A kernel that already ran does not skip the lowering.
-        let ran = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 1, None).unwrap();
-        let again = compile_kernel(&tu, &entry, app, &spec, Some(&ran)).unwrap_err();
+        // A family whose kernel already ran still validates.
+        let family = KernelFamily::new(Arc::new(tu), entry, app, Dataset::Mini);
+        family.kernel(1).unwrap();
+        let again = family.kernel_with(&spec).unwrap_err();
         assert_eq!(again.to_string(), text);
+    }
+
+    #[test]
+    fn a_family_lowers_and_runs_its_kernel_once_across_thread_counts() {
+        let app = App::TwoMm;
+        let (tu, entry) = weaved_clone(app);
+        let family = KernelFamily::new(Arc::new(tu.clone()), entry.clone(), app, Dataset::Mini);
+        let first = family.kernel(1).unwrap();
+        for threads in [2, 7, 32] {
+            let k = family.kernel(threads).unwrap();
+            assert!(Arc::ptr_eq(&k.code, &first.code), "threads {threads}");
+            assert_eq!(k.report, first.report);
+            let alone = compile_kernel_for(&tu, &entry, app, Dataset::Mini, threads).unwrap();
+            assert_eq!(k.report, alone.report);
+            assert!(k.code.same_program(&alone.code));
+            assert_eq!(k.spec_fingerprint, alone.spec_fingerprint);
+        }
+        assert_eq!(family.lowerings(), 1);
     }
 
     #[test]

@@ -55,7 +55,7 @@
 //! survivors. An exploration assignment it never executed goes back to
 //! the sweep at the barrier.
 
-use crate::engine::CompiledKernel;
+use crate::engine::{CompiledKernel, KernelFamily};
 use crate::error::SocratesError;
 use crate::events::{EventObserver, FleetEvent, FleetRuntime, InstanceId};
 use crate::runtime::{AdaptiveApplication, TraceSample};
@@ -63,10 +63,9 @@ use crate::snapshot::{KnowledgeSnapshot, SnapshotFingerprint};
 use crate::toolchain::EnhancedApp;
 use dse::ExplorationSchedule;
 use margot::{Cmp, Constraint, Knowledge, Metric, MetricValues, Rank, SharedKnowledge};
-use minic::TranslationUnit;
 use minivm::ExecutionReport;
 use platform_sim::{KnobConfig, Machine};
-use polybench::{App, Dataset};
+use polybench::App;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -531,20 +530,14 @@ struct Pool {
     /// Positions the last refresh changed: the spare lags the cache at
     /// exactly these.
     pending: Vec<usize>,
-    /// The weaved program the pool's kernels are lowered from, and the
-    /// clone they enter through.
-    weaved: TranslationUnit,
-    entry: String,
-    dataset: Dataset,
+    /// The pool's program and its kernels' one lowering and run.
+    family: KernelFamily,
     /// Config-specialized compiled kernels, one per observed thread
     /// count (the only knob that changes the specialization constants).
-    /// `None` tombstones a failed lowering so it is not retried every
+    /// `None` tombstones a failed build so it is not retried every
     /// round. Mutated only from barrier/sequential code, so the whole
-    /// fleet of N instances compiles each specialization once.
+    /// fleet of N instances builds each specialization once.
     kernels: HashMap<u32, Option<Arc<CompiledKernel>>>,
-    /// The pool's first kernel that ran: a later thread count that
-    /// lowers to the same program shares its code and report.
-    ran_kernel: Option<Arc<CompiledKernel>>,
     kernel_builds: u64,
     kernel_cache_hits: u64,
     /// Configurations the static analyzer removed from this pool's
@@ -555,30 +548,17 @@ struct Pool {
 }
 
 impl Pool {
-    /// Compiles (or reuses) the config-specialized kernel for one
-    /// thread count. Called only at pool creation and at the barrier.
-    /// A new thread count is lowered and compared with the pool's first
-    /// kernel that ran; only a different program runs.
+    /// Builds (or reuses) the config-specialized kernel for one thread
+    /// count. Called only at pool creation and at the barrier. A new
+    /// thread count is validated and, when the family's kernel that ran
+    /// lowers the same under it, shares that kernel's run.
     fn ensure_kernel(&mut self, threads: u32) {
         use std::collections::hash_map::Entry;
         match self.kernels.entry(threads) {
             Entry::Occupied(_) => self.kernel_cache_hits += 1,
             Entry::Vacant(slot) => {
                 self.kernel_builds += 1;
-                let compiled = crate::engine::compile_kernel_for(
-                    &self.weaved,
-                    &self.entry,
-                    self.app,
-                    self.dataset,
-                    threads,
-                    self.ran_kernel.as_deref(),
-                )
-                .ok()
-                .map(Arc::new);
-                if self.ran_kernel.is_none() {
-                    self.ran_kernel.clone_from(&compiled);
-                }
-                slot.insert(compiled);
+                slot.insert(self.family.kernel(threads).ok().map(Arc::new));
             }
         }
     }
@@ -1109,11 +1089,13 @@ impl Fleet {
             spare: cache.clone(),
             cache,
             pending: Vec::new(),
-            weaved: enhanced.weaved.clone(),
-            entry,
-            dataset: enhanced.dataset,
+            family: KernelFamily::new(
+                Arc::new(enhanced.weaved.clone()),
+                entry,
+                enhanced.app,
+                enhanced.dataset,
+            ),
             kernels: HashMap::new(),
-            ran_kernel: None,
             kernel_builds: 0,
             kernel_cache_hits: 0,
             pruned_infeasible,

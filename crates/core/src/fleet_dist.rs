@@ -268,7 +268,6 @@ impl DistributedFleet {
             enhanced.app,
             enhanced.dataset,
             1,
-            None,
         )?);
         let broker = match dist.topology {
             DistTopology::BrokerStar => Some(Broker {

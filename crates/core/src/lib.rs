@@ -95,7 +95,7 @@ pub use artifact::{
 };
 pub use engine::{
     analysis_prune, analyze_kernel, analyze_kernel_for, compile_kernel, compile_kernel_for,
-    ensure_safe, full_scale_spec, functional_dims, functional_spec, CompiledKernel,
+    ensure_safe, full_scale_spec, functional_dims, functional_spec, CompiledKernel, KernelFamily,
     FUNCTIONAL_DIM_CAP,
 };
 pub use error::{SocratesError, StageId};

@@ -306,7 +306,7 @@ pub mod stages {
                 app: ctx.app,
                 dataset: ctx.toolchain.dataset,
                 original: parsed.tu.clone(),
-                weaved: weaved.weaved.clone(),
+                weaved: minic::TranslationUnit::clone(&weaved.weaved),
                 metrics: weaved.metrics,
                 multiversioned: weaved.multiversioned.clone(),
                 versions: weaved.versions.clone(),

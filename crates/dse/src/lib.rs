@@ -6,19 +6,21 @@
 //! agnostic to the enumeration strategy (full factorial or random
 //! subsampling), as Section III notes.
 //!
-//! Profiling is embarrassingly parallel — every operating point is an
-//! independent experiment — so [`profile`] fans the configurations out
-//! across all host cores with `rayon`. Each configuration is measured
-//! on a [`Machine::fork`] whose noise stream is derived from the
-//! parent machine's seed and the configuration's index, which makes
-//! the parallel sweep **bit-identical** to the sequential reference
-//! implementation [`profile_serial`] for any seed, repetition count
-//! and thread count.
+//! [`profile`] sweeps the configurations in order on the calling
+//! thread. Each configuration is measured on a [`Machine::fork`] whose
+//! noise stream is derived from the parent machine's seed and the
+//! configuration's index, and its noise-free expectation is computed
+//! once and scaled by one noise draw per repetition. With no fan-out,
+//! the knowledge is bit-identical for a given machine seed and
+//! repetition count by construction. The toolchain that calls it fans
+//! out across applications instead: a sweep is short (a few hundred
+//! µs for 512 points), and spawning workers per sweep cost more than it
+//! saved.
 //!
 //! Profiling here is purely analytic: it measures the platform model
 //! and never runs a kernel. The toolchain that calls it lowers the
-//! functional kernel once per thread count of the space and runs each
-//! distinct lowered program once, outside the sweep.
+//! functional kernel once per program and runs it once, outside the
+//! sweep.
 //!
 //! ## Example
 //!
@@ -44,7 +46,6 @@ use platform_sim::{
 use rand::seq::SliceRandom;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// The SOCRATES autotuning space: compiler options, thread counts and
@@ -126,12 +127,10 @@ impl DesignSpace {
 /// averaged) and returns the mARGOt knowledge with the four EFPs the
 /// paper uses: execution time, power, throughput and energy.
 ///
-/// Configurations are profiled **in parallel** across all host cores.
-/// Each configuration runs on a [`Machine::fork`] seeded from the
-/// parent machine's construction seed and the configuration's index,
-/// so the result is deterministic for a given machine seed and
-/// bit-identical to [`profile_serial`] regardless of core count or
-/// scheduling order.
+/// Configurations are profiled in order, each on a [`Machine::fork`]
+/// seeded from the parent machine's construction seed and the
+/// configuration's index, so the result is a function of the machine
+/// seed, the configurations and the repetition count alone.
 ///
 /// Profiling never mutates the parent machine (each configuration
 /// runs on its own fork), so a `&Machine` suffices and the same
@@ -147,29 +146,6 @@ pub fn profile(
     repetitions: u32,
 ) -> Knowledge<KnobConfig> {
     assert!(repetitions > 0, "need at least one repetition");
-    (0..configs.len())
-        .into_par_iter()
-        .map(|i| profile_point(machine, workload, &configs[i], i as u64, repetitions))
-        .collect::<Vec<_>>()
-        .into_iter()
-        .collect()
-}
-
-/// The sequential reference implementation of [`profile`]: identical
-/// output, one configuration at a time on the calling thread. Kept for
-/// regression-testing the parallel path and for benchmarking the
-/// speedup.
-///
-/// # Panics
-///
-/// Panics if `repetitions` is zero.
-pub fn profile_serial(
-    machine: &Machine,
-    workload: &WorkloadProfile,
-    configs: &[KnobConfig],
-    repetitions: u32,
-) -> Knowledge<KnobConfig> {
-    assert!(repetitions > 0, "need at least one repetition");
     configs
         .iter()
         .enumerate()
@@ -177,7 +153,9 @@ pub fn profile_serial(
         .collect()
 }
 
-/// Profiles one operating point on a forked noise stream.
+/// Profiles one operating point on a forked noise stream: the
+/// expectation once, then one noise pair per repetition, exactly as
+/// that many [`Machine::execute`] calls would draw them.
 fn profile_point(
     machine: &Machine,
     workload: &WorkloadProfile,
@@ -186,12 +164,13 @@ fn profile_point(
     repetitions: u32,
 ) -> OperatingPoint<KnobConfig> {
     let mut fork = machine.fork(stream);
+    let expected = fork.expected(workload, cfg);
     let mut time = 0.0;
     let mut power = 0.0;
     for _ in 0..repetitions {
-        let run = fork.execute(workload, cfg);
-        time += run.time_s;
-        power += run.power_w;
+        let (tn, pn) = fork.noise_factors();
+        time += expected.time_s * tn;
+        power += expected.power_w * pn;
     }
     time /= f64::from(repetitions);
     power /= f64::from(repetitions);
@@ -204,7 +183,7 @@ fn profile_point(
 }
 
 /// Profiles the **entire** design space (the paper's full-factorial
-/// DSE) in parallel: shorthand for [`profile`] over
+/// DSE): shorthand for [`profile`] over
 /// [`DesignSpace::full_factorial`].
 ///
 /// # Panics

@@ -146,23 +146,22 @@ impl<K: Clone + PartialEq> ApplicationManager<K> {
         self.refresh_feedback();
         let pos = self.asrtm.best_position()?;
         let best = self.asrtm.knowledge().points().get(pos)?;
-        let changed = self
-            .current
-            .as_ref()
-            .is_none_or(|cur| cur.config != best.config);
-        let best = best.clone();
-        if changed {
-            // Observations from another configuration must not feed back
-            // into expectations for the new one.
-            for m in self.monitors.values_mut() {
-                m.clear();
+        match &self.current {
+            Some(cur) if same_point(cur, best) => {}
+            cur => {
+                if cur.as_ref().is_none_or(|cur| cur.config != best.config) {
+                    // Observations from another configuration must not
+                    // feed back into expectations for the new one.
+                    for m in self.monitors.values_mut() {
+                        m.clear();
+                    }
+                }
+                self.current = Some(best.clone());
             }
         }
-        let config = best.config.clone();
-        self.current = Some(best);
         self.current_pos = Some(pos);
         self.updates += 1;
-        Some(config)
+        Some(best.config.clone())
     }
 
     /// Marks the start of the kernel region (the `margot start_monitor`
@@ -241,19 +240,26 @@ impl<K: Clone + PartialEq> ApplicationManager<K> {
         let Some(current) = &self.current else {
             return;
         };
-        let ratios: Vec<(Metric, f64)> = self
-            .monitors
-            .iter()
-            .filter_map(|(metric, mon)| {
-                let mean = mon.mean()?;
-                let expected = current.metric(metric)?;
-                (expected.abs() > 1e-12).then(|| (metric.clone(), mean / expected))
-            })
-            .collect();
-        for (metric, ratio) in ratios {
-            self.asrtm.set_adjustment(metric, ratio);
+        for (metric, mon) in &self.monitors {
+            let (Some(mean), Some(expected)) = (mon.mean(), current.metric(metric)) else {
+                continue;
+            };
+            if expected.abs() > 1e-12 {
+                self.asrtm.set_adjustment(metric.clone(), mean / expected);
+            }
         }
     }
+}
+
+/// Whether two points are the same configuration with the same metrics,
+/// every value by its bits.
+fn same_point<K: PartialEq>(a: &OperatingPoint<K>, b: &OperatingPoint<K>) -> bool {
+    a.config == b.config
+        && a.metrics.len() == b.metrics.len()
+        && a.metrics
+            .iter()
+            .zip(b.metrics.iter())
+            .all(|((ma, va), (mb, vb))| ma.same(mb) && va.to_bits() == vb.to_bits())
 }
 
 #[cfg(test)]

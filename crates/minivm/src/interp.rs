@@ -9,7 +9,7 @@
 //! compiled engine.
 
 use crate::layout::{scalar_elem, ElemTy, Layout, Memory, Value};
-use crate::spec::SpecConfig;
+use crate::spec::{SpecConfig, SpecReader};
 use crate::{EngineError, ExecutionReport, RetValue};
 use minic::{
     AssignOp, BinaryOp, Block, Expr, ForInit, PostfixOp, Stmt, TranslationUnit, Type, UnaryOp,
@@ -23,7 +23,7 @@ pub(crate) fn run(
     entry: &str,
     spec: &SpecConfig,
 ) -> Result<ExecutionReport, EngineError> {
-    let layout = Layout::build(tu, spec)?;
+    let layout = Layout::build(tu, &SpecReader::new(spec))?;
     let mem = layout.new_memory();
     let mut interp = Interp {
         tu,

@@ -8,7 +8,7 @@
 //! [`Layout`], and the final-state checksum walks globals in declaration
 //! order — so checksum equality is structural, not coincidental.
 
-use crate::spec::{Fnv, SpecConfig, SpecValue};
+use crate::spec::{Fnv, SpecReader, SpecValue};
 use crate::EngineError;
 use minic::{Expr, Init, Item, TranslationUnit, Type, UnaryOp};
 use std::collections::HashMap;
@@ -136,7 +136,7 @@ pub(crate) struct Memory {
 
 impl Layout {
     /// Resolves every global declaration of `tu` against `spec`.
-    pub(crate) fn build(tu: &TranslationUnit, spec: &SpecConfig) -> Result<Layout, EngineError> {
+    pub(crate) fn build(tu: &TranslationUnit, spec: &SpecReader) -> Result<Layout, EngineError> {
         let mut layout = Layout {
             globals: Vec::new(),
             by_name: HashMap::new(),
@@ -270,7 +270,7 @@ pub(crate) fn scalar_elem(ty: &Type) -> Option<ElemTy> {
 fn resolve_type(
     ty: &Type,
     name: &str,
-    spec: &SpecConfig,
+    spec: &SpecReader,
 ) -> Result<(ElemTy, Vec<usize>), EngineError> {
     let mut dims_exprs: Vec<&Expr> = Vec::new();
     let mut base = ty;
@@ -294,7 +294,7 @@ fn resolve_type(
     Ok((elem, dims))
 }
 
-fn eval_dim(e: &Expr, name: &str, spec: &SpecConfig) -> Result<i64, EngineError> {
+fn eval_dim(e: &Expr, name: &str, spec: &SpecReader) -> Result<i64, EngineError> {
     e.eval_int(&|n| spec.int(n))
         .ok_or_else(|| match first_unbound_ident(e, spec) {
             Some(unbound) => EngineError::UnboundIdent { name: unbound },
@@ -306,7 +306,7 @@ fn eval_dim(e: &Expr, name: &str, spec: &SpecConfig) -> Result<i64, EngineError>
 
 /// Finds the first identifier in `e` that the spec does not bind to an
 /// integer — the root cause of an unevaluable dimension.
-fn first_unbound_ident(e: &Expr, spec: &SpecConfig) -> Option<String> {
+fn first_unbound_ident(e: &Expr, spec: &SpecReader) -> Option<String> {
     match e {
         Expr::Ident(n) => (spec.int(n).is_none()).then(|| n.clone()),
         Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => first_unbound_ident(expr, spec),
@@ -318,7 +318,7 @@ fn first_unbound_ident(e: &Expr, spec: &SpecConfig) -> Option<String> {
 }
 
 /// Evaluates a constant scalar initializer.
-fn const_init(e: &Expr, elem: ElemTy, name: &str, spec: &SpecConfig) -> Result<Value, EngineError> {
+fn const_init(e: &Expr, elem: ElemTy, name: &str, spec: &SpecReader) -> Result<Value, EngineError> {
     let v = match e {
         Expr::FloatLit(v) => Some(Value::F(*v)),
         Expr::Unary {
@@ -341,12 +341,13 @@ fn const_init(e: &Expr, elem: ElemTy, name: &str, spec: &SpecConfig) -> Result<V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::SpecConfig;
 
     #[test]
     fn layout_resolves_dims_through_the_spec() {
         let tu = minic::parse("static double A[N][M];\nstatic int t = 3;").unwrap();
         let spec = SpecConfig::new().bind("N", 4i64).bind("M", 5i64);
-        let l = Layout::build(&tu, &spec).unwrap();
+        let l = Layout::build(&tu, &SpecReader::new(&spec)).unwrap();
         let a = l.global("A").unwrap();
         assert_eq!(a.dims, vec![4, 5]);
         assert_eq!(a.strides, vec![5, 1]);
@@ -361,14 +362,14 @@ mod tests {
     #[test]
     fn unbound_dimension_names_the_culprit() {
         let tu = minic::parse("static double A[N];").unwrap();
-        let err = Layout::build(&tu, &SpecConfig::new()).unwrap_err();
+        let err = Layout::build(&tu, &SpecReader::new(&SpecConfig::new())).unwrap_err();
         assert!(matches!(err, EngineError::UnboundIdent { ref name } if name == "N"));
     }
 
     #[test]
     fn checksum_tracks_every_global_in_order() {
         let tu = minic::parse("static double A[2];\nstatic int b;").unwrap();
-        let l = Layout::build(&tu, &SpecConfig::new()).unwrap();
+        let l = Layout::build(&tu, &SpecReader::new(&SpecConfig::new())).unwrap();
         let mut m1 = l.new_memory();
         let c0 = l.checksum(&m1);
         m1.f[1] = 1.0;

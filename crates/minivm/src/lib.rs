@@ -210,6 +210,12 @@ pub fn interpret(
 
 /// Lowers and compiles `entry` (plus `init_array`) under `spec` into a
 /// reusable [`CompiledKernel`] with the spec baked in.
+///
+/// [`validate`] runs first, so it is validation, not the lowering
+/// proper, that rejects an unbound pragma parameter. The kernel records
+/// every spec lookup the lowering proper makes (validation's pragma
+/// lookups are not among them) for
+/// [`CompiledKernel::lowers_same_under`].
 pub fn compile(
     tu: &TranslationUnit,
     entry: &str,
@@ -391,6 +397,119 @@ void kernel(double x) { out[0] = sqrt(x * x + 1.0); }
         let b = compile(&tu, "kernel", &spec).unwrap().run().unwrap_err();
         assert!(matches!(a, EngineError::Runtime { .. }));
         assert_eq!(a, b);
+    }
+
+    /// The immediate-operand ops a kernel's entry carries.
+    fn immediates(k: &CompiledKernel) -> Vec<vm::Op> {
+        k.entry
+            .ops
+            .iter()
+            .copied()
+            .filter(|op| matches!(op, vm::Op::AluIK(..) | vm::Op::CmpIK(..)))
+            .collect()
+    }
+
+    #[test]
+    fn ops_stay_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<vm::Op>(), 16);
+    }
+
+    #[test]
+    fn immediate_integer_ops_wrap_and_shift_like_the_interpreter() {
+        let src = r#"
+long out[16];
+void kernel(long x) {
+  out[0] = x + 1;
+  out[1] = x - 1;
+  out[2] = x * 3;
+  out[3] = x << 64;
+  out[4] = x << 65;
+  out[5] = x >> 64;
+  out[6] = x >> -1;
+  out[7] = x << -63;
+  out[8] = x & 255;
+  out[9] = x | 6;
+  out[10] = x ^ -1;
+  out[11] = x < 5;
+  out[12] = x <= -9223372036854775807;
+  out[13] = x == 9223372036854775807;
+  out[14] = x != 0;
+  out[15] = (x > -1) + (x >= 7) * 2;
+}
+"#;
+        let tu = minic::parse(src).unwrap();
+        let mut checksums = Vec::new();
+        for x in [i64::MIN, i64::MIN + 1, -1, 0, 7, i64::MAX - 1, i64::MAX] {
+            let spec = SpecConfig::new().arg(x);
+            checksums.push(both(src, "kernel", &spec).checksum);
+            let k = compile(&tu, "kernel", &spec).unwrap();
+            let ops = immediates(&k);
+            assert_eq!(ops.len(), 18, "one immediate per constant right operand");
+            for k in [64, 65, -1, -63, i64::MIN + 1, i64::MAX] {
+                assert!(
+                    ops.iter().any(|op| matches!(op,
+                        vm::Op::AluIK(_, _, _, v) | vm::Op::CmpIK(_, _, _, v) if *v == k)),
+                    "no immediate {k} in {ops:?}"
+                );
+            }
+        }
+        checksums.dedup();
+        assert_eq!(checksums.len(), 7, "each input stores different results");
+    }
+
+    #[test]
+    fn a_constant_zero_divisor_still_traps_at_run_time() {
+        for src in [
+            "long kernel(long x) { return x / 0; }",
+            "long kernel(long x) { return x % 0; }",
+            "long kernel(long x) { return 1 / 0 + x; }",
+        ] {
+            let tu = minic::parse(src).unwrap();
+            let spec = SpecConfig::new().arg(5i64);
+            let k = compile(&tu, "kernel", &spec).expect("a zero divisor lowers");
+            assert!(immediates(&k).is_empty(), "{src}: {:?}", k.entry.ops);
+            let err = k.run().unwrap_err();
+            assert_eq!(err, interpret(&tu, "kernel", &spec).unwrap_err());
+            assert_eq!(err.to_string(), "runtime error: integer division by zero");
+        }
+        // A non-zero constant divisor runs.
+        let r = both(
+            "long kernel(long x) { return x / 2 + x % 3; }",
+            "kernel",
+            &SpecConfig::new().arg(-7i64),
+        );
+        assert_eq!(r.ret, RetValue::I64(-4));
+    }
+
+    #[test]
+    fn a_kernel_lowers_the_same_under_specs_that_answer_its_reads_alike() {
+        let src = r#"
+double A[N];
+int g;
+void kernel(double a) {
+#pragma omp parallel for num_threads(T)
+  for (int i = 0; i < N; i++) A[i] = a + g;
+}
+"#;
+        let tu = minic::parse(src).unwrap();
+        let spec = SpecConfig::new().bind("N", 4i64).bind("T", 1i64).arg(0.5);
+        let k = compile(&tu, "kernel", &spec).unwrap();
+        assert!(k.lowers_same_under(&spec));
+        // The pragma parameter is validation's lookup, not lowering's.
+        let other_threads = spec.clone().bind("T", 8i64);
+        assert!(k.lowers_same_under(&other_threads));
+        assert!(k.same_program(&compile(&tu, "kernel", &other_threads).unwrap()));
+        assert!(k.lowers_same_under(&SpecConfig::new().bind("N", 4i64).arg(0.5)));
+        // A dimension, a shadowed global (a miss that now hits) and the
+        // argument's bits are all read.
+        for other in [
+            spec.clone().bind("N", 5i64),
+            spec.clone().bind("g", 2i64),
+            SpecConfig::new().bind("N", 4i64).bind("T", 1i64).arg(-0.5),
+        ] {
+            assert!(!k.lowers_same_under(&other), "{other:?}");
+            assert!(!k.same_program(&compile(&tu, "kernel", &other).unwrap()));
+        }
     }
 
     #[test]

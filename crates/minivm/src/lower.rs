@@ -16,7 +16,7 @@
 //! exactly.
 
 use crate::layout::{scalar_elem, ElemTy, Layout, Value};
-use crate::spec::SpecConfig;
+use crate::spec::{SpecConfig, SpecReader, SpecReads};
 use crate::EngineError;
 use minic::{
     AssignOp, BinaryOp, Block, Decl, Expr, ForInit, Function, Init, PostfixOp, Stmt,
@@ -182,7 +182,8 @@ pub(crate) struct LFunc {
 }
 
 /// A whole lowered program: layout, array table, `init_array` (when
-/// present), the entry kernel, and the pre-coerced entry arguments.
+/// present), the entry kernel, and the pre-coerced entry arguments,
+/// plus everything the lowering read of its spec.
 #[derive(Debug, Clone)]
 pub(crate) struct LProgram {
     pub(crate) layout: Layout,
@@ -190,11 +191,14 @@ pub(crate) struct LProgram {
     pub(crate) init: Option<LFunc>,
     pub(crate) entry: LFunc,
     pub(crate) entry_args: Vec<Value>,
+    pub(crate) reads: SpecReads,
 }
 
 /// Lowers `init_array` + `entry` of `tu` under `spec`. Validation
 /// (entry existence, arity, pragma bindings) has already happened in
-/// [`crate::compile`].
+/// [`crate::compile`]. Every spec lookup the lowering makes goes through
+/// one [`SpecReader`], so the program records what it read; the
+/// pragma lookups of validation are not among them.
 pub(crate) fn lower_program(
     tu: &TranslationUnit,
     entry: &str,
@@ -215,7 +219,8 @@ pub(crate) fn lower_program_with(
     spec: &SpecConfig,
     symbolic: bool,
 ) -> Result<LProgram, EngineError> {
-    let layout = Layout::build(tu, spec)?;
+    let spec = SpecReader::new(spec);
+    let layout = Layout::build(tu, &spec)?;
     let mut arrays = Vec::new();
     let mut arr_of_global = vec![u16::MAX; layout.globals.len()];
     for (gi, g) in layout.globals.iter().enumerate() {
@@ -228,7 +233,7 @@ pub(crate) fn lower_program_with(
         }
     }
     let init = match tu.function("init_array") {
-        Some(f) => Some(lower_function(f, &layout, &arr_of_global, spec, symbolic)?),
+        Some(f) => Some(lower_function(f, &layout, &arr_of_global, &spec, symbolic)?),
         None => None,
     };
     let entry_f = tu
@@ -236,7 +241,7 @@ pub(crate) fn lower_program_with(
         .ok_or_else(|| EngineError::UnknownEntry {
             name: entry.to_string(),
         })?;
-    let lowered = lower_function(entry_f, &layout, &arr_of_global, spec, symbolic)?;
+    let lowered = lower_function(entry_f, &layout, &arr_of_global, &spec, symbolic)?;
     let mut entry_args = Vec::with_capacity(spec.args().len());
     for (&(_, ty), &arg) in lowered.params.iter().zip(spec.args()) {
         entry_args.push(Value::from(arg).coerce(ty));
@@ -247,6 +252,7 @@ pub(crate) fn lower_program_with(
         init,
         entry: lowered,
         entry_args,
+        reads: spec.finish(),
     })
 }
 
@@ -254,7 +260,7 @@ fn lower_function(
     f: &Function,
     layout: &Layout,
     arr_of_global: &[u16],
-    spec: &SpecConfig,
+    spec: &SpecReader,
     symbolic: bool,
 ) -> Result<LFunc, EngineError> {
     let body = f.body.as_ref().ok_or_else(|| EngineError::Unsupported {
@@ -304,7 +310,7 @@ enum Target {
 struct Lowerer<'a> {
     layout: &'a Layout,
     arr_of_global: &'a [u16],
-    spec: &'a SpecConfig,
+    spec: &'a SpecReader<'a>,
     /// Keep integer spec constants as named [`IExpr::SymConst`] nodes.
     symbolic: bool,
     scopes: Vec<Vec<(String, u16, ElemTy)>>,

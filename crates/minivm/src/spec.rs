@@ -11,6 +11,7 @@
 
 use crate::EngineError;
 use minic::{Block, Item, Pragma, Stmt, TranslationUnit};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// A specialization-constant value: mini-C scalars are two-typed.
@@ -144,6 +145,97 @@ impl SpecConfig {
     }
 }
 
+/// Whether two values are the same constant: same type, and a float
+/// by its bits, so `0.0` and `-0.0` differ.
+fn same_value(a: SpecValue, b: SpecValue) -> bool {
+    match (a, b) {
+        (SpecValue::I64(x), SpecValue::I64(y)) => x == y,
+        (SpecValue::F64(x), SpecValue::F64(y)) => x.to_bits() == y.to_bits(),
+        _ => false,
+    }
+}
+
+/// The view of a [`SpecConfig`] that lowering reads through. It records
+/// every name it is asked about with the answer it gave, a miss
+/// included, so the lowered kernel can tell which other specs it would
+/// have been lowered the same under.
+pub(crate) struct SpecReader<'a> {
+    spec: &'a SpecConfig,
+    /// One entry per distinct name, in first-read order: a spec answers
+    /// a name the same way every time it is asked.
+    reads: RefCell<Vec<(Box<str>, Option<SpecValue>)>>,
+}
+
+impl<'a> SpecReader<'a> {
+    pub(crate) fn new(spec: &'a SpecConfig) -> Self {
+        SpecReader {
+            spec,
+            reads: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// [`SpecConfig::lookup`], recorded.
+    pub(crate) fn lookup(&self, name: &str) -> Option<SpecValue> {
+        let value = self.spec.lookup(name);
+        let mut reads = self.reads.borrow_mut();
+        if !reads.iter().any(|(read, _)| **read == *name) {
+            reads.push((name.into(), value));
+        }
+        value
+    }
+
+    /// [`SpecConfig::int`], recorded as the full answer (a float
+    /// binding is a different answer from a miss).
+    pub(crate) fn int(&self, name: &str) -> Option<i64> {
+        match self.lookup(name) {
+            Some(SpecValue::I64(v)) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The entry arguments; [`SpecReader::finish`] records all of them.
+    pub(crate) fn args(&self) -> &'a [SpecValue] {
+        self.spec.args()
+    }
+
+    /// Everything the lowering read.
+    pub(crate) fn finish(self) -> SpecReads {
+        SpecReads {
+            consts: self.reads.into_inner(),
+            args: self.spec.args().to_vec(),
+        }
+    }
+}
+
+/// What one lowering read of its spec: each name it looked up with the
+/// answer it got, and the entry arguments.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SpecReads {
+    consts: Vec<(Box<str>, Option<SpecValue>)>,
+    args: Vec<SpecValue>,
+}
+
+impl SpecReads {
+    /// Whether `spec` gives every recorded lookup the same answer and
+    /// passes the same arguments, comparing floats by their bits.
+    pub(crate) fn answered_same_by(&self, spec: &SpecConfig) -> bool {
+        let same = |a: Option<SpecValue>, b: Option<SpecValue>| match (a, b) {
+            (Some(a), Some(b)) => same_value(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        self.args.len() == spec.args().len()
+            && self
+                .args
+                .iter()
+                .zip(spec.args())
+                .all(|(&a, &b)| same_value(a, b))
+            && self
+                .consts
+                .iter()
+                .all(|(name, answer)| same(*answer, spec.lookup(name)))
+    }
+}
+
 fn hash_value(h: &mut Fnv, value: SpecValue) {
     match value {
         SpecValue::I64(v) => {
@@ -272,6 +364,34 @@ mod tests {
         let i = SpecConfig::new().bind("N", 1i64);
         let f = SpecConfig::new().bind("N", 1.0);
         assert_ne!(i.fingerprint(), f.fingerprint());
+    }
+
+    #[test]
+    fn a_reader_records_each_name_once_with_its_answer_and_the_args() {
+        let spec = SpecConfig::new().bind("N", 4i64).bind("X", 0.0).arg(1.5);
+        let reader = SpecReader::new(&spec);
+        assert_eq!(reader.int("N"), Some(4));
+        assert_eq!(reader.int("X"), None, "a float is not an int");
+        assert_eq!(reader.lookup("g"), None);
+        assert_eq!(reader.int("N"), Some(4));
+        let reads = reader.finish();
+        assert_eq!(reads.consts.len(), 3, "{reads:?}");
+        assert!(reads.answered_same_by(&spec));
+        // Unread bindings do not matter; every read and argument does,
+        // floats by their bits and misses included.
+        assert!(reads.answered_same_by(&spec.clone().bind("unread", 1i64)));
+        let differ = [
+            spec.clone().bind("N", 5i64),
+            spec.clone().bind("X", -0.0),
+            spec.clone().bind("X", 0i64),
+            spec.clone().bind("g", 0i64),
+            SpecConfig::new().bind("N", 4i64).bind("X", 0.0).arg(-1.5),
+            SpecConfig::new().bind("N", 4i64).bind("X", 0.0),
+            spec.clone().arg(1.5),
+        ];
+        for other in differ {
+            assert!(!reads.answered_same_by(&other), "{other:?}");
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::layout::{ElemTy, Layout, Memory, Value};
 use crate::lower::{ArrRef, FAlu, IAlu, IExpr, IStmt, LFunc, LProgram, Pred};
+use crate::spec::{SpecConfig, SpecReads};
 use crate::{EngineError, ExecutionReport, RetValue};
 
 /// One bytecode instruction. Register operands are `u16` indices into
@@ -33,9 +34,15 @@ pub(crate) enum Op {
     CvtFI(u16, u16),
     /// Wrapping 64-bit integer ALU; `Div`/`Rem` trap on zero.
     AluI(IAlu, u16, u16, u16),
+    /// `ri[d] = ri[a] op imm`: [`Op::AluI`] with a constant right
+    /// operand. Never `Div`/`Rem`, which keep the register form so a
+    /// zero divisor traps where it always did.
+    AluIK(IAlu, u16, u16, i64),
     /// f64 ALU; counts one flop.
     AluF(FAlu, u16, u16, u16),
     CmpI(Pred, u16, u16, u16),
+    /// `ri[d] = (ri[a] p imm) as i64`
+    CmpIK(Pred, u16, u16, i64),
     /// Float compare into an i-reg (uncounted).
     CmpF(Pred, u16, u16, u16),
     NegI(u16, u16),
@@ -87,6 +94,10 @@ pub(crate) struct CodeFn {
 /// reads nothing but these fields, so two kernels that are
 /// [`same_program`](CompiledKernel::same_program) run to equal results,
 /// errors included, whatever specs they were lowered from.
+///
+/// The kernel also keeps what its lowering read of the spec, which is
+/// what [`lowers_same_under`](CompiledKernel::lowers_same_under)
+/// checks; the record is not part of the program.
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
     pub(crate) layout: Layout,
@@ -94,6 +105,7 @@ pub struct CompiledKernel {
     pub(crate) init: Option<CodeFn>,
     pub(crate) entry: CodeFn,
     pub(crate) entry_args: Vec<Value>,
+    reads: SpecReads,
 }
 
 /// Reusable execution state (memory image + register files). Reusing a
@@ -242,6 +254,22 @@ impl CompiledKernel {
             && self.entry_args == other.entry_args
     }
 
+    /// Whether lowering the same program text under `spec` would give
+    /// exactly this kernel's program: `spec` answers every lookup this
+    /// kernel's lowering made (array dimensions, constants read in code,
+    /// and the names that missed and fell through to globals) the same
+    /// way, and passes the same entry arguments, comparing floats by
+    /// their bits. Lowering is a deterministic function of the program
+    /// text and those answers, so for the program this kernel was
+    /// lowered from, this implies
+    /// [`same_program`](CompiledKernel::same_program) with a fresh
+    /// [`crate::compile`] under `spec`. It says nothing about another
+    /// program text, and it does not validate `spec`: the pragma
+    /// lookups of [`crate::validate`] are not recorded.
+    pub fn lowers_same_under(&self, spec: &SpecConfig) -> bool {
+        self.reads.answered_same_by(spec)
+    }
+
     /// Total instruction count across all compiled functions (an
     /// observability hook for tests and benches).
     pub fn op_count(&self) -> usize {
@@ -269,30 +297,9 @@ impl CompiledKernel {
                 Op::CvtIF(d, s) => rf[d as usize] = ri[s as usize] as f64,
                 Op::CvtFI(d, s) => ri[d as usize] = rf[s as usize] as i64,
                 Op::AluI(op, d, a, b) => {
-                    let (x, y) = (ri[a as usize], ri[b as usize]);
-                    ri[d as usize] = match op {
-                        IAlu::Add => x.wrapping_add(y),
-                        IAlu::Sub => x.wrapping_sub(y),
-                        IAlu::Mul => x.wrapping_mul(y),
-                        IAlu::Div | IAlu::Rem => {
-                            if y == 0 {
-                                return Err(EngineError::Runtime {
-                                    what: "integer division by zero".into(),
-                                });
-                            }
-                            if op == IAlu::Div {
-                                x.wrapping_div(y)
-                            } else {
-                                x.wrapping_rem(y)
-                            }
-                        }
-                        IAlu::And => x & y,
-                        IAlu::Or => x | y,
-                        IAlu::Xor => x ^ y,
-                        IAlu::Shl => x.wrapping_shl(y as u32),
-                        IAlu::Shr => x.wrapping_shr(y as u32),
-                    };
+                    ri[d as usize] = int_alu(op, ri[a as usize], ri[b as usize])?;
                 }
+                Op::AluIK(op, d, a, k) => ri[d as usize] = int_alu(op, ri[a as usize], k)?,
                 Op::AluF(op, d, a, b) => {
                     let (x, y) = (rf[a as usize], rf[b as usize]);
                     c.flops += 1;
@@ -305,26 +312,11 @@ impl CompiledKernel {
                     };
                 }
                 Op::CmpI(p, d, a, b) => {
-                    let (x, y) = (ri[a as usize], ri[b as usize]);
-                    ri[d as usize] = i64::from(match p {
-                        Pred::Eq => x == y,
-                        Pred::Ne => x != y,
-                        Pred::Lt => x < y,
-                        Pred::Le => x <= y,
-                        Pred::Gt => x > y,
-                        Pred::Ge => x >= y,
-                    });
+                    ri[d as usize] = i64::from(compare(p, ri[a as usize], ri[b as usize]));
                 }
+                Op::CmpIK(p, d, a, k) => ri[d as usize] = i64::from(compare(p, ri[a as usize], k)),
                 Op::CmpF(p, d, a, b) => {
-                    let (x, y) = (rf[a as usize], rf[b as usize]);
-                    ri[d as usize] = i64::from(match p {
-                        Pred::Eq => x == y,
-                        Pred::Ne => x != y,
-                        Pred::Lt => x < y,
-                        Pred::Le => x <= y,
-                        Pred::Gt => x > y,
-                        Pred::Ge => x >= y,
-                    });
+                    ri[d as usize] = i64::from(compare(p, rf[a as usize], rf[b as usize]));
                 }
                 Op::NegI(d, s) => ri[d as usize] = ri[s as usize].wrapping_neg(),
                 Op::NegF(d, s) => {
@@ -431,6 +423,46 @@ impl CompiledKernel {
     }
 }
 
+/// Wrapping 64-bit integer arithmetic; `Div`/`Rem` trap on a zero
+/// divisor.
+#[inline(always)]
+fn int_alu(op: IAlu, x: i64, y: i64) -> Result<i64, EngineError> {
+    Ok(match op {
+        IAlu::Add => x.wrapping_add(y),
+        IAlu::Sub => x.wrapping_sub(y),
+        IAlu::Mul => x.wrapping_mul(y),
+        IAlu::Div | IAlu::Rem => {
+            if y == 0 {
+                return Err(EngineError::Runtime {
+                    what: "integer division by zero".into(),
+                });
+            }
+            if op == IAlu::Div {
+                x.wrapping_div(y)
+            } else {
+                x.wrapping_rem(y)
+            }
+        }
+        IAlu::And => x & y,
+        IAlu::Or => x | y,
+        IAlu::Xor => x ^ y,
+        IAlu::Shl => x.wrapping_shl(y as u32),
+        IAlu::Shr => x.wrapping_shr(y as u32),
+    })
+}
+
+#[inline(always)]
+fn compare<T: PartialOrd>(p: Pred, x: T, y: T) -> bool {
+    match p {
+        Pred::Eq => x == y,
+        Pred::Ne => x != y,
+        Pred::Lt => x < y,
+        Pred::Le => x <= y,
+        Pred::Gt => x > y,
+        Pred::Ge => x >= y,
+    }
+}
+
 /// Generates bytecode for a whole lowered program.
 pub(crate) fn codegen(prog: LProgram) -> Result<CompiledKernel, EngineError> {
     let init = match &prog.init {
@@ -444,6 +476,7 @@ pub(crate) fn codegen(prog: LProgram) -> Result<CompiledKernel, EngineError> {
         init,
         entry,
         entry_args: prog.entry_args,
+        reads: prog.reads,
     })
 }
 
@@ -776,8 +809,17 @@ impl Gen {
                 self.ops.push(Op::LdElemF(t, *arr, ri));
                 Ok(t)
             }
+            // A constant right operand rides in the op; a constant
+            // divisor stays a register so a zero still traps at run
+            // time, as in the interpreter.
             IExpr::BinI(op, a, b) => {
                 let ra = self.expr(a)?;
+                if let (IExpr::ConstI(k), false) = (b.as_ref(), matches!(op, IAlu::Div | IAlu::Rem))
+                {
+                    let t = self.temp(ElemTy::I)?;
+                    self.ops.push(Op::AluIK(*op, t, ra, *k));
+                    return Ok(t);
+                }
                 let rb = self.expr(b)?;
                 let t = self.temp(ElemTy::I)?;
                 self.ops.push(Op::AluI(*op, t, ra, rb));
@@ -792,6 +834,11 @@ impl Gen {
             }
             IExpr::CmpI(p, a, b) => {
                 let ra = self.expr(a)?;
+                if let IExpr::ConstI(k) = b.as_ref() {
+                    let t = self.temp(ElemTy::I)?;
+                    self.ops.push(Op::CmpIK(*p, t, ra, *k));
+                    return Ok(t);
+                }
                 let rb = self.expr(b)?;
                 let t = self.temp(ElemTy::I)?;
                 self.ops.push(Op::CmpI(*p, t, ra, rb));

@@ -182,7 +182,9 @@ impl Machine {
         &self.flags
     }
 
-    /// Runs one kernel invocation with measurement noise.
+    /// Runs one kernel invocation with measurement noise: the
+    /// [`expected`](Self::expected) outcome with its time and power
+    /// scaled by the next [`noise_factors`](Self::noise_factors) pair.
     ///
     /// # Panics
     ///
@@ -190,12 +192,23 @@ impl Machine {
     /// [`Topology::place`]).
     pub fn execute(&mut self, w: &WorkloadProfile, cfg: &KnobConfig) -> Execution {
         let mut exec = self.expected(w, cfg);
-        let tn = lognormal(&mut self.rng, self.noise.time_sigma);
-        let pn = lognormal(&mut self.rng, self.noise.power_sigma);
+        let (tn, pn) = self.noise_factors();
         exec.time_s *= tn;
         exec.power_w *= pn;
         exec.energy_j = exec.time_s * exec.power_w;
         exec
+    }
+
+    /// Draws the multiplicative `(time, power)` noise factors of the
+    /// next invocation from this machine's noise stream: the pair
+    /// [`execute`](Self::execute) draws, in the same order, so a caller
+    /// that repeats one configuration can compute the expectation once
+    /// and scale it by successive pairs. The stateful twin of
+    /// [`noise_factors_at`](Self::noise_factors_at).
+    pub fn noise_factors(&mut self) -> (f64, f64) {
+        let tn = lognormal(&mut self.rng, self.noise.time_sigma);
+        let pn = lognormal(&mut self.rng, self.noise.power_sigma);
+        (tn, pn)
     }
 
     /// The multiplicative `(time, power)` noise factors of invocation
@@ -360,6 +373,25 @@ mod tests {
         assert_ne!(parent.fork(1).fork(2).seed(), parent.fork(2).fork(1).seed());
         // … and fork(x).fork(x) must not replay the parent's stream.
         assert_ne!(parent.fork(3).fork(3).seed(), parent.seed());
+    }
+
+    #[test]
+    fn execute_is_the_expectation_scaled_by_the_next_noise_factors() {
+        let w = kernel();
+        let c = cfg(OptLevel::O2, 8, BindingPolicy::Spread);
+        let mut run = Machine::xeon_e5_2630_v3(7);
+        let mut draw = Machine::xeon_e5_2630_v3(7);
+        let e = draw.expected(&w, &c);
+        for _ in 0..5 {
+            let got = run.execute(&w, &c);
+            let (tn, pn) = draw.noise_factors();
+            assert_eq!(got.time_s.to_bits(), (e.time_s * tn).to_bits());
+            assert_eq!(got.power_w.to_bits(), (e.power_w * pn).to_bits());
+        }
+        assert_eq!(
+            Machine::xeon_e5_2630_v3(7).noiseless().noise_factors(),
+            (1.0, 1.0)
+        );
     }
 
     #[test]

@@ -764,11 +764,12 @@ impl Fleet {
 
     /// The functional execution report of `app`'s compiled kernel
     /// specialized for `threads`, or `None` if that specialization was
-    /// never built (or its lowering failed). Reports are bit-identical
+    /// never built (or its build failed). Reports are bit-identical
     /// to [`minivm::interpret`] and across thread counts — the thread
-    /// knob is configuration, not data. Each thread count is lowered,
-    /// but its program runs only if it differs from the pool's first
-    /// kernel that ran; otherwise the report is that kernel's.
+    /// knob is configuration, not data. Each thread count is validated,
+    /// but the pool's [`KernelFamily`] lowers and runs its program only
+    /// for a thread count its first kernel that ran would not lower the
+    /// same under; otherwise the report is that kernel's.
     pub fn kernel_report(&self, app: App, threads: u32) -> Option<ExecutionReport> {
         self.pools
             .iter()

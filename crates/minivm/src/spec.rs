@@ -209,7 +209,7 @@ impl<'a> SpecReader<'a> {
 
 /// What one lowering read of its spec: each name it looked up with the
 /// answer it got, and the entry arguments.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct SpecReads {
     consts: Vec<(Box<str>, Option<SpecValue>)>,
     args: Vec<SpecValue>,

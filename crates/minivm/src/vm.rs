@@ -244,8 +244,9 @@ impl CompiledKernel {
     /// immediates, scalar initializers, entry arguments) is compared by
     /// its bits, so `0.0` and `-0.0` are different programs, as their
     /// checksums are. When this holds, [`run`](CompiledKernel::run)
-    /// returns the same result for both, so a caller that ran one may
-    /// reuse its report for the other.
+    /// returns the same result for both. Nothing compares programs at
+    /// run time: this is the test oracle for
+    /// [`lowers_same_under`](CompiledKernel::lowers_same_under).
     pub fn same_program(&self, other: &CompiledKernel) -> bool {
         self.layout == other.layout
             && self.arrays == other.arrays

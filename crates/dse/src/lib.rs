@@ -13,9 +13,9 @@
 //! once and scaled by one noise draw per repetition. With no fan-out,
 //! the knowledge is bit-identical for a given machine seed and
 //! repetition count by construction. The toolchain that calls it fans
-//! out across applications instead: a sweep is short (a few hundred
-//! µs for 512 points), and spawning workers per sweep cost more than it
-//! saved.
+//! out across applications instead, so a sweep that spawned its own
+//! workers would only compete with another application's sweep for the
+//! same cores.
 //!
 //! Profiling here is purely analytic: it measures the platform model
 //! and never runs a kernel. The toolchain that calls it lowers the

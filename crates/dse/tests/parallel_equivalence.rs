@@ -1,12 +1,9 @@
 //! Regression tests pinning the DSE sweep's output: `dse::profile`'s
 //! knowledge is pinned by content hash at three `(seed, repetitions)`
 //! pairs, is a function of the machine seed alone, and `explore` is the
-//! sweep over the full factorial.
-//!
-//! The sweep once fanned out over rayon, and this file checked that
-//! fan-out against a serial reference. The sweep is serial now, so the
-//! pinned hashes, recorded at the fan-out version, stand in for that
-//! reference.
+//! sweep over the full factorial. The hashes were recorded while the
+//! sweep still fanned out over rayon, so they carry that version's
+//! output forward as the reference.
 
 use dse::{explore, profile, DesignSpace};
 use margot::Knowledge;

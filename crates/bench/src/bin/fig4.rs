@@ -12,7 +12,7 @@
 use margot::{AsRtm, Cmp, Constraint, Metric, Rank};
 use polybench::App;
 use serde::Serialize;
-use socrates::{socrates_pipeline, ArtifactStore, StageContext, Toolchain};
+use socrates::Toolchain;
 use socrates_bench::{co_axis_index, co_label};
 
 #[derive(Serialize)]
@@ -28,14 +28,9 @@ struct Point {
 }
 
 fn main() {
-    let toolchain = Toolchain::default();
-    // Run the canonical staged pipeline explicitly (the composable form
-    // of `Toolchain::enhance`).
-    let store = ArtifactStore::new();
-    let pipeline = socrates_pipeline();
-    eprintln!("stages: {}", pipeline.stage_names().join(" -> "));
-    let ctx = StageContext::new(&toolchain, &store, App::TwoMm);
-    let enhanced = pipeline.run(&ctx, ()).expect("enhance 2mm");
+    let enhanced = Toolchain::default()
+        .enhance(App::TwoMm)
+        .expect("enhance 2mm");
     println!("Figure 4 — static tuning of 2mm: min exec time s.t. power <= budget");
     println!();
     println!(

@@ -1,6 +1,6 @@
 //! Typed stage artifacts and the shared [`ArtifactStore`].
 //!
-//! Every pipeline stage produces a typed artifact (a [`ParsedSource`],
+//! Every design-time step produces a typed artifact (a [`ParsedSource`],
 //! [`KernelFeatures`], [`FlagPredictions`], [`WeavedProgram`] or
 //! [`ProfiledKnowledge`]); the store memoises them under a key of
 //! `(app, dataset, toolchain-config fingerprint)` so that a batch run
@@ -25,7 +25,7 @@ use crate::error::SocratesError;
 use crate::snapshot::{
     nearest_neighbour, KnowledgeSnapshot, SnapshotFingerprint, SNAPSHOT_FORMAT_VERSION,
 };
-use crate::toolchain::{fnv, Toolchain};
+use crate::toolchain::{fnv, kernel_entry, Toolchain};
 use cobayn::{iterative_compilation, Cobayn, CobaynConfig, TrainingApp};
 use lara::{Multiversioned, WeavingMetrics};
 use margot::Knowledge;
@@ -81,20 +81,6 @@ pub struct WeavedProgram {
     pub multiversioned: Multiversioned,
     /// Version table: index = `__socrates_version` value.
     pub versions: Vec<(CompilerOptions, BindingPolicy)>,
-}
-
-impl WeavedProgram {
-    /// The weaved clone functional kernels enter through: the first
-    /// version (`kernel_<app>_v0`; all clones share one body and differ
-    /// only in pragma flags, so one functional artifact covers the
-    /// version table), or the original kernel when there is none.
-    fn kernel_entry(&self) -> String {
-        self.multiversioned
-            .version_functions
-            .first()
-            .cloned()
-            .unwrap_or_else(|| self.app.kernel_name())
-    }
 }
 
 /// Stage 5 artifact: the design-time knowledge from the DSE.
@@ -166,11 +152,6 @@ pub struct StoreStats {
     /// Compiled-kernel lookups answered from cache (profiling looks up
     /// each thread count once, not each profiled configuration).
     pub kernel_hits: u64,
-    /// Static kernel analyses (one per `(app, dataset, config,
-    /// threads)`, mirroring the compiled-kernel keying).
-    pub analysis_builds: u64,
-    /// Analysis-report lookups answered from cache.
-    pub analysis_hits: u64,
 }
 
 impl StoreStats {
@@ -184,7 +165,6 @@ impl StoreStats {
             + self.weave_builds
             + self.knowledge_builds
             + self.kernel_builds
-            + self.analysis_builds
     }
 }
 
@@ -202,9 +182,6 @@ struct Counters {
     kernel: AtomicU64,
     kernel_hits: AtomicU64,
     kernel_compile_ns: AtomicU64,
-    analysis: AtomicU64,
-    analysis_hits: AtomicU64,
-    analysis_ns: AtomicU64,
 }
 
 /// Thread-safe cache of stage artifacts, shared across the targets of a
@@ -231,7 +208,6 @@ pub struct ArtifactStore {
     /// One kernel family per `(app, dataset, config)`: its thread counts
     /// share the family's one lowering and run.
     families: Mutex<HashMap<ArtifactKey, Arc<KernelFamily>>>,
-    analyses: Mutex<HashMap<(ArtifactKey, u32), Arc<minivm::AnalysisReport>>>,
     counters: Counters,
 }
 
@@ -281,8 +257,6 @@ impl ArtifactStore {
             knowledge_loads: get(&c.knowledge_loads),
             kernel_builds: get(&c.kernel),
             kernel_hits: get(&c.kernel_hits),
-            analysis_builds: get(&c.analysis),
-            analysis_hits: get(&c.analysis_hits),
         }
     }
 
@@ -292,12 +266,6 @@ impl ArtifactStore {
     /// `==`).
     pub fn kernel_compile_ns(&self) -> u64 {
         self.counters.kernel_compile_ns.load(Ordering::Relaxed)
-    }
-
-    /// Total wall-clock nanoseconds spent in static kernel analysis
-    /// (same convention as [`ArtifactStore::kernel_compile_ns`]).
-    pub fn analysis_ns(&self) -> u64 {
-        self.counters.analysis_ns.load(Ordering::Relaxed)
     }
 
     fn key(&self, toolchain: &Toolchain, app: App) -> ArtifactKey {
@@ -639,7 +607,7 @@ impl ArtifactStore {
         let weaved = self.weaved(toolchain, app)?;
         let family = KernelFamily::new(
             Arc::clone(&weaved.weaved),
-            weaved.kernel_entry(),
+            kernel_entry(app, &weaved.multiversioned),
             app,
             toolchain.dataset,
         );
@@ -648,69 +616,6 @@ impl ArtifactStore {
                 .entry(key)
                 .or_insert_with(|| Arc::new(family)),
         ))
-    }
-
-    /// The static [`minivm::AnalysisReport`] for `app`'s weaved kernel
-    /// under the functional spec for a given thread count — the same
-    /// `(app, dataset, config fingerprint, threads)` keying as
-    /// [`ArtifactStore::compiled_kernel`], so a DSE sweep or fleet that
-    /// revisits a configuration analyzes once and hits the cache after.
-    ///
-    /// # Errors
-    ///
-    /// Propagates upstream errors. A *rejected* kernel is not an error
-    /// here: the verdict travels inside the report (gate with
-    /// [`crate::engine::ensure_safe`] or use
-    /// [`ArtifactStore::verified_kernel`]).
-    pub fn analysis(
-        &self,
-        toolchain: &Toolchain,
-        app: App,
-        threads: u32,
-    ) -> Result<Arc<minivm::AnalysisReport>, SocratesError> {
-        let key = (self.key(toolchain, app), threads);
-        get_or_build(
-            &self.analyses,
-            &self.counters.analysis_hits,
-            &self.counters.analysis,
-            key,
-            || {
-                let weaved = self.weaved(toolchain, app)?;
-                let report = crate::engine::analyze_kernel_for(
-                    &weaved.weaved,
-                    &weaved.kernel_entry(),
-                    app,
-                    toolchain.dataset,
-                    threads,
-                )?;
-                self.counters
-                    .analysis_ns
-                    .fetch_add(report.analysis_ns, Ordering::Relaxed);
-                Ok(report)
-            },
-        )
-    }
-
-    /// [`ArtifactStore::compiled_kernel`] behind the analysis gate: the
-    /// kernel is statically analyzed first and only lowered if the
-    /// analyzer certifies it safe, so an unsafe kernel never reaches
-    /// the VM.
-    ///
-    /// # Errors
-    ///
-    /// Fails with a [`StageId::Analyze`](crate::StageId::Analyze) error
-    /// carrying the rendered diagnostics when the verdict is not
-    /// [`minivm::Verdict::Safe`]; otherwise propagates
-    /// [`ArtifactStore::compiled_kernel`] errors.
-    pub fn verified_kernel(
-        &self,
-        toolchain: &Toolchain,
-        app: App,
-        threads: u32,
-    ) -> Result<Arc<CompiledKernel>, SocratesError> {
-        let report = self.analysis(toolchain, app, threads)?;
-        crate::engine::ensure_safe(app, &report)?;
-        self.compiled_kernel(toolchain, app, threads)
     }
 
     /// Builds the corpus entries (and their parse/feature inputs) for
@@ -978,6 +883,17 @@ mod tests {
     }
 
     #[test]
+    fn kernel_features_build_only_parse_and_features() {
+        let tc = quick_toolchain();
+        let store = ArtifactStore::new();
+        let features = store.kernel_features(&tc, App::Mvt).unwrap();
+        assert_eq!(features.app, App::Mvt);
+        let stats = store.stats();
+        assert_eq!((stats.parse_builds, stats.feature_builds), (1, 1));
+        assert_eq!(stats.total_builds(), 2);
+    }
+
+    #[test]
     fn compiled_kernels_cache_per_thread_count_and_engine() {
         let tc = quick_toolchain();
         let store = ArtifactStore::new();
@@ -1002,47 +918,6 @@ mod tests {
         let reference =
             minivm::interpret(&weaved.weaved, &a.entry, &spec).expect("interpreter runs");
         assert_eq!(a.report, reference, "engines must be bit-identical");
-    }
-
-    #[test]
-    fn analysis_reports_cache_like_compiled_kernels() {
-        let tc = quick_toolchain();
-        let store = ArtifactStore::new();
-        let a = store.analysis(&tc, App::TwoMm, 1).unwrap();
-        let b = store.analysis(&tc, App::TwoMm, 1).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "same key must be the cached Arc");
-        let c = store.analysis(&tc, App::TwoMm, 8).unwrap();
-        assert!(a.is_safe() && c.is_safe());
-        // Counters are thread-invariant: the two specs analyze to the
-        // same exact event counts.
-        assert_eq!((a.flops, a.loads, a.stores), (c.flops, c.loads, c.stores));
-        let stats = store.stats();
-        assert_eq!(stats.analysis_builds, 2);
-        assert_eq!(stats.analysis_hits, 1);
-        assert!(store.analysis_ns() > 0);
-    }
-
-    #[test]
-    fn verified_kernels_agree_with_the_analysis() {
-        let tc = quick_toolchain();
-        let store = ArtifactStore::new();
-        let kernel = store.verified_kernel(&tc, App::Mvt, 4).unwrap();
-        let analysis = store.analysis(&tc, App::Mvt, 4).unwrap();
-        assert!(analysis.counts_exact);
-        assert_eq!(
-            (analysis.flops, analysis.loads, analysis.stores),
-            (
-                kernel.report.flops,
-                kernel.report.loads,
-                kernel.report.stores
-            ),
-            "static counters must equal the executed report"
-        );
-        // The gate reused the cached analysis: one build, one hit.
-        let stats = store.stats();
-        assert_eq!(stats.analysis_builds, 1);
-        assert_eq!(stats.analysis_hits, 1);
-        assert_eq!(stats.kernel_builds, 1);
     }
 
     #[test]

@@ -34,6 +34,13 @@
 //! dataset, config fingerprint)` and caches its kernels per thread
 //! count, so a fleet of N instances sharing a configuration builds
 //! once.
+//!
+//! The static analyzer ([`analyze_kernel`]) answers one question for
+//! the toolchain: is a specialization safe to run. [`analysis_prune`]
+//! reads that verdict as feasibility and ranks the feasible
+//! configurations on the same noise-free platform expectation the DSE
+//! profiles, never on the analyzer's cost polynomials (a test holds
+//! those against the profile's flop counts instead).
 
 use crate::error::SocratesError;
 use minic::TranslationUnit;
@@ -121,9 +128,8 @@ fn lower_error(app: App, source: minivm::EngineError) -> SocratesError {
 /// IR plus the symbolic cost model (see [`minivm::analyze`]).
 ///
 /// This is a *query* — an unsafe kernel comes back as a report with a
-/// non-[`Safe`](minivm::Verdict::Safe) verdict, not as an error. Use
-/// [`ensure_safe`] to turn a rejection into the
-/// [`StageId::Analyze`](crate::StageId::Analyze)-tagged pipeline error.
+/// non-[`Safe`](minivm::Verdict::Safe) verdict, not as an error;
+/// [`analysis_prune`] reads that verdict as infeasibility.
 ///
 /// # Errors
 ///
@@ -150,96 +156,28 @@ pub fn analyze_kernel_for(
     analyze_kernel(tu, entry, app, &functional_spec(app, ds, threads))
 }
 
-/// Gate: turns a non-safe [`minivm::AnalysisReport`] into the
-/// [`StageId::Analyze`](crate::StageId::Analyze)-tagged rejection that
-/// stops a kernel from reaching the VM.
-///
-/// # Errors
-///
-/// Fails iff the report's verdict is not [`minivm::Verdict::Safe`]; the
-/// error carries the verdict and every rendered diagnostic.
-pub fn ensure_safe(app: App, report: &minivm::AnalysisReport) -> Result<(), SocratesError> {
-    if report.is_safe() {
-        return Ok(());
-    }
-    Err(SocratesError::analyze(
-        app,
-        format!(
-            "verdict {:?}\n{}",
-            report.verdict,
-            report.render_diagnostics().trim_end()
-        ),
-    ))
-}
-
-/// The *paper-scale* spec for `(app, ds, threads)`: identical to
-/// [`functional_spec`] but with the dataset's real (unclamped) array
-/// dimensions. Kernels are never executed at this scale — it exists so
-/// the analyzer's symbolic cost polynomials can be *evaluated* at the
-/// true deployment size ([`minivm::CostModel::eval_at`]), which is what
-/// lets the static DSE pruning reason about the full-dataset workload
-/// without paying a full-dataset run.
-pub fn full_scale_spec(app: App, ds: Dataset, threads: u32) -> SpecConfig {
-    let dims = app.dims(ds);
-    let mut spec = SpecConfig::new().bind(lara::THREADS_VAR, i64::from(threads));
-    for &(name, v) in &dims {
-        spec.set(name, v as i64);
-    }
-    for arg in app.kernel_args(&dims) {
-        spec = match arg {
-            KernelArg::Int(v) => spec.arg(v),
-            KernelArg::Double(v) => spec.arg(v),
-        };
-    }
-    spec
-}
-
 /// Analysis-driven DSE pruning for an enhanced application: drops
-/// configurations whose specialization the static analyzer rejects as
-/// unsafe, and feasible points that are statically dominated on the
-/// platform expectation over the analyzer-derived workload (see
+/// configurations whose specialization the static analyzer cannot
+/// certify as safe, and feasible points that another feasible point
+/// dominates on the noise-free expectation of the design platform (see
 /// [`dse::prune_space`]).
 ///
-/// The static workload starts from the design profile and replaces its
-/// compute/traffic totals with the analyzer's counters — extrapolated
-/// to the real dataset scale through the symbolic cost polynomials
-/// where the kernel admits them ([`full_scale_spec`]), falling back to
-/// the exact functional-scale counters, and, if analysis fails
-/// entirely, leaving the design profile untouched. Feasibility is
-/// queried once per distinct thread count; an analysis *error* (as
-/// opposed to an unsafe verdict) never prunes — such configurations
-/// surface their failure through the normal compile path instead.
+/// The expectation is the one [`dse::profile`] scales by measurement
+/// noise — [`Machine::expected`](platform_sim::Machine::expected) over
+/// the app's own workload profile — so the prune ranks configurations
+/// on the model the design knowledge was built from. The analyzer only
+/// decides feasibility, once per distinct thread count; an analysis
+/// *error* (as opposed to an unsafe verdict) never prunes — such
+/// configurations surface their failure through the normal compile path
+/// instead.
 pub fn analysis_prune(
     enhanced: &crate::EnhancedApp,
     configs: Vec<KnobConfig>,
 ) -> dse::PruneReport<KnobConfig> {
-    let entry = enhanced
-        .multiversioned
-        .version_functions
-        .first()
-        .cloned()
-        .unwrap_or_else(|| enhanced.app.kernel_name());
+    let entry = enhanced.kernel_entry();
     let (app, ds) = (enhanced.app, enhanced.dataset);
-    let base = analyze_kernel_for(&enhanced.weaved, &entry, app, ds, 1).ok();
-    let mut workload = enhanced.profile.clone();
-    if let Some(r) = &base {
-        let (flops, loads, stores) = r
-            .cost
-            .as_ref()
-            .and_then(|c| c.eval_at(&full_scale_spec(app, ds, 1)))
-            .unwrap_or((r.flops, r.loads, r.stores));
-        let bytes = (loads + stores).saturating_mul(8);
-        if flops > 0 || bytes > 0 {
-            workload.name = format!("{}-static", app.name());
-            workload.flops = flops as f64;
-            workload.bytes = bytes as f64;
-        }
-    }
     let machine = enhanced.platform.machine(0);
     let mut safe_for: HashMap<u32, bool> = HashMap::new();
-    if let Some(r) = &base {
-        safe_for.insert(1, r.is_safe());
-    }
     dse::prune_space(
         configs,
         |cfg| {
@@ -249,7 +187,7 @@ pub fn analysis_prune(
             })
         },
         |cfg| {
-            let e = machine.expected(&workload, cfg);
+            let e = machine.expected(&enhanced.profile, cfg);
             (e.time_s, e.power_w)
         },
     )
@@ -473,27 +411,45 @@ mod tests {
     }
 
     #[test]
-    fn cost_polynomials_extrapolate_to_the_full_dataset_scale() {
-        let app = App::Mvt;
-        let (weaved, entry) = weaved_clone(app);
-        let report = analyze_kernel_for(&weaved, &entry, app, Dataset::Large, 1).unwrap();
-        assert!(report.is_safe());
-        assert!(report.counts_exact);
-        let cost = report.cost.as_ref().expect("mvt admits a cost model");
-        assert!(cost.exact);
-        // The polynomials reproduce the functional-scale counters…
+    fn the_analyzer_decides_feasibility_and_the_profile_decides_domination() {
+        let enhanced = crate::Toolchain {
+            dataset: Dataset::Mini,
+            dse_repetitions: 1,
+            ..crate::Toolchain::default()
+        }
+        .enhance(App::Mvt)
+        .unwrap();
+        let configs: Vec<KnobConfig> = enhanced
+            .knowledge
+            .points()
+            .iter()
+            .map(|p| p.config.clone())
+            .collect();
+        let machine = enhanced.platform.machine(0);
+        let expected = |cfg: &KnobConfig| {
+            let e = machine.expected(&enhanced.profile, cfg);
+            (e.time_s, e.power_w)
+        };
+        let pruned = analysis_prune(&enhanced, configs.clone());
+        assert_eq!(pruned.infeasible, 0);
+        assert!(pruned.dominated > 0);
         assert_eq!(
-            cost.eval_at(&functional_spec(app, Dataset::Large, 1)),
-            Some((report.flops, report.loads, report.stores))
+            pruned,
+            dse::prune_space(configs.clone(), |_| true, expected),
+            "a safe kernel prunes on the profile's expectation alone"
         );
-        // …and evaluate at the real (unclamped) dataset dimensions the
-        // kernel is never actually executed at.
-        let (flops, loads, stores) = cost
-            .eval_at(&full_scale_spec(app, Dataset::Large, 1))
-            .expect("full-scale evaluation");
-        assert!(
-            flops > report.flops && loads > report.loads && stores > report.stores,
-            "Large dims exceed the functional cap, so every counter must grow"
-        );
+
+        // A store one past the end, in every clone: the analyzer proves
+        // the fault at each thread count, so nothing is feasible.
+        let text = minic::print(&enhanced.weaved);
+        let doctored = text.replace("x1[i] = x1[i]", "x1[i + 1] = x1[i]");
+        assert_ne!(doctored, text);
+        let doctored = crate::EnhancedApp {
+            weaved: minic::parse(&doctored).unwrap(),
+            ..enhanced
+        };
+        let pruned = analysis_prune(&doctored, configs);
+        assert_eq!(pruned.infeasible, pruned.total());
+        assert!(pruned.kept.is_empty());
     }
 }

@@ -1,8 +1,8 @@
 //! The unified, stage-tagged error type of the SOCRATES toolchain.
 //!
-//! Every failure anywhere in the staged pipeline — parsing, feature
-//! extraction, COBAYN training, weaving, knowledge persistence or
-//! version dispatch — is a [`SocratesError`]. Each error knows which
+//! Every failure anywhere in the toolchain or its runtimes — parsing,
+//! feature extraction, COBAYN training, weaving, kernel lowering,
+//! knowledge persistence or version dispatch — is a [`SocratesError`]. Each error knows which
 //! [`StageId`] it originated from and carries human-readable context
 //! (the application name, the file path, …), so a batch run over many
 //! applications produces attributable diagnostics.
@@ -11,8 +11,9 @@ use polybench::App;
 use std::fmt;
 use std::path::PathBuf;
 
-/// The pipeline stage an error originated from (see the stage graph in
-/// [`crate::socrates_pipeline`]).
+/// The toolchain step or runtime layer an error originated from (the
+/// design-time steps are the [`ArtifactStore`](crate::ArtifactStore)
+/// accessors [`Toolchain::enhance`](crate::Toolchain::enhance) walks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StageId {
     /// Source parsing (`minic`).
@@ -23,8 +24,6 @@ pub enum StageId {
     Predict,
     /// LARA weaving (multiversioning + autotuner).
     Weave,
-    /// Static kernel analysis (safety verification over the typed IR).
-    Analyze,
     /// Kernel lowering/compilation (minivm typed IR → bytecode).
     Lower,
     /// DSE profiling on the platform model.
@@ -48,7 +47,6 @@ impl StageId {
             StageId::Features => "features",
             StageId::Predict => "predict",
             StageId::Weave => "weave",
-            StageId::Analyze => "analyze",
             StageId::Lower => "lower",
             StageId::Profile => "profile",
             StageId::Persist => "persist",
@@ -97,15 +95,6 @@ pub enum SocratesError {
         /// Underlying weaver diagnostic.
         source: lara::WeaveError,
     },
-    /// The static analyzer refused to certify a kernel as safe for the
-    /// requested configuration: it found a definite fault (or could not
-    /// prove the absence of one), so the kernel never reaches the VM.
-    Analyze {
-        /// Application whose kernel was rejected.
-        app: String,
-        /// The analyzer's verdict and rendered diagnostics.
-        what: String,
-    },
     /// Lowering a weaved kernel to the execution engine failed (e.g. a
     /// pragma parameter referenced by the kernel is not bound in the
     /// configuration, or the program leaves the executable dialect).
@@ -152,7 +141,6 @@ impl SocratesError {
             SocratesError::Features { .. } => StageId::Features,
             SocratesError::Train { .. } => StageId::Predict,
             SocratesError::Weave { .. } => StageId::Weave,
-            SocratesError::Analyze { .. } => StageId::Analyze,
             SocratesError::Lower { .. } => StageId::Lower,
             SocratesError::Io { .. } => StageId::Persist,
             SocratesError::UnknownVersion { .. } => StageId::Dispatch,
@@ -190,15 +178,6 @@ impl SocratesError {
         SocratesError::Weave {
             app: app.name().to_string(),
             source,
-        }
-    }
-
-    /// Builds an analysis-stage rejection for `app`; `what` carries the
-    /// verdict and rendered diagnostics.
-    pub fn analyze(app: App, what: impl Into<String>) -> Self {
-        SocratesError::Analyze {
-            app: app.name().to_string(),
-            what: what.into(),
         }
     }
 
@@ -260,9 +239,6 @@ impl fmt::Display for SocratesError {
             SocratesError::Weave { app, source } => {
                 write!(f, "{app}: weaving failed: {source}")
             }
-            SocratesError::Analyze { app, what } => {
-                write!(f, "{app}: static analysis rejected kernel: {what}")
-            }
             SocratesError::Lower { app, source } => {
                 write!(f, "{app}: kernel lowering failed: {source}")
             }
@@ -291,8 +267,7 @@ impl std::error::Error for SocratesError {
             SocratesError::Weave { source, .. } => Some(source),
             SocratesError::Lower { source, .. } => Some(source),
             SocratesError::Io { source, .. } => Some(source),
-            SocratesError::Analyze { .. }
-            | SocratesError::UnknownVersion { .. }
+            SocratesError::UnknownVersion { .. }
             | SocratesError::InvalidConfig { .. }
             | SocratesError::Transport { .. } => None,
         }
@@ -345,24 +320,12 @@ mod tests {
     }
 
     #[test]
-    fn analyze_rejections_carry_the_diagnostics() {
-        let e = SocratesError::analyze(
-            App::Doitgen,
-            "Unsafe\nerror[out-of-bounds]: index 8 out of bounds (len 8)",
-        );
-        assert_eq!(e.stage(), StageId::Analyze);
-        assert!(e.to_string().starts_with("[analyze] doitgen:"));
-        assert!(e.to_string().contains("out-of-bounds"));
-    }
-
-    #[test]
     fn every_stage_has_a_distinct_label() {
         let stages = [
             StageId::Parse,
             StageId::Features,
             StageId::Predict,
             StageId::Weave,
-            StageId::Analyze,
             StageId::Lower,
             StageId::Profile,
             StageId::Persist,

@@ -1043,12 +1043,7 @@ impl Fleet {
             pruned_dominated = pruned.dominated as u64;
             configs = pruned.kept;
         }
-        let entry = enhanced
-            .multiversioned
-            .version_functions
-            .first()
-            .cloned()
-            .unwrap_or_else(|| enhanced.app.kernel_name());
+        let entry = enhanced.kernel_entry();
         // Warm-start seeding: merge the shipped snapshot's learned
         // metrics over the design-time expectations. The pool stays
         // keyed by the *original* design knowledge (`design`), so warm

@@ -256,12 +256,7 @@ impl DistributedFleet {
             .iter()
             .map(|p| probe.shard_of(&p.config).expect("design config is known"))
             .collect();
-        let entry = enhanced
-            .multiversioned
-            .version_functions
-            .first()
-            .cloned()
-            .unwrap_or_else(|| enhanced.app.kernel_name());
+        let entry = enhanced.kernel_entry();
         let kernel = Arc::new(crate::engine::compile_kernel_for(
             &enhanced.weaved,
             &entry,

@@ -6,8 +6,9 @@
 //! options (CO), OpenMP thread count (TN) and binding policy (BP) at
 //! runtime, according to changeable energy/performance requirements.
 //!
-//! The design-time flow (paper Fig. 1) is a **staged pipeline** of
-//! composable [`Stage`]s over a shared [`ArtifactStore`]:
+//! The design-time flow (paper Fig. 1) is a chain of memoised
+//! [`ArtifactStore`] accessors, each building its inputs through the
+//! store on a miss:
 //!
 //! 1. **parse** the original C source → [`ParsedSource`] ([`minic`]);
 //! 2. **features**: GCC-Milepost static kernel counters →
@@ -18,10 +19,10 @@
 //! 4. **weave**: LARA/MANET `Multiversioning` + `Autotuner` →
 //!    [`WeavedProgram`] ([`lara`]);
 //! 5. **profile**: full-factorial DSE on the configured [`Platform`] →
-//!    [`ProfiledKnowledge`] ([`dse`]);
-//! 6. **assemble** everything into an [`EnhancedApp`].
+//!    [`ProfiledKnowledge`] ([`dse`]).
 //!
-//! [`Toolchain::enhance`] runs the pipeline for one application;
+//! [`Toolchain::enhance`] fetches the five artifacts of one application
+//! and assembles them into an [`EnhancedApp`];
 //! [`Toolchain::enhance_all`] batches a whole suite with one shared
 //! store (the COBAYN corpus is built once, not once per target) and
 //! fans targets out over rayon, bit-identical to the serial path. The
@@ -81,7 +82,6 @@ mod fleet;
 mod fleet_dist;
 mod fleet_events;
 mod knowledge_io;
-mod pipeline;
 mod platform;
 mod runtime;
 mod snapshot;
@@ -95,8 +95,7 @@ pub use artifact::{
 };
 pub use engine::{
     analysis_prune, analyze_kernel, analyze_kernel_for, compile_kernel, compile_kernel_for,
-    ensure_safe, full_scale_spec, functional_dims, functional_spec, CompiledKernel, KernelFamily,
-    FUNCTIONAL_DIM_CAP,
+    functional_dims, functional_spec, CompiledKernel, KernelFamily, FUNCTIONAL_DIM_CAP,
 };
 pub use error::{SocratesError, StageId};
 pub use events::{EventObserver, FleetEvent, FleetRuntime, InstanceId};
@@ -109,7 +108,6 @@ pub use knowledge_io::{
     delta_from_bytes, delta_to_bytes, wire_from_bytes, wire_to_bytes, WIRE_MAGIC,
 };
 pub use minivm::ExecutionReport;
-pub use pipeline::{socrates_pipeline, stages, Pipeline, Stage, StageContext};
 pub use platform::Platform;
 pub use runtime::{AdaptiveApplication, TraceSample};
 pub use snapshot::{

@@ -340,7 +340,7 @@ mod tests {
         let mut app = adaptive(Rank::maximize(Metric::throughput()));
         app.run_for(1.0);
         for s in app.trace() {
-            assert_eq!(app.enhanced().version_of(&s.config), s.version);
+            assert_eq!(app.enhanced().try_version_of(&s.config).unwrap(), s.version);
         }
     }
 

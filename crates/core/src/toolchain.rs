@@ -1,28 +1,33 @@
 //! The SOCRATES toolchain (paper Fig. 1): from the original application
 //! source to the adaptive application, with zero manual intervention.
 //!
-//! Pipeline stages, in order (see [`crate::pipeline`] for the
-//! composable stage API this is a shim over):
+//! Each step is one memoised [`ArtifactStore`] accessor, in order:
 //!
-//! 1. parse the original C source (`minic`);
-//! 2. extract static kernel features (`milepost` ≙ GCC-Milepost);
-//! 3. train COBAYN on the *other* applications (leave-one-out over the
-//!    shared training corpus) and predict the most promising flags;
-//! 4. weave the `Multiversioning` strategy (clones per CO × BP, OpenMP
-//!    pragmas, dispatch wrapper) and the `Autotuner` strategy (mARGOt
-//!    glue) with `lara`;
-//! 5. profile the full-factorial design space on the (simulated)
-//!    platform to build the mARGOt application knowledge (`dse`).
+//! 1. [`parsed`](ArtifactStore::parsed): the original C source
+//!    (`minic`);
+//! 2. [`kernel_features`](ArtifactStore::kernel_features): static kernel
+//!    features (`milepost` ≙ GCC-Milepost);
+//! 3. [`flag_predictions`](ArtifactStore::flag_predictions): COBAYN,
+//!    trained on the *other* applications (leave-one-out over the
+//!    shared training corpus), predicts the most promising flags;
+//! 4. [`weaved`](ArtifactStore::weaved): `lara` weaves the
+//!    `Multiversioning` strategy (clones per CO × BP, OpenMP pragmas,
+//!    dispatch wrapper) and the `Autotuner` strategy (mARGOt glue);
+//! 5. [`profiled_knowledge`](ArtifactStore::profiled_knowledge): the
+//!    full-factorial design space profiled on the (simulated) platform
+//!    gives the mARGOt application knowledge (`dse`).
 //!
-//! [`Toolchain::enhance`] runs the pipeline for one application;
-//! [`Toolchain::enhance_all`] fans a whole benchmark suite out over
-//! rayon with one shared [`ArtifactStore`], so the COBAYN corpus is
-//! built once instead of once per target — bit-identical to the serial
-//! per-app path at any thread count.
+//! Each accessor builds its own inputs through the store on a miss, so
+//! a rerun over a warm store is a pure cache walk.
+//! [`Toolchain::enhance`] fetches the five artifacts of one application
+//! and assembles the [`EnhancedApp`]; [`Toolchain::enhance_all`] fans a
+//! whole benchmark suite out over rayon with one shared
+//! [`ArtifactStore`], so the COBAYN corpus is built once instead of
+//! once per target — bit-identical to the serial per-app path at any
+//! thread count.
 
 use crate::artifact::ArtifactStore;
 use crate::error::SocratesError;
-use crate::pipeline::{socrates_pipeline, StageContext};
 use crate::platform::Platform;
 use lara::{Multiversioned, WeavingMetrics};
 use margot::Knowledge;
@@ -115,45 +120,67 @@ impl EnhancedApp {
             .ok_or_else(|| SocratesError::unknown_version(self.app, config))
     }
 
-    /// Maps a knob configuration to its clone version index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has no compiled version; prefer
-    /// [`EnhancedApp::try_version_of`] where a recoverable error is
-    /// wanted.
-    pub fn version_of(&self, config: &KnobConfig) -> usize {
-        self.try_version_of(config)
-            .unwrap_or_else(|e| panic!("{e}"))
+    /// The weaved clone functional kernels enter through: the first
+    /// version (`kernel_<app>_v0`; all clones share one body and differ
+    /// only in pragma flags, so one functional artifact covers the
+    /// version table), or the original kernel when there is none.
+    pub fn kernel_entry(&self) -> String {
+        kernel_entry(self.app, &self.multiversioned)
     }
 }
 
+/// [`EnhancedApp::kernel_entry`] over a weaved program's artifacts.
+pub(crate) fn kernel_entry(app: App, multiversioned: &Multiversioned) -> String {
+    multiversioned
+        .version_functions
+        .first()
+        .cloned()
+        .unwrap_or_else(|| app.kernel_name())
+}
+
 impl Toolchain {
-    /// Runs the full pipeline on one benchmark with a private, throwaway
-    /// artifact store.
+    /// Enhances one benchmark with a private, throwaway artifact store.
     ///
     /// # Errors
     ///
-    /// Returns a stage-tagged [`SocratesError`] if any stage fails; with
-    /// the bundled Polybench sources every stage succeeds.
+    /// Returns a stage-tagged [`SocratesError`] if any step fails; with
+    /// the bundled Polybench sources every step succeeds.
     pub fn enhance(&self, app: App) -> Result<EnhancedApp, SocratesError> {
         self.enhance_with_store(app, &ArtifactStore::new())
     }
 
-    /// Runs the full pipeline on one benchmark against a caller-owned
-    /// [`ArtifactStore`] — repeated calls (and calls for sibling apps)
-    /// reuse every cached artifact.
+    /// Enhances one benchmark against a caller-owned [`ArtifactStore`]:
+    /// fetches its five artifacts once each, in toolchain order, and
+    /// assembles them. Repeated calls (and calls for sibling apps) reuse
+    /// every cached artifact.
     ///
     /// # Errors
     ///
-    /// Returns a stage-tagged [`SocratesError`] if any stage fails.
+    /// Returns a stage-tagged [`SocratesError`] if any step fails.
     pub fn enhance_with_store(
         &self,
         app: App,
         store: &ArtifactStore,
     ) -> Result<EnhancedApp, SocratesError> {
-        let ctx = StageContext::new(self, store, app);
-        socrates_pipeline().run(&ctx, ())
+        let parsed = store.parsed(self, app)?;
+        let features = store.kernel_features(self, app)?;
+        let predictions = store.flag_predictions(self, app)?;
+        let weaved = store.weaved(self, app)?;
+        let profiled = store.profiled_knowledge(self, app)?;
+        Ok(EnhancedApp {
+            app,
+            dataset: self.dataset,
+            original: parsed.tu.clone(),
+            weaved: TranslationUnit::clone(&weaved.weaved),
+            metrics: weaved.metrics,
+            multiversioned: weaved.multiversioned.clone(),
+            versions: weaved.versions.clone(),
+            features: features.features.clone(),
+            cobayn_flags: predictions.flags.clone(),
+            knowledge: profiled.knowledge.clone(),
+            profile: profiled.profile.clone(),
+            platform: self.platform.clone(),
+        })
     }
 
     /// Enhances a batch of applications with one shared artifact store,
@@ -189,13 +216,15 @@ impl Toolchain {
             return Ok(Vec::new());
         }
         // Deduplicate the targets so repeated entries neither race to
-        // build the same per-target artifacts nor run them twice; the
-        // output is re-expanded to the caller's order below.
+        // build the same per-target artifacts nor run them twice; `slot`
+        // re-expands the output to the caller's order below.
         let mut unique: Vec<App> = Vec::new();
+        let mut slot: Vec<usize> = Vec::with_capacity(apps.len());
         for &app in apps {
-            if !unique.contains(&app) {
+            slot.push(unique.iter().position(|&u| u == app).unwrap_or_else(|| {
                 unique.push(app);
-            }
+                unique.len() - 1
+            }));
         }
         // Warm the shared artifacts first (race-free, in parallel):
         // every leave-one-out model draws on the same corpus entries.
@@ -222,16 +251,7 @@ impl Toolchain {
             // Duplicate-free (the common case): move, don't clone.
             return Ok(enhanced);
         }
-        Ok(apps
-            .iter()
-            .map(|a| {
-                let i = unique
-                    .iter()
-                    .position(|u| u == a)
-                    .expect("deduped from apps");
-                enhanced[i].clone()
-            })
-            .collect())
+        Ok(slot.iter().map(|&i| enhanced[i].clone()).collect())
     }
 
     /// The target platform topology (shorthand for
@@ -243,11 +263,10 @@ impl Toolchain {
     /// A stable fingerprint over the whole configuration (dataset,
     /// seeds, hyper-parameters, platform); part of every artifact cache
     /// key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration cannot be serialised (never happens:
-    /// every field is plain data).
+    #[expect(
+        clippy::expect_used,
+        reason = "every field is plain data with a derived Serialize, so serialising cannot fail"
+    )]
     pub fn fingerprint(&self) -> u64 {
         let json = serde_json::to_string(self).expect("toolchain config serialises");
         fnv(&json)
@@ -344,7 +363,7 @@ mod tests {
     fn every_knowledge_config_has_a_version() {
         let e = quick_toolchain().enhance(App::Mvt).unwrap();
         for op in e.knowledge.points() {
-            let v = e.version_of(&op.config);
+            let v = e.try_version_of(&op.config).unwrap();
             assert!(v < e.versions.len());
         }
     }
@@ -368,6 +387,26 @@ mod tests {
         assert_eq!(table.len(), 8); // dedup: 4 std × 2 BP
         let set: std::collections::HashSet<_> = table.iter().collect();
         assert_eq!(set.len(), table.len());
+    }
+
+    #[test]
+    fn enhance_over_a_warm_store_is_a_pure_cache_walk() {
+        let t = Toolchain {
+            dataset: Dataset::Small,
+            ..quick_toolchain()
+        };
+        let store = ArtifactStore::new();
+        let first = t.enhance_with_store(App::Atax, &store).unwrap();
+        let cold = store.stats();
+        let second = t.enhance_with_store(App::Atax, &store).unwrap();
+        assert_eq!(first, second);
+        let warm = store.stats();
+        assert_eq!(
+            warm.total_builds(),
+            cold.total_builds(),
+            "warm rerun must not rebuild anything"
+        );
+        assert_eq!(warm.hits, cold.hits + 5, "one lookup per artifact");
     }
 
     #[test]

@@ -99,19 +99,6 @@ impl DesignSpace {
         out
     }
 
-    /// The full-factorial enumeration with analysis-driven pruning
-    /// applied: the design space consults the safety oracle and the
-    /// static cost expectation *before* any profile run is paid for.
-    /// Shorthand for [`prune_space`] over
-    /// [`full_factorial`](Self::full_factorial).
-    pub fn pruned_factorial<F, M>(&self, feasible: F, expected: M) -> PruneReport<KnobConfig>
-    where
-        F: FnMut(&KnobConfig) -> bool,
-        M: FnMut(&KnobConfig) -> (f64, f64),
-    {
-        prune_space(self.full_factorial(), feasible, expected)
-    }
-
     /// A reproducible random subsample of the space (without
     /// replacement); an alternative DSE strategy for large spaces.
     pub fn random_sample(&self, n: usize, seed: u64) -> Vec<KnobConfig> {
@@ -248,7 +235,8 @@ impl<K> PruneReport<K> {
 /// SOCRATES, the static analyzer's safety verdict) and feasible points
 /// that are *strictly Pareto-dominated* on the deterministic
 /// `(time, power)` expectation returned by `expected` (in SOCRATES,
-/// `Machine::expected` over the analyzer's symbolic cost counters).
+/// the noise-free `Machine::expected` over the workload [`profile`]
+/// measures).
 ///
 /// A point is dominated when some other feasible point is no worse on
 /// both metrics and strictly better on at least one; metric ties keep
@@ -616,44 +604,6 @@ mod tests {
         let empty = prune_space(Vec::<u32>::new(), |_| true, |_| (1.0, 1.0));
         assert!(empty.kept.is_empty());
         assert_eq!(empty.prune_ratio(), 0.0);
-    }
-
-    #[test]
-    fn pruned_factorial_agrees_with_the_expected_pareto_frontier() {
-        // With a noiseless machine and the same (time, power) metrics,
-        // pruning the space must keep exactly the expectation-level
-        // Pareto frontier: every kept point is non-dominated and every
-        // dropped point is dominated by a kept one.
-        let s = space();
-        let m = Machine::xeon_e5_2630_v3(13).noiseless();
-        let w = kernel();
-        let r = s.pruned_factorial(
-            |_| true,
-            |cfg| {
-                let e = m.expected(&w, cfg);
-                (e.time_s, e.power_w)
-            },
-        );
-        assert_eq!(r.infeasible, 0);
-        assert_eq!(r.kept.len() + r.dominated, s.size());
-        assert!(r.dominated > 0, "a 512-point space has dominated points");
-        assert!(
-            r.prune_ratio() > 0.5,
-            "domination should prune most of the space, got {}",
-            r.prune_ratio()
-        );
-        for a in &r.kept {
-            let ea = m.expected(&w, a);
-            for b in s.full_factorial() {
-                let eb = m.expected(&w, &b);
-                assert!(
-                    !(eb.time_s <= ea.time_s
-                        && eb.power_w <= ea.power_w
-                        && (eb.time_s < ea.time_s || eb.power_w < ea.power_w)),
-                    "kept point {a:?} is dominated by {b:?}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -7,23 +7,22 @@
 
 use margot::{Metric, Rank};
 use polybench::{App, Dataset};
-use socrates::{socrates_pipeline, AdaptiveApplication, ArtifactStore, StageContext, Toolchain};
+use socrates::{AdaptiveApplication, ArtifactStore, Toolchain};
 
 fn main() {
-    // 1. Run the staged toolchain pipeline: parse -> Milepost features
-    //    -> COBAYN flag prediction -> LARA weaving -> full-factorial
-    //    DSE profiling -> assembled EnhancedApp. Every stage output is
-    //    cached in the artifact store, so enhancing another app next
-    //    would reuse the whole COBAYN training corpus.
+    // 1. Run the toolchain: parse -> Milepost features -> COBAYN flag
+    //    prediction -> LARA weaving -> full-factorial DSE profiling ->
+    //    assembled EnhancedApp. Every step's output is cached in the
+    //    artifact store, so enhancing another app next would reuse the
+    //    whole COBAYN training corpus.
     let toolchain = Toolchain {
         dataset: Dataset::Medium, // quick demo; experiments use Large
         ..Toolchain::default()
     };
     let store = ArtifactStore::new();
-    let pipeline = socrates_pipeline();
-    println!("pipeline stages: {}", pipeline.stage_names().join(" -> "));
-    let ctx = StageContext::new(&toolchain, &store, App::TwoMm);
-    let enhanced = pipeline.run(&ctx, ()).expect("toolchain");
+    let enhanced = toolchain
+        .enhance_with_store(App::TwoMm, &store)
+        .expect("toolchain");
 
     println!("SOCRATES quickstart — app: {}", enhanced.app);
     println!(

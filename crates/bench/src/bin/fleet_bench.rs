@@ -37,8 +37,6 @@ struct ScalingRow {
     total_invocations: usize,
     invocations_per_virtual_s: f64,
     host_wall_ms: f64,
-    kernel_builds: u64,
-    kernel_cache_hits: u64,
 }
 
 #[derive(Serialize)]
@@ -72,8 +70,8 @@ fn main() {
 fn scaling_study(enhanced: &EnhancedApp) {
     println!("── N-instance throughput scaling (60 virtual seconds each) ──");
     println!(
-        "{:>10} {:>14} {:>12} {:>14} {:>12}",
-        "instances", "invocations", "inv/virt-s", "host wall [ms]", "kernels b/h"
+        "{:>10} {:>14} {:>12} {:>14}",
+        "instances", "invocations", "inv/virt-s", "host wall [ms]"
     );
     let mut rows = Vec::new();
     for n in [1usize, 2, 4, 8, 16] {
@@ -83,23 +81,16 @@ fn scaling_study(enhanced: &EnhancedApp) {
         fleet.run_until(60.0);
         let host_wall_ms = wall.elapsed().as_secs_f64() * 1e3;
         let total: usize = (0..n).map(|id| fleet.trace(id).len()).sum();
-        let stats = fleet.stats();
         let row = ScalingRow {
             instances: n,
             virtual_seconds: 60.0,
             total_invocations: total,
             invocations_per_virtual_s: total as f64 / 60.0,
             host_wall_ms,
-            kernel_builds: stats.kernel_builds,
-            kernel_cache_hits: stats.kernel_cache_hits,
         };
         println!(
-            "{:>10} {:>14} {:>12.1} {:>14.1} {:>12}",
-            row.instances,
-            row.total_invocations,
-            row.invocations_per_virtual_s,
-            row.host_wall_ms,
-            format!("{}/{}", row.kernel_builds, row.kernel_cache_hits)
+            "{:>10} {:>14} {:>12.1} {:>14.1}",
+            row.instances, row.total_invocations, row.invocations_per_virtual_s, row.host_wall_ms
         );
         rows.push(row);
     }
@@ -232,7 +223,9 @@ fn arbiter_study(enhanced: &EnhancedApp) {
     let mut fleet = Fleet::new(FleetConfig::default()).expect("valid fleet config");
     let base = drifted.machine(7);
     fleet.spawn_on(enhanced, &Rank::minimize(Metric::exec_time()), &base, 8);
-    fleet.set_power_budget(Some(budget));
+    fleet
+        .set_power_budget(Some(budget))
+        .expect("valid power budget");
     fleet.run_until(60.0);
     let before: f64 = mean_tail_power(&fleet, 0..8, 30.0);
     // Half the fleet leaves: the survivors' slice doubles. Only the

@@ -62,8 +62,6 @@ struct ScaleRow {
     knowledge_points: usize,
     knowledge_shards: usize,
     total_steps: usize,
-    kernel_builds: u64,
-    kernel_cache_hits: u64,
     mean_round_wall_ms: f64,
     publish_throughput_obs_per_s: f64,
 }
@@ -93,8 +91,8 @@ fn main() {
          ({KNOWLEDGE_POINTS}-point knowledge, {ROUNDS} synchronized rounds per cell)\n"
     );
     println!(
-        "{:>10} {:>10} {:>8} {:>14} {:>18} {:>16}",
-        "instances", "mode", "shards", "kernels b/h", "round wall [ms]", "publish [obs/s]"
+        "{:>10} {:>10} {:>8} {:>18} {:>16}",
+        "instances", "mode", "shards", "round wall [ms]", "publish [obs/s]"
     );
     let mut rows = Vec::new();
     for &n in sizes {
@@ -110,16 +108,14 @@ fn main() {
             let shards = config.knowledge_shards;
             let mut fleet = Fleet::new(config).expect("valid fleet config");
             fleet.spawn(&enhanced, &Rank::throughput_per_watt2(), 2018, n);
-            // One untimed warm-up round: kernel lowering for the
-            // first-round configurations would otherwise dominate
-            // small-N cells and make the gate noisy.
+            // One untimed warm-up round, as when the committed baseline
+            // was recorded, so every gated cell times the same rounds.
             fleet.run_events(1);
             let steps_before = steps_run(&fleet);
             let wall = Instant::now();
             fleet.run_events(ROUNDS as u64);
             let wall_s = wall.elapsed().as_secs_f64();
             let total_steps = steps_run(&fleet) - steps_before;
-            let stats = fleet.stats();
             let row = ScaleRow {
                 mode: mode.to_string(),
                 instances: n,
@@ -127,19 +123,16 @@ fn main() {
                 knowledge_points: KNOWLEDGE_POINTS,
                 knowledge_shards: shards,
                 total_steps,
-                kernel_builds: stats.kernel_builds,
-                kernel_cache_hits: stats.kernel_cache_hits,
                 mean_round_wall_ms: wall_s * 1e3 / ROUNDS as f64,
                 // Every step publishes exactly one observation into the
                 // shared knowledge at the barrier.
                 publish_throughput_obs_per_s: total_steps as f64 / wall_s,
             };
             println!(
-                "{:>10} {:>10} {:>8} {:>14} {:>18.1} {:>16.0}",
+                "{:>10} {:>10} {:>8} {:>18.1} {:>16.0}",
                 row.instances,
                 row.mode,
                 row.knowledge_shards,
-                format!("{}/{}", row.kernel_builds, row.kernel_cache_hits),
                 row.mean_round_wall_ms,
                 row.publish_throughput_obs_per_s
             );

@@ -32,8 +32,9 @@
 //! of an app is one lowering and one run. The
 //! [`ArtifactStore`](crate::ArtifactStore) keeps one family per `(app,
 //! dataset, config fingerprint)` and caches its kernels per thread
-//! count, so a fleet of N instances sharing a configuration builds
-//! once.
+//! count. All of it is design-time work: the fleet runtimes only
+//! dispatch the clone versions the toolchain built, and never lower or
+//! run a kernel.
 //!
 //! The static analyzer ([`analyze_kernel`]) answers one question for
 //! the toolchain: is a specialization safe to run. [`analysis_prune`]
@@ -86,7 +87,7 @@ pub fn functional_spec(app: App, ds: Dataset, threads: u32) -> SpecConfig {
 }
 
 /// A lowered, config-specialized kernel: the typed artifact cached by
-/// the [`ArtifactStore`](crate::ArtifactStore) and the fleet pools.
+/// the [`ArtifactStore`](crate::ArtifactStore).
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
     /// The application the kernel belongs to.
@@ -221,18 +222,6 @@ pub fn compile_kernel(
     })
 }
 
-/// [`compile_kernel`] over the canonical functional spec for `(app,
-/// ds, threads)`.
-pub fn compile_kernel_for(
-    tu: &TranslationUnit,
-    entry: &str,
-    app: App,
-    ds: Dataset,
-    threads: u32,
-) -> Result<CompiledKernel, SocratesError> {
-    compile_kernel(tu, entry, app, &functional_spec(app, ds, threads))
-}
-
 /// The kernels of one program: one weaved program, the clone they enter
 /// through, the app and the dataset, plus the first kernel of it that
 /// ran.
@@ -345,9 +334,9 @@ mod tests {
     fn both_engines_agree_on_a_weaved_clone() {
         let app = App::TwoMm;
         let (tu, entry) = weaved_clone(app);
-        let kernel = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 4).unwrap();
-        let reference =
-            minivm::interpret(&tu, &entry, &functional_spec(app, Dataset::Mini, 4)).unwrap();
+        let spec = functional_spec(app, Dataset::Mini, 4);
+        let kernel = compile_kernel(&tu, &entry, app, &spec).unwrap();
+        let reference = minivm::interpret(&tu, &entry, &spec).unwrap();
         assert_eq!(kernel.report, reference);
         assert!(kernel.code.op_count() > 0);
         // Re-running the cached code reproduces the build-time report.
@@ -358,8 +347,8 @@ mod tests {
     fn thread_count_is_configuration_not_data() {
         let app = App::Atax;
         let (tu, entry) = weaved_clone(app);
-        let a = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 1).unwrap();
-        let b = compile_kernel_for(&tu, &entry, app, Dataset::Mini, 16).unwrap();
+        let a = compile_kernel(&tu, &entry, app, &functional_spec(app, Dataset::Mini, 1)).unwrap();
+        let b = compile_kernel(&tu, &entry, app, &functional_spec(app, Dataset::Mini, 16)).unwrap();
         assert_eq!(a.report, b.report);
         // …but the specialized artifacts are distinct cache entries.
         assert_ne!(a.spec_fingerprint, b.spec_fingerprint);
@@ -402,7 +391,8 @@ mod tests {
             let k = family.kernel(threads).unwrap();
             assert!(Arc::ptr_eq(&k.code, &first.code), "threads {threads}");
             assert_eq!(k.report, first.report);
-            let alone = compile_kernel_for(&tu, &entry, app, Dataset::Mini, threads).unwrap();
+            let spec = functional_spec(app, Dataset::Mini, threads);
+            let alone = compile_kernel(&tu, &entry, app, &spec).unwrap();
             assert_eq!(k.report, alone.report);
             assert!(k.code.same_program(&alone.code));
             assert_eq!(k.spec_fingerprint, alone.spec_fingerprint);

@@ -55,7 +55,6 @@
 //! survivors. An exploration assignment it never executed goes back to
 //! the sweep at the barrier.
 
-use crate::engine::{CompiledKernel, KernelFamily};
 use crate::error::SocratesError;
 use crate::events::{EventObserver, FleetEvent, FleetRuntime, InstanceId};
 use crate::runtime::{AdaptiveApplication, TraceSample};
@@ -63,10 +62,9 @@ use crate::snapshot::{KnowledgeSnapshot, SnapshotFingerprint};
 use crate::toolchain::EnhancedApp;
 use dse::ExplorationSchedule;
 use margot::{Cmp, Constraint, Knowledge, Metric, MetricValues, Rank, SharedKnowledge};
-use minivm::ExecutionReport;
 use platform_sim::{KnobConfig, Machine};
 use polybench::App;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -93,7 +91,7 @@ const WARM_HEAD_CAP: usize = 64;
 /// deliberate prior anchor, so the burst does not try to displace them
 /// all — its length must stay in the seconds, not scale with the
 /// window.
-pub(crate) const WARM_HEAD_PASSES: usize = 8;
+const WARM_HEAD_PASSES: usize = 8;
 
 /// Fleet-level policy knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,13 +121,13 @@ pub struct FleetConfig {
     /// Global power budget (watts) split across active instances;
     /// `None` leaves every instance unconstrained.
     pub power_budget_w: Option<f64>,
-    /// Prune each pool's cooperative exploration schedule with the
-    /// static analyzer before the sweep starts
-    /// ([`crate::analysis_prune`]): configurations whose specialization
-    /// the analyzer rejects as unsafe are dropped, and feasible points
-    /// that are strictly Pareto-dominated on the static `(time, power)`
-    /// expectation (over the analyzer's cost counters, extrapolated to
-    /// the full dataset scale) are skipped. The shared *knowledge*
+    /// Prune each pool's cooperative exploration schedule before the
+    /// sweep starts ([`crate::analysis_prune`]): configurations whose
+    /// specialization the static analyzer rejects as unsafe are
+    /// dropped, and feasible points that another feasible point
+    /// strictly Pareto-dominates on the noise-free `(time, power)`
+    /// expectation of the app's profile (the expectation the DSE scaled
+    /// by noise) are skipped. The shared *knowledge*
     /// keeps every design-time point — pruning only shrinks what the
     /// fleet spends exploration slots on, so the AS-RTM can still
     /// select any profiled configuration. Off by default (the
@@ -285,7 +283,7 @@ fn check_knowledge_shards(shards: usize) -> Result<(), SocratesError> {
     Ok(())
 }
 
-fn check_power_budget(budget_w: Option<f64>) -> Result<(), SocratesError> {
+pub(crate) fn check_power_budget(budget_w: Option<f64>) -> Result<(), SocratesError> {
     if let Some(w) = budget_w {
         if !(w.is_finite() && w > 0.0) {
             return Err(SocratesError::invalid_config(format!(
@@ -472,7 +470,7 @@ impl FleetConfigBuilder {
 /// local observations next to its shipped seed. Points the rank cannot
 /// score (missing or non-finite metrics) are skipped — they cannot win
 /// a selection, so they need no early validation.
-pub(crate) fn warm_validation_queue(
+fn warm_validation_queue(
     snapshot: &KnowledgeSnapshot,
     rank: &Rank,
     passes: usize,
@@ -503,6 +501,77 @@ pub(crate) fn warm_validation_queue(
     queue
 }
 
+/// A new pool's knowledge state, booted the same way by the lockstep
+/// and the event runtime ([`boot_pool`]).
+pub(crate) struct PoolBoot {
+    pub(crate) shared: SharedKnowledge<KnobConfig>,
+    /// The design knowledge with the warm-start snapshot merged over
+    /// it: what the pool's cache starts from.
+    pub(crate) seeded: Knowledge<KnobConfig>,
+    pub(crate) schedule: ExplorationSchedule<KnobConfig>,
+    /// The warm-boot head re-validation queue ([`warm_validation_queue`]),
+    /// empty for a cold boot.
+    pub(crate) burst: VecDeque<KnobConfig>,
+    /// Configurations the prune dropped: `(infeasible, dominated)`.
+    pub(crate) pruned: (u64, u64),
+}
+
+/// Boots a pool for `enhanced` under `config`: the cooperative sweep
+/// over its design configurations, pruned when
+/// [`FleetConfig::analysis_prune`] is on; the shared knowledge, with
+/// the warm-start snapshot merged over the design and, for a same-app
+/// snapshot, its observation rings filled; and the warm head's
+/// re-validation queue under `rank`.
+pub(crate) fn boot_pool(config: &FleetConfig, enhanced: &EnhancedApp, rank: &Rank) -> PoolBoot {
+    let mut sweep: Vec<KnobConfig> = enhanced
+        .knowledge
+        .points()
+        .iter()
+        .map(|p| p.config.clone())
+        .collect();
+    // The prune only shrinks what the fleet cooperatively sweeps: the
+    // shared knowledge keeps every design-time point, so the AS-RTM
+    // can still select any of them.
+    let mut pruned = (0, 0);
+    if config.analysis_prune {
+        let report = crate::engine::analysis_prune(enhanced, sweep);
+        pruned = (report.infeasible as u64, report.dominated as u64);
+        sweep = report.kept;
+    }
+    // Pools stay keyed by the unmerged design knowledge, so warm and
+    // cold joiners of the same enhanced app share one pool.
+    let seeded = match &config.warm_start {
+        Some(snapshot) => snapshot.apply_to_design(&enhanced.knowledge),
+        None => enhanced.knowledge.clone(),
+    };
+    let shared = SharedKnowledge::new(seeded.clone(), config.knowledge_window)
+        .with_min_observations(config.min_observations)
+        .with_shards(config.knowledge_shards);
+    let mut burst = VecDeque::new();
+    if let Some(snapshot) = &config.warm_start {
+        // With empty rings, the first few (noisy) online samples would
+        // displace the seed the moment the min_observations gate
+        // opens, and the fleet would relive the cold-start transient
+        // the snapshot exists to eliminate.
+        let copies = config.warm_seed_copies_for(enhanced.app);
+        if copies > 0 {
+            shared.seed_observations(&snapshot.knowledge, copies);
+        }
+        burst = warm_validation_queue(
+            snapshot,
+            rank,
+            config.knowledge_window.min(WARM_HEAD_PASSES),
+        );
+    }
+    PoolBoot {
+        shared,
+        seeded,
+        schedule: ExplorationSchedule::new(sweep),
+        burst,
+        pruned,
+    }
+}
+
 /// One shared-knowledge pool: all instances of the same application
 /// (same design-time knowledge) publish into and pull from it.
 struct Pool {
@@ -530,39 +599,13 @@ struct Pool {
     /// Positions the last refresh changed: the spare lags the cache at
     /// exactly these.
     pending: Vec<usize>,
-    /// The pool's program and its kernels' one lowering and run.
-    family: KernelFamily,
-    /// Config-specialized compiled kernels, one per observed thread
-    /// count (the only knob that changes the specialization constants).
-    /// `None` tombstones a failed build so it is not retried every
-    /// round. Mutated only from barrier/sequential code, so the whole
-    /// fleet of N instances builds each specialization once.
-    kernels: HashMap<u32, Option<Arc<CompiledKernel>>>,
-    kernel_builds: u64,
-    kernel_cache_hits: u64,
-    /// Configurations the static analyzer removed from this pool's
-    /// exploration schedule at creation (0 unless
-    /// [`FleetConfig::analysis_prune`] is on).
-    pruned_infeasible: u64,
-    pruned_dominated: u64,
+    /// Configurations the prune removed from this pool's exploration
+    /// schedule at creation, `(infeasible, dominated)`: zero unless
+    /// [`FleetConfig::analysis_prune`] is on.
+    pruned: (u64, u64),
 }
 
 impl Pool {
-    /// Builds (or reuses) the config-specialized kernel for one thread
-    /// count. Called only at pool creation and at the barrier. A new
-    /// thread count is validated and, when the family's kernel that ran
-    /// lowers the same under it, shares that kernel's run.
-    fn ensure_kernel(&mut self, threads: u32) {
-        use std::collections::hash_map::Entry;
-        match self.kernels.entry(threads) {
-            Entry::Occupied(_) => self.kernel_cache_hits += 1,
-            Entry::Vacant(slot) => {
-                self.kernel_builds += 1;
-                slot.insert(self.family.kernel(threads).ok().map(Arc::new));
-            }
-        }
-    }
-
     /// Refreshes the cached snapshot: brings the spare level with the
     /// cache, patches in the points changed since, and swaps the two.
     /// The caller then re-adopts every active instance
@@ -619,17 +662,11 @@ pub struct FleetStats {
     pub failed: usize,
     /// Rounds stepped so far.
     pub rounds: u64,
-    /// Config-specialized kernel lowerings across all pools — one per
-    /// `(pool, thread count)` ever observed, however many instances
-    /// share it.
-    pub kernel_builds: u64,
-    /// Barrier-time kernel lookups satisfied by the pool cache.
-    pub kernel_cache_hits: u64,
     /// Configurations dropped from the pools' exploration schedules as
     /// statically infeasible (0 unless [`FleetConfig::analysis_prune`]).
     pub schedule_pruned_infeasible: u64,
-    /// Configurations skipped as statically Pareto-dominated (0 unless
-    /// [`FleetConfig::analysis_prune`]).
+    /// Configurations skipped as Pareto-dominated on the profile's
+    /// expectation (0 unless [`FleetConfig::analysis_prune`]).
     pub schedule_pruned_dominated: u64,
 }
 
@@ -646,7 +683,7 @@ pub struct FleetStats {
 /// let enhanced = Toolchain::default().enhance(App::TwoMm).unwrap();
 /// let mut fleet = Fleet::new(FleetConfig::default()).unwrap();
 /// fleet.spawn(&enhanced, &Rank::throughput_per_watt2(), 42, 8);
-/// fleet.set_power_budget(Some(8.0 * 90.0));
+/// fleet.set_power_budget(Some(8.0 * 90.0)).unwrap();
 /// fleet.run_until(60.0); // 60 virtual seconds of cooperative adaptation
 /// ```
 pub struct Fleet {
@@ -743,40 +780,18 @@ impl Fleet {
             active += usize::from(inst.active);
             failed += usize::from(inst.failed);
         }
-        let (kernel_builds, kernel_cache_hits) = self.pools.iter().fold((0, 0), |(b, h), p| {
-            (b + p.kernel_builds, h + p.kernel_cache_hits)
-        });
-        let (schedule_pruned_infeasible, schedule_pruned_dominated) =
-            self.pools.iter().fold((0, 0), |(i, d), p| {
-                (i + p.pruned_infeasible, d + p.pruned_dominated)
-            });
+        let (schedule_pruned_infeasible, schedule_pruned_dominated) = self
+            .pools
+            .iter()
+            .fold((0, 0), |(i, d), p| (i + p.pruned.0, d + p.pruned.1));
         FleetStats {
             instances: self.instances.len(),
             active,
             failed,
             rounds: self.rounds,
-            kernel_builds,
-            kernel_cache_hits,
             schedule_pruned_infeasible,
             schedule_pruned_dominated,
         }
-    }
-
-    /// The functional execution report of `app`'s compiled kernel
-    /// specialized for `threads`, or `None` if that specialization was
-    /// never built (or its build failed). Reports are bit-identical
-    /// to [`minivm::interpret`] and across thread counts — the thread
-    /// knob is configuration, not data. Each thread count is validated,
-    /// but the pool's [`KernelFamily`] lowers and runs its program only
-    /// for a thread count its first kernel that ran would not lower the
-    /// same under; otherwise the report is that kernel's.
-    pub fn kernel_report(&self, app: App, threads: u32) -> Option<ExecutionReport> {
-        self.pools
-            .iter()
-            .find(|p| p.app == app)
-            .and_then(|p| p.kernels.get(&threads))
-            .and_then(|k| k.as_deref())
-            .map(|k| k.report)
     }
 
     /// Rounds stepped so far.
@@ -789,6 +804,12 @@ impl Fleet {
     /// The instance immediately adopts the pool's current shared
     /// knowledge, inheriting everything the fleet already learned.
     pub fn add_instance(&mut self, enhanced: EnhancedApp, rank: Rank, machine: Machine) -> usize {
+        self.add_shared(Arc::new(enhanced), rank, machine)
+    }
+
+    /// [`add_instance`](Self::add_instance) of an app the instance
+    /// shares with the rest of its spawn.
+    fn add_shared(&mut self, enhanced: Arc<EnhancedApp>, rank: Rank, machine: Machine) -> usize {
         let pool = self.pool_for(&enhanced, &rank);
         let (knowledge, epoch) = if self.config.share_knowledge {
             self.pools[pool].refresh_cache();
@@ -846,10 +867,11 @@ impl Fleet {
         count: usize,
     ) -> Vec<usize> {
         let stream_offset = self.instances.len() as u64;
+        let enhanced = Arc::new(enhanced.clone());
         (0..count)
             .map(|i| {
-                self.add_instance(
-                    enhanced.clone(),
+                self.add_shared(
+                    Arc::clone(&enhanced),
                     rank.clone(),
                     base.fork(stream_offset + i as u64),
                 )
@@ -893,20 +915,16 @@ impl Fleet {
     /// your own constraint on [`Metric::power`] to fleet members while
     /// a budget is active.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the budget is not positive and finite (use
-    /// [`FleetConfig::validate`] to reject such budgets with an error
-    /// instead).
-    pub fn set_power_budget(&mut self, budget_w: Option<f64>) {
-        if let Some(w) = budget_w {
-            assert!(
-                w.is_finite() && w > 0.0,
-                "power budget {w} W must be positive"
-            );
-        }
+    /// Rejects a budget that is not positive and finite, as
+    /// [`FleetConfigBuilder::power_budget_w`] does, and keeps the
+    /// current one.
+    pub fn set_power_budget(&mut self, budget_w: Option<f64>) -> Result<(), SocratesError> {
+        check_power_budget(budget_w)?;
         self.config.power_budget_w = budget_w;
         self.rebalance_power();
+        Ok(())
     }
 
     /// Each active instance's current power allocation, watts.
@@ -1026,82 +1044,27 @@ impl Fleet {
         {
             return i;
         }
-        let mut configs: Vec<KnobConfig> = enhanced
-            .knowledge
-            .points()
-            .iter()
-            .map(|p| p.config.clone())
-            .collect();
-        // Analysis-driven schedule pruning: the static analyzer shrinks
-        // what the fleet cooperatively sweeps. The shared knowledge
-        // below still carries every design-time point, so selection is
-        // unaffected — only exploration slots are saved.
-        let (mut pruned_infeasible, mut pruned_dominated) = (0u64, 0u64);
-        if self.config.analysis_prune {
-            let pruned = crate::engine::analysis_prune(enhanced, configs);
-            pruned_infeasible = pruned.infeasible as u64;
-            pruned_dominated = pruned.dominated as u64;
-            configs = pruned.kept;
-        }
-        let entry = enhanced.kernel_entry();
-        // Warm-start seeding: merge the shipped snapshot's learned
-        // metrics over the design-time expectations. The pool stays
-        // keyed by the *original* design knowledge (`design`), so warm
-        // and cold joiners of the same enhanced app share one pool.
-        let seeded = match &self.config.warm_start {
-            Some(snapshot) => snapshot.apply_to_design(&enhanced.knowledge),
-            None => enhanced.knowledge.clone(),
-        };
-        let shared = SharedKnowledge::new(seeded.clone(), self.config.knowledge_window)
-            .with_min_observations(self.config.min_observations)
-            .with_shards(self.config.knowledge_shards);
-        let mut burst = VecDeque::new();
-        if let Some(snapshot) = &self.config.warm_start {
-            // Fill the shipped points' observation windows too (same-app
-            // seeds only — see `warm_seed_copies_for`): with empty
-            // rings, the first few (noisy) online samples would
-            // displace the seed the moment the min_observations gate
-            // opens, and the fleet would relive the cold-start
-            // transient the snapshot exists to eliminate.
-            let copies = self.config.warm_seed_copies_for(enhanced.app);
-            if copies > 0 {
-                shared.seed_observations(&snapshot.knowledge, copies);
-            }
-            burst = warm_validation_queue(
-                snapshot,
-                rank,
-                self.config.knowledge_window.min(WARM_HEAD_PASSES),
-            );
-        }
-        let mut cache = seeded;
+        let PoolBoot {
+            shared,
+            seeded: mut cache,
+            schedule,
+            burst,
+            pruned,
+        } = boot_pool(&self.config, enhanced, rank);
         cache.rank_by(rank);
         self.pools.push(Pool {
             app: enhanced.app,
             design: enhanced.knowledge.clone(),
             shared,
-            schedule: ExplorationSchedule::new(configs),
+            schedule,
             burst,
             cache_epoch: 0,
             spare: cache.clone(),
             cache,
             pending: Vec::new(),
-            family: KernelFamily::new(
-                Arc::new(enhanced.weaved.clone()),
-                entry,
-                enhanced.app,
-                enhanced.dataset,
-            ),
-            kernels: HashMap::new(),
-            kernel_builds: 0,
-            kernel_cache_hits: 0,
-            pruned_infeasible,
-            pruned_dominated,
+            pruned,
         });
-        let pool = self.pools.len() - 1;
-        // Warm the single-thread specialization at pool creation: the
-        // common boot configuration runs compiled from round one.
-        self.pools[pool].ensure_kernel(1);
-        pool
+        self.pools.len() - 1
     }
 
     /// Splits the global budget evenly across active instances.
@@ -1161,7 +1124,6 @@ impl Fleet {
             (0..self.pools.len()).map(|_| Vec::new()).collect();
         let mut requeues: Vec<Vec<KnobConfig>> =
             (0..self.pools.len()).map(|_| Vec::new()).collect();
-        let mut kernel_tns: Vec<Vec<u32>> = (0..self.pools.len()).map(|_| Vec::new()).collect();
         // Event emission is observer-only bookkeeping: nothing below
         // reads these, so rounds stay bit-identical without observers.
         let observing = !self.observers.is_empty();
@@ -1234,7 +1196,6 @@ impl Fleet {
             };
             inst.steps += 1;
             steps += 1;
-            kernel_tns[inst.pool].push(sample.config.tn);
             if observing {
                 step_events.push(FleetEvent::Stepped {
                     id: dense_id(id),
@@ -1274,15 +1235,6 @@ impl Fleet {
                 pool.refresh_cache();
             }
             self.adopt_caches();
-        }
-        // Kernel specialization happens here at the barrier — never in
-        // an instance's step — so a fleet of N instances running the
-        // same configuration lowers it exactly once, even with
-        // knowledge sharing off.
-        for (pool, tns) in self.pools.iter_mut().zip(&kernel_tns) {
-            for &tn in tns {
-                pool.ensure_kernel(tn);
-            }
         }
         if any_failed {
             // Failed instances leave the fleet like retirees: the
@@ -1676,7 +1628,7 @@ mod tests {
             ..FleetConfig::default()
         });
         fleet.spawn(&enhanced, &rank(), 3, 3);
-        fleet.set_power_budget(Some(300.0));
+        fleet.set_power_budget(Some(300.0)).unwrap();
         assert_eq!(fleet.power_share_w(), Some(100.0));
         fleet.step_all();
         // Emptying the knowledge makes the next plan step panic inside
@@ -1921,7 +1873,7 @@ mod tests {
         let enhanced = quick_enhanced(App::TwoMm);
         let mut fleet = fleet_with(FleetConfig::default());
         fleet.spawn(&enhanced, &rank(), 3, 4);
-        fleet.set_power_budget(Some(400.0));
+        fleet.set_power_budget(Some(400.0)).unwrap();
         assert_eq!(fleet.power_share_w(), Some(100.0));
         assert!(fleet.retire_instance(3));
         assert!(!fleet.retire_instance(3), "already retired");
@@ -1931,8 +1883,25 @@ mod tests {
         let machine = enhanced.platform.machine(99);
         fleet.add_instance(enhanced.clone(), rank(), machine);
         assert_eq!(fleet.power_share_w(), Some(100.0));
-        fleet.set_power_budget(None);
+        fleet.set_power_budget(None).unwrap();
         assert_eq!(fleet.power_share_w(), None);
+    }
+
+    #[test]
+    fn a_bad_power_budget_is_an_error_and_keeps_the_current_one() {
+        let enhanced = quick_enhanced(App::TwoMm);
+        let mut fleet = fleet_with(FleetConfig::default());
+        fleet.spawn(&enhanced, &rank(), 3, 2);
+        fleet.set_power_budget(Some(200.0)).unwrap();
+        for bad in [-3.0, 0.0, f64::NAN, f64::INFINITY] {
+            let err = fleet.set_power_budget(Some(bad)).unwrap_err();
+            assert!(
+                matches!(err, SocratesError::InvalidConfig { .. }),
+                "{bad}: {err}"
+            );
+            assert!(err.to_string().contains("power_budget_w"), "{bad}: {err}");
+            assert_eq!(fleet.power_share_w(), Some(100.0));
+        }
     }
 
     #[test]
@@ -1944,7 +1913,7 @@ mod tests {
         });
         fleet.spawn(&enhanced, &Rank::minimize(Metric::exec_time()), 3, 2);
         // 2 instances × 70 W each: the unconstrained pick draws >100 W.
-        fleet.set_power_budget(Some(140.0));
+        fleet.set_power_budget(Some(140.0)).unwrap();
         fleet.run_until(3.0);
         for id in 0..2 {
             for s in fleet.trace(id) {
@@ -2038,63 +2007,6 @@ mod tests {
         assert_ne!(k2, km);
         assert!(fleet.knowledge_epoch(App::TwoMm).unwrap() > 0);
         assert!(fleet.knowledge_epoch(App::Mvt).unwrap() > 0);
-    }
-
-    #[test]
-    fn kernels_compile_once_per_thread_count_fleet_wide() {
-        let enhanced = quick_enhanced(App::TwoMm);
-        let mut fleet = fleet_with(FleetConfig::default());
-        fleet.spawn(&enhanced, &rank(), 3, 4);
-        let boot = fleet.stats();
-        assert_eq!(boot.kernel_builds, 1, "pool creation warms threads=1");
-        fleet.run_until(2.0);
-        let stats = fleet.stats();
-        // One lowering per distinct thread count the fleet ran; every
-        // other (instance, round) pair hit the pool cache.
-        let distinct_tns: std::collections::HashSet<u32> = (0..4)
-            .flat_map(|id| fleet.trace(id))
-            .map(|s| s.config.tn)
-            .collect();
-        assert!(stats.kernel_builds <= 1 + distinct_tns.len() as u64);
-        assert!(
-            stats.kernel_cache_hits > stats.kernel_builds,
-            "shared configs must reuse the pool kernel: {stats:?}"
-        );
-        // Reports are exposed per specialization and identical across
-        // thread counts — the thread knob is configuration, not data.
-        let reference = fleet.kernel_report(App::TwoMm, 1).expect("warm kernel");
-        for &tn in &distinct_tns {
-            assert_eq!(fleet.kernel_report(App::TwoMm, tn), Some(reference));
-        }
-        assert_eq!(fleet.kernel_report(App::Mvt, 1), None);
-        // Every thread count lowered to the program the pool ran at
-        // creation, so the pool holds that one program.
-        let pool = &fleet.pools[0];
-        let ran = pool.kernels[&1].as_ref().expect("warm kernel");
-        assert!(
-            distinct_tns.len() > 1,
-            "the sweep reached other thread counts"
-        );
-        for tn in distinct_tns {
-            let kernel = pool.kernels[&tn].as_ref().expect("kernel built");
-            assert!(Arc::ptr_eq(&kernel.code, &ran.code), "tn {tn}");
-        }
-    }
-
-    #[test]
-    fn ast_and_bytecode_fleets_agree_on_kernel_reports() {
-        let enhanced = quick_enhanced(App::Atax);
-        let mut fleet = fleet_with(FleetConfig::default());
-        fleet.spawn(&enhanced, &rank(), 3, 2);
-        fleet.run_until(1.0);
-        let entry = &enhanced.multiversioned.version_functions[0];
-        let spec = crate::engine::functional_spec(App::Atax, enhanced.dataset, 1);
-        let reference = minivm::interpret(&enhanced.weaved, entry, &spec).unwrap();
-        assert_eq!(
-            fleet.kernel_report(App::Atax, 1),
-            Some(reference),
-            "the pool's bytecode must match the AST interpreter"
-        );
     }
 
     #[test]

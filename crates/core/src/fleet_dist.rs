@@ -46,7 +46,6 @@
 //! transport does not model yet) and no power arbitration
 //! (`power_budget_w` must be `None` for the same reason).
 
-use crate::engine::CompiledKernel;
 use crate::error::SocratesError;
 use crate::events::{EventObserver, FleetEvent, FleetRuntime};
 use crate::fleet::{dense_id, FleetConfig};
@@ -57,7 +56,6 @@ use crate::transport::{
     WireMessage, BROKER,
 };
 use margot::{Knowledge, KnowledgeDelta, OperatingPoint, Rank};
-use minivm::ExecutionReport;
 use platform_sim::{KnobConfig, Machine};
 use polybench::App;
 use std::collections::{BTreeMap, BTreeSet};
@@ -173,7 +171,12 @@ pub struct DistStats {
 pub struct DistributedFleet {
     config: FleetConfig,
     dist: DistributedConfig,
-    enhanced: EnhancedApp,
+    /// The app every node runs, shared by all of them.
+    enhanced: Arc<EnhancedApp>,
+    /// The design knowledge with a same-app warm-start snapshot merged
+    /// over it, indexed under the rank of the latest joiner: what every
+    /// replica folds over and every node boots on.
+    design: Knowledge<KnobConfig>,
     /// Knowledge position → shard, fixed by the design knowledge and
     /// the configured shard count.
     shard_map: Vec<usize>,
@@ -182,11 +185,6 @@ pub struct DistributedFleet {
     broker: Option<Broker>,
     nodes: Vec<DistNode>,
     rounds: u64,
-    /// The config-specialized kernel every node of the fleet shares,
-    /// compiled once at construction (so an unbound pragma parameter
-    /// fails [`DistributedFleet::new`] with a lower-stage error instead
-    /// of surfacing mid-deployment).
-    kernel: Arc<CompiledKernel>,
     /// Registered event-stream observers ([`FleetRuntime::observe`]).
     /// Pure consumers fed from sequential code only — rounds are
     /// bit-identical with or without them.
@@ -243,31 +241,22 @@ impl DistributedFleet {
         // state. A foreign snapshot is therefore ignored here and the
         // fleet boots cold (the in-process `Fleet`, whose cooperative
         // sweep re-samples every configuration, does accept it).
-        let mut enhanced = enhanced.clone();
-        if let Some(snapshot) = &config.warm_start {
-            if config.warm_seed_copies_for(enhanced.app) > 0 {
-                enhanced.knowledge = snapshot.apply_to_design(&enhanced.knowledge);
+        let design = match &config.warm_start {
+            Some(snapshot) if config.warm_seed_copies_for(enhanced.app) > 0 => {
+                snapshot.apply_to_design(&enhanced.knowledge)
             }
-        }
-        let probe = Self::boot_replica(&config, &enhanced.knowledge, enhanced.app);
-        let shard_map: Vec<usize> = enhanced
-            .knowledge
+            _ => enhanced.knowledge.clone(),
+        };
+        let probe = Self::boot_replica(&config, &design, enhanced.app);
+        let shard_map: Vec<usize> = design
             .points()
             .iter()
             .map(|p| probe.shard_of(&p.config).expect("design config is known"))
             .collect();
-        let entry = enhanced.kernel_entry();
-        let kernel = Arc::new(crate::engine::compile_kernel_for(
-            &enhanced.weaved,
-            &entry,
-            enhanced.app,
-            enhanced.dataset,
-            1,
-        )?);
         let broker = match dist.topology {
             DistTopology::BrokerStar => Some(Broker {
                 replica: probe,
-                published: enhanced.knowledge.clone(),
+                published: design.clone(),
                 versions: vec![0; config.knowledge_shards],
                 members: BTreeSet::new(),
             }),
@@ -276,14 +265,14 @@ impl DistributedFleet {
         Ok(DistributedFleet {
             net: SimNet::new(dist.link.clone()),
             dist,
-            enhanced,
+            enhanced: Arc::new(enhanced.clone()),
+            design,
             shard_map,
             shard_count: config.knowledge_shards,
             broker,
             nodes: Vec::new(),
             rounds: 0,
             config,
-            kernel,
             observers: Vec::new(),
         })
     }
@@ -312,12 +301,6 @@ impl DistributedFleet {
             },
             None => replica,
         }
-    }
-
-    /// The functional execution report of the fleet's shared compiled
-    /// kernel (bit-identical to [`minivm::interpret`]).
-    pub fn kernel_report(&self) -> ExecutionReport {
-        self.kernel.report
     }
 
     /// The fleet policy.
@@ -369,11 +352,6 @@ impl DistributedFleet {
         }
     }
 
-    /// Transport counters.
-    pub fn net_stats(&self) -> NetStats {
-        self.net.stats()
-    }
-
     /// Boots one instance on a specific machine and returns its id.
     /// Instances added before the first round are founding members
     /// (registered everywhere, no handshake); later additions are
@@ -386,26 +364,27 @@ impl DistributedFleet {
         // Indexed once per fleet: every node's AS-RTM and star cache
         // clone the index with the knowledge, adoptions reuse it, and
         // patches re-key it.
-        self.enhanced.knowledge.rank_by(&rank);
+        self.design.rank_by(&rank);
         let sync = match self.dist.topology {
             DistTopology::BrokerStar => NodeSync::Star(StarState {
-                cache: self.enhanced.knowledge.clone(),
+                cache: self.design.clone(),
                 versions: vec![0; self.shard_count],
                 unacked: BTreeMap::new(),
                 dirty: false,
             }),
             DistTopology::Gossip { .. } => NodeSync::Gossip(Box::new(GossipState {
-                replica: Self::boot_replica(
-                    &self.config,
-                    &self.enhanced.knowledge,
-                    self.enhanced.app,
-                ),
+                replica: Self::boot_replica(&self.config, &self.design, self.enhanced.app),
                 outbox: Vec::new(),
             })),
         };
         self.nodes.push(DistNode {
             id,
-            app: AdaptiveApplication::with_machine(self.enhanced.clone(), rank, machine),
+            app: AdaptiveApplication::with_knowledge(
+                Arc::clone(&self.enhanced),
+                self.design.clone(),
+                rank,
+                machine,
+            ),
             active: true,
             joined: founding,
             seq: 0,
@@ -550,7 +529,7 @@ impl DistributedFleet {
                 }
             }
         }
-        self.enhanced.knowledge.clone()
+        self.design.clone()
     }
 
     /// Every observation the authoritative participant has logged, in
@@ -1436,40 +1415,66 @@ mod tests {
     }
 
     #[test]
-    fn construction_compiles_the_shared_kernel_on_both_engines() {
+    fn no_runtime_lowers_or_runs_the_weaved_program() {
+        // Only the weaved program and its entry clone name change, to a
+        // program whose pragma names a parameter the functional spec
+        // does not bind: it cannot be lowered, and the runtimes, which
+        // only dispatch versions, never try.
         let enhanced = quick_enhanced();
-        let fleet =
-            DistributedFleet::new(dist_config(DistributedConfig::default()), &enhanced).unwrap();
-        let entry = &enhanced.multiversioned.version_functions[0];
-        let spec = crate::engine::functional_spec(App::TwoMm, enhanced.dataset, 1);
-        assert_eq!(
-            fleet.kernel_report(),
-            minivm::interpret(&enhanced.weaved, entry, &spec).unwrap(),
-            "the shared bytecode kernel must match the AST interpreter"
-        );
-    }
-
-    #[test]
-    fn unbound_pragma_parameters_fail_fleet_construction() {
-        // A weaved program whose pragma references a parameter the
-        // functional spec does not bind: lowering must reject it when
-        // the fleet is built, not mid-deployment.
-        let mut enhanced = quick_enhanced();
-        enhanced.app = App::Atax; // no baked kernel args
-        enhanced.weaved = minic::parse(
-            "double buf[N];\n\
-             void kernel_free() {\n\
+        let mut unlowerable = enhanced.clone();
+        unlowerable.weaved = minic::parse(
+            "double buf[NI];\n\
+             void kernel_free(double alpha, double beta) {\n\
              #pragma omp parallel for num_threads(P_free)\n\
-             for (int i = 0; i < N; i++) { buf[i] = 0.0; }\n\
+             for (int i = 0; i < NI; i++) { buf[i] = alpha * beta; }\n\
              }\n",
         )
         .unwrap();
-        enhanced.multiversioned.version_functions = vec!["kernel_free".to_string()];
-        let err = DistributedFleet::new(dist_config(DistributedConfig::default()), &enhanced)
-            .err()
-            .expect("unbound pragma parameter must fail construction");
+        unlowerable.multiversioned.version_functions[0] = "kernel_free".to_string();
+        let spec = crate::engine::functional_spec(App::TwoMm, enhanced.dataset, 1);
+        let err = crate::engine::compile_kernel(
+            &unlowerable.weaved,
+            &unlowerable.kernel_entry(),
+            App::TwoMm,
+            &spec,
+        )
+        .expect_err("an unbound pragma parameter fails lowering");
         assert_eq!(err.stage(), crate::StageId::Lower);
         assert!(err.to_string().contains("P_free"), "{err}");
+
+        let rank = Rank::throughput_per_watt2();
+        let lockstep = |app: &EnhancedApp| {
+            let mut fleet = crate::Fleet::new(FleetConfig::default()).unwrap();
+            fleet.spawn(app, &rank, 3, 2);
+            fleet.run_until(1.0);
+            (0..fleet.len())
+                .map(|id| fleet.trace(id))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(lockstep(&unlowerable), lockstep(&enhanced));
+
+        let events = |app: &EnhancedApp| {
+            let config = FleetConfig {
+                schedule: crate::Schedule::EventDriven,
+                ..FleetConfig::default()
+            };
+            let mut fleet = crate::EventFleet::new(config).unwrap();
+            fleet.spawn(app, &rank, 3, 2);
+            fleet.run_until(1.0);
+            (fleet.events_processed(), fleet.event_digest())
+        };
+        assert_eq!(events(&unlowerable), events(&enhanced));
+
+        let distributed = |app: &EnhancedApp| {
+            let config = dist_config(DistributedConfig::default());
+            let mut fleet = DistributedFleet::new(config, app).unwrap();
+            fleet.spawn(&rank, 3, 2);
+            fleet.run_until(1.0);
+            (0..fleet.len())
+                .map(|id| fleet.trace(id))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(distributed(&unlowerable), distributed(&enhanced));
     }
 
     #[test]

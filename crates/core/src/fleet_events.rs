@@ -38,14 +38,16 @@
 //!
 //! The event runtime models the *adaptation* layer (timing/power
 //! model, knowledge sharing, cooperative exploration, power
-//! arbitration). Two lockstep features are out of scope by design:
-//! per-instance monitor feedback (the AS-RTM adjustment loop) and
-//! functional kernel lowering — planned selection evaluates the
-//! shared effective knowledge directly, one selection per pool.
+//! arbitration). One lockstep feature is out of scope by design:
+//! per-instance monitor feedback (the AS-RTM adjustment loop) —
+//! planned selection evaluates the shared effective knowledge
+//! directly, one selection per pool.
 
 use crate::error::SocratesError;
 use crate::events::{EventObserver, FleetEvent, FleetRuntime, InstanceId};
-use crate::fleet::{warm_validation_queue, FleetConfig, Schedule, FLEET_POWER_PRIORITY};
+use crate::fleet::{
+    boot_pool, check_power_budget, FleetConfig, PoolBoot, Schedule, FLEET_POWER_PRIORITY,
+};
 use crate::toolchain::EnhancedApp;
 use dse::ExplorationSchedule;
 use margot::{Cmp, Constraint, Knowledge, Metric, MetricValues, Rank, SharedKnowledge};
@@ -188,8 +190,6 @@ struct EventPool {
     exec: Vec<Option<Execution>>,
     selection: Selection,
     live: usize,
-    pruned_infeasible: u64,
-    pruned_dominated: u64,
 }
 
 impl EventPool {
@@ -503,17 +503,15 @@ impl EventFleet {
     /// Sets (or clears) the global power budget, re-split across live
     /// instances as churn events fire.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the budget is not positive and finite.
-    pub fn set_power_budget(&mut self, budget_w: Option<f64>) {
-        if let Some(w) = budget_w {
-            assert!(
-                w.is_finite() && w > 0.0,
-                "power budget {w} W must be positive"
-            );
-        }
+    /// Rejects a budget that is not positive and finite, as
+    /// [`crate::FleetConfigBuilder::power_budget_w`] does, and keeps the
+    /// current one.
+    pub fn set_power_budget(&mut self, budget_w: Option<f64>) -> Result<(), SocratesError> {
+        check_power_budget(budget_w)?;
         self.config.power_budget_w = budget_w;
+        Ok(())
     }
 
     /// Each live instance's current power allocation, watts.
@@ -550,11 +548,6 @@ impl EventFleet {
     /// Scheduler events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.events
-    }
-
-    /// Events still queued in the scheduler.
-    pub fn queued_events(&self) -> usize {
-        self.heap.len()
     }
 
     /// The order-sensitive digest of every event processed so far: two
@@ -603,15 +596,6 @@ impl EventFleet {
         })
     }
 
-    /// Configurations the static analyzer pruned from the exploration
-    /// schedules: `(infeasible, dominated)` — 0 unless
-    /// [`FleetConfig::analysis_prune`].
-    pub fn schedule_pruned(&self) -> (u64, u64) {
-        self.pools.iter().fold((0, 0), |(i, d), p| {
-            (i + p.pruned_infeasible, d + p.pruned_dominated)
-        })
-    }
-
     fn live_slot(&self, id: InstanceId) -> Option<&Slot> {
         self.slots
             .get(id.slot() as usize)
@@ -628,58 +612,36 @@ impl EventFleet {
         {
             return i;
         }
-        let mut sweep: Vec<KnobConfig> = enhanced
+        let PoolBoot {
+            shared,
+            seeded,
+            schedule,
+            burst,
+            ..
+        } = boot_pool(&self.config, enhanced, rank);
+        let configs: Vec<KnobConfig> = enhanced
             .knowledge
             .points()
             .iter()
             .map(|p| p.config.clone())
             .collect();
-        let configs = sweep.clone();
-        let (mut pruned_infeasible, mut pruned_dominated) = (0u64, 0u64);
-        if self.config.analysis_prune {
-            let pruned = crate::engine::analysis_prune(enhanced, sweep);
-            pruned_infeasible = pruned.infeasible as u64;
-            pruned_dominated = pruned.dominated as u64;
-            sweep = pruned.kept;
-        }
         let pos_index: HashMap<KnobConfig, usize> = configs
             .iter()
             .enumerate()
             .map(|(i, c)| (c.clone(), i))
             .collect();
-        let seeded = match &self.config.warm_start {
-            Some(snapshot) => snapshot.apply_to_design(&enhanced.knowledge),
-            None => enhanced.knowledge.clone(),
-        };
-        let shared = SharedKnowledge::new(seeded.clone(), self.config.knowledge_window)
-            .with_min_observations(self.config.min_observations)
-            .with_shards(self.config.knowledge_shards);
-        let mut burst = VecDeque::new();
-        if let Some(snapshot) = &self.config.warm_start {
-            let copies = self.config.warm_seed_copies_for(enhanced.app);
-            if copies > 0 {
-                shared.seed_observations(&snapshot.knowledge, copies);
-            }
-            // Same head re-validation queue as the lockstep boot, as
-            // design positions; configurations foreign to this design
-            // space cannot be executed and are skipped.
-            burst = warm_validation_queue(
-                snapshot,
-                rank,
-                self.config
-                    .knowledge_window
-                    .min(crate::fleet::WARM_HEAD_PASSES),
-            )
+        // The warm head as design positions: configurations foreign to
+        // this design space cannot be executed and are skipped.
+        let burst = burst
             .into_iter()
             .filter_map(|cfg| pos_index.get(&cfg).copied())
             .collect();
-        }
         let exec = vec![None; configs.len()];
         self.pools.push(EventPool {
             app: enhanced.app,
             design: enhanced.knowledge.clone(),
             shared,
-            schedule: ExplorationSchedule::new(sweep),
+            schedule,
             burst,
             rank: rank.clone(),
             machine: base.clone(),
@@ -690,8 +652,6 @@ impl EventFleet {
             exec,
             selection: Selection::invalid(),
             live: 0,
-            pruned_infeasible,
-            pruned_dominated,
         });
         self.pools.len() - 1
     }
@@ -1272,7 +1232,7 @@ mod tests {
                 ..event_config()
             })
             .unwrap();
-            fleet.set_power_budget(budget);
+            fleet.set_power_budget(budget).unwrap();
             let ids = fleet.spawn(&enhanced, &Rank::minimize(Metric::exec_time()), 5, 2);
             fleet.run_until(3.0);
             let e: f64 = ids.iter().map(|&id| fleet.energy_j(id).unwrap()).sum();
@@ -1292,6 +1252,23 @@ mod tests {
             tight < 70.0 * 1.2,
             "mean power {tight} W must respect the 70 W share"
         );
+    }
+
+    #[test]
+    fn a_bad_power_budget_is_an_error_and_keeps_the_current_one() {
+        let enhanced = quick_enhanced(App::TwoMm);
+        let mut fleet = EventFleet::new(event_config()).unwrap();
+        fleet.spawn(&enhanced, &rank(), 5, 2);
+        fleet.set_power_budget(Some(200.0)).unwrap();
+        for bad in [-3.0, 0.0, f64::NAN, f64::INFINITY] {
+            let err = fleet.set_power_budget(Some(bad)).unwrap_err();
+            assert!(
+                matches!(err, SocratesError::InvalidConfig { .. }),
+                "{bad}: {err}"
+            );
+            assert!(err.to_string().contains("power_budget_w"), "{bad}: {err}");
+            assert_eq!(fleet.power_share_w(), Some(100.0));
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@ use crate::toolchain::EnhancedApp;
 use margot::{ApplicationManager, Constraint, Knowledge, Metric, MetricValues, Rank};
 use platform_sim::{EnergyMeter, KnobConfig, Machine, VirtualClock};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One kernel invocation in the execution trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -55,7 +56,9 @@ impl TraceSample {
 /// A runnable adaptive application (enhanced binary + platform).
 #[derive(Debug, Clone)]
 pub struct AdaptiveApplication {
-    enhanced: EnhancedApp,
+    /// The enhanced binary, shared with the other instances a fleet
+    /// booted from the same app.
+    enhanced: Arc<EnhancedApp>,
     manager: ApplicationManager<KnobConfig>,
     machine: Machine,
     clock: VirtualClock,
@@ -86,7 +89,7 @@ impl AdaptiveApplication {
     /// slower than the design-time knowledge assumes).
     pub fn with_machine(enhanced: EnhancedApp, rank: Rank, machine: Machine) -> Self {
         let knowledge = enhanced.knowledge.clone();
-        Self::with_knowledge(enhanced, knowledge, rank, machine)
+        Self::with_knowledge(Arc::new(enhanced), knowledge, rank, machine)
     }
 
     /// [`with_machine`](Self::with_machine), planning over `knowledge`
@@ -95,7 +98,7 @@ impl AdaptiveApplication {
     /// is then reused instead of built for knowledge about to be
     /// replaced.
     pub(crate) fn with_knowledge(
-        enhanced: EnhancedApp,
+        enhanced: Arc<EnhancedApp>,
         knowledge: Knowledge<KnobConfig>,
         rank: Rank,
         machine: Machine,

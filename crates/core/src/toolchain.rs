@@ -81,8 +81,6 @@ pub struct EnhancedApp {
     /// derived from its dimensions, clamped to
     /// [`crate::FUNCTIONAL_DIM_CAP`]).
     pub dataset: Dataset,
-    /// The original (pure functional) program.
-    pub original: TranslationUnit,
     /// The weaved, adaptive program.
     pub weaved: TranslationUnit,
     /// Table I metrics for this application.
@@ -162,7 +160,9 @@ impl Toolchain {
         app: App,
         store: &ArtifactStore,
     ) -> Result<EnhancedApp, SocratesError> {
-        let parsed = store.parsed(self, app)?;
+        // The parse only feeds the stages after it; fetching it here
+        // keeps one store lookup per stage, in toolchain order.
+        store.parsed(self, app)?;
         let features = store.kernel_features(self, app)?;
         let predictions = store.flag_predictions(self, app)?;
         let weaved = store.weaved(self, app)?;
@@ -170,7 +170,6 @@ impl Toolchain {
         Ok(EnhancedApp {
             app,
             dataset: self.dataset,
-            original: parsed.tu.clone(),
             weaved: TranslationUnit::clone(&weaved.weaved),
             metrics: weaved.metrics,
             multiversioned: weaved.multiversioned.clone(),

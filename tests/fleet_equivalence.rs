@@ -35,7 +35,9 @@ fn build_fleet(knowledge_shards: usize, enhanced: &EnhancedApp) -> Fleet {
     })
     .expect("valid fleet config");
     fleet.spawn(enhanced, &Rank::throughput_per_watt2(), 2018, 8);
-    fleet.set_power_budget(Some(8.0 * 85.0));
+    fleet
+        .set_power_budget(Some(8.0 * 85.0))
+        .expect("valid power budget");
     fleet
 }
 

@@ -114,7 +114,9 @@ fn run_case(case: &TraceCase) -> (u64, u64, socrates::EventFleetStats, Option<u6
         curve: case.curve,
     };
     let mut fleet = EventFleet::new(event_config()).expect("valid fleet config");
-    fleet.set_power_budget(case.budget_w);
+    fleet
+        .set_power_budget(case.budget_w)
+        .expect("valid power budget");
     fleet
         .drive(&trace, enhanced(), &Rank::throughput_per_watt2())
         .expect("valid trace");
@@ -209,7 +211,9 @@ fn churn_replay_never_reuses_handles() {
 fn unified_run(enhanced: &EnhancedApp, horizon_s: f64) -> Vec<u64> {
     let mut fleet = Fleet::new(FleetConfig::default()).expect("valid fleet config");
     fleet.spawn(enhanced, &Rank::throughput_per_watt2(), 2018, 3);
-    fleet.set_power_budget(Some(3.0 * 90.0));
+    fleet
+        .set_power_budget(Some(3.0 * 90.0))
+        .expect("valid power budget");
     fleet.run_until(horizon_s);
     (0..3).map(|id| trace_digest(&fleet.trace(id))).collect()
 }
@@ -308,7 +312,9 @@ fn diurnal_run(budget_w: Option<f64>) -> (u64, socrates::EventFleetStats, Option
         },
     };
     let mut fleet = EventFleet::new(event_config()).expect("valid fleet config");
-    fleet.set_power_budget(budget_w);
+    fleet
+        .set_power_budget(budget_w)
+        .expect("valid power budget");
     fleet
         .drive(&trace, enhanced(), &Rank::throughput_per_watt2())
         .expect("valid trace");

@@ -78,12 +78,15 @@ struct Broker {
 /// Star-mode node state: an effective-knowledge cache reconciled via
 /// the per-shard epoch vector.
 struct StarState {
+    /// Never shares storage with the node's AS-RTM, so patching it
+    /// copies nothing.
     cache: Knowledge<KnobConfig>,
     versions: Vec<u64>,
     /// Own observations not yet acknowledged by the broker (resent
     /// every round until acked).
     unacked: BTreeMap<u64, Observation>,
-    dirty: bool,
+    /// Cache positions patched since the node's AS-RTM last adopted.
+    patched: BTreeSet<usize>,
 }
 
 /// Gossip-mode node state: a full replica plus the rumor outbox.
@@ -370,7 +373,7 @@ impl DistributedFleet {
                 cache: self.design.clone(),
                 versions: vec![0; self.shard_count],
                 unacked: BTreeMap::new(),
-                dirty: false,
+                patched: BTreeSet::new(),
             }),
             DistTopology::Gossip { .. } => NodeSync::Gossip(Box::new(GossipState {
                 replica: Self::boot_replica(&self.config, &self.design, self.enhanced.app),
@@ -399,11 +402,11 @@ impl DistributedFleet {
             // sync interval until a snapshot arrives.
             match self.dist.topology {
                 DistTopology::BrokerStar => {
-                    self.net.send(id, BROKER, WireMessage::Join { node: id })
+                    self.net.send(id, BROKER, &WireMessage::Join { node: id })
                 }
                 DistTopology::Gossip { .. } => {
                     if let Some(seed) = self.seed_peer(id) {
-                        self.net.send(id, seed, WireMessage::Join { node: id });
+                        self.net.send(id, seed, &WireMessage::Join { node: id });
                     } else {
                         // Nobody to learn from: the sole member needs
                         // no snapshot.
@@ -451,7 +454,7 @@ impl DistributedFleet {
         let node_id = self.nodes[id].id;
         if matches!(self.dist.topology, DistTopology::BrokerStar) {
             self.net
-                .send(node_id, BROKER, WireMessage::Leave { node: node_id });
+                .send(node_id, BROKER, &WireMessage::Leave { node: node_id });
         }
         let t_s = self.nodes[id].app.now_s();
         self.emit(FleetEvent::Retired {
@@ -652,11 +655,16 @@ impl DistributedFleet {
     /// Hands out every due message in deterministic order, cascading
     /// broker flushes until the phase is quiescent (zero-latency
     /// replies deliver within the same phase — the property that
-    /// makes an ideal link match the in-process barrier).
+    /// makes an ideal link match the in-process barrier). A receiver
+    /// holding a replica gets only the observations it does not log
+    /// yet: [`Self::handle`] would drop the others unread.
     fn deliver_phase(&mut self) {
         loop {
             let mut any = false;
-            while let Some(env) = self.net.poll_due() {
+            while let Some(env) = self.net.poll_due_keeping(|to, op| {
+                replica_of(&self.nodes, self.broker.as_ref(), to)
+                    .is_none_or(|replica| !replica.contains(op))
+            }) {
                 any = true;
                 self.handle(env);
             }
@@ -676,9 +684,24 @@ impl DistributedFleet {
             }
             match &mut node.sync {
                 NodeSync::Star(s) => {
-                    if s.dirty {
-                        node.app.set_knowledge(s.cache.clone());
-                        s.dirty = false;
+                    // The node holds the cache as of its previous
+                    // adoption, so the patched positions bring it level
+                    // without copying either side. The per-shard
+                    // versions track the cache; the delta's scalar
+                    // epochs are not read here.
+                    if !s.patched.is_empty() {
+                        let epoch = s.versions.iter().sum();
+                        let delta = KnowledgeDelta {
+                            from_epoch: epoch,
+                            to_epoch: epoch,
+                            changed: std::mem::take(&mut s.patched)
+                                .into_iter()
+                                .map(|pos| (pos, s.cache.points()[pos].clone()))
+                                .collect(),
+                        };
+                        if !node.app.apply_knowledge_delta(&delta) {
+                            node.app.set_knowledge(s.cache.clone());
+                        }
                     }
                 }
                 NodeSync::Gossip(g) => {
@@ -745,44 +768,30 @@ impl DistributedFleet {
                     // watermark.
                     if !s.unacked.is_empty() {
                         let ops: Vec<Observation> = s.unacked.values().cloned().collect();
-                        self.net.send(id, BROKER, WireMessage::Ops { ops });
+                        self.net.send(id, BROKER, &WireMessage::Ops { ops });
                     }
                     if sync_due {
                         let versions = s.versions.clone();
                         self.net
-                            .send(id, BROKER, WireMessage::SyncRequest { versions });
+                            .send(id, BROKER, &WireMessage::SyncRequest { versions });
                     }
                 }
                 NodeSync::Gossip(g) => {
                     let targets = gossip_targets(&active_ids, id, &self.dist.topology, round);
                     if !targets.is_empty() {
+                        // One message each, sent to every target.
                         let outbox = std::mem::take(&mut g.outbox);
-                        let summary = if sync_due {
-                            Some(g.replica.summary())
-                        } else {
-                            None
-                        };
+                        let ops = (!outbox.is_empty()).then_some(WireMessage::Ops { ops: outbox });
+                        let summary = sync_due.then(|| WireMessage::Summary {
+                            counts: g.replica.summary(),
+                            reply: true,
+                        });
                         for (i, &target) in targets.iter().enumerate() {
-                            if !outbox.is_empty() {
-                                self.net.send(
-                                    id,
-                                    target,
-                                    WireMessage::Ops {
-                                        ops: outbox.clone(),
-                                    },
-                                );
+                            if let Some(ops) = &ops {
+                                self.net.send(id, target, ops);
                             }
-                            if i == 0 {
-                                if let Some(counts) = &summary {
-                                    self.net.send(
-                                        id,
-                                        target,
-                                        WireMessage::Summary {
-                                            counts: counts.clone(),
-                                            reply: true,
-                                        },
-                                    );
-                                }
+                            if let (0, Some(summary)) = (i, &summary) {
+                                self.net.send(id, target, summary);
                             }
                         }
                     } else {
@@ -815,23 +824,23 @@ impl DistributedFleet {
                 NodeSync::Star(s) => {
                     if !s.unacked.is_empty() {
                         let ops: Vec<Observation> = s.unacked.values().cloned().collect();
-                        self.net.send(id, BROKER, WireMessage::Ops { ops });
+                        self.net.send(id, BROKER, &WireMessage::Ops { ops });
                     }
                     let versions = s.versions.clone();
                     self.net
-                        .send(id, BROKER, WireMessage::SyncRequest { versions });
+                        .send(id, BROKER, &WireMessage::SyncRequest { versions });
                 }
                 NodeSync::Gossip(g) => {
                     let targets = gossip_targets(&active_ids, id, &self.dist.topology, round);
                     if let Some(&target) = targets.first() {
                         let outbox = std::mem::take(&mut g.outbox);
                         if !outbox.is_empty() {
-                            self.net.send(id, target, WireMessage::Ops { ops: outbox });
+                            self.net.send(id, target, &WireMessage::Ops { ops: outbox });
                         }
                         self.net.send(
                             id,
                             target,
-                            WireMessage::Summary {
+                            &WireMessage::Summary {
                                 counts: g.replica.summary(),
                                 reply: true,
                             },
@@ -899,13 +908,13 @@ impl DistributedFleet {
                 if let Some((missing, own)) = response {
                     if !missing.is_empty() {
                         self.net
-                            .send(env.to, env.from, WireMessage::Ops { ops: missing });
+                            .send(env.to, env.from, &WireMessage::Ops { ops: missing });
                     }
                     if let Some(counts) = own {
                         self.net.send(
                             env.to,
                             env.from,
-                            WireMessage::Summary {
+                            &WireMessage::Summary {
                                 counts,
                                 reply: false,
                             },
@@ -928,7 +937,8 @@ impl DistributedFleet {
                     NodeSync::Star(_) => None,
                 };
                 if let Some(ops) = ops {
-                    self.net.send(env.to, node, WireMessage::WelcomeLog { ops });
+                    self.net
+                        .send(env.to, node, &WireMessage::WelcomeLog { ops });
                 }
             }
             WireMessage::Leave { .. } | WireMessage::SyncRequest { .. } => {}
@@ -952,7 +962,7 @@ impl DistributedFleet {
                     .iter()
                     .find(|(origin, _)| *origin == env.from)
                     .map_or(0, |&(_, count)| count);
-                self.net.send(BROKER, env.from, WireMessage::Ack { count });
+                self.net.send(BROKER, env.from, &WireMessage::Ack { count });
             }
             WireMessage::SyncRequest { versions } => {
                 for shard in 0..self.shard_count {
@@ -969,7 +979,7 @@ impl DistributedFleet {
                         self.net.send(
                             BROKER,
                             env.from,
-                            WireMessage::SyncResponse {
+                            &WireMessage::SyncResponse {
                                 shard,
                                 version: broker.versions[shard],
                                 points,
@@ -983,7 +993,7 @@ impl DistributedFleet {
                 self.net.send(
                     BROKER,
                     node,
-                    WireMessage::Welcome {
+                    &WireMessage::Welcome {
                         knowledge: broker.published.clone(),
                         versions: broker.versions.clone(),
                     },
@@ -1005,7 +1015,7 @@ impl DistributedFleet {
         }
         if delta.from_epoch == s.versions[shard] && delta.apply_to(&mut s.cache) {
             s.versions[shard] = delta.to_epoch;
-            s.dirty = true;
+            s.patched.extend(delta.changed.iter().map(|(pos, _)| *pos));
         } else {
             // A gap: at least one earlier broadcast for this shard
             // was lost or is still in flight. Ask for full state of
@@ -1013,7 +1023,7 @@ impl DistributedFleet {
             let versions = s.versions.clone();
             let id = self.nodes[idx].id;
             self.net
-                .send(id, BROKER, WireMessage::SyncRequest { versions });
+                .send(id, BROKER, &WireMessage::SyncRequest { versions });
         }
     }
 
@@ -1032,9 +1042,9 @@ impl DistributedFleet {
         }
         for (pos, point) in points {
             s.cache.patch_point(pos, point);
+            s.patched.insert(pos);
         }
         s.versions[shard] = version;
-        s.dirty = true;
     }
 
     fn node_welcome(&mut self, idx: usize, knowledge: &Knowledge<KnobConfig>, versions: &[u64]) {
@@ -1046,12 +1056,12 @@ impl DistributedFleet {
                 for (pos, point) in knowledge.points().iter().enumerate() {
                     if improved.contains(&self.shard_map[pos]) {
                         s.cache.patch_point(pos, point.clone());
+                        s.patched.insert(pos);
                     }
                 }
                 for &shard in &improved {
                     s.versions[shard] = versions[shard];
                 }
-                s.dirty = true;
             }
         }
         self.nodes[idx].joined = true;
@@ -1086,20 +1096,16 @@ impl DistributedFleet {
         for (shard, changed) in by_shard {
             let from = broker.versions[shard];
             broker.versions[shard] = from + 1;
-            let delta = KnowledgeDelta {
-                from_epoch: from,
-                to_epoch: from + 1,
-                changed,
+            let msg = WireMessage::Delta {
+                shard,
+                delta: KnowledgeDelta {
+                    from_epoch: from,
+                    to_epoch: from + 1,
+                    changed,
+                },
             };
             for &member in &broker.members {
-                self.net.send(
-                    BROKER,
-                    member,
-                    WireMessage::Delta {
-                        shard,
-                        delta: delta.clone(),
-                    },
-                );
+                self.net.send(BROKER, member, &msg);
             }
         }
         true
@@ -1108,10 +1114,10 @@ impl DistributedFleet {
     fn resend_join(&mut self, idx: usize) {
         let id = self.nodes[idx].id;
         match self.dist.topology {
-            DistTopology::BrokerStar => self.net.send(id, BROKER, WireMessage::Join { node: id }),
+            DistTopology::BrokerStar => self.net.send(id, BROKER, &WireMessage::Join { node: id }),
             DistTopology::Gossip { .. } => {
                 if let Some(seed) = self.seed_peer(id) {
-                    self.net.send(id, seed, WireMessage::Join { node: id });
+                    self.net.send(id, seed, &WireMessage::Join { node: id });
                 } else {
                     self.nodes[idx].joined = true;
                 }
@@ -1233,6 +1239,22 @@ impl FleetRuntime for DistributedFleet {
 
     fn active_count(&self) -> usize {
         self.active_instances()
+    }
+}
+
+/// The replica logging what `to` receives: the broker's, or a gossip
+/// node's. Star nodes hold none.
+fn replica_of<'a>(
+    nodes: &'a [DistNode],
+    broker: Option<&'a Broker>,
+    to: NodeId,
+) -> Option<&'a Replica> {
+    if to == BROKER {
+        return broker.map(|b| &b.replica);
+    }
+    match &nodes.get(to as usize)?.sync {
+        NodeSync::Gossip(g) => Some(&g.replica),
+        NodeSync::Star(_) => None,
     }
 }
 
@@ -1503,6 +1525,53 @@ mod tests {
             assert_eq!(fleet.epoch_vector(id), fleet.epoch_vector(0));
         }
         assert_eq!(fleet.canonical_ops().len(), 12);
+    }
+
+    #[test]
+    fn steady_star_rounds_patch_each_cache_in_place_and_never_share_it() {
+        let enhanced = quick_enhanced();
+        let mut fleet =
+            DistributedFleet::new(dist_config(DistributedConfig::default()), &enhanced).unwrap();
+        fleet.spawn(&Rank::throughput_per_watt2(), 7, 4);
+        // The first patches copy the design knowledge every cache and
+        // AS-RTM booted sharing; from then on nothing is copied.
+        for _ in 0..3 {
+            fleet.step_all();
+        }
+        let storage = |k: &Knowledge<KnobConfig>| {
+            let index = k.rank_index().map(|i| i as *const margot::RankIndex);
+            (k.points().as_ptr(), index)
+        };
+        let caches = |fleet: &DistributedFleet| -> Vec<_> {
+            fleet
+                .nodes
+                .iter()
+                .map(|node| match &node.sync {
+                    NodeSync::Star(s) => storage(&s.cache),
+                    NodeSync::Gossip(_) => panic!("a star fleet"),
+                })
+                .collect()
+        };
+        let booted = caches(&fleet);
+        assert!(booted.iter().all(|(_, index)| index.is_some()));
+        let mut moved = 0;
+        for _ in 0..8 {
+            let versions: Vec<Vec<u64>> = (0..4).map(|id| fleet.epoch_vector(id)).collect();
+            fleet.step_all();
+            moved += (0..4)
+                .filter(|&id| fleet.epoch_vector(id) != versions[id])
+                .count();
+            assert_eq!(caches(&fleet), booted, "patched in place");
+            for node in &fleet.nodes {
+                let NodeSync::Star(s) = &node.sync else {
+                    panic!("a star fleet");
+                };
+                let held = node.app.manager().asrtm().knowledge();
+                assert_eq!(held, &s.cache, "adopted");
+                assert_ne!(storage(held).0, storage(&s.cache).0, "not shared");
+            }
+        }
+        assert!(moved > 0, "the rounds moved the knowledge");
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //! Decode failures are transport-stage [`SocratesError`]s; file I/O
 //! failures are persist-stage errors carrying the path.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::error::SocratesError;
-use crate::transport::{Observation, WireMessage};
+use crate::transport::{NodeId, Observation, WireMessage};
 use margot::{Knowledge, KnowledgeDelta, MetricValues, OperatingPoint};
 use platform_sim::{BindingPolicy, CompilerOptions, KnobConfig, OptLevel};
 use std::path::{Path, PathBuf};
@@ -120,72 +122,103 @@ pub(crate) fn put_bool(out: &mut Vec<u8>, v: bool) {
     out.push(u8::from(v));
 }
 
-pub(crate) fn put_len(out: &mut Vec<u8>, len: usize) {
-    put_u32(
-        out,
-        u32::try_from(len).expect("sequence length exceeds u32 on the wire"),
-    );
+/// Writes a sequence length; one that does not fit the format's u32
+/// count is a transport-stage error.
+pub(crate) fn put_len(out: &mut Vec<u8>, len: usize) -> Result<(), SocratesError> {
+    let len = u32::try_from(len).map_err(|_| {
+        SocratesError::transport(format!(
+            "sequence of {len} elements exceeds the u32 length of the wire format"
+        ))
+    })?;
+    put_u32(out, len);
+    Ok(())
 }
 
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_len(out, s.len());
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), SocratesError> {
+    put_len(out, s.len())?;
     out.extend_from_slice(s.as_bytes());
+    Ok(())
 }
 
 pub(crate) fn put_config(out: &mut Vec<u8>, cfg: &KnobConfig) {
-    let level = OptLevel::ALL
-        .iter()
-        .position(|l| *l == cfg.co.level)
-        .expect("OptLevel::ALL is exhaustive");
-    let bp = BindingPolicy::ALL
-        .iter()
-        .position(|b| *b == cfg.bp)
-        .expect("BindingPolicy::ALL is exhaustive");
-    put_u8(out, level as u8);
+    // Both enums declare their variants in `ALL` order, so the
+    // discriminant is the index (pinned by a unit test below).
+    put_u8(out, cfg.co.level as u8);
     put_u8(out, cfg.co.flag_mask());
     put_u32(out, cfg.tn);
-    put_u8(out, bp as u8);
+    put_u8(out, cfg.bp as u8);
 }
 
-pub(crate) fn put_metrics(out: &mut Vec<u8>, mv: &MetricValues) {
-    put_len(out, mv.len());
+pub(crate) fn put_metrics(out: &mut Vec<u8>, mv: &MetricValues) -> Result<(), SocratesError> {
+    put_len(out, mv.len())?;
     for (m, v) in mv.iter() {
-        put_str(out, m.as_str());
+        put_str(out, m.as_str())?;
         put_f64(out, v);
     }
+    Ok(())
 }
 
-pub(crate) fn put_point(out: &mut Vec<u8>, p: &OperatingPoint<KnobConfig>) {
+pub(crate) fn put_point(
+    out: &mut Vec<u8>,
+    p: &OperatingPoint<KnobConfig>,
+) -> Result<(), SocratesError> {
     put_config(out, &p.config);
-    put_metrics(out, &p.metrics);
+    put_metrics(out, &p.metrics)
 }
 
-pub(crate) fn put_knowledge(out: &mut Vec<u8>, k: &Knowledge<KnobConfig>) {
-    put_len(out, k.len());
+pub(crate) fn put_knowledge(
+    out: &mut Vec<u8>,
+    k: &Knowledge<KnobConfig>,
+) -> Result<(), SocratesError> {
+    put_len(out, k.len())?;
     for p in k.points() {
-        put_point(out, p);
+        put_point(out, p)?;
     }
+    Ok(())
 }
 
-pub(crate) fn put_delta(out: &mut Vec<u8>, d: &KnowledgeDelta<KnobConfig>) {
+fn put_positioned(
+    out: &mut Vec<u8>,
+    points: &[(usize, OperatingPoint<KnobConfig>)],
+) -> Result<(), SocratesError> {
+    put_len(out, points.len())?;
+    for (pos, p) in points {
+        put_usize(out, *pos);
+        put_point(out, p)?;
+    }
+    Ok(())
+}
+
+pub(crate) fn put_delta(
+    out: &mut Vec<u8>,
+    d: &KnowledgeDelta<KnobConfig>,
+) -> Result<(), SocratesError> {
     put_u64(out, d.from_epoch);
     put_u64(out, d.to_epoch);
-    put_len(out, d.changed.len());
-    for (pos, p) in &d.changed {
-        put_usize(out, *pos);
-        put_point(out, p);
+    put_positioned(out, &d.changed)
+}
+
+fn put_observations(out: &mut Vec<u8>, ops: &[Observation]) -> Result<(), SocratesError> {
+    put_len(out, ops.len())?;
+    for o in ops {
+        put_u32(out, o.origin);
+        put_u64(out, o.seq);
+        put_u64(out, o.round);
+        put_config(out, &o.config);
+        put_metrics(out, &o.observed)?;
     }
+    Ok(())
 }
 
-pub(crate) fn put_observation(out: &mut Vec<u8>, o: &Observation) {
-    put_u32(out, o.origin);
-    put_u64(out, o.seq);
-    put_u64(out, o.round);
-    put_config(out, &o.config);
-    put_metrics(out, &o.observed);
+pub(crate) fn put_versions(out: &mut Vec<u8>, versions: &[u64]) -> Result<(), SocratesError> {
+    put_len(out, versions.len())?;
+    for v in versions {
+        put_u64(out, *v);
+    }
+    Ok(())
 }
 
-pub(crate) fn put_wire(out: &mut Vec<u8>, msg: &WireMessage) {
+fn put_wire(out: &mut Vec<u8>, msg: &WireMessage) -> Result<(), SocratesError> {
     match msg {
         WireMessage::Join { node } => {
             put_u8(out, 0);
@@ -197,10 +230,7 @@ pub(crate) fn put_wire(out: &mut Vec<u8>, msg: &WireMessage) {
         }
         WireMessage::Ops { ops } => {
             put_u8(out, 2);
-            put_len(out, ops.len());
-            for op in ops {
-                put_observation(out, op);
-            }
+            put_observations(out, ops)?;
         }
         WireMessage::Ack { count } => {
             put_u8(out, 3);
@@ -209,14 +239,11 @@ pub(crate) fn put_wire(out: &mut Vec<u8>, msg: &WireMessage) {
         WireMessage::Delta { shard, delta } => {
             put_u8(out, 4);
             put_usize(out, *shard);
-            put_delta(out, delta);
+            put_delta(out, delta)?;
         }
         WireMessage::SyncRequest { versions } => {
             put_u8(out, 5);
-            put_len(out, versions.len());
-            for v in versions {
-                put_u64(out, *v);
-            }
+            put_versions(out, versions)?;
         }
         WireMessage::SyncResponse {
             shard,
@@ -226,15 +253,11 @@ pub(crate) fn put_wire(out: &mut Vec<u8>, msg: &WireMessage) {
             put_u8(out, 6);
             put_usize(out, *shard);
             put_u64(out, *version);
-            put_len(out, points.len());
-            for (pos, p) in points {
-                put_usize(out, *pos);
-                put_point(out, p);
-            }
+            put_positioned(out, points)?;
         }
         WireMessage::Summary { counts, reply } => {
             put_u8(out, 7);
-            put_len(out, counts.len());
+            put_len(out, counts.len())?;
             for (node, count) in counts {
                 put_u32(out, *node);
                 put_u64(out, *count);
@@ -246,20 +269,15 @@ pub(crate) fn put_wire(out: &mut Vec<u8>, msg: &WireMessage) {
             versions,
         } => {
             put_u8(out, 8);
-            put_knowledge(out, knowledge);
-            put_len(out, versions.len());
-            for v in versions {
-                put_u64(out, *v);
-            }
+            put_knowledge(out, knowledge)?;
+            put_versions(out, versions)?;
         }
         WireMessage::WelcomeLog { ops } => {
             put_u8(out, 9);
-            put_len(out, ops.len());
-            for op in ops {
-                put_observation(out, op);
-            }
+            put_observations(out, ops)?;
         }
     }
+    Ok(())
 }
 
 /// A strict cursor over a binary frame; every read is bounds-checked
@@ -289,16 +307,28 @@ impl<'a> ByteReader<'a> {
         Ok(bytes)
     }
 
+    /// The next `N` bytes as an array (the fixed-width reads).
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SocratesError> {
+        let bytes = self
+            .buf
+            .get(self.pos..)
+            .and_then(<[u8]>::first_chunk::<N>)
+            .ok_or_else(|| Self::err("truncated input"))?;
+        self.pos += N;
+        Ok(*bytes)
+    }
+
     pub(crate) fn u8(&mut self) -> Result<u8, SocratesError> {
-        Ok(self.take(1)?[0])
+        let [byte] = self.array()?;
+        Ok(byte)
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, SocratesError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64, SocratesError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn usize(&mut self) -> Result<usize, SocratesError> {
@@ -306,7 +336,7 @@ impl<'a> ByteReader<'a> {
     }
 
     pub(crate) fn f64(&mut self) -> Result<f64, SocratesError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+        Ok(f64::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn bool(&mut self) -> Result<bool, SocratesError> {
@@ -349,7 +379,9 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    pub(crate) fn config(&mut self) -> Result<KnobConfig, SocratesError> {
+    /// A knob configuration's checked fields: opt level, flag mask,
+    /// thread count and binding policy.
+    fn knobs(&mut self) -> Result<(OptLevel, u8, u32, BindingPolicy), SocratesError> {
         let level = *OptLevel::ALL
             .get(self.u8()? as usize)
             .ok_or_else(|| Self::err("opt-level index out of range"))?;
@@ -361,6 +393,11 @@ impl<'a> ByteReader<'a> {
         let bp = *BindingPolicy::ALL
             .get(self.u8()? as usize)
             .ok_or_else(|| Self::err("binding-policy index out of range"))?;
+        Ok((level, mask, tn, bp))
+    }
+
+    pub(crate) fn config(&mut self) -> Result<KnobConfig, SocratesError> {
+        let (level, mask, tn, bp) = self.knobs()?;
         Ok(KnobConfig::new(
             CompilerOptions::from_mask(level, mask),
             tn,
@@ -368,16 +405,22 @@ impl<'a> ByteReader<'a> {
         ))
     }
 
+    /// One `(name, value)` pair of a metric bundle.
+    fn metric(&mut self) -> Result<(&'a str, f64), SocratesError> {
+        Ok((self.str()?, self.f64()?))
+    }
+
     pub(crate) fn metrics(&mut self) -> Result<MetricValues, SocratesError> {
         let n = self.len()?;
         let mut pairs = Vec::with_capacity(n);
         for _ in 0..n {
-            let name = margot::Metric::custom(self.str()?);
-            pairs.push((name, self.f64()?));
+            let (name, value) = self.metric()?;
+            pairs.push((margot::Metric::custom(name), value));
         }
         // Wire ingress: finiteness is *not* validated here; non-finite
         // values are dropped-and-counted when they reach a sliding
-        // window, mirroring `Monitor::push`.
+        // window, mirroring `Monitor::push`. Encoders write bundles in
+        // metric order, so the pairs become the bundle as they are.
         Ok(MetricValues::from_unvalidated(pairs))
     }
 
@@ -396,37 +439,52 @@ impl<'a> ByteReader<'a> {
         Ok(k)
     }
 
-    pub(crate) fn delta(&mut self) -> Result<KnowledgeDelta<KnobConfig>, SocratesError> {
-        let from_epoch = self.u64()?;
-        let to_epoch = self.u64()?;
+    fn positioned(&mut self) -> Result<Vec<(usize, OperatingPoint<KnobConfig>)>, SocratesError> {
         let n = self.len()?;
-        let mut changed = Vec::with_capacity(n);
+        let mut points = Vec::with_capacity(n);
         for _ in 0..n {
             let pos = self.usize()?;
-            changed.push((pos, self.point()?));
+            points.push((pos, self.point()?));
         }
+        Ok(points)
+    }
+
+    pub(crate) fn delta(&mut self) -> Result<KnowledgeDelta<KnobConfig>, SocratesError> {
         Ok(KnowledgeDelta {
-            from_epoch,
-            to_epoch,
-            changed,
+            from_epoch: self.u64()?,
+            to_epoch: self.u64()?,
+            changed: self.positioned()?,
         })
     }
 
-    pub(crate) fn observation(&mut self) -> Result<Observation, SocratesError> {
-        Ok(Observation {
-            origin: self.u32()?,
-            seq: self.u64()?,
-            round: self.u64()?,
-            config: self.config()?,
-            observed: self.metrics()?,
-        })
-    }
-
-    pub(crate) fn observations(&mut self) -> Result<Vec<Observation>, SocratesError> {
+    /// Reads a sequence of observations, materialising only those whose
+    /// `(round, origin)` `keep` accepts. A skipped observation passes
+    /// the same reads, so the same checks, as a kept one: a frame is
+    /// rejected whatever `keep` says.
+    fn observations(
+        &mut self,
+        keep: &mut impl FnMut((u64, NodeId)) -> bool,
+    ) -> Result<Vec<Observation>, SocratesError> {
         let n = self.len()?;
         let mut ops = Vec::with_capacity(n);
         for _ in 0..n {
-            ops.push(self.observation()?);
+            let origin = self.u32()?;
+            let seq = self.u64()?;
+            let round = self.u64()?;
+            if keep((round, origin)) {
+                ops.push(Observation {
+                    origin,
+                    seq,
+                    round,
+                    config: self.config()?,
+                    observed: self.metrics()?,
+                });
+            } else {
+                self.knobs()?;
+                for _ in 0..self.len()? {
+                    self.metric()?;
+                }
+            }
         }
         Ok(ops)
     }
@@ -440,12 +498,15 @@ impl<'a> ByteReader<'a> {
         Ok(vs)
     }
 
-    pub(crate) fn wire(&mut self) -> Result<WireMessage, SocratesError> {
+    fn wire(
+        &mut self,
+        keep: &mut impl FnMut((u64, NodeId)) -> bool,
+    ) -> Result<WireMessage, SocratesError> {
         match self.u8()? {
             0 => Ok(WireMessage::Join { node: self.u32()? }),
             1 => Ok(WireMessage::Leave { node: self.u32()? }),
             2 => Ok(WireMessage::Ops {
-                ops: self.observations()?,
+                ops: self.observations(keep)?,
             }),
             3 => Ok(WireMessage::Ack { count: self.u64()? }),
             4 => Ok(WireMessage::Delta {
@@ -455,21 +516,11 @@ impl<'a> ByteReader<'a> {
             5 => Ok(WireMessage::SyncRequest {
                 versions: self.versions()?,
             }),
-            6 => {
-                let shard = self.usize()?;
-                let version = self.u64()?;
-                let n = self.len()?;
-                let mut points = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let pos = self.usize()?;
-                    points.push((pos, self.point()?));
-                }
-                Ok(WireMessage::SyncResponse {
-                    shard,
-                    version,
-                    points,
-                })
-            }
+            6 => Ok(WireMessage::SyncResponse {
+                shard: self.usize()?,
+                version: self.u64()?,
+                points: self.positioned()?,
+            }),
             7 => {
                 let n = self.len()?;
                 let mut counts = Vec::with_capacity(n);
@@ -487,7 +538,7 @@ impl<'a> ByteReader<'a> {
                 versions: self.versions()?,
             }),
             9 => Ok(WireMessage::WelcomeLog {
-                ops: self.observations()?,
+                ops: self.observations(keep)?,
             }),
             other => Err(Self::err(&format!("unknown wire message tag {other}"))),
         }
@@ -499,12 +550,13 @@ impl<'a> ByteReader<'a> {
 ///
 /// # Errors
 ///
-/// Never fails for well-formed messages; the `Result` keeps the
-/// signature symmetric with [`wire_from_bytes`].
+/// Returns a transport-stage [`SocratesError`] when a sequence (a
+/// message's elements, a metric name's bytes) is longer than the
+/// format's u32 counts can say.
 pub fn wire_to_bytes(msg: &WireMessage) -> Result<Vec<u8>, SocratesError> {
     let mut out = Vec::with_capacity(64);
     out.extend_from_slice(&WIRE_MAGIC);
-    put_wire(&mut out, msg);
+    put_wire(&mut out, msg)?;
     Ok(out)
 }
 
@@ -515,9 +567,27 @@ pub fn wire_to_bytes(msg: &WireMessage) -> Result<Vec<u8>, SocratesError> {
 /// Returns a transport-stage [`SocratesError`] on bad magic, unknown
 /// tags, out-of-range knob indices, truncated input or trailing bytes.
 pub fn wire_from_bytes(bytes: &[u8]) -> Result<WireMessage, SocratesError> {
+    wire_from_bytes_keeping(bytes, |_| true)
+}
+
+/// [`wire_from_bytes`] that materialises only the observations (of an
+/// [`WireMessage::Ops`] or [`WireMessage::WelcomeLog`] frame) whose
+/// `(round, origin)` `keep` accepts, in frame order: a receiver that
+/// already holds an observation skips building it. Skipped
+/// observations are checked like kept ones, so a frame
+/// [`wire_from_bytes`] rejects is rejected here too, whatever `keep`
+/// says.
+///
+/// # Errors
+///
+/// As [`wire_from_bytes`].
+pub fn wire_from_bytes_keeping(
+    bytes: &[u8],
+    mut keep: impl FnMut((u64, NodeId)) -> bool,
+) -> Result<WireMessage, SocratesError> {
     let mut r = ByteReader::new(bytes);
     r.magic()?;
-    let msg = r.wire()?;
+    let msg = r.wire(&mut keep)?;
     r.finish()?;
     Ok(msg)
 }
@@ -526,12 +596,12 @@ pub fn wire_from_bytes(bytes: &[u8]) -> Result<WireMessage, SocratesError> {
 ///
 /// # Errors
 ///
-/// Never fails for well-formed deltas; the `Result` keeps the
-/// signature symmetric with [`delta_from_bytes`].
+/// Returns a transport-stage [`SocratesError`] when a sequence is
+/// longer than the format's u32 counts can say.
 pub fn delta_to_bytes(delta: &KnowledgeDelta<KnobConfig>) -> Result<Vec<u8>, SocratesError> {
     let mut out = Vec::with_capacity(64);
     out.extend_from_slice(&WIRE_MAGIC);
-    put_delta(&mut out, delta);
+    put_delta(&mut out, delta)?;
     Ok(out)
 }
 
@@ -767,6 +837,26 @@ mod tests {
             ops[0].observed.get(&Metric::exec_time()),
             Some(f64::NEG_INFINITY)
         );
+    }
+
+    #[test]
+    fn knob_discriminants_are_their_all_indices() {
+        for (i, level) in OptLevel::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(level as u8), i);
+        }
+        for (i, bp) in BindingPolicy::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(bp as u8), i);
+        }
+    }
+
+    #[test]
+    fn oversized_sequences_are_transport_errors() {
+        let mut out = Vec::new();
+        let err = put_len(&mut out, u32::MAX as usize + 1).unwrap_err();
+        assert_eq!(err.stage(), StageId::Transport);
+        assert!(out.is_empty(), "nothing written for a refused length");
+        put_len(&mut out, u32::MAX as usize).unwrap();
+        assert_eq!(out, u32::MAX.to_le_bytes());
     }
 
     #[test]

@@ -105,7 +105,8 @@ pub use fleet::{
 pub use fleet_dist::{DistStats, DistributedFleet};
 pub use fleet_events::{Arrival, EventFleet, EventFleetStats, WorkloadCurve, WorkloadTrace};
 pub use knowledge_io::{
-    delta_from_bytes, delta_to_bytes, wire_from_bytes, wire_to_bytes, WIRE_MAGIC,
+    delta_from_bytes, delta_to_bytes, wire_from_bytes, wire_from_bytes_keeping, wire_to_bytes,
+    WIRE_MAGIC,
 };
 pub use minivm::ExecutionReport;
 pub use platform::Platform;

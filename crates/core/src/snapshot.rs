@@ -49,7 +49,8 @@
 
 use crate::error::SocratesError;
 use crate::knowledge_io::{
-    put_delta, put_knowledge, put_len, put_str, put_u32, put_u64, write_atomic_bytes, ByteReader,
+    put_delta, put_knowledge, put_str, put_u32, put_u64, put_versions, write_atomic_bytes,
+    ByteReader,
 };
 use crate::toolchain::Toolchain;
 use margot::{shard_content_hash, shard_index, Knowledge, KnowledgeDelta, SharedKnowledge};
@@ -250,18 +251,20 @@ impl KnowledgeSnapshot {
 
     /// Encodes the snapshot as a standalone binary artifact (format in
     /// the module docs).
-    pub fn to_bytes(&self) -> Vec<u8> {
+    ///
+    /// # Errors
+    ///
+    /// Returns a transport-stage [`SocratesError`] when a sequence is
+    /// longer than the format's u32 counts can say.
+    pub fn to_bytes(&self) -> Result<Vec<u8>, SocratesError> {
         let mut out = Vec::with_capacity(64 + 32 * self.knowledge.len());
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         put_u32(&mut out, SNAPSHOT_FORMAT_VERSION);
-        put_fingerprint(&mut out, &self.fingerprint);
+        put_fingerprint(&mut out, &self.fingerprint)?;
         put_u64(&mut out, self.epoch);
-        put_len(&mut out, self.shard_epochs.len());
-        for e in &self.shard_epochs {
-            put_u64(&mut out, *e);
-        }
-        put_knowledge(&mut out, &self.knowledge);
-        out
+        put_versions(&mut out, &self.shard_epochs)?;
+        put_knowledge(&mut out, &self.knowledge)?;
+        Ok(out)
     }
 
     /// Decodes a snapshot artifact.
@@ -299,7 +302,7 @@ impl KnowledgeSnapshot {
     ///
     /// Returns a persist-stage [`SocratesError`] on I/O failure.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SocratesError> {
-        write_atomic_bytes(path.as_ref(), &self.to_bytes())
+        write_atomic_bytes(path.as_ref(), &self.to_bytes()?)
     }
 
     /// Reads a snapshot from `path`.
@@ -358,17 +361,19 @@ impl SnapshotDelta {
     }
 
     /// Encodes the link as a standalone binary artifact.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    ///
+    /// # Errors
+    ///
+    /// Returns a transport-stage [`SocratesError`] when a sequence is
+    /// longer than the format's u32 counts can say.
+    pub fn to_bytes(&self) -> Result<Vec<u8>, SocratesError> {
         let mut out = Vec::with_capacity(64 + 32 * self.delta.len());
         out.extend_from_slice(&SNAPSHOT_DELTA_MAGIC);
         put_u32(&mut out, SNAPSHOT_FORMAT_VERSION);
-        put_fingerprint(&mut out, &self.fingerprint);
-        put_len(&mut out, self.shard_epochs.len());
-        for e in &self.shard_epochs {
-            put_u64(&mut out, *e);
-        }
-        put_delta(&mut out, &self.delta);
-        out
+        put_fingerprint(&mut out, &self.fingerprint)?;
+        put_versions(&mut out, &self.shard_epochs)?;
+        put_delta(&mut out, &self.delta)?;
+        Ok(out)
     }
 
     /// Decodes a delta-snapshot artifact.
@@ -403,7 +408,7 @@ impl SnapshotDelta {
     ///
     /// Returns a persist-stage [`SocratesError`] on I/O failure.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SocratesError> {
-        write_atomic_bytes(path.as_ref(), &self.to_bytes())
+        write_atomic_bytes(path.as_ref(), &self.to_bytes()?)
     }
 
     /// Reads a link from `path`.
@@ -419,10 +424,11 @@ impl SnapshotDelta {
     }
 }
 
-fn put_fingerprint(out: &mut Vec<u8>, fp: &SnapshotFingerprint) {
-    put_str(out, &fp.app);
-    put_str(out, &fp.dataset);
+fn put_fingerprint(out: &mut Vec<u8>, fp: &SnapshotFingerprint) -> Result<(), SocratesError> {
+    put_str(out, &fp.app)?;
+    put_str(out, &fp.dataset)?;
     put_u64(out, fp.platform);
+    Ok(())
 }
 
 fn read_fingerprint(r: &mut ByteReader<'_>) -> Result<SnapshotFingerprint, SocratesError> {
@@ -545,11 +551,15 @@ mod tests {
         let snap = KnowledgeSnapshot::capture(&shared, fp());
         assert_eq!(snap.shard_count(), 3);
         assert_eq!(snap.epoch, shared.epoch());
-        let bytes = snap.to_bytes();
+        let bytes = snap.to_bytes().unwrap();
         assert_eq!(bytes[..4], SNAPSHOT_MAGIC);
         let back = KnowledgeSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(back, snap);
-        assert_eq!(back.to_bytes(), bytes, "re-encoding is byte-stable");
+        assert_eq!(
+            back.to_bytes().unwrap(),
+            bytes,
+            "re-encoding is byte-stable"
+        );
 
         let dir = std::env::temp_dir().join("socrates-snapshot-roundtrip-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -645,7 +655,7 @@ mod tests {
         let shared = SharedKnowledge::new(design(), 4).with_shards(2);
         observe(&shared, 2, 0.4, 60.0);
         let link = SnapshotDelta::cut(&shared, fp(), 0);
-        let bytes = link.to_bytes();
+        let bytes = link.to_bytes().unwrap();
         assert_eq!(bytes[..4], SNAPSHOT_DELTA_MAGIC);
         let back = SnapshotDelta::from_bytes(&bytes).unwrap();
         assert_eq!(back, link);
@@ -654,7 +664,7 @@ mod tests {
     #[test]
     fn future_format_versions_and_bad_magic_are_typed_errors() {
         let snap = KnowledgeSnapshot::capture(&SharedKnowledge::new(design(), 4), fp());
-        let mut bytes = snap.to_bytes();
+        let mut bytes = snap.to_bytes().unwrap();
         bytes[4..8].copy_from_slice(&(SNAPSHOT_FORMAT_VERSION + 1).to_le_bytes());
         let err = KnowledgeSnapshot::from_bytes(&bytes).unwrap_err();
         assert!(matches!(err, SocratesError::Transport { .. }));
@@ -662,7 +672,7 @@ mod tests {
             .to_string()
             .contains("unsupported snapshot format version"));
 
-        let mut wrong_magic = snap.to_bytes();
+        let mut wrong_magic = snap.to_bytes().unwrap();
         wrong_magic[..4].copy_from_slice(b"SOCD"); // the *delta* magic
         assert!(KnowledgeSnapshot::from_bytes(&wrong_magic).is_err());
     }

@@ -16,9 +16,11 @@
 //!   [`margot::KnowledgeDelta`]s, epoch-vector sync requests/responses,
 //!   gossip summaries and join/snapshot messages. On the wire, messages
 //!   travel as length-prefixed **binary frames**
-//!   ([`crate::wire_to_bytes`]) — [`SimNet::send`] encodes once and
-//!   [`SimNet::poll_due`] decodes on delivery, so every distributed
-//!   test exercises the codec. The frame format is pinned by the
+//!   ([`crate::wire_to_bytes`]) — [`SimNet::send`] encodes a borrowed
+//!   message once and [`SimNet::poll_due`] decodes on delivery, so
+//!   every distributed test exercises the codec. A receiver that
+//!   already holds some of a frame's observations skips building them
+//!   ([`SimNet::poll_due_keeping`]). The frame format is pinned by the
 //!   binary golden files under `tests/golden/`.
 //! - [`Replica`] — a replicated observation log with a **canonical
 //!   fold order**. Observations are totally ordered by `(round,
@@ -48,6 +50,8 @@
 //!   sequence watermarks) let any pair retransmit exactly what the
 //!   other is missing, so the logs — and
 //!   with them the folded knowledge — converge once the links drain.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::error::SocratesError;
 use margot::{
@@ -430,11 +434,17 @@ impl SimNet {
     /// The message is encoded to its binary frame **once** here;
     /// duplicate copies share the encoding, and [`Self::poll_due`]
     /// decodes on delivery — the simulated wire carries bytes, not
-    /// in-memory structures.
-    pub fn send(&mut self, from: NodeId, to: NodeId, msg: WireMessage) {
+    /// in-memory structures. The message is only read, so one message
+    /// can go to many receivers.
+    #[expect(
+        clippy::expect_used,
+        reason = "a frame fails to encode only past u32::MAX elements in one sequence, \
+                  which no message of the simulated exchange can hold in memory"
+    )]
+    pub fn send(&mut self, from: NodeId, to: NodeId, msg: &WireMessage) {
         self.stats.sent += 1;
-        let bytes = crate::knowledge_io::wire_to_bytes(&msg)
-            .expect("binary wire encoding is total over well-formed messages");
+        let bytes = crate::knowledge_io::wire_to_bytes(msg)
+            .expect("a simulated message fits the wire format's u32 counts");
         let config = &self.config;
         let rng = self.links.entry((from, to)).or_insert_with(|| {
             // Independent stream per directed link, derived from the
@@ -480,18 +490,35 @@ impl SimNet {
     /// once everything deliverable now has been handed out. The frame
     /// is decoded from its wire bytes here.
     pub fn poll_due(&mut self) -> Option<Envelope> {
-        let (&key, _) = self.queue.iter().next()?;
-        if key.0 > self.now {
+        self.poll_due_keeping(|_, _| true)
+    }
+
+    /// [`poll_due`](Self::poll_due) that builds only the observations
+    /// `keep(receiver, (round, origin))` accepts, in frame order
+    /// ([`crate::wire_from_bytes_keeping`]): a receiver skips what its
+    /// replica already holds. The delivery, its order and its counted
+    /// bytes are those of [`poll_due`](Self::poll_due).
+    #[expect(
+        clippy::expect_used,
+        reason = "every queued frame was encoded by this SimNet's send"
+    )]
+    pub fn poll_due_keeping(
+        &mut self,
+        mut keep: impl FnMut(NodeId, (u64, NodeId)) -> bool,
+    ) -> Option<Envelope> {
+        let (&(tick, _), _) = self.queue.first_key_value()?;
+        if tick > self.now {
             return None;
         }
-        let env = self.queue.remove(&key).expect("key just observed");
+        let (_, env) = self.queue.pop_first()?;
         self.stats.delivered += 1;
         self.stats.bytes_delivered += env.bytes.len() as u64;
-        let msg = crate::knowledge_io::wire_from_bytes(&env.bytes)
+        let to = env.to;
+        let msg = crate::knowledge_io::wire_from_bytes_keeping(&env.bytes, |op| keep(to, op))
             .expect("decoding a frame this SimNet encoded");
         Some(Envelope {
             from: env.from,
-            to: env.to,
+            to,
             msg,
         })
     }
@@ -674,8 +701,7 @@ impl Replica {
                 }
             }
             while let Some(key) = point.keys.get(point.folded) {
-                let op = &self.log[key];
-                self.folded.publish(&op.config, &op.observed);
+                self.folded.publish_at(pos, &self.log[key].observed);
                 point.folded += 1;
                 if point.folded.is_multiple_of(SAVE_EVERY) {
                     point.saved.extend(self.folded.point_state(pos));
@@ -827,8 +853,8 @@ mod tests {
     #[test]
     fn ideal_links_deliver_next_tick_in_send_order() {
         let mut net = SimNet::new(LinkConfig::ideal(7));
-        net.send(0, 1, WireMessage::Ack { count: 1 });
-        net.send(2, 1, WireMessage::Ack { count: 2 });
+        net.send(0, 1, &WireMessage::Ack { count: 1 });
+        net.send(2, 1, &WireMessage::Ack { count: 2 });
         assert!(net.poll_due().is_some(), "due at the current tick");
         // Remaining message still in flight until polled.
         assert_eq!(net.in_flight(), 1);
@@ -853,8 +879,8 @@ mod tests {
             let mut net = SimNet::new(lossy.clone());
             let mut deliveries = Vec::new();
             for t in 0..30u64 {
-                net.send(0, 1, WireMessage::Ack { count: t });
-                net.send(1, 0, WireMessage::Ack { count: t });
+                net.send(0, 1, &WireMessage::Ack { count: t });
+                net.send(1, 0, &WireMessage::Ack { count: t });
                 while let Some(env) = net.poll_due() {
                     deliveries.push((net.now(), env.from, env.msg));
                 }

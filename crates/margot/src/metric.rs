@@ -139,8 +139,16 @@ impl MetricValues {
     /// sliding window ([`crate::Monitor::push`] /
     /// [`crate::SharedKnowledge::publish`]), mirroring the monitor's
     /// documented policy. Duplicate metrics keep the last value.
+    ///
+    /// Pairs already strictly in metric order (what every encoder
+    /// writes) are taken as they are, so a `Vec` input is the bundle's
+    /// storage; anything else is sorted in one insert at a time.
     pub fn from_unvalidated(pairs: impl IntoIterator<Item = (Metric, f64)>) -> MetricValues {
-        let mut mv = MetricValues::new();
+        let pairs: Vec<(Metric, f64)> = pairs.into_iter().collect();
+        if pairs.windows(2).all(|w| w[0].0 < w[1].0) {
+            return MetricValues(pairs);
+        }
+        let mut mv = MetricValues(Vec::with_capacity(pairs.len()));
         for (m, v) in pairs {
             mv.insert_unchecked(m, v);
         }
@@ -308,6 +316,40 @@ mod tests {
         assert_eq!(mv.len(), 2);
         assert!(mv.get(&Metric::power()).expect("present").is_nan());
         assert_eq!(mv.get(&Metric::exec_time()), Some(0.25));
+    }
+
+    proptest::proptest! {
+        /// Any pairs — sorted, unsorted, with repeated names — build
+        /// the bundle one sorted insert at a time would, the last value
+        /// of a repeated name winning.
+        #[test]
+        fn from_unvalidated_equals_the_insert_loop(
+            pairs in proptest::collection::vec(
+                (proptest::sample::select(vec!["a", "b", "c", "d", "power_w"]), -4i8..4),
+                0..8,
+            ),
+        ) {
+            let pairs: Vec<(Metric, f64)> = pairs
+                .into_iter()
+                .map(|(name, v)| (Metric::custom(name), f64::from(v)))
+                .collect();
+            let mut expected = MetricValues::new();
+            for (m, v) in pairs.clone() {
+                expected.insert_unchecked(m, v);
+            }
+            let mut sorted = pairs.clone();
+            sorted.sort_by(|a, b| a.0.cmp(&b.0));
+            sorted.dedup_by(|later, earlier| {
+                // Keep the last value of each name, as inserts would.
+                let same = later.0 == earlier.0;
+                if same {
+                    earlier.1 = later.1;
+                }
+                same
+            });
+            proptest::prop_assert_eq!(&MetricValues::from_unvalidated(pairs), &expected);
+            proptest::prop_assert_eq!(&MetricValues::from_unvalidated(sorted), &expected);
+        }
     }
 
     #[test]

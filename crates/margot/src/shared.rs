@@ -143,11 +143,21 @@ impl MetricCol {
         self.mean(pos, window).filter(|mean| mean.is_finite())
     }
 
+    /// The ring contents of `pos` as two slices: the older samples,
+    /// then the ones that wrapped around to the front of the ring.
+    fn ring(&self, pos: usize, window: usize) -> (&[f64], &[f64]) {
+        let ring = &self.buf[pos * window..(pos + 1) * window];
+        let (start, len) = (self.start[pos] as usize, self.len[pos] as usize);
+        match (start + len).checked_sub(window) {
+            Some(wrapped) if wrapped > 0 => (&ring[start..], &ring[..wrapped]),
+            _ => (&ring[start..start + len], &[]),
+        }
+    }
+
     /// The ring contents of `pos`, oldest→newest.
     fn ordered(&self, pos: usize, window: usize) -> impl Iterator<Item = f64> + '_ {
-        let base = pos * window;
-        let start = self.start[pos] as usize;
-        (0..self.len[pos] as usize).map(move |i| self.buf[base + (start + i) % window])
+        let (oldest, newest) = self.ring(pos, window);
+        oldest.iter().chain(newest).copied()
     }
 
     /// Replaces `pos`'s ring with `values` (oldest→newest, at most
@@ -197,12 +207,8 @@ impl Arena {
         self.shard_epochs.iter().sum()
     }
 
-    fn col_index(&self, metric: &Metric) -> Option<usize> {
-        self.metrics.iter().position(|m| m == metric)
-    }
-
     fn ensure_col(&mut self, metric: &Metric, window: usize) -> usize {
-        match self.col_index(metric) {
+        match self.metrics.iter().position(|m| m == metric) {
             Some(i) => i,
             None => {
                 self.metrics.push(metric.clone());
@@ -585,18 +591,12 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
     /// Merges `observed` into the point at `pos` and, when one of its
     /// effective values changed, marks it dirty and advances its change
     /// count and shard epoch. Only the observed metrics are compared —
-    /// untouched columns cannot change — so the hot publish path stays
-    /// O(|observed|) with no point clones. Returns whether the point
-    /// changed.
+    /// untouched columns cannot change — and only until the first one
+    /// moves, so the hot publish path stays O(|observed|) with no point
+    /// clones. Returns whether the point changed.
     fn merge(&self, arena: &mut Arena, pos: usize, observed: &MetricValues) -> bool {
         let design = &self.design.points()[pos].metrics;
         let (window, min_observations) = (self.window, self.min_observations);
-        let effective = |arena: &Arena, metric: &Metric| {
-            arena
-                .col_index(metric)
-                .and_then(|c| arena.cols[c].learned(pos, window, min_observations))
-                .or_else(|| design.get(metric))
-        };
         let mut changed = false;
         for (metric, value) in observed.iter() {
             if !value.is_finite() {
@@ -605,13 +605,25 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
                 arena.dropped[pos] += 1;
                 continue;
             }
-            let before = effective(arena, metric);
+            // A fresh column has no samples, so it leaves the design
+            // value in force exactly like a missing one.
             let c = arena.ensure_col(metric, window);
-            arena.cols[c].push(pos, window, value);
+            let col = &mut arena.cols[c];
+            if changed {
+                // The point already moved; no later metric can undo it.
+                col.push(pos, window, value);
+                continue;
+            }
+            let effective = |col: &MetricCol| {
+                col.learned(pos, window, min_observations)
+                    .or_else(|| design.get(metric))
+            };
+            let before = effective(col);
+            col.push(pos, window, value);
             // Effective values are finite by construction (non-finite
             // means fall back to the finite design value), so `!=` on
             // the options is an exact change test.
-            changed |= before != effective(arena, metric);
+            changed = before != effective(col);
         }
         if changed {
             arena.dirty.insert(pos);
@@ -656,9 +668,21 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
     /// ([`dropped_observations`](Self::dropped_observations)) instead
     /// of poisoning a window mean.
     pub fn publish(&self, config: &K, observed: &MetricValues) -> bool {
-        let Some(&pos) = self.index.get(config) else {
+        self.index
+            .get(config)
+            .is_some_and(|&pos| self.publish_at(pos, observed))
+    }
+
+    /// [`publish`](Self::publish) by knowledge position, for a caller
+    /// that already resolved the config
+    /// ([`position_of`](Self::position_of)), as
+    /// [`point_state`](Self::point_state) and
+    /// [`restore_point`](Self::restore_point) take one. Returns `false`
+    /// (and changes nothing) when `pos` is out of range.
+    pub fn publish_at(&self, pos: usize, observed: &MetricValues) -> bool {
+        if pos >= self.len() {
             return false;
-        };
+        }
         self.merge(&mut self.arena.borrow_mut(), pos, observed);
         true
     }

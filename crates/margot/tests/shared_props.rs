@@ -13,9 +13,16 @@
 //! 3. **Delta == snapshot** — draining the dirty points after each
 //!    batch and patching them into a cached knowledge lands exactly on
 //!    the full snapshot at every intermediate step.
+//! 4. **By position == by config** — `publish_at(pos, v)` is
+//!    `publish(config at pos, v)`, windows, epochs and drains alike.
+//! 5. **Merge == the per-metric reference** — knowledge, epochs, drops
+//!    and drains match an independent model that compares every
+//!    metric's effective value before and after its push, non-finite
+//!    values included.
 
 use margot::{Knowledge, KnowledgeDelta, Metric, MetricValues, OperatingPoint, SharedKnowledge};
 use proptest::prelude::*;
+use std::collections::{BTreeSet, VecDeque};
 
 const POINTS: u32 = 12;
 
@@ -55,7 +62,189 @@ fn observation_strategy() -> impl Strategy<Value = (u32, MetricValues)> {
         })
 }
 
+/// Like [`observation_strategy`], over three metrics (one the design
+/// knowledge lacks), for a known config, with non-finite values and
+/// values whose sums round differently by summation order.
+fn wide_observation_strategy() -> impl Strategy<Value = (u32, MetricValues)> {
+    let value = || {
+        prop::option::of(prop::sample::select(vec![
+            40.0f64,
+            60.0,
+            60.0,
+            80.0,
+            0.1,
+            0.7,
+            f64::NAN,
+            f64::INFINITY,
+        ]))
+    };
+    (0..POINTS, value(), value(), value()).prop_map(|(cfg, time, power, energy)| {
+        let pairs = [
+            (Metric::exec_time(), time),
+            (Metric::power(), power),
+            (Metric::energy(), energy),
+        ];
+        let observed = MetricValues::from_unvalidated(
+            pairs.into_iter().filter_map(|(m, v)| v.map(|v| (m, v))),
+        );
+        (cfg, observed)
+    })
+}
+
+/// An independent model of the shared windows that keeps the original
+/// merge rule: every finite metric's effective value is compared
+/// before and after its own push.
+struct Reference {
+    design: Knowledge<u32>,
+    window: usize,
+    min_observations: u64,
+    /// Per position: `(metric, window samples, all-time count)`.
+    windows: Vec<Vec<(Metric, VecDeque<f64>, u64)>>,
+    changes: Vec<u64>,
+    dropped: u64,
+    dirty: BTreeSet<usize>,
+}
+
+impl Reference {
+    fn new(window: usize, min_observations: u64) -> Self {
+        Reference {
+            design: design(),
+            window,
+            min_observations,
+            windows: vec![Vec::new(); POINTS as usize],
+            changes: vec![0; POINTS as usize],
+            dropped: 0,
+            dirty: BTreeSet::new(),
+        }
+    }
+
+    fn learned(&self, pos: usize, metric: &Metric) -> Option<f64> {
+        let (_, samples, total) = self.windows[pos].iter().find(|(m, _, _)| m == metric)?;
+        if *total < self.min_observations || samples.is_empty() {
+            return None;
+        }
+        let mean = samples.iter().fold(0.0, |sum, v| sum + v) / samples.len() as f64;
+        mean.is_finite().then_some(mean)
+    }
+
+    fn effective(&self, pos: usize, metric: &Metric) -> Option<f64> {
+        self.learned(pos, metric)
+            .or_else(|| self.design.points()[pos].metric(metric))
+    }
+
+    fn publish(&mut self, pos: usize, observed: &MetricValues) {
+        let mut changed = false;
+        for (metric, value) in observed.iter() {
+            if !value.is_finite() {
+                self.dropped += 1;
+                continue;
+            }
+            let before = self.effective(pos, metric);
+            let windows = &mut self.windows[pos];
+            let at = match windows.iter().position(|(m, _, _)| m == metric) {
+                Some(at) => at,
+                None => {
+                    windows.push((metric.clone(), VecDeque::new(), 0));
+                    windows.len() - 1
+                }
+            };
+            let (_, samples, total) = &mut windows[at];
+            if samples.len() == self.window {
+                samples.pop_front();
+            }
+            samples.push_back(value);
+            *total += 1;
+            changed |= before != self.effective(pos, metric);
+        }
+        if changed {
+            self.changes[pos] += 1;
+            self.dirty.insert(pos);
+        }
+    }
+
+    fn point(&self, pos: usize) -> OperatingPoint<u32> {
+        let design = &self.design.points()[pos];
+        let mut metrics = design.metrics.clone();
+        for (metric, _, _) in &self.windows[pos] {
+            if let Some(mean) = self.learned(pos, metric) {
+                metrics.insert(metric.clone(), mean);
+            }
+        }
+        OperatingPoint::new(design.config, metrics)
+    }
+
+    fn knowledge(&self) -> Knowledge<u32> {
+        (0..POINTS as usize).map(|pos| self.point(pos)).collect()
+    }
+
+    fn drain(&mut self) -> Vec<(usize, OperatingPoint<u32>)> {
+        std::mem::take(&mut self.dirty)
+            .into_iter()
+            .map(|pos| (pos, self.point(pos)))
+            .collect()
+    }
+}
+
 proptest! {
+    #[test]
+    fn publish_at_is_publish_by_config(
+        observations in prop::collection::vec(wide_observation_strategy(), 0..48),
+        window in 1usize..5,
+        shards in 1usize..6,
+        drain_every in 1usize..7,
+    ) {
+        let by_config = SharedKnowledge::new(design(), window).with_shards(shards);
+        let by_position = SharedKnowledge::new(design(), window).with_shards(shards);
+        for (i, (config, observed)) in observations.iter().enumerate() {
+            let pos = by_position.position_of(config).expect("a design config");
+            prop_assert_eq!(by_config.publish(config, observed), true);
+            prop_assert_eq!(by_position.publish_at(pos, observed), true);
+            if i % drain_every == 0 {
+                prop_assert_eq!(by_config.drain_changes(), by_position.drain_changes());
+            }
+        }
+        prop_assert!(!by_position.publish_at(POINTS as usize, &MetricValues::new()));
+        prop_assert_eq!(by_config.knowledge(), by_position.knowledge());
+        prop_assert_eq!(by_config.epoch(), by_position.epoch());
+        prop_assert_eq!(by_config.shard_hashes(), by_position.shard_hashes());
+        prop_assert_eq!(by_config.dropped_observations(), by_position.dropped_observations());
+        for pos in 0..POINTS as usize {
+            prop_assert_eq!(by_config.point_state(pos), by_position.point_state(pos));
+        }
+    }
+
+    #[test]
+    fn merge_matches_the_per_metric_reference(
+        observations in prop::collection::vec(wide_observation_strategy(), 0..64),
+        window in 1usize..5,
+        min_observations in 1u64..4,
+        shards in 1usize..6,
+        drain_every in 1usize..7,
+    ) {
+        let shared = SharedKnowledge::new(design(), window)
+            .with_min_observations(min_observations)
+            .with_shards(shards);
+        let mut reference = Reference::new(window, min_observations);
+        for (i, (config, observed)) in observations.iter().enumerate() {
+            shared.publish(config, observed);
+            reference.publish(*config as usize, observed);
+            if i % drain_every == 0 {
+                prop_assert_eq!(shared.drain_changes().1, reference.drain());
+            }
+        }
+        prop_assert_eq!(shared.knowledge(), reference.knowledge());
+        prop_assert_eq!(shared.epoch(), reference.changes.iter().sum::<u64>());
+        for s in 0..shared.shard_count() {
+            let expected: u64 = (0..POINTS)
+                .filter(|cfg| shared.shard_of(cfg) == Some(s))
+                .map(|cfg| reference.changes[cfg as usize])
+                .sum();
+            prop_assert_eq!(shared.shard_epoch(s), expected, "shard {}", s);
+        }
+        prop_assert_eq!(shared.dropped_observations(), reference.dropped);
+        prop_assert_eq!(shared.drain_changes().1, reference.drain());
+    }
+
     #[test]
     fn epoch_advances_iff_the_effective_knowledge_changed(
         observations in prop::collection::vec(observation_strategy(), 1..48),

@@ -94,8 +94,11 @@ fn check_golden_bytes(name: &str, serialized: &[u8]) {
 
 #[test]
 fn snapshot_artifacts_are_byte_stable_against_the_golden_files() {
-    check_golden_bytes("knowledge_snapshot.bin", &sample_snapshot().to_bytes());
-    check_golden_bytes("snapshot_delta.bin", &sample_delta().to_bytes());
+    check_golden_bytes(
+        "knowledge_snapshot.bin",
+        &sample_snapshot().to_bytes().unwrap(),
+    );
+    check_golden_bytes("snapshot_delta.bin", &sample_delta().to_bytes().unwrap());
 }
 
 #[test]
@@ -106,12 +109,12 @@ fn golden_artifacts_round_trip_byte_stably() {
     let golden = std::fs::read(golden_path("knowledge_snapshot.bin")).expect("golden present");
     let snap = KnowledgeSnapshot::from_bytes(&golden).expect("golden snapshot decodes");
     assert_eq!(snap, sample_snapshot(), "golden content drifted");
-    assert_eq!(snap.to_bytes(), golden, "encode(decode(x)) != x");
+    assert_eq!(snap.to_bytes().unwrap(), golden, "encode(decode(x)) != x");
 
     let golden = std::fs::read(golden_path("snapshot_delta.bin")).expect("golden present");
     let link = SnapshotDelta::from_bytes(&golden).expect("golden delta decodes");
     assert_eq!(link, sample_delta(), "golden content drifted");
-    assert_eq!(link.to_bytes(), golden, "encode(decode(x)) != x");
+    assert_eq!(link.to_bytes().unwrap(), golden, "encode(decode(x)) != x");
 }
 
 /// Adversarial decoding: truncation at *every* byte boundary, a
@@ -123,8 +126,8 @@ fn golden_artifacts_round_trip_byte_stably() {
 /// detection of every flip.
 #[test]
 fn adversarial_snapshot_bytes_never_panic() {
-    let snapshot = sample_snapshot().to_bytes();
-    let delta = sample_delta().to_bytes();
+    let snapshot = sample_snapshot().to_bytes().unwrap();
+    let delta = sample_delta().to_bytes().unwrap();
 
     for (what, bytes) in [("snapshot", &snapshot), ("delta", &delta)] {
         for cut in 0..bytes.len() {
@@ -157,7 +160,7 @@ fn decode_any(what: &str, bytes: &[u8]) -> Result<(), SocratesError> {
 fn version_skew_and_cross_magic_are_typed_errors() {
     // A future format version is refused outright — a build must never
     // misread an artifact written by a newer one.
-    let mut future = sample_snapshot().to_bytes();
+    let mut future = sample_snapshot().to_bytes().unwrap();
     future[4..8].copy_from_slice(&(SNAPSHOT_FORMAT_VERSION + 1).to_le_bytes());
     let err = KnowledgeSnapshot::from_bytes(&future).unwrap_err();
     assert!(matches!(err, SocratesError::Transport { .. }));
@@ -167,11 +170,11 @@ fn version_skew_and_cross_magic_are_typed_errors() {
 
     // Feeding a delta artifact to the snapshot decoder (and vice versa)
     // fails on the magic, not somewhere deep in the payload.
-    let mut cross = sample_snapshot().to_bytes();
+    let mut cross = sample_snapshot().to_bytes().unwrap();
     cross[..4].copy_from_slice(&SNAPSHOT_DELTA_MAGIC);
     let err = KnowledgeSnapshot::from_bytes(&cross).unwrap_err();
     assert!(err.to_string().contains("magic"), "unexpected error: {err}");
-    let mut cross = sample_delta().to_bytes();
+    let mut cross = sample_delta().to_bytes().unwrap();
     cross[..4].copy_from_slice(&SNAPSHOT_MAGIC);
     let err = SnapshotDelta::from_bytes(&cross).unwrap_err();
     assert!(err.to_string().contains("magic"), "unexpected error: {err}");
@@ -224,8 +227,8 @@ fn mid_run_cut_fast_forwards_to_bit_identity_with_the_live_base() {
     publish_era(0);
     shared.drain_changes(); // the cut below owns the drain cursor
     let cut = KnowledgeSnapshot::capture(&shared, fingerprint.clone());
-    let mut snap =
-        KnowledgeSnapshot::from_bytes(&cut.to_bytes()).expect("snapshot survives its encoding");
+    let mut snap = KnowledgeSnapshot::from_bytes(&cut.to_bytes().unwrap())
+        .expect("snapshot survives its encoding");
     assert_eq!(snap, cut);
 
     let mut chain = Vec::new();
@@ -234,7 +237,9 @@ fn mid_run_cut_fast_forwards_to_bit_identity_with_the_live_base() {
         publish_era(era);
         let link = SnapshotDelta::cut(&shared, fingerprint.clone(), from_epoch);
         from_epoch = link.delta.to_epoch;
-        chain.push(SnapshotDelta::from_bytes(&link.to_bytes()).expect("link survives encoding"));
+        chain.push(
+            SnapshotDelta::from_bytes(&link.to_bytes().unwrap()).expect("link survives encoding"),
+        );
     }
 
     snap.fast_forward_chain(&chain).expect("chain applies");

@@ -6,6 +6,11 @@
 //! which covers NaN-carrying metric values that structural `==`
 //! cannot compare, and structurally where `==` is meaningful.
 //!
+//! Decoding with a keep-predicate on `(round, origin)` — what a
+//! receiver that already holds some observations runs — equals the
+//! full decode filtered by that predicate, and rejects exactly the
+//! frames the full decode rejects, truncated or corrupted.
+//!
 //! The companion compatibility property — decoding the committed JSON
 //! goldens through the compat layer yields exactly the messages the
 //! binary goldens decode to — is pinned in `tests/golden_wire.rs`
@@ -15,7 +20,9 @@ use margot::{Knowledge, KnowledgeDelta, Metric, MetricValues, OperatingPoint};
 use platform_sim::{BindingPolicy, CompilerOptions, KnobConfig, OptLevel};
 use proptest::prelude::*;
 use socrates::transport::{Observation, WireMessage};
-use socrates::{delta_from_bytes, delta_to_bytes, wire_from_bytes, wire_to_bytes};
+use socrates::{
+    delta_from_bytes, delta_to_bytes, wire_from_bytes, wire_from_bytes_keeping, wire_to_bytes,
+};
 
 fn config_strategy() -> impl Strategy<Value = KnobConfig> {
     (0usize..4, 0u8..64, any::<u32>(), 0usize..2).prop_map(|(level, mask, tn, bp)| {
@@ -119,6 +126,58 @@ fn wire_strategy() -> impl Strategy<Value = WireMessage> {
     ]
 }
 
+/// Observation frames whose `(round, origin)` ids come from a small
+/// space, so that a frame repeats ids and predicates split it.
+fn observation_frame_strategy() -> impl Strategy<Value = WireMessage> {
+    let op = (
+        0u32..4,
+        any::<u64>(),
+        0u64..4,
+        config_strategy(),
+        metrics_strategy(),
+    )
+        .prop_map(|(origin, seq, round, config, observed)| Observation {
+            origin,
+            seq,
+            round,
+            config,
+            observed,
+        });
+    (prop::collection::vec(op, 0..6), any::<bool>()).prop_map(|(ops, welcome)| {
+        if welcome {
+            WireMessage::WelcomeLog { ops }
+        } else {
+            WireMessage::Ops { ops }
+        }
+    })
+}
+
+/// An arbitrary keep-predicate on `(round, origin)`: `(salt, modulus)`
+/// keeps the ids whose salted hash is not a multiple of `modulus`, so
+/// modulus 1 keeps none, and modulus 0 keeps every one.
+fn keep_strategy() -> impl Strategy<Value = (u64, u64)> {
+    (any::<u64>(), 0u64..5)
+}
+
+fn keeps((salt, modulus): (u64, u64), (round, origin): (u64, u32)) -> bool {
+    let hash = round.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(origin) ^ salt;
+    modulus == 0 || hash % modulus != 0
+}
+
+/// The full decode with the observations `keep` rejects removed.
+fn filtered(msg: WireMessage, keep: (u64, u64)) -> WireMessage {
+    let kept = |ops: Vec<Observation>| {
+        ops.into_iter()
+            .filter(|o| keeps(keep, o.op_id()))
+            .collect::<Vec<_>>()
+    };
+    match msg {
+        WireMessage::Ops { ops } => WireMessage::Ops { ops: kept(ops) },
+        WireMessage::WelcomeLog { ops } => WireMessage::WelcomeLog { ops: kept(ops) },
+        other => other,
+    }
+}
+
 /// `true` when every metric value in the message is finite, i.e. when
 /// structural `==` is a meaningful round-trip check.
 fn all_finite(msg: &WireMessage) -> bool {
@@ -165,14 +224,68 @@ proptest! {
     }
 
     /// Truncating a valid frame anywhere must yield a decode error,
-    /// never a panic or a silently different message.
+    /// never a panic or a silently different message, whatever the
+    /// keep-predicate.
     #[test]
-    fn truncated_frames_are_rejected(msg in wire_strategy(), cut in any::<u64>()) {
+    fn truncated_frames_are_rejected(
+        msg in prop_oneof![wire_strategy(), observation_frame_strategy()],
+        cut in any::<u64>(),
+        keep in keep_strategy(),
+    ) {
         let bytes = wire_to_bytes(&msg).expect("encoding is total");
         let cut = (cut as usize) % bytes.len();
         prop_assert!(
             wire_from_bytes(&bytes[..cut]).is_err(),
             "truncated frame decoded"
         );
+        prop_assert!(
+            wire_from_bytes_keeping(&bytes[..cut], |id| keeps(keep, id)).is_err(),
+            "truncated frame decoded under a predicate"
+        );
+    }
+}
+
+proptest! {
+    // A corrupted byte lands on a skipped observation's checked field
+    // in a few percent of the cases, so this property runs more of them.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Decoding with a keep-predicate is the full decode filtered by
+    /// it, on valid frames and on frames with one byte set or flipped
+    /// anywhere: the two decoders accept and reject the same bytes, and
+    /// a skipped observation is checked like a kept one.
+    #[test]
+    fn keeping_decodes_are_filtered_full_decodes(
+        msg in observation_frame_strategy(),
+        keep in keep_strategy(),
+        corrupt in prop::option::of((any::<u64>(), any::<u8>(), any::<bool>())),
+    ) {
+        let mut bytes = wire_to_bytes(&msg).expect("encoding is total");
+        if let Some((at, byte, set)) = corrupt {
+            let at = (at as usize) % bytes.len();
+            if set {
+                bytes[at] = byte;
+            } else {
+                bytes[at] ^= byte;
+            }
+        }
+        let full = wire_from_bytes(&bytes);
+        let kept = wire_from_bytes_keeping(&bytes, |id| keeps(keep, id));
+        match (full, kept) {
+            (Ok(full), Ok(kept)) => {
+                // Compared as frames: NaN payloads survive bit-exactly.
+                prop_assert_eq!(
+                    wire_to_bytes(&kept).expect("encoding is total"),
+                    wire_to_bytes(&filtered(full, keep)).expect("encoding is total")
+                );
+            }
+            (Err(_), Err(_)) => prop_assert!(corrupt.is_some(), "a valid frame was rejected"),
+            (full, kept) => prop_assert!(
+                false,
+                "full decode ok = {}, keeping decode ok = {}",
+                full.is_ok(),
+                kept.is_ok()
+            ),
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks of the mARGOt runtime: AS-RTM selection
-//! latency and monitor overhead. This quantifies the paper's claim that
+//! latency, monitor overhead and one MAPE-K step of an adaptive
+//! application end to end. This quantifies the paper's claim that
 //! mARGOt's intrusiveness (the per-invocation update/start/stop cost) is
 //! small compared to kernel execution times.
 
@@ -97,11 +98,32 @@ fn bench_pareto_filter(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_adaptive_loop(c: &mut Criterion) {
+    let mut group = c.benchmark_group("adaptive-runtime");
+    group.sample_size(10);
+    let toolchain = socrates::Toolchain {
+        dataset: polybench::Dataset::Medium,
+        dse_repetitions: 1,
+        ..socrates::Toolchain::default()
+    };
+    let enhanced = toolchain.enhance(polybench::App::TwoMm).unwrap();
+    group.bench_function("mape-k-step", |bench| {
+        let mut app = socrates::AdaptiveApplication::new(
+            enhanced.clone(),
+            Rank::maximize(Metric::throughput()),
+            9,
+        );
+        bench.iter(|| app.step());
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_best_selection,
     bench_manager_update,
     bench_monitor_push,
-    bench_pareto_filter
+    bench_pareto_filter,
+    bench_adaptive_loop
 );
 criterion_main!(benches);

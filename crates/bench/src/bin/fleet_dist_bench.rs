@@ -19,11 +19,12 @@
 //! and BENCH.md.
 //!
 //! Run with `cargo run -p socrates-bench --bin fleet_dist_bench
-//! --release` (`--smoke` for the small configuration). `--check` is
-//! the CI gate: it reruns the full grid, writes nothing, and fails on
-//! any drift of the deterministic columns (drain rounds, message and
-//! byte counts, refolds and replayed observations) against the
-//! committed `results/fleet_dist.json`. `wall_ms` is not gated.
+//! --release` (`--smoke` for the small configuration). The bin's unit
+//! test is the gate, so `cargo test` runs it: it reruns the full grid,
+//! writes nothing, and fails on any drift of the deterministic columns
+//! (drain rounds, message and byte counts, refolds and replayed
+//! observations) against the committed `results/fleet_dist.json`.
+//! `wall_ms` is not gated.
 
 use margot::{Rank, SharedKnowledge};
 
@@ -71,6 +72,7 @@ struct DistRow {
 
 impl DistRow {
     /// What identifies a cell of the grid.
+    #[cfg(test)]
     fn cell(&self) -> (&str, usize, usize, u64, u64, u64) {
         (
             &self.topology,
@@ -83,6 +85,7 @@ impl DistRow {
     }
 
     /// The columns a seeded run reproduces exactly.
+    #[cfg(test)]
     fn exact_columns(&self) -> [(&'static str, u64); 8] {
         [
             ("drain_rounds", self.drain_rounds),
@@ -98,9 +101,20 @@ impl DistRow {
 }
 
 fn main() {
-    let check = std::env::args().any(|a| a == "--check");
-    // The gate compares against the full-grid baseline.
-    let smoke = !check && std::env::args().any(|a| a == "--smoke");
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let rows = grid(smoke);
+    let name = if smoke {
+        "fleet_dist_smoke"
+    } else {
+        "fleet_dist"
+    };
+    socrates_bench::write_json(name, &rows);
+}
+
+/// Runs every (topology, drop probability, latency) cell of the full
+/// grid (the small one when `smoke`), printing each row, and verifies
+/// that every cell converged onto the reference fold.
+fn grid(smoke: bool) -> Vec<DistRow> {
     let (nodes, rounds) = if smoke {
         (NODES_SMOKE, ROUNDS_SMOKE)
     } else {
@@ -196,61 +210,7 @@ fn main() {
         }
         println!();
     }
-    if check {
-        check_against_baseline(&out);
-        return;
-    }
-    let name = if smoke {
-        "fleet_dist_smoke"
-    } else {
-        "fleet_dist"
-    };
-    socrates_bench::write_json(name, &out);
-}
-
-/// Compares every deterministic column of the run against
-/// `results/fleet_dist.json` and exits nonzero on any drift (the CI
-/// gate). Both sides must cover the same cells.
-fn check_against_baseline(rows: &[DistRow]) {
-    let path = socrates_bench::results_dir().join("fleet_dist.json");
-    let json = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("no committed baseline at {}: {e}", path.display()));
-    let baseline: Vec<DistRow> =
-        serde_json::from_str(&json).expect("committed baseline parses as DistRow list");
-    let mut drift = Vec::new();
-    if baseline.len() != rows.len() {
-        drift.push(format!(
-            "the run has {} cells, the baseline {}",
-            rows.len(),
-            baseline.len()
-        ));
-    }
-    for row in rows {
-        let Some(base) = baseline.iter().find(|b| b.cell() == row.cell()) else {
-            drift.push(format!("cell {:?} is not in the baseline", row.cell()));
-            continue;
-        };
-        for ((name, now), (_, then)) in row.exact_columns().iter().zip(base.exact_columns()) {
-            if *now != then {
-                drift.push(format!(
-                    "{} drop {} latency {}: {name} {now} vs baseline {then}",
-                    row.topology, row.drop_prob, row.max_latency
-                ));
-            }
-        }
-    }
-    if !drift.is_empty() {
-        eprintln!("\nfleet_dist gate FAILED against {}:", path.display());
-        for d in &drift {
-            eprintln!("  - {d}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "fleet_dist gate passed: {} cells match {} exactly",
-        rows.len(),
-        path.display()
-    );
+    out
 }
 
 /// Asserts the cell actually converged onto the canonical
@@ -272,5 +232,35 @@ fn verify_converged(fleet: &DistributedFleet, enhanced: &EnhancedApp, nodes: usi
             reference,
             "node {id} diverged from the single-shard reference"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The gate: the full grid reproduces every exact column of every
+    /// cell of the committed `results/fleet_dist.json`, and covers the
+    /// same cells.
+    #[test]
+    fn the_full_grid_matches_the_committed_counters() {
+        let rows = grid(false);
+        let path = socrates_bench::results_dir().join("fleet_dist.json");
+        let json = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("no committed baseline at {}: {e}", path.display()));
+        let baseline: Vec<DistRow> = serde_json::from_str(&json).unwrap();
+        assert_eq!(rows.len(), baseline.len(), "the grid's cell count moved");
+        for row in &rows {
+            let base = baseline
+                .iter()
+                .find(|b| b.cell() == row.cell())
+                .unwrap_or_else(|| panic!("cell {:?} is not in the baseline", row.cell()));
+            assert_eq!(
+                row.exact_columns(),
+                base.exact_columns(),
+                "cell {:?} drifted from the baseline",
+                row.cell()
+            );
+        }
     }
 }

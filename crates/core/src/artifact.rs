@@ -25,7 +25,7 @@ use crate::error::SocratesError;
 use crate::snapshot::{
     nearest_neighbour, KnowledgeSnapshot, SnapshotFingerprint, SNAPSHOT_FORMAT_VERSION,
 };
-use crate::toolchain::{fnv, kernel_entry, Toolchain};
+use crate::toolchain::{fnv, kernel_entry, Toolchain, FNV_OFFSET};
 use cobayn::{iterative_compilation, Cobayn, CobaynConfig, TrainingApp};
 use lara::{Multiversioned, WeavingMetrics};
 use margot::Knowledge;
@@ -524,7 +524,9 @@ impl ArtifactStore {
                 for &threads in &space.thread_counts {
                     self.compiled_kernel(toolchain, app, threads)?;
                 }
-                let machine = toolchain.platform.machine(toolchain.seed ^ fnv(app.name()));
+                let machine = toolchain
+                    .platform
+                    .machine(toolchain.seed ^ fnv(FNV_OFFSET, app.name().as_bytes()));
                 let knowledge = dse::profile(
                     &machine,
                     &profile,

@@ -102,9 +102,10 @@ pub struct FleetConfig {
     pub share_knowledge: bool,
     /// Every `exploration_interval`-th step of an instance executes a
     /// coordinator-assigned unexplored configuration instead of the
-    /// AS-RTM pick (0 disables cooperative exploration). Only active
-    /// while `share_knowledge` is on — exploration without publishing
-    /// would be pure overhead.
+    /// AS-RTM pick (0 disables cooperative exploration, and with it a
+    /// warm boot's re-validation burst). Only active while
+    /// `share_knowledge` is on — exploration without publishing would
+    /// be pure overhead.
     pub exploration_interval: u64,
     /// Sliding-window length of the shared per-point observation merge.
     /// Must be ≥ 1 ([`FleetConfig::validate`]).
@@ -250,6 +251,23 @@ impl FleetConfig {
             Some(snapshot) if snapshot.fingerprint.app == app.name() => self.warm_seed_copies(),
             _ => 0,
         }
+    }
+
+    /// Whether instances take forced steps at all: the warm boot's
+    /// re-validation burst and the cooperative sweep both need a
+    /// nonzero `exploration_interval` and `share_knowledge`, since a
+    /// forced step that is never published teaches no one.
+    pub(crate) fn explores(&self) -> bool {
+        self.share_knowledge && self.exploration_interval > 0
+    }
+
+    /// Whether an instance's step after `steps` earlier ones takes the
+    /// next cooperative sweep configuration once its pool's burst is
+    /// spent: every `exploration_interval`-th step while
+    /// [`explores`](Self::explores). The one assignment rule of the
+    /// lockstep and the event runtime.
+    pub(crate) fn sweeps_at(&self, steps: u64) -> bool {
+        self.explores() && steps % self.exploration_interval == self.exploration_interval - 1
     }
 }
 
@@ -510,7 +528,8 @@ pub(crate) struct PoolBoot {
     pub(crate) seeded: Knowledge<KnobConfig>,
     pub(crate) schedule: ExplorationSchedule<KnobConfig>,
     /// The warm-boot head re-validation queue ([`warm_validation_queue`]),
-    /// empty for a cold boot.
+    /// empty for a cold boot or a fleet that does not
+    /// [`explore`](FleetConfig::explores).
     pub(crate) burst: VecDeque<KnobConfig>,
     /// Configurations the prune dropped: `(infeasible, dominated)`.
     pub(crate) pruned: (u64, u64),
@@ -520,8 +539,9 @@ pub(crate) struct PoolBoot {
 /// over its design configurations, pruned when
 /// [`FleetConfig::analysis_prune`] is on; the shared knowledge, with
 /// the warm-start snapshot merged over the design and, for a same-app
-/// snapshot, its observation rings filled; and the warm head's
-/// re-validation queue under `rank`.
+/// snapshot, its observation rings filled; and, when the fleet
+/// [`explores`](FleetConfig::explores), the warm head's re-validation
+/// queue under `rank`.
 pub(crate) fn boot_pool(config: &FleetConfig, enhanced: &EnhancedApp, rank: &Rank) -> PoolBoot {
     let mut sweep: Vec<KnobConfig> = enhanced
         .knowledge
@@ -557,11 +577,13 @@ pub(crate) fn boot_pool(config: &FleetConfig, enhanced: &EnhancedApp, rank: &Ran
         if copies > 0 {
             shared.seed_observations(&snapshot.knowledge, copies);
         }
-        burst = warm_validation_queue(
-            snapshot,
-            rank,
-            config.knowledge_window.min(WARM_HEAD_PASSES),
-        );
+        if config.explores() {
+            burst = warm_validation_queue(
+                snapshot,
+                rank,
+                config.knowledge_window.min(WARM_HEAD_PASSES),
+            );
+        }
     }
     PoolBoot {
         shared,
@@ -1117,7 +1139,6 @@ impl Fleet {
     fn round_with(&mut self, due: &[bool]) -> usize {
         assert_eq!(due.len(), self.instances.len());
         let share = self.config.share_knowledge;
-        let interval = self.config.exploration_interval;
         let mut steps = 0;
         let mut any_failed = false;
         let mut per_pool: Vec<Vec<(KnobConfig, MetricValues)>> =
@@ -1139,16 +1160,10 @@ impl Fleet {
             // forced re-validation sample. The queue is a few hundred
             // entries fleet-wide, so this window is over in the first
             // seconds of the run.
-            let assigned = if share && interval > 0 {
-                match pool.burst.pop_front() {
-                    Some(cfg) => Some(cfg),
-                    None if inst.steps % interval == interval - 1 => {
-                        pool.schedule.next_unexplored()
-                    }
-                    None => None,
-                }
-            } else {
-                None
+            let assigned = match pool.burst.pop_front() {
+                Some(cfg) => Some(cfg),
+                None if self.config.sweeps_at(inst.steps) => pool.schedule.next_unexplored(),
+                None => None,
             };
             // Every active instance adopted the cache at the last
             // barrier or at its boot (`adopt_caches`).
@@ -1345,8 +1360,8 @@ impl FleetRuntime for Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::trace_digest;
     use crate::toolchain::Toolchain;
-    use crate::trace::trace_digest;
     use polybench::Dataset;
 
     fn quick_enhanced(app: App) -> EnhancedApp {

@@ -1369,7 +1369,7 @@ mod tests {
         assert!(fleet.virtual_now_s() >= 2.0);
         assert_eq!(fleet.active_count(), 3);
         let digests: Vec<u64> = (0..3)
-            .map(|id| crate::trace::trace_digest(&fleet.trace(id)))
+            .map(|id| crate::runtime::trace_digest(&fleet.trace(id)))
             .collect();
         assert_eq!(
             digests,

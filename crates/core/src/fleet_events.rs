@@ -48,7 +48,7 @@ use crate::events::{EventObserver, FleetEvent, FleetRuntime, InstanceId};
 use crate::fleet::{
     boot_pool, check_power_budget, FleetConfig, PoolBoot, Schedule, FLEET_POWER_PRIORITY,
 };
-use crate::toolchain::EnhancedApp;
+use crate::toolchain::{fnv, EnhancedApp, FNV_OFFSET};
 use dse::ExplorationSchedule;
 use margot::{Cmp, Constraint, Knowledge, Metric, MetricValues, Rank, SharedKnowledge};
 use platform_sim::{Execution, KnobConfig, Machine, WorkloadProfile};
@@ -365,17 +365,6 @@ pub struct EventFleet {
     /// replayability fingerprint ([`EventFleet::event_digest`]).
     digest: u64,
     observers: Vec<EventObserver>,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(digest: u64, word: u64) -> u64 {
-    let mut d = digest;
-    for byte in word.to_le_bytes() {
-        d = (d ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
-    d
 }
 
 impl EventFleet {
@@ -736,6 +725,13 @@ impl EventFleet {
         }
     }
 
+    /// Folds `words`, little-endian, into the event digest.
+    fn fold_digest(&mut self, words: &[u64]) {
+        for w in words {
+            self.digest = fnv(self.digest, &w.to_le_bytes());
+        }
+    }
+
     /// Processes the next queued event; returns `false` on an empty
     /// scheduler.
     fn process_one(&mut self) -> bool {
@@ -747,16 +743,16 @@ impl EventFleet {
         self.events += 1;
         match ev.action {
             Action::Arrive { pool, lifetime_s } => {
-                self.digest = fnv_fold(fnv_fold(self.digest, 1), ev.t_s.to_bits());
+                self.fold_digest(&[1, ev.t_s.to_bits()]);
                 let id = self.admit(pool as usize, ev.t_s);
-                self.digest = fnv_fold(self.digest, id.raw());
+                self.fold_digest(&[id.raw()]);
                 if lifetime_s.is_finite() {
                     self.push(ev.t_s + lifetime_s, Action::Retire(id));
                 }
             }
             Action::Retire(id) => {
                 if self.is_live(id) {
-                    self.digest = fnv_fold(fnv_fold(self.digest, 2), id.raw());
+                    self.fold_digest(&[2, id.raw()]);
                     self.retire_at(id, ev.t_s);
                 } else {
                     self.stale_dropped += 1;
@@ -786,15 +782,15 @@ impl EventFleet {
             (inst.pool as usize, inst.stream, inst.steps)
         };
         let share_w = self.power_share_w();
-        let interval = self.config.exploration_interval;
         let share_knowledge = self.config.share_knowledge;
+        let sweeps = self.config.sweeps_at(steps);
         let pool = &mut self.pools[pool_idx];
         // Configuration choice: warm-boot validation outranks the
         // cooperative sweep outranks planned selection — the lockstep
         // assignment policy, keyed to this instance's step counter.
         let (pos, forced) = if let Some(pos) = pool.burst.pop_front() {
             (pos, true)
-        } else if share_knowledge && interval > 0 && steps % interval == interval - 1 {
+        } else if sweeps {
             match pool.schedule.peek_unexplored() {
                 // Peek, don't claim: the claim lands at publish below,
                 // so a step that never publishes leaves no hole.
@@ -840,9 +836,7 @@ impl EventFleet {
             inst.clock_s = t_s + time_s;
             inst.energy_j += time_s * power_w;
         }
-        self.digest = fnv_fold(fnv_fold(self.digest, 3), id.raw());
-        self.digest = fnv_fold(self.digest, time_s.to_bits());
-        self.digest = fnv_fold(self.digest, power_w.to_bits());
+        self.fold_digest(&[3, id.raw(), time_s.to_bits(), power_w.to_bits()]);
         if !self.observers.is_empty() {
             self.emit(FleetEvent::Stepped {
                 id,
@@ -1505,8 +1499,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn warm_start_seeds_event_pools() {
+    /// The 2mm app and a same-app snapshot of what a four-instance
+    /// event fleet learned about it in 20 virtual seconds.
+    fn taught_snapshot() -> (EnhancedApp, crate::snapshot::KnowledgeSnapshot) {
         use crate::snapshot::{KnowledgeSnapshot, SnapshotFingerprint};
         let toolchain = Toolchain {
             dataset: Dataset::Medium,
@@ -1514,17 +1509,22 @@ mod tests {
             ..Toolchain::default()
         };
         let enhanced = toolchain.enhance(App::TwoMm).unwrap();
-        // Learn something in one fleet, snapshot it, warm-boot another.
         let mut teacher = EventFleet::new(event_config()).unwrap();
         teacher.spawn(&enhanced, &rank(), 13, 4);
         teacher.run_until(20.0);
-        let learned = teacher.learned_knowledge(App::TwoMm).unwrap();
         let snapshot = KnowledgeSnapshot {
             fingerprint: SnapshotFingerprint::of(&toolchain, App::TwoMm),
             epoch: teacher.knowledge_epoch(App::TwoMm).unwrap(),
             shard_epochs: Vec::new(),
-            knowledge: learned.clone(),
+            knowledge: teacher.learned_knowledge(App::TwoMm).unwrap(),
         };
+        (enhanced, snapshot)
+    }
+
+    #[test]
+    fn warm_start_seeds_event_pools() {
+        // Learn something in one fleet, snapshot it, warm-boot another.
+        let (enhanced, snapshot) = taught_snapshot();
         let mut warm = EventFleet::new(FleetConfig {
             warm_start: Some(snapshot),
             ..event_config()
@@ -1540,5 +1540,49 @@ mod tests {
         assert!(queued > 0, "warm boot must queue a validation burst");
         warm.run_until(5.0);
         assert!(warm.pools[0].burst.len() < queued, "burst must drain");
+    }
+
+    #[test]
+    fn a_warm_fleet_that_does_not_explore_forces_no_steps() {
+        // The lockstep rule: without sharing or without an exploration
+        // interval, a warm boot queues no re-validation burst and no
+        // step is forced.
+        use std::sync::{Arc, Mutex};
+        let (enhanced, snapshot) = taught_snapshot();
+        for config in [
+            FleetConfig {
+                exploration_interval: 0,
+                ..event_config()
+            },
+            FleetConfig {
+                share_knowledge: false,
+                ..event_config()
+            },
+        ] {
+            let mut warm = EventFleet::new(FleetConfig {
+                warm_start: Some(snapshot.clone()),
+                ..config
+            })
+            .unwrap();
+            // The `forced` flag of every step, in order.
+            let steps = Arc::new(Mutex::new(Vec::new()));
+            let sink = Arc::clone(&steps);
+            warm.observe(Box::new(move |e: &FleetEvent| {
+                if let FleetEvent::Stepped { forced, .. } = e {
+                    sink.lock().unwrap().push(*forced);
+                }
+            }));
+            warm.spawn(&enhanced, &rank(), 14, 2);
+            warm.run_until(5.0);
+            let steps = steps.lock().unwrap();
+            assert!(!steps.is_empty(), "the warm fleet must step");
+            assert_eq!(
+                steps.iter().filter(|&&forced| forced).count(),
+                0,
+                "share_knowledge {}, exploration_interval {}: no step may be forced",
+                warm.config().share_knowledge,
+                warm.config().exploration_interval
+            );
+        }
     }
 }

@@ -86,7 +86,6 @@ mod platform;
 mod runtime;
 mod snapshot;
 mod toolchain;
-mod trace;
 pub mod transport;
 
 pub use artifact::{
@@ -110,11 +109,10 @@ pub use knowledge_io::{
 };
 pub use minivm::ExecutionReport;
 pub use platform::Platform;
-pub use runtime::{AdaptiveApplication, TraceSample};
+pub use runtime::{trace_digest, AdaptiveApplication, TraceSample};
 pub use snapshot::{
     cosine_distance, nearest_neighbour, KnowledgeSnapshot, SnapshotDelta, SnapshotFingerprint,
     SNAPSHOT_DELTA_MAGIC, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC,
 };
 pub use toolchain::{EnhancedApp, Toolchain};
-pub use trace::{trace_digest, windowed_stats, TraceStats};
 pub use transport::{DistTopology, DistributedConfig, LinkConfig};

@@ -17,7 +17,7 @@
 //! milliseconds of host time.
 
 use crate::error::SocratesError;
-use crate::toolchain::EnhancedApp;
+use crate::toolchain::{fnv, EnhancedApp, FNV_OFFSET};
 use margot::{ApplicationManager, Constraint, Knowledge, Metric, MetricValues, Rank};
 use platform_sim::{EnergyMeter, KnobConfig, Machine, VirtualClock};
 use serde::{Deserialize, Serialize};
@@ -51,6 +51,24 @@ impl TraceSample {
     pub fn observed_metrics(&self) -> MetricValues {
         MetricValues::from_execution(self.time_s, self.power_w)
     }
+}
+
+/// An order-sensitive FNV-1a digest of a trace: every numeric field's
+/// exact bit pattern plus the selected configuration and dispatched
+/// version of every sample, in order. Two traces digest equal iff they
+/// are bit-identical sample for sample — the cheap fingerprint the
+/// equivalence suites compare instead of shipping whole traces around.
+pub fn trace_digest(samples: &[TraceSample]) -> u64 {
+    let mut digest = FNV_OFFSET;
+    for s in samples {
+        digest = fnv(digest, &s.t_start_s.to_bits().to_le_bytes());
+        digest = fnv(digest, &s.time_s.to_bits().to_le_bytes());
+        digest = fnv(digest, &s.power_w.to_bits().to_le_bytes());
+        digest = fnv(digest, format!("{:?}", s.config).as_bytes());
+        digest = fnv(digest, &(s.version as u64).to_le_bytes());
+        digest = fnv(digest, &[u8::from(s.forced)]);
+    }
+    digest
 }
 
 /// A runnable adaptive application (enhanced binary + platform).
@@ -378,6 +396,34 @@ mod tests {
                 s.power_w
             );
         }
+    }
+
+    #[test]
+    fn digest_is_order_and_bit_sensitive() {
+        use platform_sim::{BindingPolicy, CompilerOptions, OptLevel};
+        let sample = |t: f64, time: f64, power: f64, tn: u32, version: usize| TraceSample {
+            t_start_s: t,
+            time_s: time,
+            power_w: power,
+            config: KnobConfig::new(
+                CompilerOptions::level(OptLevel::O2),
+                tn,
+                BindingPolicy::Close,
+            ),
+            version,
+            forced: false,
+        };
+        let a = vec![sample(0.0, 0.1, 90.0, 4, 0), sample(0.1, 0.2, 95.0, 8, 1)];
+        assert_eq!(trace_digest(&a), trace_digest(&a.clone()));
+        let swapped = vec![a[1].clone(), a[0].clone()];
+        assert_ne!(trace_digest(&a), trace_digest(&swapped));
+        let mut nudged = a.clone();
+        nudged[1].power_w += 1e-9;
+        assert_ne!(trace_digest(&a), trace_digest(&nudged));
+        let mut forced = a;
+        forced[0].forced = true;
+        assert_ne!(trace_digest(&forced), trace_digest(&nudged));
+        assert_eq!(trace_digest(&[]), trace_digest(&[]));
     }
 
     #[test]

@@ -52,7 +52,7 @@ use crate::knowledge_io::{
     put_delta, put_knowledge, put_str, put_u32, put_u64, put_versions, write_atomic_bytes,
     ByteReader,
 };
-use crate::toolchain::Toolchain;
+use crate::toolchain::{fnv, Toolchain, FNV_OFFSET};
 use margot::{shard_content_hash, shard_index, Knowledge, KnowledgeDelta, SharedKnowledge};
 use platform_sim::KnobConfig;
 use polybench::App;
@@ -108,7 +108,7 @@ impl SnapshotFingerprint {
         SnapshotFingerprint {
             app: app.name().to_string(),
             dataset: format!("{:?}", toolchain.dataset),
-            platform: crate::toolchain::fnv(&platform_json),
+            platform: fnv(FNV_OFFSET, platform_json.as_bytes()),
         }
     }
 }

@@ -268,7 +268,7 @@ impl Toolchain {
     )]
     pub fn fingerprint(&self) -> u64 {
         let json = serde_json::to_string(self).expect("toolchain config serialises");
-        fnv(&json)
+        fnv(FNV_OFFSET, json.as_bytes())
     }
 
     /// The static version table: (4 standard levels + predictions) × BP,
@@ -296,15 +296,18 @@ impl Toolchain {
     }
 }
 
-/// FNV-1a hash, used for per-app machine-seed derivation and config
-/// fingerprints.
-pub(crate) fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+/// The FNV-1a offset basis: the digest of no bytes, where every
+/// [`fnv`] fold starts.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into an FNV-1a `digest`. The crate's one FNV-1a:
+/// per-app machine seeds, config and platform fingerprints, trace
+/// digests and the event runtime's event digest.
+#[inline]
+pub(crate) fn fnv(digest: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(digest, |d, &b| {
+        (d ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[cfg(test)]

@@ -169,22 +169,6 @@ fn profile_point(
     OperatingPoint::new(cfg.clone(), metrics)
 }
 
-/// Profiles the **entire** design space (the paper's full-factorial
-/// DSE): shorthand for [`profile`] over
-/// [`DesignSpace::full_factorial`].
-///
-/// # Panics
-///
-/// Panics if `repetitions` is zero.
-pub fn explore(
-    machine: &Machine,
-    workload: &WorkloadProfile,
-    space: &DesignSpace,
-    repetitions: u32,
-) -> Knowledge<KnobConfig> {
-    profile(machine, workload, &space.full_factorial(), repetitions)
-}
-
 /// Convenience: the Pareto frontier of a knowledge base on the paper's
 /// Fig. 3 objectives (maximise throughput, minimise power).
 pub fn power_throughput_pareto(knowledge: &Knowledge<KnobConfig>) -> Knowledge<KnobConfig> {

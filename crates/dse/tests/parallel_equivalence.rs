@@ -1,11 +1,10 @@
 //! Regression tests pinning the DSE sweep's output: `dse::profile`'s
 //! knowledge is pinned by content hash at three `(seed, repetitions)`
-//! pairs, is a function of the machine seed alone, and `explore` is the
-//! sweep over the full factorial. The hashes were recorded while the
-//! sweep still fanned out over rayon, so they carry that version's
-//! output forward as the reference.
+//! pairs and is a function of the machine seed alone. The hashes were
+//! recorded while the sweep still fanned out over rayon, so they carry
+//! that version's output forward as the reference.
 
-use dse::{explore, profile, DesignSpace};
+use dse::{profile, DesignSpace};
 use margot::Knowledge;
 use platform_sim::{paper_cf_combos, KnobConfig, Machine, Topology, WorkloadProfile};
 
@@ -72,20 +71,6 @@ fn profile_is_reproducible_across_calls() {
     let a = profile(&Machine::xeon_e5_2630_v3(11), &kernel(), &configs, 2);
     let b = profile(&Machine::xeon_e5_2630_v3(11), &kernel(), &configs, 2);
     assert_eq!(a, b);
-}
-
-#[test]
-fn explore_matches_full_factorial_profile() {
-    let s = space();
-    let by_explore = explore(&Machine::xeon_e5_2630_v3(4), &kernel(), &s, 1);
-    let by_profile = profile(
-        &Machine::xeon_e5_2630_v3(4),
-        &kernel(),
-        &s.full_factorial(),
-        1,
-    );
-    assert_eq!(by_explore.len(), s.size());
-    assert_eq!(by_explore, by_profile);
 }
 
 #[test]

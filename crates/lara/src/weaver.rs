@@ -268,15 +268,6 @@ impl Weaver {
         self.act(1);
     }
 
-    /// Appends a brand-new function definition at the end of the file.
-    pub fn add_function(&mut self, f: Function) {
-        let loc = minic::function_loc(&f);
-        self.tu.items.push(Item::Function(f));
-        // One action per generated logical line (the wrapper is emitted
-        // line by line, as the LARA strategy does with code insertions).
-        self.act(loc);
-    }
-
     /// Inserts a brand-new function definition right after the function
     /// named `after` — so generated code is declared before its callers,
     /// as C requires.

@@ -201,12 +201,6 @@ impl Decl {
         self.init = Some(init);
         self
     }
-
-    /// Builder-style: marks the declaration `static`.
-    pub fn with_static(mut self) -> Self {
-        self.is_static = true;
-        self
-    }
 }
 
 /// An initializer: a single expression or a brace-enclosed list.

@@ -1,5 +1,5 @@
 //! Differential test: both engines execute all 12 Polybench kernels
-//! bit-identically.
+//! bit-identically, and to pinned outputs.
 //!
 //! The functional dimensions are the Mini dataset's, clamped to keep the
 //! (deliberately slow) reference interpreter fast enough for debug-mode
@@ -12,6 +12,24 @@ use polybench::{App, Dataset, KernelArg};
 /// Functional dimension cap for test-speed (applied identically to both
 /// engines).
 const DIM_CAP: usize = 20;
+
+/// Each app's `(checksum, flops, loads, stores)` at [`functional_spec`]:
+/// what the C kernels compute, pinned so that a change to a source, the
+/// parser, the lowering or both engines at once cannot go unnoticed.
+const PINNED: [(App, u64, u64, u64, u64); 12] = [
+    (App::TwoMm, 0x698e_62f9_b954_db6c, 42000, 48400, 18400),
+    (App::ThreeMm, 0x3d88_da5d_892f_50e8, 49600, 72000, 26800),
+    (App::Atax, 0x23c3_f4d4_2332_ca24, 2040, 2400, 1260),
+    (App::Correlation, 0x48e7_6df5_101c_08b1, 12060, 16070, 6300),
+    (App::Doitgen, 0xa36a_3cd0_0078_8500, 15220, 22320, 9460),
+    (App::Gemver, 0x9850_233d_54ec_8de8, 4520, 4440, 1780),
+    (App::Jacobi2d, 0xcfaa_82ca_22cb_2423, 67200, 64800, 13760),
+    (App::Mvt, 0x6dc7_38d7_baa6_feeb, 2080, 2400, 1280),
+    (App::Nussinov, 0x3451_991b_3ca2_932d, 0, 5106, 624),
+    (App::Seidel2d, 0x1a14_7945_c46a_699e, 59520, 58320, 6880),
+    (App::Syr2k, 0x8899_d623_09fa_faf3, 26610, 21210, 5610),
+    (App::Syrk, 0x9a49_1349_dc6a_da1e, 13610, 12810, 5210),
+];
 
 fn functional_spec(app: App) -> SpecConfig {
     let dims: Vec<(&str, usize)> = app
@@ -35,7 +53,12 @@ fn functional_spec(app: App) -> SpecConfig {
 #[test]
 fn all_twelve_apps_run_bit_identically_on_both_engines() {
     let mut vm = VmState::new();
-    for app in App::ALL {
+    assert_eq!(
+        PINNED.map(|(app, ..)| app),
+        App::ALL,
+        "one pinned row per app"
+    );
+    for (app, checksum, flops, loads, stores) in PINNED {
         let src = polybench::source(app, Dataset::Mini);
         let tu = minic::parse(&src).unwrap_or_else(|e| panic!("{}: parse failed: {e}", app.name()));
         let spec = functional_spec(app);
@@ -53,21 +76,15 @@ fn all_twelve_apps_run_bit_identically_on_both_engines() {
             "{}: engine reports diverge",
             app.name()
         );
-        // Nussinov is an integer dynamic program; everything else does
-        // floating-point work. All kernels touch array elements.
-        assert!(
-            interpreted.flops > 0 || app == App::Nussinov,
-            "{}: kernel executed no floating-point work",
-            app.name()
-        );
-        assert!(
-            interpreted.loads > 0,
-            "{}: kernel loaded nothing",
-            app.name()
-        );
-        assert!(
-            interpreted.stores > 0,
-            "{}: kernel stored nothing",
+        assert_eq!(
+            (
+                interpreted.checksum,
+                interpreted.flops,
+                interpreted.loads,
+                interpreted.stores
+            ),
+            (checksum, flops, loads, stores),
+            "{}: the kernel's output moved from the pinned row",
             app.name()
         );
     }

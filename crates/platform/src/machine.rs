@@ -177,11 +177,6 @@ impl Machine {
         &self.power
     }
 
-    /// The compiler-response model.
-    pub fn flag_model(&self) -> &FlagEffectModel {
-        &self.flags
-    }
-
     /// Runs one kernel invocation with measurement noise: the
     /// [`expected`](Self::expected) outcome with its time and power
     /// scaled by the next [`noise_factors`](Self::noise_factors) pair.

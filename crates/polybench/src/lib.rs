@@ -3,12 +3,12 @@
 //! The SOCRATES experimental campaign uses 12 applications from
 //! Polybench/C. This crate provides, for each of them:
 //!
-//! - an executable Rust port of the kernel ([`kernels`]) with the
-//!   Polybench 4.2 semantics, validated by tests against matrix-algebra
-//!   references and invariants;
 //! - the original C source ([`source`]) in the `minic` dialect, which the
 //!   SOCRATES toolchain parses, characterises (Milepost) and weaves
-//!   (LARA Multiversioning + Autotuner);
+//!   (LARA Multiversioning + Autotuner), and which `minivm` runs: the
+//!   source is the kernel's one functional implementation;
+//! - its registry entry ([`App`]): dataset dimensions, kernel name and
+//!   entry arguments;
 //! - an analytic [`WorkloadProfile`](platform_sim::WorkloadProfile)
 //!   ([`App::profile`]) that drives the simulated platform's timing/power
 //!   response.
@@ -28,12 +28,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod apps;
-pub mod kernels;
-pub mod matrix;
 pub mod sources;
 
 pub use apps::{App, Dataset, KernelArg, UnknownAppError};
-pub use matrix::Matrix;
 pub use sources::source;

@@ -22,6 +22,7 @@ use serde::Serialize;
 use socrates::{AdaptiveApplication, ArtifactStore, Toolchain};
 
 fn main() {
+    socrates_bench::args(&[]);
     let toolchain = Toolchain::default();
     // One artifact store for all three studies: ablations 2 and 3 reuse
     // the 2mm artifacts (corpus, weave, knowledge) computed by the

@@ -73,6 +73,7 @@ fn time_per_run(mut f: impl FnMut()) -> f64 {
 }
 
 fn main() {
+    socrates_bench::args(&[]);
     println!(
         "Functional execution engines — AST interpreter vs config-specialized bytecode\n\
          ({DATASET:?} dataset dims clamped to {}, 1 thread)\n",

@@ -25,6 +25,7 @@ struct Entry {
 }
 
 fn main() {
+    socrates_bench::args(&[]);
     let toolchain = Toolchain::default();
     println!("Figure 3 — power/throughput distribution over the Pareto curve");
     println!("(values normalized by the per-app mean over the Pareto set)");

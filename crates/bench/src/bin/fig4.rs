@@ -28,6 +28,7 @@ struct Point {
 }
 
 fn main() {
+    socrates_bench::args(&[]);
     let enhanced = Toolchain::default()
         .enhance(App::TwoMm)
         .expect("enhance 2mm");

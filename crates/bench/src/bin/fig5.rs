@@ -31,6 +31,7 @@ struct Sample {
 }
 
 fn main() {
+    socrates_bench::args(&[]);
     let toolchain = Toolchain::default();
     let store = ArtifactStore::new();
     let enhanced = toolchain

@@ -56,6 +56,7 @@ struct ConvergenceRow {
 }
 
 fn main() {
+    socrates_bench::args(&[]);
     let enhanced = Toolchain::default()
         .enhance(App::TwoMm)
         .expect("enhance 2mm");

@@ -101,7 +101,7 @@ impl DistRow {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = socrates_bench::args(&["--smoke"]).smoke;
     let rows = grid(smoke);
     let name = if smoke {
         "fleet_dist_smoke"

@@ -72,17 +72,9 @@ struct EventRow {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let tolerance = match args.iter().position(|a| a == "--tolerance") {
-        Some(i) => args
-            .get(i + 1)
-            .expect("--tolerance needs a value")
-            .parse::<f64>()
-            .expect("--tolerance takes a ratio"),
-        None => DEFAULT_TOLERANCE,
-    };
+    let args = socrates_bench::args(&["--smoke", "--check", "--tolerance"]);
+    let (smoke, check) = (args.smoke, args.check);
+    let tolerance = args.tolerance.unwrap_or(DEFAULT_TOLERANCE);
     // The smoke sizes are a subset of the full sizes so every smoke
     // cell has a committed-baseline counterpart for `--check`.
     let sizes: &[usize] = if smoke {

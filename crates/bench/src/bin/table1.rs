@@ -23,6 +23,7 @@ struct Row {
 }
 
 fn main() {
+    socrates_bench::args(&[]);
     let toolchain = Toolchain::default();
     println!("Table I — metrics collected from the application of LARA strategies");
     println!("(strategy logical LOC: {})", lara::STRATEGY_LOC);

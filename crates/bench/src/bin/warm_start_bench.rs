@@ -103,17 +103,9 @@ struct WarmStartReport {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let tolerance = match args.iter().position(|a| a == "--tolerance") {
-        Some(i) => args
-            .get(i + 1)
-            .expect("--tolerance needs a value")
-            .parse::<f64>()
-            .expect("--tolerance takes a fraction"),
-        None => DEFAULT_TOLERANCE,
-    };
+    let args = socrates_bench::args(&["--smoke", "--check", "--tolerance"]);
+    let (smoke, check) = (args.smoke, args.check);
+    let tolerance = args.tolerance.unwrap_or(DEFAULT_TOLERANCE);
     let (instances, horizon_s, knowledge_points) = if smoke {
         (4usize, 60.0, Some(64))
     } else {

@@ -219,10 +219,95 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     eprintln!("wrote {}", path.display());
 }
 
+/// An experiment binary's command line: `--smoke` (the seconds-long
+/// sizes), `--check` (gate against the committed baseline) and
+/// `--tolerance <x>` (the gate's bound).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BinArgs {
+    /// `--smoke` was given.
+    pub smoke: bool,
+    /// `--check` was given.
+    pub check: bool,
+    /// The `--tolerance` value, if given.
+    pub tolerance: Option<f64>,
+}
+
+/// Parses a binary's arguments (the program name excluded), accepting
+/// only the flags in `accepted`. A mistyped or retired flag is an error
+/// instead of a silent full run that overwrites committed results.
+///
+/// # Errors
+///
+/// Returns a message naming an argument that is not an accepted flag,
+/// or a `--tolerance` without a number after it.
+pub fn parse_args(args: &[String], accepted: &[&str]) -> Result<BinArgs, String> {
+    let mut out = BinArgs::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if !accepted.contains(&arg.as_str()) {
+            return Err(format!("unknown argument `{arg}`"));
+        }
+        match arg.as_str() {
+            "--smoke" => out.smoke = true,
+            "--check" => out.check = true,
+            "--tolerance" => {
+                let value = it.next().ok_or("--tolerance needs a value")?;
+                let tolerance = value
+                    .parse::<f64>()
+                    .map_err(|_| format!("--tolerance `{value}` is not a number"))?;
+                out.tolerance = Some(tolerance);
+            }
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok(out)
+}
+
+/// [`parse_args`] over this process's arguments. On an error it prints
+/// the message and the accepted flags, and exits with status 2.
+pub fn args(accepted: &[&str]) -> BinArgs {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_args(&args, accepted).unwrap_or_else(|e| {
+        if accepted.is_empty() {
+            eprintln!("{e}: this binary takes no arguments");
+        } else {
+            eprintln!("{e}; accepted: {}", accepted.join(" "));
+        }
+        std::process::exit(2)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use platform_sim::CompilerFlag;
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn bin_args_accept_only_their_flags() {
+        let all = ["--smoke", "--check", "--tolerance"];
+        assert_eq!(parse_args(&[], &[]), Ok(BinArgs::default()));
+        assert_eq!(
+            parse_args(
+                &strings(&["--check", "--tolerance", "0.5", "--smoke"]),
+                &all
+            ),
+            Ok(BinArgs {
+                smoke: true,
+                check: true,
+                tolerance: Some(0.5),
+            })
+        );
+        // A retired flag fails instead of running the default mode.
+        assert!(parse_args(&strings(&["--check"]), &["--smoke"]).is_err());
+        assert!(parse_args(&strings(&["--smoek"]), &all).is_err());
+        assert!(parse_args(&strings(&["--smoke"]), &[]).is_err());
+        assert!(parse_args(&strings(&["--tolerance"]), &all).is_err());
+        assert!(parse_args(&strings(&["--tolerance", "wide"]), &all).is_err());
+    }
 
     #[test]
     fn boxstats_on_known_sample() {

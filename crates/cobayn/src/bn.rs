@@ -195,11 +195,6 @@ impl BayesianNetwork {
         p
     }
 
-    /// Log-likelihood of a data set under the current parameters.
-    pub fn log_likelihood(&self, rows: &[Vec<usize>]) -> f64 {
-        rows.iter().map(|r| self.joint(r).max(1e-300).ln()).sum()
-    }
-
     /// Ancestral sampling with optional clamped evidence
     /// (`evidence[i] = Some(v)` fixes node `i` to `v`).
     ///
@@ -352,14 +347,6 @@ mod tests {
         }
         // B copies A: with A clamped to 1, B must be 1 almost always.
         assert!(b_ones > 450, "b_ones={b_ones}");
-    }
-
-    #[test]
-    fn log_likelihood_prefers_fitting_model() {
-        let bn = chain();
-        let consistent = vec![vec![1usize, 1], vec![0, 0]];
-        let inconsistent = vec![vec![1usize, 0], vec![0, 1]];
-        assert!(bn.log_likelihood(&consistent) > bn.log_likelihood(&inconsistent));
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //! the current one, which every active instance holds, and a spare
 //! one generation behind it, which none does. The barrier patches the
 //! spare in place with the points changed at the previous and at this
-//! barrier ([`SharedKnowledge::drain_changes`]), swaps it in, and every
-//! active instance adopts it right there. [`Knowledge`] is `Arc`-backed
+//! barrier ([`SharedKnowledge::drain_changes_into`]), swaps it in, and
+//! every active instance adopts it right there. [`Knowledge`] is `Arc`-backed
 //! and carries the pool rank's [`margot::RankIndex`], so adoption is a
 //! reference-count bump, the patch re-keys the index in O(log n), and
 //! no round deep-copies the point list. The full-rebuild reference
@@ -621,6 +621,13 @@ struct Pool {
     /// Positions the last refresh changed: the spare lags the cache at
     /// exactly these.
     pending: Vec<usize>,
+    /// This round's observations in instance order: the first
+    /// `batch_len` entries. Entries past it are kept so the next round
+    /// overwrites them in place.
+    batch: Vec<(KnobConfig, MetricValues)>,
+    batch_len: usize,
+    /// This round's assignments that did not execute.
+    requeues: Vec<KnobConfig>,
     /// Configurations the prune removed from this pool's exploration
     /// schedule at creation, `(infeasible, dominated)`: zero unless
     /// [`FleetConfig::analysis_prune`] is on.
@@ -640,17 +647,48 @@ impl Pool {
             return;
         }
         for &pos in &self.pending {
-            self.spare
-                .patch_point(pos, self.cache.points()[pos].clone());
+            self.spare.patch_point_from(pos, &self.cache.points()[pos]);
         }
-        self.pending.clear();
-        let (to_epoch, changed) = self.shared.drain_changes();
-        for (pos, point) in changed {
-            self.pending.push(pos);
-            self.spare.patch_point(pos, point);
-        }
+        self.shared.dirty_positions_into(&mut self.pending);
+        let (to_epoch, _) = self.shared.drain_changes_into(&mut self.spare);
         std::mem::swap(&mut self.cache, &mut self.spare);
         self.cache_epoch = to_epoch;
+    }
+
+    /// Appends one executed step to this round's batch, reusing a spare
+    /// entry's storage when there is one.
+    fn record(&mut self, sample: &TraceSample) {
+        match self.batch.get_mut(self.batch_len) {
+            Some((config, observed)) => {
+                config.clone_from(&sample.config);
+                observed.set_execution(sample.time_s, sample.power_w);
+            }
+            None => self
+                .batch
+                .push((sample.config.clone(), sample.observed_metrics())),
+        }
+        self.batch_len += 1;
+    }
+
+    /// The barrier's fold of this round: the requeued assignments
+    /// rejoin the sweep, then the batch is published and its
+    /// configurations count as covered, and the cache is refreshed.
+    fn merge_round(&mut self) {
+        // Unexecuted assignments rejoin the sweep *before* this round's
+        // organic coverage is folded in: a config another instance
+        // genuinely observed this round stays covered.
+        for cfg in self.requeues.drain(..) {
+            self.schedule.requeue(&cfg);
+        }
+        let batch = &self.batch[..self.batch_len];
+        if !batch.is_empty() {
+            self.shared
+                .publish_batch(batch.iter().map(|(config, m)| (config, m)));
+            self.schedule
+                .mark_explored_batch(batch.iter().map(|(config, _)| config));
+        }
+        self.batch_len = 0;
+        self.refresh_cache();
     }
 }
 
@@ -717,6 +755,20 @@ pub struct Fleet {
     /// Only touched from sequential (barrier) code; pure consumers, so
     /// rounds stay bit-identical with or without them.
     observers: Vec<EventObserver>,
+    /// Per-round storage, kept across rounds so a steady round
+    /// allocates nothing.
+    buffers: RoundBuffers,
+}
+
+/// The storage [`Fleet::round_with`] and its drivers fill each round.
+#[derive(Default)]
+struct RoundBuffers {
+    /// Which instances step this round.
+    due: Vec<bool>,
+    /// Observer events of this round's steps, emitted after the barrier.
+    step_events: Vec<FleetEvent>,
+    /// `(instance, pool)` of each publishing step, for the observers.
+    publishers: Vec<(usize, usize)>,
 }
 
 impl Default for Fleet {
@@ -756,6 +808,7 @@ impl Fleet {
             instances: Vec::new(),
             rounds: 0,
             observers: Vec::new(),
+            buffers: RoundBuffers::default(),
         })
     }
 
@@ -961,8 +1014,12 @@ impl Fleet {
     /// One synchronized round over every active instance; returns the
     /// number of steps taken.
     fn step_all(&mut self) -> usize {
-        let due: Vec<bool> = self.instances.iter().map(|inst| inst.active).collect();
-        self.round_with(&due)
+        let mut due = std::mem::take(&mut self.buffers.due);
+        due.clear();
+        due.extend(self.instances.iter().map(|inst| inst.active));
+        let steps = self.round_with(&due);
+        self.buffers.due = due;
+        steps
     }
 
     /// The execution trace of instance `id` so far.
@@ -1084,6 +1141,9 @@ impl Fleet {
             spare: cache.clone(),
             cache,
             pending: Vec::new(),
+            batch: Vec::new(),
+            batch_len: 0,
+            requeues: Vec::new(),
             pruned,
         });
         self.pools.len() - 1
@@ -1141,15 +1201,11 @@ impl Fleet {
         let share = self.config.share_knowledge;
         let mut steps = 0;
         let mut any_failed = false;
-        let mut per_pool: Vec<Vec<(KnobConfig, MetricValues)>> =
-            (0..self.pools.len()).map(|_| Vec::new()).collect();
-        let mut requeues: Vec<Vec<KnobConfig>> =
-            (0..self.pools.len()).map(|_| Vec::new()).collect();
         // Event emission is observer-only bookkeeping: nothing below
         // reads these, so rounds stay bit-identical without observers.
         let observing = !self.observers.is_empty();
-        let mut step_events: Vec<FleetEvent> = Vec::new();
-        let mut publishers: Vec<(usize, usize)> = Vec::new();
+        let mut step_events = std::mem::take(&mut self.buffers.step_events);
+        let mut publishers = std::mem::take(&mut self.buffers.publishers);
         for (id, inst) in self.instances.iter_mut().enumerate() {
             if !due[id] || !inst.active {
                 continue;
@@ -1185,7 +1241,7 @@ impl Fleet {
                         // The barrier returns an unexecuted assignment
                         // to the sweep, so coverage is not
                         // over-reported.
-                        requeues[inst.pool].extend(assigned);
+                        pool.requeues.extend(assigned);
                     }
                     sample
                 }
@@ -1204,7 +1260,7 @@ impl Fleet {
                     inst.failure = Some(reason);
                     // An assignment the panicking step never consumed
                     // goes back to the sweep at the barrier.
-                    requeues[inst.pool].extend(assigned);
+                    pool.requeues.extend(assigned);
                     any_failed = true;
                     continue;
                 }
@@ -1224,8 +1280,7 @@ impl Fleet {
                 }
             }
             if share {
-                let observed = sample.observed_metrics();
-                per_pool[inst.pool].push((sample.config, observed));
+                pool.record(&sample);
             }
         }
 
@@ -1233,21 +1288,8 @@ impl Fleet {
         // refresh each pool's cache incrementally from the changed
         // points, and hand it to every active instance.
         if share {
-            for ((pool, batch), requeue) in self.pools.iter_mut().zip(&per_pool).zip(&requeues) {
-                // Unexecuted assignments rejoin the sweep *before* this
-                // round's organic coverage is folded in: a config
-                // another instance genuinely observed this round stays
-                // covered.
-                for cfg in requeue {
-                    pool.schedule.requeue(cfg);
-                }
-                if !batch.is_empty() {
-                    pool.shared
-                        .publish_batch(batch.iter().map(|(config, m)| (config, m)));
-                    pool.schedule
-                        .mark_explored_batch(batch.iter().map(|(config, _)| config));
-                }
-                pool.refresh_cache();
+            for pool in &mut self.pools {
+                pool.merge_round();
             }
             self.adopt_caches();
         }
@@ -1261,19 +1303,21 @@ impl Fleet {
             // Steps first (instance order), then the round's publishes
             // with each pool's post-batch epoch — the order state
             // actually changed in.
-            let epochs: Vec<u64> = self.pools.iter().map(|p| p.shared.epoch()).collect();
-            for event in step_events {
+            for event in step_events.drain(..) {
                 self.emit(event);
             }
-            for (id, pool) in publishers {
+            for (id, pool) in publishers.drain(..) {
                 let t_s = self.instances[id].app.now_s();
+                let epoch = self.pools[pool].shared.epoch();
                 self.emit(FleetEvent::Published {
                     id: dense_id(id),
                     t_s,
-                    epoch: epochs[pool],
+                    epoch,
                 });
             }
         }
+        self.buffers.step_events = step_events;
+        self.buffers.publishers = publishers;
         steps
     }
 
@@ -1314,13 +1358,16 @@ impl FleetRuntime for Fleet {
     /// synchronized round.
     fn run_until(&mut self, t_s: f64) -> u64 {
         let mut rounds = 0;
+        let mut due = std::mem::take(&mut self.buffers.due);
         loop {
-            let due: Vec<bool> = self
-                .instances
-                .iter()
-                .map(|inst| inst.active && inst.app.now_s() < t_s)
-                .collect();
+            due.clear();
+            due.extend(
+                self.instances
+                    .iter()
+                    .map(|inst| inst.active && inst.app.now_s() < t_s),
+            );
             if !due.iter().any(|&d| d) {
+                self.buffers.due = due;
                 return rounds;
             }
             self.round_with(&due);

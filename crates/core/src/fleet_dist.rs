@@ -1055,7 +1055,7 @@ impl DistributedFleet {
             if !improved.is_empty() {
                 for (pos, point) in knowledge.points().iter().enumerate() {
                     if improved.contains(&self.shard_map[pos]) {
-                        s.cache.patch_point(pos, point.clone());
+                        s.cache.patch_point_from(pos, point);
                         s.patched.insert(pos);
                     }
                 }
@@ -1086,7 +1086,7 @@ impl DistributedFleet {
             BTreeMap::new();
         for (pos, new) in moved.changed {
             if broker.published.points()[pos] != new {
-                broker.published.patch_point(pos, new.clone());
+                broker.published.patch_point_from(pos, &new);
                 by_shard
                     .entry(self.shard_map[pos])
                     .or_default()

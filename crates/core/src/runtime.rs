@@ -83,10 +83,22 @@ pub struct AdaptiveApplication {
     meter: EnergyMeter,
     trace: Vec<TraceSample>,
     feedback_enabled: bool,
-    /// Memoised `(config, clone version)` of the last dispatch: the
-    /// AS-RTM's pick is usually stable across steps, and the version
-    /// table lookup is a linear scan.
-    version_cache: Option<(KnobConfig, usize)>,
+    /// The last planned and the last forced dispatch. The AS-RTM's pick
+    /// is usually stable across steps, the version table lookup is a
+    /// linear scan, and a configuration's expectation on one machine
+    /// never changes. Forced exploration steps keep their own entry, so
+    /// they do not evict the planned one.
+    planned: Option<Dispatch>,
+    forced: Option<Dispatch>,
+}
+
+/// One memoised dispatch: a configuration, its clone version and its
+/// noise-free `(time s, power W)` from [`Machine::expected`].
+#[derive(Debug, Clone)]
+struct Dispatch {
+    config: KnobConfig,
+    version: usize,
+    expected: (f64, f64),
 }
 
 impl AdaptiveApplication {
@@ -138,21 +150,40 @@ impl AdaptiveApplication {
             meter: EnergyMeter::new(),
             trace: Vec::new(),
             feedback_enabled: true,
-            version_cache: None,
+            planned: None,
+            forced: None,
         }
     }
 
-    /// [`EnhancedApp::try_version_of`] through the one-entry dispatch
-    /// cache.
-    fn cached_version_of(&mut self, config: &KnobConfig) -> Result<usize, SocratesError> {
-        if let Some((cached, version)) = &self.version_cache {
-            if cached == config {
-                return Ok(*version);
+    /// Dispatches `config` through the planned or the forced memo entry
+    /// and runs it: the memoised expectation scaled by the machine's
+    /// next noise factors, the arithmetic of [`Machine::execute`].
+    /// Returns the clone version and the observed `(time s, power W)`.
+    fn dispatch(
+        &mut self,
+        config: &KnobConfig,
+        forced: bool,
+    ) -> Result<(usize, f64, f64), SocratesError> {
+        let entry = if forced {
+            &mut self.forced
+        } else {
+            &mut self.planned
+        };
+        let dispatch = match entry {
+            Some(d) if d.config == *config => d,
+            _ => {
+                let version = self.enhanced.try_version_of(config)?;
+                let run = self.machine.expected(&self.enhanced.profile, config);
+                entry.insert(Dispatch {
+                    config: config.clone(),
+                    version,
+                    expected: (run.time_s, run.power_w),
+                })
             }
-        }
-        let version = self.enhanced.try_version_of(config)?;
-        self.version_cache = Some((config.clone(), version));
-        Ok(version)
+        };
+        let (time_s, power_w) = dispatch.expected;
+        let (tn, pn) = self.machine.noise_factors();
+        Ok((dispatch.version, time_s * tn, power_w * pn))
     }
 
     /// Enables or disables the monitor-feedback loop (the MAPE-K
@@ -240,20 +271,19 @@ impl AdaptiveApplication {
             .manager
             .update()
             .expect("toolchain produced non-empty knowledge");
-        let version = self
-            .cached_version_of(&config)
+        let (version, time_s, power_w) = self
+            .dispatch(&config, false)
             .expect("every knowledge config has a compiled version");
         let t_start_s = self.clock.now_s();
-        let run = self.machine.execute(&self.enhanced.profile, &config);
-        self.clock.advance(run.time_s);
-        self.meter.accumulate(run.power_w, run.time_s);
+        self.clock.advance(time_s);
+        self.meter.accumulate(power_w, time_s);
         if self.feedback_enabled {
-            self.manager.observe_execution(run.time_s, run.power_w);
+            self.manager.observe_execution(time_s, power_w);
         }
         let sample = TraceSample {
             t_start_s,
-            time_s: run.time_s,
-            power_w: run.power_w,
+            time_s,
+            power_w,
             config,
             version,
             forced: false,
@@ -274,15 +304,14 @@ impl AdaptiveApplication {
     /// Returns a dispatch-stage [`SocratesError`] if `config` has no
     /// compiled clone version.
     pub fn step_forced(&mut self, config: KnobConfig) -> Result<TraceSample, SocratesError> {
-        let version = self.cached_version_of(&config)?;
+        let (version, time_s, power_w) = self.dispatch(&config, true)?;
         let t_start_s = self.clock.now_s();
-        let run = self.machine.execute(&self.enhanced.profile, &config);
-        self.clock.advance(run.time_s);
-        self.meter.accumulate(run.power_w, run.time_s);
+        self.clock.advance(time_s);
+        self.meter.accumulate(power_w, time_s);
         let sample = TraceSample {
             t_start_s,
-            time_s: run.time_s,
-            power_w: run.power_w,
+            time_s,
+            power_w,
             config,
             version,
             forced: true,

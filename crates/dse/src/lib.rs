@@ -328,7 +328,7 @@ impl<K: Clone + Eq + std::hash::Hash> ExplorationSchedule<K> {
     /// previously unexplored. Unknown configurations are ignored (and
     /// return `false`).
     pub fn mark_explored(&mut self, config: &K) -> bool {
-        if !self.known.contains(config) {
+        if !self.known.contains(config) || self.swept.contains(config) {
             return false;
         }
         self.swept.insert(config.clone())

@@ -23,6 +23,10 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
+/// Distinct metrics whose feedback ratio [`AsRtm::best`] resolves once
+/// per selection, on the stack.
+const RESOLVED: usize = 8;
+
 /// The AS-RTM: knowledge + requirements + feedback → best configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AsRtm<K> {
@@ -139,9 +143,20 @@ impl<K: Clone + PartialEq> AsRtm<K> {
     /// Sets the runtime feedback ratio for a metric
     /// (`observed / expected`, clamped to `[0.25, 4.0]`).
     pub fn set_adjustment(&mut self, metric: Metric, ratio: f64) {
+        self.adjust(&metric, ratio);
+    }
+
+    /// [`set_adjustment`](Self::set_adjustment) by reference: the key
+    /// is cloned only the first time `metric` gets a ratio.
+    pub(crate) fn adjust(&mut self, metric: &Metric, ratio: f64) {
         let ratio = if ratio.is_finite() { ratio } else { 1.0 };
-        self.adjustments
-            .insert(metric, ratio.clamp(*RATIOS.start(), *RATIOS.end()));
+        let ratio = ratio.clamp(*RATIOS.start(), *RATIOS.end());
+        match self.adjustments.get_mut(metric) {
+            Some(slot) => *slot = ratio,
+            None => {
+                self.adjustments.insert(metric.clone(), ratio);
+            }
+        }
     }
 
     /// Clears all feedback ratios.
@@ -192,33 +207,43 @@ impl<K: Clone + PartialEq> AsRtm<K> {
             return None;
         }
         // The planning loop only ever looks up the constraints' and the
-        // rank's metrics; resolve their feedback ratios once instead of
-        // once per point per lookup.
-        let mut factors: Vec<(&Metric, f64)> = Vec::new();
-        let rank_metrics = match &self.rank.kind {
+        // rank's metrics; resolve the feedback ratios of the first
+        // RESOLVED distinct ones once instead of once per point per
+        // lookup. Any further metric reads the map.
+        let mut factors = [None::<(&Metric, f64)>; RESOLVED];
+        let rank_metrics = || match &self.rank.kind {
             crate::requirements::RankKind::Linear(terms)
             | crate::requirements::RankKind::Geometric(terms) => terms.iter().map(|(m, _)| m),
         };
+        let mut resolved = 0;
         for m in self
             .constraints
             .iter()
             .map(|c| &c.metric)
-            .chain(rank_metrics)
+            .chain(rank_metrics())
         {
-            if !factors.iter().any(|(fm, _)| fm.same(m)) {
-                let f = self.adjustments.get(m).copied().unwrap_or(1.0);
-                factors.push((m, f));
+            if resolved < RESOLVED
+                && !factors[..resolved]
+                    .iter()
+                    .flatten()
+                    .any(|(fm, _)| fm.same(m))
+            {
+                factors[resolved] = Some((m, self.adjustments.get(m).copied().unwrap_or(1.0)));
+                resolved += 1;
             }
         }
-        let adjusted = |i: usize, m: &Metric| {
-            let v = pts[i].metrics.get(m)?;
-            let f = factors.iter().find(|(fm, _)| fm.same(m)).map_or_else(
-                || self.adjustments.get(m).copied().unwrap_or(1.0),
-                |(_, f)| *f,
-            );
-            Some(v * f)
+        let factor = |m: &Metric| {
+            factors[..resolved]
+                .iter()
+                .flatten()
+                .find(|(fm, _)| fm.same(m))
+                .map_or_else(
+                    || self.adjustments.get(m).copied().unwrap_or(1.0),
+                    |(_, f)| *f,
+                )
         };
-        if self.constraints.is_empty() && factors.iter().all(|(_, f)| RATIOS.contains(f)) {
+        let adjusted = |i: usize, m: &Metric| Some(pts[i].metrics.get(m)? * factor(m));
+        if self.constraints.is_empty() && rank_metrics().all(|m| RATIOS.contains(&factor(m))) {
             if let Some(index) = self.knowledge.index_for(&self.rank) {
                 // The candidates hold every point that can reach the
                 // best value; evaluated in any order, "better, or equal

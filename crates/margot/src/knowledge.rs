@@ -21,12 +21,27 @@ use std::sync::Arc;
 
 /// One point of the application knowledge: a knob configuration plus the
 /// expected values of every profiled EFP.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct OperatingPoint<K> {
     /// The software-knob configuration.
     pub config: K,
     /// Expected EFP values from design-time profiling.
     pub metrics: MetricValues,
+}
+
+/// `clone_from` reuses the target's metric storage.
+impl<K: Clone> Clone for OperatingPoint<K> {
+    fn clone(&self) -> Self {
+        OperatingPoint {
+            config: self.config.clone(),
+            metrics: self.metrics.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.config.clone_from(&source.config);
+        self.metrics.clone_from(&source.metrics);
+    }
 }
 
 impl<K> OperatingPoint<K> {
@@ -146,8 +161,33 @@ impl<K> Knowledge<K> {
     where
         K: Clone,
     {
+        self.patch_point_with(pos, |slot| *slot = point);
+    }
+
+    /// [`patch_point`](Self::patch_point) from a borrowed point, copied
+    /// over the stored one in place so its storage is reused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is out of range.
+    pub fn patch_point_from(&mut self, pos: usize, point: &OperatingPoint<K>)
+    where
+        K: Clone,
+    {
+        self.patch_point_with(pos, |slot| slot.clone_from(point));
+    }
+
+    /// Rewrites the point at `pos` in place with `write`, then re-keys
+    /// an attached index at that position.
+    pub(crate) fn patch_point_with(
+        &mut self,
+        pos: usize,
+        write: impl FnOnce(&mut OperatingPoint<K>),
+    ) where
+        K: Clone,
+    {
         let points = Arc::make_mut(&mut self.points);
-        points[pos] = point;
+        write(&mut points[pos]);
         if let Some(index) = &mut self.index {
             Arc::make_mut(index).rekey(pos, &points[pos]);
         }

@@ -98,7 +98,7 @@ impl<K: Clone + PartialEq> ApplicationManager<K> {
                 .filter(|&i| points.get(i).is_some_and(|p| p.config == cur.config))
                 .or_else(|| points.iter().position(|p| p.config == cur.config));
             if let Some(refreshed) = pos.and_then(|i| points.get(i)) {
-                *cur = refreshed.clone();
+                cur.clone_from(refreshed);
             }
             self.current_pos = pos;
         }
@@ -127,7 +127,7 @@ impl<K: Clone + PartialEq> ApplicationManager<K> {
         if let Some(cur) = &mut self.current {
             if let Some((_, refreshed)) = delta.changed.iter().find(|(_, p)| p.config == cur.config)
             {
-                *cur = refreshed.clone();
+                cur.clone_from(refreshed);
             }
         }
         true
@@ -142,21 +142,23 @@ impl<K: Clone + PartialEq> ApplicationManager<K> {
     /// The MAPE-K *Plan/Execute* step: recomputes feedback from the
     /// monitors, selects the best operating point and returns its knob
     /// configuration. Returns `None` when the knowledge base is empty.
+    ///
+    /// While the configuration stays, the applied point is refreshed in
+    /// place; only a switch clones the new point.
     pub fn update(&mut self) -> Option<K> {
         self.refresh_feedback();
         let pos = self.asrtm.best_position()?;
         let best = self.asrtm.knowledge().points().get(pos)?;
-        match &self.current {
+        match &mut self.current {
             Some(cur) if same_point(cur, best) => {}
+            Some(cur) if cur.config == best.config => cur.clone_from(best),
             cur => {
-                if cur.as_ref().is_none_or(|cur| cur.config != best.config) {
-                    // Observations from another configuration must not
-                    // feed back into expectations for the new one.
-                    for m in self.monitors.values_mut() {
-                        m.clear();
-                    }
+                // Observations from another configuration must not
+                // feed back into expectations for the new one.
+                for m in self.monitors.values_mut() {
+                    m.clear();
                 }
-                self.current = Some(best.clone());
+                *cur = Some(best.clone());
             }
         }
         self.current_pos = Some(pos);
@@ -197,9 +199,14 @@ impl<K: Clone + PartialEq> ApplicationManager<K> {
     ///
     /// Panics if `time_s` is not strictly positive.
     pub fn observe_execution(&mut self, time_s: f64, power_w: f64) {
-        let values = MetricValues::from_execution(time_s, power_w);
+        let values = MetricValues::execution_pairs(time_s, power_w);
         self.start_region();
-        self.stop_region(&values);
+        self.region_open = false;
+        for (metric, value) in &values {
+            if let Some(mon) = self.monitors.get_mut(metric) {
+                mon.push(*value);
+            }
+        }
     }
 
     /// The currently applied operating point.
@@ -245,7 +252,7 @@ impl<K: Clone + PartialEq> ApplicationManager<K> {
                 continue;
             };
             if expected.abs() > 1e-12 {
-                self.asrtm.set_adjustment(metric.clone(), mean / expected);
+                self.asrtm.adjust(metric, mean / expected);
             }
         }
     }

@@ -105,8 +105,19 @@ impl Deserialize for Metric {
 /// — dense, cache-friendly and cheap to clone, while iteration order
 /// and the serialised map shape stay identical to the former
 /// `BTreeMap` representation.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 pub struct MetricValues(Vec<(Metric, f64)>);
+
+/// `clone_from` reuses the target's storage.
+impl Clone for MetricValues {
+    fn clone(&self) -> Self {
+        MetricValues(self.0.clone())
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl MetricValues {
     /// An empty bundle.
@@ -124,12 +135,39 @@ impl MetricValues {
     /// Panics if `time_s` is not strictly positive or `power_w` is not
     /// finite.
     pub fn from_execution(time_s: f64, power_w: f64) -> MetricValues {
+        MetricValues(Vec::from(Self::execution_pairs(time_s, power_w)))
+    }
+
+    /// Overwrites this bundle with [`from_execution`](Self::from_execution)'s,
+    /// reusing its storage.
+    ///
+    /// # Panics
+    ///
+    /// As [`from_execution`](Self::from_execution).
+    pub fn set_execution(&mut self, time_s: f64, power_w: f64) {
+        let pairs = Self::execution_pairs(time_s, power_w);
+        self.0.clear();
+        self.0.extend(pairs);
+    }
+
+    /// [`from_execution`](Self::from_execution)'s pairs in metric
+    /// order, checked as its four inserts check them, in the same
+    /// order and with the same messages.
+    pub(crate) fn execution_pairs(time_s: f64, power_w: f64) -> [(Metric, f64); 4] {
         assert!(time_s > 0.0, "non-positive execution time {time_s}");
-        MetricValues::new()
-            .with(Metric::exec_time(), time_s)
-            .with(Metric::power(), power_w)
-            .with(Metric::throughput(), 1.0 / time_s)
-            .with(Metric::energy(), time_s * power_w)
+        let [exec_time, power, throughput, energy] = [
+            (Metric::exec_time(), time_s),
+            (Metric::power(), power_w),
+            (Metric::throughput(), 1.0 / time_s),
+            (Metric::energy(), time_s * power_w),
+        ];
+        for (metric, value) in [&exec_time, &power, &throughput, &energy] {
+            assert!(
+                value.is_finite(),
+                "metric {metric} = {value} must be finite"
+            );
+        }
+        [energy, exec_time, power, throughput]
     }
 
     /// Builds a bundle from possibly non-finite pairs — the wire
@@ -361,6 +399,27 @@ mod tests {
         assert_eq!(json, r#"{"exec_time_s":0.125,"power_w":95.0}"#);
         let back: MetricValues = serde_json::from_str(&json).expect("parses");
         assert_eq!(back, mv);
+    }
+
+    #[test]
+    fn execution_bundles_match_the_insert_chain() {
+        for (time_s, power_w) in [(0.125, 95.0), (3.0, 0.0), (1e-3, 210.5)] {
+            let chain = MetricValues::new()
+                .with(Metric::exec_time(), time_s)
+                .with(Metric::power(), power_w)
+                .with(Metric::throughput(), 1.0 / time_s)
+                .with(Metric::energy(), time_s * power_w);
+            assert_eq!(MetricValues::from_execution(time_s, power_w), chain);
+            let mut reused = MetricValues::new().with(Metric::custom("other"), 1.0);
+            reused.set_execution(time_s, power_w);
+            assert_eq!(reused, chain);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "metric power_w = NaN must be finite")]
+    fn execution_bundles_reject_non_finite_power() {
+        let _ = MetricValues::from_execution(0.5, f64::NAN);
     }
 
     #[test]

@@ -71,7 +71,7 @@
 use crate::knowledge::{Knowledge, OperatingPoint};
 use crate::metric::{Metric, MetricValues};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// Default number of shards ([`SharedKnowledge::with_shards`]).
@@ -185,8 +185,10 @@ struct Arena {
     /// Per position: non-finite values dropped at publish.
     dropped: Vec<u64>,
     /// Positions whose effective point changed since the last drain,
-    /// ordered so drains are deterministic.
-    dirty: BTreeSet<usize>,
+    /// each once (`is_dirty` marks them); drains sort them first, so
+    /// they patch in ascending position order.
+    dirty: Vec<usize>,
+    is_dirty: Vec<bool>,
     /// Per shard: the sum of its points' change counts.
     shard_epochs: Vec<u64>,
 }
@@ -198,13 +200,32 @@ impl Arena {
             cols: Vec::new(),
             changes: vec![0; points],
             dropped: vec![0; points],
-            dirty: BTreeSet::new(),
+            dirty: Vec::new(),
+            is_dirty: vec![false; points],
             shard_epochs: vec![0; shards],
         }
     }
 
     fn epoch(&self) -> u64 {
         self.shard_epochs.iter().sum()
+    }
+
+    fn mark_dirty(&mut self, pos: usize) {
+        if !self.is_dirty[pos] {
+            self.is_dirty[pos] = true;
+            self.dirty.push(pos);
+        }
+    }
+
+    /// Empties the dirty set, keeping its storage; returns how many
+    /// positions it held.
+    fn clear_dirty(&mut self) -> usize {
+        for &pos in &self.dirty {
+            self.is_dirty[pos] = false;
+        }
+        let drained = self.dirty.len();
+        self.dirty.clear();
+        drained
     }
 
     fn ensure_col(&mut self, metric: &Metric, window: usize) -> usize {
@@ -290,7 +311,7 @@ impl<K: Clone + PartialEq> KnowledgeDelta<K> {
             return false;
         }
         for (pos, point) in &self.changed {
-            knowledge.patch_point(*pos, point.clone());
+            knowledge.patch_point_from(*pos, point);
         }
         true
     }
@@ -467,7 +488,7 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
         arena.shard_epochs = vec![0; shards];
         // Nothing effective has changed yet, so no drain owes anyone a
         // point.
-        arena.dirty.clear();
+        arena.clear_dirty();
         self
     }
 
@@ -564,7 +585,7 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
         *shard_epoch = *shard_epoch - arena.changes[pos] + saved.changes;
         arena.changes[pos] = saved.changes;
         arena.dropped[pos] = saved.dropped;
-        arena.dirty.insert(pos);
+        arena.mark_dirty(pos);
         true
     }
 
@@ -626,7 +647,7 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
             changed = before != effective(col);
         }
         if changed {
-            arena.dirty.insert(pos);
+            arena.mark_dirty(pos);
             arena.changes[pos] += 1;
             arena.shard_epochs[self.shards[pos]] += 1;
         }
@@ -637,14 +658,25 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
     /// the design values for every metric with at least
     /// `min_observations`.
     fn effective_point(&self, arena: &Arena, pos: usize) -> OperatingPoint<K> {
-        let design = &self.design.points()[pos];
-        let mut metrics = design.metrics.clone();
+        let mut point = self.design.points()[pos].clone();
+        self.learn(arena, pos, &mut point.metrics);
+        point
+    }
+
+    /// Overwrites `point` with the effective point at `pos` in place,
+    /// reusing its storage.
+    fn write_effective(&self, arena: &Arena, pos: usize, point: &mut OperatingPoint<K>) {
+        point.clone_from(&self.design.points()[pos]);
+        self.learn(arena, pos, &mut point.metrics);
+    }
+
+    /// Puts every learned window mean of `pos` over its design values.
+    fn learn(&self, arena: &Arena, pos: usize, metrics: &mut MetricValues) {
         for (metric, col) in arena.metrics.iter().zip(&arena.cols) {
             if let Some(mean) = col.learned(pos, self.window, self.min_observations) {
                 metrics.insert(metric.clone(), mean);
             }
         }
-        OperatingPoint::new(design.config.clone(), metrics)
     }
 
     /// The whole effective knowledge, in design order.
@@ -715,7 +747,7 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
         let mut arena = self.arena.borrow_mut();
         let changed = self.merge(&mut arena, pos, observed);
         if changed {
-            cache.patch_point(pos, self.effective_point(&arena, pos));
+            cache.patch_point_with(pos, |point| self.write_effective(&arena, pos, point));
         }
         Some((pos, changed))
     }
@@ -782,11 +814,13 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
     /// can safely skip re-draining.
     pub fn drain_changes(&self) -> (u64, Vec<(usize, OperatingPoint<K>)>) {
         let mut arena = self.arena.borrow_mut();
-        let dirty = std::mem::take(&mut arena.dirty);
-        let changed = dirty
-            .into_iter()
-            .map(|pos| (pos, self.effective_point(&arena, pos)))
+        arena.dirty.sort_unstable();
+        let changed = arena
+            .dirty
+            .iter()
+            .map(|&pos| (pos, self.effective_point(&arena, pos)))
             .collect();
+        arena.clear_dirty();
         (arena.epoch(), changed)
     }
 
@@ -803,11 +837,21 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
     /// Panics if `cache` is shorter than the design knowledge.
     pub fn drain_changes_into(&self, cache: &mut Knowledge<K>) -> (u64, usize) {
         let mut arena = self.arena.borrow_mut();
-        let dirty = std::mem::take(&mut arena.dirty);
-        for &pos in &dirty {
-            cache.patch_point(pos, self.effective_point(&arena, pos));
+        arena.dirty.sort_unstable();
+        for &pos in &arena.dirty {
+            cache.patch_point_with(pos, |point| self.write_effective(&arena, pos, point));
         }
-        (arena.epoch(), dirty.len())
+        let drained = arena.clear_dirty();
+        (arena.epoch(), drained)
+    }
+
+    /// Overwrites `out` with the positions the next drain patches, in
+    /// ascending order: what a caller keeping two caches learns about
+    /// the one it does not drain into.
+    pub fn dirty_positions_into(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend_from_slice(&self.arena.borrow().dirty);
+        out.sort_unstable();
     }
 
     /// The effective knowledge: design-time points with every

@@ -115,11 +115,6 @@ impl FeatureReducer {
         })
     }
 
-    /// Number of output dimensions.
-    pub fn output_dim(&self) -> usize {
-        self.components.len()
-    }
-
     /// Projects a feature vector to the reduced space.
     pub fn project(&self, f: &Features) -> Vec<f64> {
         let z: Vec<f64> = f
@@ -272,7 +267,6 @@ mod tests {
     fn projection_dimension_matches_k() {
         let corpus = synthetic_corpus();
         let r = FeatureReducer::fit(&corpus, 4).unwrap();
-        assert_eq!(r.output_dim(), 4);
         assert_eq!(r.project(&corpus[3]).len(), 4);
     }
 

@@ -80,19 +80,6 @@ pub struct EnergyReading {
     pub energy_j: f64,
 }
 
-impl EnergyReading {
-    /// Average power between an earlier reading `start` and this one over
-    /// `dt_s` seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt_s` is not strictly positive.
-    pub fn average_power_since(&self, start: EnergyReading, dt_s: f64) -> f64 {
-        assert!(dt_s > 0.0, "window must be positive, got {dt_s}");
-        (self.energy_j - start.energy_j) / dt_s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,16 +104,6 @@ mod tests {
         m.accumulate(100.0, 2.0);
         m.accumulate(50.0, 1.0);
         assert!((m.total_j() - 250.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn readings_give_average_power() {
-        let mut m = EnergyMeter::new();
-        let r0 = m.reading();
-        m.accumulate(120.0, 0.5);
-        m.accumulate(80.0, 0.5);
-        let r1 = m.reading();
-        assert!((r1.average_power_since(r0, 1.0) - 100.0).abs() < 1e-12);
     }
 
     #[test]

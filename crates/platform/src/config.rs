@@ -1,8 +1,10 @@
 //! The SOCRATES autotuning knobs: compiler options (CO), thread number
 //! (TN) and OpenMP binding policy (BP).
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 /// GCC standard optimization level.
@@ -126,14 +128,144 @@ impl FromStr for CompilerFlag {
     }
 }
 
+/// A set of [`CompilerFlag`]s in one byte: bit `i` stands for
+/// `CompilerFlag::ALL[i]`, the form the wire codec writes.
+///
+/// A configuration carries its flags without a heap allocation, yet the
+/// set iterates, prints, hashes, orders and serialises exactly as the
+/// canonical (`ALL`-ordered, duplicate-free) `Vec<CompilerFlag>` would:
+/// shard assignment, content digests, trace digests and persisted
+/// configurations all read those forms.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct FlagSet(u8);
+
+impl FlagSet {
+    /// Number of flags in the set.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Whether `flag` is in the set.
+    pub fn contains(self, flag: CompilerFlag) -> bool {
+        self.0 & (1 << flag.bit()) != 0
+    }
+
+    /// The flags in canonical order.
+    pub fn iter(self) -> FlagIter {
+        FlagIter(self.0)
+    }
+
+    /// The flags as the canonical list: the first `len` entries of the
+    /// array, the rest padding.
+    fn list(self) -> ([CompilerFlag; 6], usize) {
+        let mut list = [CompilerFlag::UnsafeMathOptimizations; 6];
+        let mut len = 0;
+        for flag in self {
+            list[len] = flag;
+            len += 1;
+        }
+        (list, len)
+    }
+}
+
+impl IntoIterator for FlagSet {
+    type Item = CompilerFlag;
+    type IntoIter = FlagIter;
+
+    fn into_iter(self) -> FlagIter {
+        self.iter()
+    }
+}
+
+impl FromIterator<CompilerFlag> for FlagSet {
+    fn from_iter<T: IntoIterator<Item = CompilerFlag>>(iter: T) -> Self {
+        FlagSet(
+            iter.into_iter()
+                .fold(0, |mask, flag| mask | (1 << flag.bit())),
+        )
+    }
+}
+
+/// The canonical list's `Hash`: its length, then each flag.
+impl Hash for FlagSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let (list, len) = self.list();
+        list[..len].hash(state);
+    }
+}
+
+/// The canonical lists' lexicographic order.
+impl Ord for FlagSet {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let ((a, la), (b, lb)) = (self.list(), other.list());
+        a[..la].cmp(&b[..lb])
+    }
+}
+
+impl PartialOrd for FlagSet {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// A list, as `[NoIvopts, UnrollAllLoops]`.
+impl fmt::Debug for FlagSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// An array of flag names in canonical order.
+impl Serialize for FlagSet {
+    fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(|flag| flag.to_value()).collect())
+    }
+}
+
+/// Any array of flag names, duplicates and order ignored.
+impl Deserialize for FlagSet {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Ok(Vec::<CompilerFlag>::from_value(v)?.into_iter().collect())
+    }
+}
+
+/// Iterator over a [`FlagSet`] in canonical order.
+#[derive(Debug, Clone)]
+pub struct FlagIter(u8);
+
+impl Iterator for FlagIter {
+    type Item = CompilerFlag;
+
+    fn next(&mut self) -> Option<CompilerFlag> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(CompilerFlag::ALL[bit])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.0.count_ones() as usize;
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for FlagIter {}
+
 /// A complete compiler configuration: a base level plus a set of
 /// transformation flags (possibly empty).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct CompilerOptions {
     /// Base `-O` level.
     pub level: OptLevel,
-    /// Additional transformation flags in canonical order.
-    pub flags: Vec<CompilerFlag>,
+    /// Additional transformation flags.
+    pub flags: FlagSet,
 }
 
 impl CompilerOptions {
@@ -141,22 +273,22 @@ impl CompilerOptions {
     pub fn level(level: OptLevel) -> Self {
         CompilerOptions {
             level,
-            flags: Vec::new(),
+            flags: FlagSet::default(),
         }
     }
 
-    /// A level plus flags; flags are sorted into canonical order and
-    /// deduplicated so equal configurations compare equal.
+    /// A level plus flags, in any order and with repeats: equal flag
+    /// sets make equal configurations.
     pub fn with_flags(level: OptLevel, flags: impl IntoIterator<Item = CompilerFlag>) -> Self {
-        let mut flags: Vec<CompilerFlag> = flags.into_iter().collect();
-        flags.sort();
-        flags.dedup();
-        CompilerOptions { level, flags }
+        CompilerOptions {
+            level,
+            flags: flags.into_iter().collect(),
+        }
     }
 
     /// Returns `true` if `flag` is enabled.
     pub fn has(&self, flag: CompilerFlag) -> bool {
-        self.flags.contains(&flag)
+        self.flags.contains(flag)
     }
 
     /// The flag strings for `#pragma GCC optimize(...)`, level first.
@@ -166,36 +298,17 @@ impl CompilerOptions {
         v
     }
 
-    /// Parses the pragma form back (`["O2", "no-ivopts", ...]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseConfigError`] when a token is not a level or flag.
-    pub fn from_pragma_flags(flags: &[String]) -> Result<Self, ParseConfigError> {
-        let mut level = None;
-        let mut fs = Vec::new();
-        for tok in flags {
-            if let Ok(l) = tok.parse::<OptLevel>() {
-                level = Some(l);
-            } else {
-                fs.push(tok.parse::<CompilerFlag>()?);
-            }
-        }
-        let level = level.ok_or_else(|| ParseConfigError("missing opt level".into()))?;
-        Ok(CompilerOptions::with_flags(level, fs))
-    }
-
     /// Encodes the flag set as a bitmask (bit i = `CompilerFlag::ALL[i]`).
     pub fn flag_mask(&self) -> u8 {
-        self.flags.iter().fold(0u8, |m, f| m | (1 << f.bit()))
+        self.flags.0
     }
 
-    /// Decodes a flag bitmask.
+    /// Decodes a flag bitmask; bits past the sixth are ignored.
     pub fn from_mask(level: OptLevel, mask: u8) -> Self {
-        let flags = CompilerFlag::ALL
-            .into_iter()
-            .filter(|f| mask & (1 << f.bit()) != 0);
-        CompilerOptions::with_flags(level, flags)
+        CompilerOptions {
+            level,
+            flags: FlagSet(mask & ((1 << CompilerFlag::ALL.len()) - 1)),
+        }
     }
 
     /// The COBAYN search space from the original paper: base level in
@@ -214,7 +327,7 @@ impl CompilerOptions {
 impl fmt::Display for CompilerOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "-{}", self.level)?;
-        for fl in &self.flags {
+        for fl in self.flags {
             write!(f, ",{fl}")?;
         }
         Ok(())
@@ -374,21 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn pragma_flags_roundtrip() {
-        let co = CompilerOptions::with_flags(
-            OptLevel::O3,
-            [
-                CompilerFlag::UnsafeMathOptimizations,
-                CompilerFlag::NoIvopts,
-            ],
-        );
-        let flags = co.pragma_flags();
-        assert_eq!(flags[0], "O3");
-        let back = CompilerOptions::from_pragma_flags(&flags).unwrap();
-        assert_eq!(back, co);
-    }
-
-    #[test]
     fn mask_roundtrip_covers_all_subsets() {
         for mask in 0u8..64 {
             let co = CompilerOptions::from_mask(OptLevel::O2, mask);
@@ -411,7 +509,10 @@ mod tests {
         assert_eq!(cf1.flags.len(), 4);
         assert!(cf2.has(CompilerFlag::UnrollAllLoops));
         assert!(cf3.has(CompilerFlag::UnsafeMathOptimizations));
-        assert_eq!(cf4.flags, vec![CompilerFlag::NoInlineFunctions]);
+        assert_eq!(
+            cf4.flags.iter().collect::<Vec<_>>(),
+            vec![CompilerFlag::NoInlineFunctions]
+        );
     }
 
     #[test]

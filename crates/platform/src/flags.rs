@@ -38,8 +38,8 @@ impl FlagEffectModel {
     /// Always strictly positive; typical range 0.7–1.8.
     pub fn speedup(&self, w: &WorkloadProfile, co: &CompilerOptions) -> f64 {
         let mut s = self.level_speedup(w, co.level);
-        for flag in &co.flags {
-            s *= self.flag_multiplier(w, *flag, co.level);
+        for flag in co.flags {
+            s *= self.flag_multiplier(w, flag, co.level);
         }
         s *= 1.0 + self.idiosyncrasy_term(w, co);
         s.max(0.05)

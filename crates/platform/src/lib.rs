@@ -58,8 +58,8 @@ pub mod workload;
 
 pub use clock::{EnergyMeter, EnergyReading, VirtualClock};
 pub use config::{
-    paper_cf_combos, BindingPolicy, CompilerFlag, CompilerOptions, KnobConfig, OptLevel,
-    ParseConfigError,
+    paper_cf_combos, BindingPolicy, CompilerFlag, CompilerOptions, FlagIter, FlagSet, KnobConfig,
+    OptLevel, ParseConfigError,
 };
 pub use flags::FlagEffectModel;
 pub use machine::{Execution, Machine, NoiseParams};

@@ -24,25 +24,26 @@
 //! fleets must re-learn the ranking online.
 //!
 //! Numbers land in `results/warm_start.json`
-//! (`results/warm_start_smoke.json` for the smoke configuration, so
-//! the committed baseline is never clobbered by CI) and BENCH.md.
+//! (`results/warm_start_smoke.json` for the smoke configuration) and
+//! BENCH.md.
 //!
 //! # Regression gate
 //!
-//! `--check` enforces two properties: every measured `(scenario,
-//! deployment)` cell must have a counterpart in the committed
-//! `results/warm_start.json` (a missing cell fails the gate), and the
-//! warm-same-app in-process fleet must converge within `tolerance`
-//! (default 0.05) of the *committed baseline's* cold-start virtual
-//! time — the headline zero-cold-start claim, re-proven on every CI
-//! run. Comparing against the recorded full-scale cold start (rather
-//! than this run's own cold cell) keeps the gate meaningful under
-//! `--smoke`, whose subsampled knowledge makes even cold fleets
-//! converge in a couple of virtual seconds. Tune with `--tolerance
-//! <fraction>`.
+//! The bin's unit test is the gate, so `cargo test` runs it: it reruns
+//! the smoke cells and writes nothing. Every cell is in virtual time,
+//! so the test compares every field of every cell exactly with the
+//! committed `results/warm_start_smoke.json`. It also checks the run
+//! against the committed full-scale `results/warm_start.json`: every
+//! cell must have a counterpart there, and the warm-same-app in-process
+//! fleet must converge within 5% of that baseline's cold-start virtual
+//! time, the headline zero-cold-start claim. Comparing against the
+//! recorded full-scale cold start (rather than the smoke run's own cold
+//! cell) keeps the check meaningful, since the smoke run's subsampled
+//! knowledge makes even cold fleets converge in a couple of virtual
+//! seconds.
 //!
 //! Run with `cargo run -p socrates-bench --bin warm_start_bench
-//! --release` (`--smoke --check` is the CI configuration).
+//! --release` (`--smoke` for the small configuration).
 
 use margot::{Knowledge, Rank};
 use platform_sim::KnobConfig;
@@ -59,13 +60,9 @@ const DRIFT_FACTOR: f64 = 1.6;
 /// Target application and its snapshot-donor universe. ThreeMm and
 /// Mvt both get considered as nearest-neighbour donors for TwoMm.
 const UNIVERSE: [App; 3] = [App::TwoMm, App::ThreeMm, App::Mvt];
-/// Default `--check` tolerance: the warm-same-app in-process fleet
-/// must converge within this fraction of the committed baseline's
-/// cold-start virtual time.
-const DEFAULT_TOLERANCE: f64 = 0.05;
 
 /// One measured `(scenario, deployment)` cell.
-#[derive(Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct WarmStartRow {
     scenario: String,
     deployment: String,
@@ -87,7 +84,7 @@ struct WarmStartRow {
 }
 
 /// The headline numbers the regression gate and BENCH.md read.
-#[derive(Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct WarmStartSummary {
     cold_in_process_convergence_s: Option<f64>,
     warm_same_app_in_process_convergence_s: Option<f64>,
@@ -103,9 +100,21 @@ struct WarmStartReport {
 }
 
 fn main() {
-    let args = socrates_bench::args(&["--smoke", "--check", "--tolerance"]);
-    let (smoke, check) = (args.smoke, args.check);
-    let tolerance = args.tolerance.unwrap_or(DEFAULT_TOLERANCE);
+    let smoke = socrates_bench::args(&["--smoke"]).smoke;
+    let report = measure(smoke);
+    // The smoke configuration never overwrites the committed
+    // full-scale baseline.
+    let name = if smoke {
+        "warm_start_smoke"
+    } else {
+        "warm_start"
+    };
+    socrates_bench::write_json(name, &report);
+}
+
+/// Runs every `(scenario, deployment)` cell of the full configuration
+/// (the smoke one when `smoke`), printing each row and the summary.
+fn measure(smoke: bool) -> WarmStartReport {
     let (instances, horizon_s, knowledge_points) = if smoke {
         (4usize, 60.0, Some(64))
     } else {
@@ -302,18 +311,7 @@ fn main() {
         warm.map_or("never".to_string(), |t| format!("{t:.1}")),
         cold.map_or("never".to_string(), |t| format!("{t:.1}")),
     );
-    let report = WarmStartReport { cells, summary };
-    // The smoke configuration never overwrites the committed
-    // full-scale baseline it is compared against.
-    let name = if smoke {
-        "warm_start_smoke"
-    } else {
-        "warm_start"
-    };
-    socrates_bench::write_json(name, &report);
-    if check {
-        check_against_baseline(&report, tolerance);
-    }
+    WarmStartReport { cells, summary }
 }
 
 /// The shared observation window, scaled to the fleet: the default
@@ -393,87 +391,66 @@ fn subsample_knowledge(enhanced: &mut EnhancedApp, points: usize) {
         .collect::<Knowledge<_>>();
 }
 
-/// Compares the run against `results/warm_start.json` and exits
-/// nonzero when a cell is missing from the baseline or the
-/// warm-same-app fleet lost its zero-cold-start property (the CI
-/// gate). The warm convergence is judged against the *baseline's*
-/// cold-start time — the full-scale cold boot is the quantity the
-/// snapshot is supposed to eliminate, whatever configuration this
-/// run used.
-fn check_against_baseline(report: &WarmStartReport, tolerance: f64) {
-    assert!(
-        tolerance.is_finite() && tolerance > 0.0,
-        "tolerance {tolerance} must be a positive fraction"
-    );
-    let path = socrates_bench::results_dir().join("warm_start.json");
-    let json = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("no committed baseline at {}: {e}", path.display()));
-    let baseline: WarmStartReport =
-        serde_json::from_str(&json).expect("committed baseline parses as WarmStartReport");
-    println!(
-        "regression check against {} (tolerance {tolerance}):",
-        path.display()
-    );
-    for row in &report.cells {
-        // A measured cell with no baseline counterpart is a hard
-        // failure: silently skipping it would let new bench cells
-        // dodge the gate entirely.
-        baseline
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The warm-same-app in-process fleet must converge within this
+    /// fraction of the committed baseline's cold-start virtual time.
+    const TOLERANCE: f64 = 0.05;
+
+    fn committed(name: &str) -> WarmStartReport {
+        let path = socrates_bench::results_dir().join(name);
+        let json = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("no committed results at {}: {e}", path.display()));
+        serde_json::from_str(&json).unwrap()
+    }
+
+    fn in_process_cell<'a>(report: &'a WarmStartReport, scenario: &str) -> &'a WarmStartRow {
+        report
             .cells
             .iter()
-            .find(|b| b.scenario == row.scenario && b.deployment == row.deployment)
-            .unwrap_or_else(|| {
-                panic!(
-                    "measured cell ({}, {}) has no counterpart in the committed \
-                     baseline {} — re-record the baseline to cover it",
-                    row.scenario,
-                    row.deployment,
-                    path.display()
-                )
-            });
+            .find(|c| c.scenario == scenario && c.deployment == "in-process")
+            .unwrap_or_else(|| panic!("no {scenario} in-process cell"))
     }
-    let baseline_cold_cell = baseline
-        .cells
-        .iter()
-        .find(|c| c.scenario == "cold" && c.deployment == "in-process")
-        .expect("baseline records a cold in-process cell");
-    let baseline_cold = baseline
-        .summary
-        .cold_in_process_convergence_s
-        .map_or(baseline_cold_cell.horizon_s, |c| {
-            c.min(baseline_cold_cell.horizon_s)
-        })
-        .max(1e-9);
-    let warm_cell = report
-        .cells
-        .iter()
-        .find(|c| c.scenario == "warm-same-app" && c.deployment == "in-process")
-        .expect("run measured a warm-same-app in-process cell");
-    let warm = warm_cell
-        .median_convergence_time_s
-        .unwrap_or(warm_cell.horizon_s);
-    let fraction = warm / baseline_cold;
-    println!(
-        "  warm-same-app convergence {warm:.1} s vs baseline cold start {baseline_cold:.1} s: \
-         fraction {fraction:.3} (tolerance {tolerance}) — {}",
-        if fraction <= tolerance {
-            "ok"
-        } else {
-            "REGRESSED"
+
+    /// The gate: the smoke cells reproduce the committed
+    /// `results/warm_start_smoke.json` exactly, every cell has a
+    /// counterpart in the full-scale `results/warm_start.json`, and the
+    /// shipped snapshot still eliminates that baseline's cold start.
+    #[test]
+    fn the_smoke_cells_match_the_committed_file_and_skip_the_cold_start() {
+        let report = measure(true);
+        let smoke = committed("warm_start_smoke.json");
+        assert_eq!(report.cells, smoke.cells, "a smoke cell moved");
+        assert_eq!(report.summary, smoke.summary);
+
+        let baseline = committed("warm_start.json");
+        for row in &report.cells {
+            assert!(
+                baseline
+                    .cells
+                    .iter()
+                    .any(|b| b.scenario == row.scenario && b.deployment == row.deployment),
+                "cell ({}, {}) has no counterpart in results/warm_start.json",
+                row.scenario,
+                row.deployment
+            );
         }
-    );
-    if fraction > tolerance {
-        eprintln!(
-            "\nbench regression gate FAILED: warm-same-app convergence took {:.1}% of the \
-             recorded cold-start time (allowed {:.1}%) — the shipped snapshot no longer \
-             eliminates the cold start",
+        let cold = in_process_cell(&baseline, "cold");
+        let baseline_cold = baseline
+            .summary
+            .cold_in_process_convergence_s
+            .map_or(cold.horizon_s, |c| c.min(cold.horizon_s))
+            .max(1e-9);
+        let warm = in_process_cell(&report, "warm-same-app");
+        let fraction = warm.median_convergence_time_s.unwrap_or(warm.horizon_s) / baseline_cold;
+        assert!(
+            fraction <= TOLERANCE,
+            "warm-same-app convergence took {:.1}% of the recorded cold-start time \
+             (allowed {:.1}%): the shipped snapshot no longer eliminates the cold start",
             fraction * 100.0,
-            tolerance * 100.0
+            TOLERANCE * 100.0
         );
-        std::process::exit(1);
     }
-    println!(
-        "bench regression gate passed ({} cells covered)",
-        report.cells.len()
-    );
 }

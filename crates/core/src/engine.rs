@@ -36,12 +36,14 @@
 //! dispatch the clone versions the toolchain built, and never lower or
 //! run a kernel.
 //!
-//! The static analyzer ([`analyze_kernel`]) answers one question for
-//! the toolchain: is a specialization safe to run. [`analysis_prune`]
-//! reads that verdict as feasibility and ranks the feasible
-//! configurations on the same noise-free platform expectation the DSE
-//! profiles, never on the analyzer's cost polynomials (a test holds
-//! those against the profile's flop counts instead).
+//! [`analysis_prune`] asks one more question of a program: is a
+//! specialization safe to run. The checked VM answers it
+//! ([`run_checked`](minivm::CompiledKernel::run_checked) traps reads of
+//! never-written cells as well as the out-of-bounds accesses and zero
+//! divisors every run traps), once per program under the same reuse
+//! rule as a [`KernelFamily`]. The prune reads a clean checked run as
+//! feasibility and ranks the feasible configurations on the same
+//! noise-free platform expectation the DSE profiles.
 
 use crate::error::SocratesError;
 use minic::TranslationUnit;
@@ -124,67 +126,50 @@ fn lower_error(app: App, source: minivm::EngineError) -> SocratesError {
     SocratesError::lower(app, source)
 }
 
-/// Statically analyzes one weaved clone of `app` under `spec`:
-/// interval and initialization abstract interpretation over the typed
-/// IR plus the symbolic cost model (see [`minivm::analyze`]).
-///
-/// This is a *query* — an unsafe kernel comes back as a report with a
-/// non-[`Safe`](minivm::Verdict::Safe) verdict, not as an error;
-/// [`analysis_prune`] reads that verdict as infeasibility.
-///
-/// # Errors
-///
-/// Fails only where [`compile_kernel`] would: invalid programs and
-/// unbound spec parameters, tagged as lowering errors.
-pub fn analyze_kernel(
-    tu: &TranslationUnit,
-    entry: &str,
-    app: App,
-    spec: &SpecConfig,
-) -> Result<minivm::AnalysisReport, SocratesError> {
-    minivm::analyze(tu, entry, spec).map_err(|e| lower_error(app, e))
-}
-
-/// [`analyze_kernel`] over the canonical functional spec for
-/// `(app, ds, threads)` — the spec under which the kernel would execute.
-pub fn analyze_kernel_for(
-    tu: &TranslationUnit,
-    entry: &str,
-    app: App,
-    ds: Dataset,
-    threads: u32,
-) -> Result<minivm::AnalysisReport, SocratesError> {
-    analyze_kernel(tu, entry, app, &functional_spec(app, ds, threads))
-}
-
 /// Analysis-driven DSE pruning for an enhanced application: drops
-/// configurations whose specialization the static analyzer cannot
-/// certify as safe, and feasible points that another feasible point
-/// dominates on the noise-free expectation of the design platform (see
+/// configurations whose specialization traps the checked VM, and
+/// feasible points that another feasible point dominates on the
+/// noise-free expectation of the design platform (see
 /// [`dse::prune_space`]).
 ///
 /// The expectation is the one [`dse::profile`] scales by measurement
 /// noise — [`Machine::expected`](platform_sim::Machine::expected) over
 /// the app's own workload profile — so the prune ranks configurations
-/// on the model the design knowledge was built from. The analyzer only
-/// decides feasibility, once per distinct thread count; an analysis
-/// *error* (as opposed to an unsafe verdict) never prunes — such
-/// configurations surface their failure through the normal compile path
-/// instead.
+/// on the model the design knowledge was built from.
+///
+/// Feasibility is decided once per distinct thread count: the
+/// functional spec is validated, and the program is lowered and run in
+/// [`run_checked`](minivm::CompiledKernel::run_checked) mode, unless
+/// the kernel that last ran
+/// [`lowers_same_under`](minivm::CompiledKernel::lowers_same_under) the
+/// spec, whose verdict it then shares. A validation or lowering *error*
+/// (as opposed to a trap) never prunes — such configurations surface
+/// their failure through the normal compile path instead.
 pub fn analysis_prune(
     enhanced: &crate::EnhancedApp,
     configs: Vec<KnobConfig>,
 ) -> dse::PruneReport<KnobConfig> {
-    let entry = enhanced.kernel_entry();
+    let (tu, entry) = (&enhanced.weaved, enhanced.kernel_entry());
     let (app, ds) = (enhanced.app, enhanced.dataset);
     let machine = enhanced.platform.machine(0);
-    let mut safe_for: HashMap<u32, bool> = HashMap::new();
+    let mut ran: Option<(minivm::CompiledKernel, bool)> = None;
+    let mut feasible_for: HashMap<u32, bool> = HashMap::new();
     dse::prune_space(
         configs,
         |cfg| {
-            *safe_for.entry(cfg.tn).or_insert_with(|| {
-                analyze_kernel_for(&enhanced.weaved, &entry, app, ds, cfg.tn)
-                    .map_or(true, |r| r.is_safe())
+            *feasible_for.entry(cfg.tn).or_insert_with(|| {
+                let spec = functional_spec(app, ds, cfg.tn);
+                if minivm::validate(tu, &entry, &spec).is_err() {
+                    return true;
+                }
+                match &ran {
+                    Some((code, clean)) if code.lowers_same_under(&spec) => *clean,
+                    _ => minivm::compile(tu, &entry, &spec).map_or(true, |code| {
+                        let clean = code.run_checked().is_ok();
+                        ran = Some((code, clean));
+                        clean
+                    }),
+                }
             })
         },
         |cfg| {
@@ -401,7 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn the_analyzer_decides_feasibility_and_the_profile_decides_domination() {
+    fn a_checked_run_decides_feasibility_and_the_profile_decides_domination() {
         let enhanced = crate::Toolchain {
             dataset: Dataset::Mini,
             dse_repetitions: 1,
@@ -429,17 +414,29 @@ mod tests {
             "a safe kernel prunes on the profile's expectation alone"
         );
 
-        // A store one past the end, in every clone: the analyzer proves
-        // the fault at each thread count, so nothing is feasible.
+        // Each doctored program traps the checked VM at every thread
+        // count, so nothing is feasible: a store one past the end in
+        // every clone, and `y_1`, which `init_array` no longer writes,
+        // read by every clone. Only the checked run traps the second:
+        // the design-time run reads its zero fill and completes.
         let text = minic::print(&enhanced.weaved);
-        let doctored = text.replace("x1[i] = x1[i]", "x1[i + 1] = x1[i]");
-        assert_ne!(doctored, text);
-        let doctored = crate::EnhancedApp {
-            weaved: minic::parse(&doctored).unwrap(),
-            ..enhanced
-        };
-        let pruned = analysis_prune(&doctored, configs);
-        assert_eq!(pruned.infeasible, pruned.total());
-        assert!(pruned.kept.is_empty());
+        let entry = enhanced.kernel_entry();
+        let spec = functional_spec(enhanced.app, enhanced.dataset, 1);
+        for (from, to, design_time_run_completes) in [
+            ("x1[i] = x1[i]", "x1[i + 1] = x1[i]", false),
+            ("y_1[i] =", "y_2[i] =", true),
+        ] {
+            let doctored = text.replace(from, to);
+            assert_ne!(doctored, text);
+            let doctored = crate::EnhancedApp {
+                weaved: minic::parse(&doctored).unwrap(),
+                ..enhanced.clone()
+            };
+            let run = compile_kernel(&doctored.weaved, &entry, doctored.app, &spec);
+            assert_eq!(run.is_ok(), design_time_run_completes, "{to}");
+            let pruned = analysis_prune(&doctored, configs.clone());
+            assert_eq!(pruned.infeasible, pruned.total(), "{to}");
+            assert!(pruned.kept.is_empty(), "{to}");
+        }
     }
 }

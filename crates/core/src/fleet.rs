@@ -124,15 +124,14 @@ pub struct FleetConfig {
     pub power_budget_w: Option<f64>,
     /// Prune each pool's cooperative exploration schedule before the
     /// sweep starts ([`crate::analysis_prune`]): configurations whose
-    /// specialization the static analyzer rejects as unsafe are
-    /// dropped, and feasible points that another feasible point
-    /// strictly Pareto-dominates on the noise-free `(time, power)`
-    /// expectation of the app's profile (the expectation the DSE scaled
-    /// by noise) are skipped. The shared *knowledge*
-    /// keeps every design-time point — pruning only shrinks what the
-    /// fleet spends exploration slots on, so the AS-RTM can still
-    /// select any profiled configuration. Off by default (the
-    /// full-sweep reference).
+    /// specialization traps the checked VM are dropped, and feasible
+    /// points that another feasible point strictly Pareto-dominates on
+    /// the noise-free `(time, power)` expectation of the app's profile
+    /// (the expectation the DSE scaled by noise) are skipped. The
+    /// shared *knowledge* keeps every design-time point — pruning only
+    /// shrinks what the fleet spends exploration slots on, so the
+    /// AS-RTM can still select any profiled configuration. Off by
+    /// default (the full-sweep reference).
     pub analysis_prune: bool,
     /// A shipped knowledge snapshot to warm-start every pool from
     /// ([`KnowledgeSnapshot`], typically loaded via
@@ -723,7 +722,8 @@ pub struct FleetStats {
     /// Rounds stepped so far.
     pub rounds: u64,
     /// Configurations dropped from the pools' exploration schedules as
-    /// statically infeasible (0 unless [`FleetConfig::analysis_prune`]).
+    /// infeasible, their specialization trapping the checked VM (0
+    /// unless [`FleetConfig::analysis_prune`]).
     pub schedule_pruned_infeasible: u64,
     /// Configurations skipped as Pareto-dominated on the profile's
     /// expectation (0 unless [`FleetConfig::analysis_prune`]).

@@ -93,8 +93,8 @@ pub use artifact::{
     WeavedProgram, KNOWLEDGE_FORMAT_VERSION,
 };
 pub use engine::{
-    analysis_prune, analyze_kernel, analyze_kernel_for, compile_kernel, functional_dims,
-    functional_spec, CompiledKernel, KernelFamily, FUNCTIONAL_DIM_CAP,
+    analysis_prune, compile_kernel, functional_dims, functional_spec, CompiledKernel, KernelFamily,
+    FUNCTIONAL_DIM_CAP,
 };
 pub use error::{SocratesError, StageId};
 pub use events::{EventObserver, FleetEvent, FleetRuntime, InstanceId};

@@ -176,7 +176,7 @@ pub fn power_throughput_pareto(knowledge: &Knowledge<KnobConfig>) -> Knowledge<K
 }
 
 /// Outcome of [`prune_space`]: the configurations that survive
-/// analysis-driven pruning plus how many were discarded and why.
+/// pruning plus how many were discarded and why.
 ///
 /// `kept` preserves the input enumeration order, so feeding it to
 /// [`profile`] or [`ExplorationSchedule::new`] keeps the sweep
@@ -185,8 +185,8 @@ pub fn power_throughput_pareto(knowledge: &Knowledge<KnobConfig>) -> Knowledge<K
 pub struct PruneReport<K> {
     /// Configurations that survive pruning, in enumeration order.
     pub kept: Vec<K>,
-    /// Configurations rejected as statically infeasible (the analyzer
-    /// could not certify the specialization as safe).
+    /// Configurations rejected as infeasible by the `feasible` oracle
+    /// (in SOCRATES, their specialization traps the checked VM).
     pub infeasible: usize,
     /// Feasible configurations strictly Pareto-dominated by another
     /// feasible one on the static `(time, power)` expectation.
@@ -214,9 +214,9 @@ impl<K> PruneReport<K> {
     }
 }
 
-/// Static analysis-driven space pruning: drops configurations whose
+/// Design-space pruning before profiling: drops configurations whose
 /// specialization is *infeasible* (per the `feasible` oracle — in
-/// SOCRATES, the static analyzer's safety verdict) and feasible points
+/// SOCRATES, a trap in the checked VM) and feasible points
 /// that are *strictly Pareto-dominated* on the deterministic
 /// `(time, power)` expectation returned by `expected` (in SOCRATES,
 /// the noise-free `Machine::expected` over the workload [`profile`]
@@ -229,8 +229,9 @@ impl<K> PruneReport<K> {
 /// monotone in time and power (throughput, energy, Thr/W²…), which is
 /// what makes skipping their profile runs safe.
 ///
-/// This crate stays agnostic of the analyzer: both oracles are opaque
-/// closures, evaluated once per configuration in enumeration order.
+/// This crate stays agnostic of how either is decided: both oracles are
+/// opaque closures, evaluated once per configuration in enumeration
+/// order.
 pub fn prune_space<K, F, M>(configs: Vec<K>, feasible: F, expected: M) -> PruneReport<K>
 where
     F: FnMut(&K) -> bool,

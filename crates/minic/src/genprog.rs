@@ -21,8 +21,8 @@
 //!
 //! [`generate_adversarial`] keeps the same skeleton but deliberately
 //! injects the trap fault classes (out-of-bounds accesses, reads of
-//! uninitialized cells, zero divisors) — fuel for the differential
-//! static-analyzer / checked-VM soundness suite.
+//! uninitialized cells, zero divisors) — fuel for the checked-VM
+//! suites, which hold its traps to the armed faults exactly.
 
 /// A generated program plus the contract the caller must satisfy.
 #[derive(Debug, Clone)]
@@ -344,10 +344,12 @@ pub fn generate(seed: u64) -> GeneratedProgram {
 /// divisors. Each class is injected independently with moderate
 /// probability (so a fraction of seeds stays clean), and within a class
 /// the fault is either *definite* (always reached) or *conditional* on
-/// a specialization parameter the caller binds — which is what makes
-/// the differential analyzer/checked-VM suite non-vacuous in both
-/// directions: programs that must trap, programs that must not, and
-/// programs whose fate the parameter binding decides.
+/// a specialization parameter the caller binds: a conditional
+/// out-of-bounds access fires when the parameter is above 5, a
+/// conditional zero divisor when it is below 0. That is what makes the
+/// checked-VM suites non-vacuous in both directions: programs that must
+/// trap, programs that must not, and programs whose fate the parameter
+/// binding decides.
 ///
 /// Termination is never compromised: faults are extra statements (and
 /// an init gap), all loop bounds stay structurally decreasing.

@@ -192,31 +192,23 @@ impl<'a> Lexer<'a> {
             .map(TokenKind::CharLit)
     }
 
-    /// Lexes a quoted literal, accumulating raw bytes so multi-byte UTF-8
-    /// content survives intact (quotes and backslashes are ASCII, so the
-    /// byte runs between them are valid UTF-8 slices of the source).
+    /// Lexes a quoted literal, returning its raw source text between the
+    /// quotes, escapes included. Quotes and backslashes are ASCII and
+    /// never part of a multi-byte UTF-8 sequence, so both ends of that
+    /// text are character boundaries.
     fn lex_quoted(&mut self, quote: u8, what: &str) -> Result<String, LexError> {
         self.bump(); // opening quote
-        let mut bytes = Vec::new();
+        let start = self.i;
         loop {
             match self.bump() {
                 None => return Err(self.error(format!("unterminated {what}"))),
-                Some(c) if c == quote => {
-                    return Ok(String::from_utf8(bytes).expect("UTF-8 sub-slices of UTF-8 source"))
-                }
+                Some(c) if c == quote => return Ok(self.src[start..self.i - 1].to_string()),
                 Some(b'\\') => {
-                    let Some(e) = self.bump() else {
+                    if self.bump().is_none() {
                         return Err(self.error(format!("unterminated escape in {what}")));
-                    };
-                    bytes.push(b'\\');
-                    bytes.push(e);
-                    // If the escaped character is multi-byte (unusual but
-                    // legal to write), keep its continuation bytes.
-                    while self.peek().is_some_and(|c| c & 0b1100_0000 == 0b1000_0000) {
-                        bytes.push(self.bump().expect("peeked"));
                     }
                 }
-                Some(c) => bytes.push(c),
+                Some(_) => {}
             }
         }
     }

@@ -36,6 +36,7 @@
 //! - calls are to named functions only (no function pointers).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod ast;
 pub mod error;
@@ -54,7 +55,7 @@ pub use ast::{
 };
 pub use error::{LexError, ParseError, Pos};
 pub use lexer::lex;
-pub use loc::{function_loc, function_logical_line, logical_loc};
+pub use loc::{function_loc, logical_loc};
 pub use parser::{parse, parse_expr, Parser};
 pub use pragma::{OmpClause, OmpPragma, Pragma, PragmaKind};
 pub use printer::{print, print_expr, print_stmt};

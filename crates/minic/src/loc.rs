@@ -33,25 +33,6 @@ pub fn function_loc(f: &Function) -> usize {
     c.count
 }
 
-/// The 1-based *logical line* at which `name`'s definition starts: one
-/// plus the logical LOC of everything declared before it. The parser
-/// does not preserve physical positions, so this is the stable,
-/// reformat-insensitive location analyzers attach to diagnostics.
-pub fn function_logical_line(tu: &TranslationUnit, name: &str) -> Option<usize> {
-    let mut acc = 0usize;
-    for item in &tu.items {
-        if let Item::Function(f) = item {
-            if f.name == name && f.body.is_some() {
-                return Some(acc + 1);
-            }
-        }
-        let mut c = LocCounter::default();
-        c.visit_item(item);
-        acc += c.count;
-    }
-    None
-}
-
 #[derive(Default)]
 struct LocCounter {
     count: usize,

@@ -40,14 +40,12 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod analysis;
 mod interp;
 mod layout;
 mod lower;
 mod spec;
 mod vm;
 
-pub use analysis::{analyze, AnalysisReport, CostModel, Diagnostic, FaultKind, Poly, Verdict};
 pub use spec::{validate_pragmas, SpecConfig, SpecValue};
 pub use vm::{CompiledKernel, VmState};
 

@@ -68,11 +68,6 @@ pub(crate) enum Pred {
 pub(crate) enum IExpr {
     ConstI(i64),
     ConstF(f64),
-    /// A named integer specialization constant, kept symbolic instead of
-    /// folded. Only produced by [`lower_program_with`] in symbolic mode,
-    /// only consumed by the cost model — the bytecode generator rejects
-    /// it.
-    SymConst(Box<str>),
     LocalI(u16),
     LocalF(u16),
     /// Scalar global read; the payload is the heap base offset.
@@ -116,9 +111,10 @@ impl IExpr {
     pub(crate) fn ty(&self) -> ElemTy {
         use IExpr::*;
         match self {
-            ConstI(_) | SymConst(_) | LocalI(_) | GlobI(_) | LoadI(..) | BinI(..) | CmpI(..)
-            | CmpF(..) | NegI(_) | NotI(_) | BitNotI(_) | TruthyF(_) | F2I(_) | LogAnd(..)
-            | LogOr(..) => ElemTy::I,
+            ConstI(_) | LocalI(_) | GlobI(_) | LoadI(..) | BinI(..) | CmpI(..) | CmpF(..)
+            | NegI(_) | NotI(_) | BitNotI(_) | TruthyF(_) | F2I(_) | LogAnd(..) | LogOr(..) => {
+                ElemTy::I
+            }
             ConstF(_) | LocalF(_) | GlobF(_) | LoadF(..) | BinF(..) | NegF(_) | I2F(_)
             | Sqrt(_) => ElemTy::F,
             Ternary { ty, .. } => *ty,
@@ -204,21 +200,6 @@ pub(crate) fn lower_program(
     entry: &str,
     spec: &SpecConfig,
 ) -> Result<LProgram, EngineError> {
-    lower_program_with(tu, entry, spec, false)
-}
-
-/// Like [`lower_program`], but with a `symbolic` switch: when set,
-/// integer specialization constants lower to [`IExpr::SymConst`] nodes
-/// instead of folding to literals, so the cost model can read loop
-/// structure as polynomials in the spec names. The layout (array
-/// extents, strides) stays concrete either way — it determines *where*
-/// accesses land, not *how many* there are per iteration.
-pub(crate) fn lower_program_with(
-    tu: &TranslationUnit,
-    entry: &str,
-    spec: &SpecConfig,
-    symbolic: bool,
-) -> Result<LProgram, EngineError> {
     let spec = SpecReader::new(spec);
     let layout = Layout::build(tu, &spec)?;
     let mut arrays = Vec::new();
@@ -233,7 +214,7 @@ pub(crate) fn lower_program_with(
         }
     }
     let init = match tu.function("init_array") {
-        Some(f) => Some(lower_function(f, &layout, &arr_of_global, &spec, symbolic)?),
+        Some(f) => Some(lower_function(f, &layout, &arr_of_global, &spec)?),
         None => None,
     };
     let entry_f = tu
@@ -241,7 +222,7 @@ pub(crate) fn lower_program_with(
         .ok_or_else(|| EngineError::UnknownEntry {
             name: entry.to_string(),
         })?;
-    let lowered = lower_function(entry_f, &layout, &arr_of_global, &spec, symbolic)?;
+    let lowered = lower_function(entry_f, &layout, &arr_of_global, &spec)?;
     let mut entry_args = Vec::with_capacity(spec.args().len());
     for (&(_, ty), &arg) in lowered.params.iter().zip(spec.args()) {
         entry_args.push(Value::from(arg).coerce(ty));
@@ -261,7 +242,6 @@ fn lower_function(
     layout: &Layout,
     arr_of_global: &[u16],
     spec: &SpecReader,
-    symbolic: bool,
 ) -> Result<LFunc, EngineError> {
     let body = f.body.as_ref().ok_or_else(|| EngineError::Unsupported {
         what: format!("`{}` has no body", f.name),
@@ -276,7 +256,6 @@ fn lower_function(
         layout,
         arr_of_global,
         spec,
-        symbolic,
         scopes: vec![Vec::new()],
         n_i: 0,
         n_f: 0,
@@ -311,8 +290,6 @@ struct Lowerer<'a> {
     layout: &'a Layout,
     arr_of_global: &'a [u16],
     spec: &'a SpecReader<'a>,
-    /// Keep integer spec constants as named [`IExpr::SymConst`] nodes.
-    symbolic: bool,
     scopes: Vec<Vec<(String, u16, ElemTy)>>,
     n_i: u16,
     n_f: u16,
@@ -839,10 +816,6 @@ impl<'a> Lowerer<'a> {
         }
         if let Some(v) = self.spec.lookup(n) {
             return Ok(match Value::from(v) {
-                // Symbolic mode: the name survives so the cost model
-                // sees trip counts as functions of the constant; its
-                // concrete value stays reachable through the spec.
-                Value::I(_) if self.symbolic => IExpr::SymConst(n.into()),
                 Value::I(x) => IExpr::ConstI(x),
                 Value::F(x) => IExpr::ConstF(x),
             });

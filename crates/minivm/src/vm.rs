@@ -185,12 +185,13 @@ impl CompiledKernel {
 
     /// Runs the kernel in checked ("sanitizer") mode with a fresh state.
     ///
-    /// Checked mode traps the static analyzer's fault classes
-    /// dynamically: out-of-bounds element accesses and zero divisors
-    /// (which the unchecked engines already trap) plus reads of array
-    /// cells no store has written. When no trap fires, the report is
-    /// bit-identical to [`CompiledKernel::run`] — the shadow bitmaps
-    /// observe execution without perturbing it.
+    /// Checked mode traps three fault classes: out-of-bounds element
+    /// accesses and zero divisors (which the unchecked engines already
+    /// trap) plus reads of array cells no store has written. When no
+    /// trap fires, the report is bit-identical to
+    /// [`CompiledKernel::run`] — the shadow bitmaps observe execution
+    /// without perturbing it. The DSE prune reads a clean checked run
+    /// as a feasible specialization.
     pub fn run_checked(&self) -> Result<ExecutionReport, EngineError> {
         self.run_checked_with(&mut VmState::new())
     }
@@ -782,11 +783,6 @@ impl Gen {
                 self.ops.push(Op::LdcF(t, v.to_bits()));
                 Ok(t)
             }
-            // Symbolic constants exist only for the cost model; the
-            // executable pipeline always lowers concretely.
-            IExpr::SymConst(name) => Err(EngineError::Unsupported {
-                what: format!("symbolic constant `{name}` in executable code"),
-            }),
             IExpr::LocalI(s) | IExpr::LocalF(s) => Ok(*s),
             IExpr::GlobI(g) => {
                 let t = self.temp(ElemTy::I)?;

@@ -1,31 +1,55 @@
-//! The adversarial generator holds up its end of the differential
-//! bargain: over a deterministic seed range it produces programs that
-//! actually trip the checked VM at a healthy rate, every *definite*
-//! armed fault really traps, every observed trap was anticipated by the
-//! static analyzer (never `Safe`), and fault-free programs execute
-//! bit-identically in checked and unchecked mode.
+//! The adversarial generator's contract, held exactly by the checked
+//! VM over a deterministic seed range: a checked run traps if and only
+//! if one of the program's armed faults fires at the parameter binding,
+//! and its trap belongs to a fault that fires. The programs trip the
+//! checked VM at a healthy rate, every fault class shows up as a trap,
+//! and every run that does not trap is bit-identical to the unchecked
+//! run.
 
-use minic::genprog::{generate_adversarial, FaultClass};
-use minivm::{analyze, compile, SpecConfig, Verdict};
+use minic::genprog::{generate_adversarial, ArmedFault, FaultClass};
+use minivm::{compile, SpecConfig};
 
 const SEEDS: u64 = 96;
-/// Each seed runs under two bindings chosen to pull the conditional
+/// Each seed runs under three bindings chosen to pull the conditional
 /// faults both ways: `9` satisfies the `P > 5` out-of-bounds guards,
-/// `-3` the `P < 0` zero-divisor guards.
-const BINDINGS: [i64; 2] = [9, -3];
+/// `-3` the `P < 0` zero-divisor guards, and at `1` no guard holds.
+const BINDINGS: [i64; 3] = [9, -3, 1];
 const MIN_TRAP_RATE: f64 = 0.40;
+
+/// Whether `fault` fires when every parameter is bound to `binding`: a
+/// definite fault always does, a conditional one when its guard holds.
+fn fires(fault: &ArmedFault, binding: i64) -> bool {
+    fault.definite
+        || match fault.class {
+            FaultClass::OutOfBounds => binding > 5,
+            FaultClass::DivByZero => binding < 0,
+            FaultClass::UninitRead => false,
+        }
+}
+
+/// The fault class a checked-VM trap message reports.
+fn trap_class(msg: &str) -> Option<FaultClass> {
+    if msg.contains("out of bounds") {
+        Some(FaultClass::OutOfBounds)
+    } else if msg.contains("uninitialized read") {
+        Some(FaultClass::UninitRead)
+    } else if msg.contains("division by zero") {
+        Some(FaultClass::DivByZero)
+    } else {
+        None
+    }
+}
 
 #[test]
 fn adversarial_programs_trap_the_checked_vm_at_a_minimum_rate() {
     let mut runs = 0usize;
     let mut traps = 0usize;
-    let mut seen = [false; 3]; // OOB, uninit, div-by-zero observed trapping
+    let mut seen = Vec::new(); // fault classes observed trapping
 
     for seed in 0..SEEDS {
         let p = generate_adversarial(seed);
         let tu = minic::parse(&p.source)
             .unwrap_or_else(|e| panic!("seed {seed}: parse failed: {e}\n{}", p.source));
-        let definite = p.faults.iter().any(|f| f.definite);
 
         for &binding in &BINDINGS {
             let mut spec = SpecConfig::new();
@@ -34,47 +58,41 @@ fn adversarial_programs_trap_the_checked_vm_at_a_minimum_rate() {
             }
             let kernel = compile(&tu, &p.entry, &spec)
                 .unwrap_or_else(|e| panic!("seed {seed}: compile failed: {e}\n{}", p.source));
-            let checked = kernel.run_checked();
+            let firing: Vec<FaultClass> = p
+                .faults
+                .iter()
+                .filter(|f| fires(f, binding))
+                .map(|f| f.class)
+                .collect();
             runs += 1;
 
-            match checked {
+            match kernel.run_checked() {
                 Err(err) => {
                     traps += 1;
                     let msg = err.to_string();
-                    if msg.contains("out of bounds") {
-                        seen[0] = true;
-                    } else if msg.contains("uninitialized read") {
-                        seen[1] = true;
-                    } else if msg.contains("zero") {
-                        seen[2] = true;
-                    }
-                    // Soundness, contrapositive direction: a program the
-                    // checked VM traps must never carry a `Safe` verdict.
-                    let report = analyze(&tu, &p.entry, &spec).unwrap_or_else(|e| {
-                        panic!("seed {seed}: analysis failed: {e}\n{}", p.source)
-                    });
-                    assert_ne!(
-                        report.verdict,
-                        Verdict::Safe,
-                        "seed {seed} (P = {binding}) trapped ({msg}) but the analyzer \
-                         called it safe:\n{}",
+                    let class = trap_class(&msg);
+                    assert!(
+                        class.is_some_and(|c| firing.contains(&c)),
+                        "seed {seed} (P = {binding}) trapped ({msg}) but its firing \
+                         faults are {firing:?} of {:?}:\n{}",
+                        p.faults,
                         p.source
                     );
+                    seen.extend(class.filter(|c| !seen.contains(c)));
                 }
                 Ok(report) => {
                     assert!(
-                        !definite,
-                        "seed {seed} (P = {binding}) arms a definite fault \
-                         ({:?}) but ran to completion:\n{}",
-                        p.faults, p.source
+                        firing.is_empty(),
+                        "seed {seed} (P = {binding}) fires {firing:?} of {:?} \
+                         but ran to completion:\n{}",
+                        p.faults,
+                        p.source
                     );
-                    if p.faults.is_empty() {
-                        let unchecked = kernel.run().expect("clean program runs unchecked");
-                        assert_eq!(
-                            unchecked, report,
-                            "seed {seed}: checked and unchecked reports must be bit-identical"
-                        );
-                    }
+                    let unchecked = kernel.run().expect("a clean checked run runs unchecked");
+                    assert_eq!(
+                        unchecked, report,
+                        "seed {seed}: checked and unchecked reports must be bit-identical"
+                    );
                 }
             }
         }
@@ -85,13 +103,10 @@ fn adversarial_programs_trap_the_checked_vm_at_a_minimum_rate() {
         rate >= MIN_TRAP_RATE,
         "trap rate {rate:.2} ({traps}/{runs}) below the {MIN_TRAP_RATE} minimum"
     );
-    assert!(
-        seen.iter().all(|&s| s),
-        "not every fault class manifested as a trap: \
-         oob = {}, uninit = {}, div-by-zero = {}",
-        seen[0],
-        seen[1],
-        seen[2]
+    assert_eq!(
+        seen.len(),
+        3,
+        "not every fault class manifested as a trap: {seen:?}"
     );
 }
 

@@ -1,5 +1,6 @@
 //! Differential test: both engines execute all 12 Polybench kernels
-//! bit-identically, and to pinned outputs.
+//! bit-identically, and to pinned outputs, and the bytecode engine's
+//! checked mode runs each of them to the same report.
 //!
 //! The functional dimensions are the Mini dataset's, clamped to keep the
 //! (deliberately slow) reference interpreter fast enough for debug-mode
@@ -74,6 +75,17 @@ fn all_twelve_apps_run_bit_identically_on_both_engines() {
             interpreted,
             compiled,
             "{}: engine reports diverge",
+            app.name()
+        );
+        // No Polybench kernel faults, so checked mode completes and
+        // changes nothing.
+        let checked = kernel
+            .run_checked_with(&mut vm)
+            .unwrap_or_else(|e| panic!("{}: checked VM trapped: {e}", app.name()));
+        assert_eq!(
+            checked,
+            compiled,
+            "{}: checked report differs from unchecked",
             app.name()
         );
         assert_eq!(

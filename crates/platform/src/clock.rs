@@ -3,8 +3,7 @@
 //! The Fig. 5 experiment replays 300 seconds of application time; the
 //! [`VirtualClock`] advances by simulated kernel durations so the whole
 //! trace costs milliseconds of host time. The [`EnergyMeter`] mimics a
-//! RAPL energy counter: monotonically increasing joules, sampled by
-//! differencing.
+//! RAPL energy counter: monotonically increasing joules.
 
 use serde::{Deserialize, Serialize};
 
@@ -63,21 +62,6 @@ impl EnergyMeter {
         assert!(dt_s.is_finite() && dt_s >= 0.0, "bad time step {dt_s}");
         self.total_j += power_w * dt_s;
     }
-
-    /// Takes a reading; average power between two readings is
-    /// `(r2 - r1) / dt`, exactly how RAPL counters are used.
-    pub fn reading(&self) -> EnergyReading {
-        EnergyReading {
-            energy_j: self.total_j,
-        }
-    }
-}
-
-/// A point-in-time energy counter sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EnergyReading {
-    /// Counter value at sample time, joules.
-    pub energy_j: f64,
 }
 
 #[cfg(test)]

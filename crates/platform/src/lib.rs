@@ -56,7 +56,7 @@ pub mod timing;
 pub mod topology;
 pub mod workload;
 
-pub use clock::{EnergyMeter, EnergyReading, VirtualClock};
+pub use clock::{EnergyMeter, VirtualClock};
 pub use config::{
     paper_cf_combos, BindingPolicy, CompilerFlag, CompilerOptions, FlagIter, FlagSet, KnobConfig,
     OptLevel, ParseConfigError,

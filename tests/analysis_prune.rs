@@ -1,22 +1,18 @@
 //! Analysis-driven DSE pruning (`socrates::analysis_prune`) on all 12
 //! Polybench apps with the default toolchain.
 //!
-//! The prune shrinks the schedule a fleet sweeps cooperatively: the
-//! static analyzer drops configurations it cannot certify as safe, and
-//! feasible configurations that another one beats on the noise-free
-//! expected time and power of the design platform are skipped. It must
-//! be loss-free: for each rank the fleet tunes for, the configuration
-//! that is best without noise on the deployed machine has to stay in
-//! the schedule, also when that machine runs hotter than profiled.
-//!
-//! The analyzer's cost polynomials are not part of the prune. They are
-//! a hypothesis about the kernels' work, checked here against the
-//! profile's flop counts at the full dataset scale.
+//! The prune shrinks the schedule a fleet sweeps cooperatively:
+//! configurations whose specialization traps the checked VM are
+//! dropped, and feasible configurations that another one beats on the
+//! noise-free expected time and power of the design platform are
+//! skipped. It must be loss-free: for each rank the fleet tunes for,
+//! the configuration that is best without noise on the deployed machine
+//! has to stay in the schedule, also when that machine runs hotter than
+//! profiled.
 
-use minivm::SpecConfig;
 use platform_sim::{Execution, KnobConfig};
-use polybench::{App, Dataset, KernelArg};
-use socrates::{analysis_prune, analyze_kernel_for, functional_spec, EnhancedApp, Toolchain};
+use polybench::App;
+use socrates::{analysis_prune, EnhancedApp, Toolchain};
 use std::sync::OnceLock;
 
 /// The design platform itself and the 1.6x-hotter deployment of
@@ -38,24 +34,6 @@ const PRUNE_COUNTS: [(App, usize, usize, usize); 12] = [
     (App::Syr2k, 92, 0, 420),
     (App::Syrk, 93, 0, 419),
 ];
-
-/// Full-scale polynomial flops over `App::flops(Large)`, to three
-/// places, for each app whose kernel admits a cost polynomial.
-const FLOP_RATIOS: [(App, f64); 10] = [
-    (App::TwoMm, 1.241),
-    (App::ThreeMm, 1.001),
-    (App::Atax, 1.250),
-    (App::Doitgen, 1.003),
-    (App::Gemver, 1.100),
-    (App::Jacobi2d, 0.998),
-    (App::Mvt, 1.250),
-    (App::Seidel2d, 0.899),
-    (App::Syr2k, 1.502),
-    (App::Syrk, 1.502),
-];
-
-/// The apps whose kernels admit no cost polynomial.
-const WITHOUT_POLYNOMIAL: [App; 2] = [App::Correlation, App::Nussinov];
 
 /// The 12 apps, enhanced once for every test in this file.
 fn enhanced() -> &'static [EnhancedApp] {
@@ -132,49 +110,4 @@ fn prune_counts_are_pinned_and_every_app_prunes_three_quarters() {
         measured.push((app, r.kept.len(), r.infeasible, r.dominated));
     }
     assert_eq!(measured, PRUNE_COUNTS);
-}
-
-/// The Large spec with unclamped dimensions: the kernels never run at
-/// this scale, but their cost polynomials can be evaluated there.
-fn full_scale_spec(app: App) -> SpecConfig {
-    let dims = app.dims(Dataset::Large);
-    let mut spec = SpecConfig::new();
-    for &(name, v) in &dims {
-        spec.set(name, v as i64);
-    }
-    for arg in app.kernel_args(&dims) {
-        spec = match arg {
-            KernelArg::Int(v) => spec.arg(v),
-            KernelArg::Double(v) => spec.arg(v),
-        };
-    }
-    spec
-}
-
-#[test]
-fn cost_polynomials_match_the_profile_flops_at_full_scale() {
-    let mut ratios = Vec::new();
-    let mut without = Vec::new();
-    for e in enhanced() {
-        let (app, ds) = (e.app, e.dataset);
-        let report = analyze_kernel_for(&e.weaved, &e.kernel_entry(), app, ds, 1).expect("analyze");
-        assert!(report.is_safe(), "{app}");
-        let Some(cost) = &report.cost else {
-            without.push(app);
-            continue;
-        };
-        // Exact at the functional scale the analyzer ran at…
-        assert!(cost.exact, "{app}");
-        assert_eq!(
-            cost.eval_at(&functional_spec(app, ds, 1)),
-            Some((report.flops, report.loads, report.stores)),
-            "{app}"
-        );
-        // …and extrapolated to the dataset the profile describes.
-        let (flops, ..) = cost.eval_at(&full_scale_spec(app)).expect("full scale");
-        let ratio = flops as f64 / app.flops(ds);
-        ratios.push((app, (ratio * 1e3).round() / 1e3));
-    }
-    assert_eq!(ratios, FLOP_RATIOS);
-    assert_eq!(without, WITHOUT_POLYNOMIAL);
 }

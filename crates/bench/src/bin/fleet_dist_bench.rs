@@ -1,8 +1,8 @@
 //! Distributed-fleet convergence experiment: how long the knowledge
 //! exchange takes to reconcile as the link degrades.
 //!
-//! For each (topology, drop probability, latency) cell a fleet of
-//! [`NODES`] instances runs [`ROUNDS`] synchronized rounds over the
+//! For each (drop probability, latency) cell a gossip fleet (fanout 2)
+//! of [`NODES`] instances runs [`ROUNDS`] synchronized rounds over the
 //! seeded lossy transport, then drains: anti-entropy repair rounds —
 //! no application steps — until every node holds the same effective
 //! knowledge. The *drain round count* is the convergence time the
@@ -111,9 +111,9 @@ fn main() {
     socrates_bench::write_json(name, &rows);
 }
 
-/// Runs every (topology, drop probability, latency) cell of the full
-/// grid (the small one when `smoke`), printing each row, and verifies
-/// that every cell converged onto the reference fold.
+/// Runs every (drop probability, latency) cell of the full grid (the
+/// small one when `smoke`), printing each row, and verifies that every
+/// cell converged onto the reference fold.
 fn grid(smoke: bool) -> Vec<DistRow> {
     let (nodes, rounds) = if smoke {
         (NODES_SMOKE, ROUNDS_SMOKE)
@@ -144,71 +144,63 @@ fn grid(smoke: bool) -> Vec<DistRow> {
         "wall [ms]"
     );
     let mut out = Vec::new();
-    for topology in [DistTopology::BrokerStar, DistTopology::Gossip { fanout: 2 }] {
-        for &drop_prob in drops {
-            for &max_latency in latencies {
-                let dup_prob = if drop_prob > 0.0 { 0.1 } else { 0.0 };
-                let config = FleetConfig {
-                    exploration_interval: 0,
-                    distributed: Some(DistributedConfig {
-                        topology: topology.clone(),
-                        link: LinkConfig {
-                            seed: 2018,
-                            min_latency: 0,
-                            max_latency,
-                            drop_prob,
-                            dup_prob,
-                        },
-                        ..DistributedConfig::default()
-                    }),
-                    ..FleetConfig::default()
-                };
-                let wall = Instant::now();
-                let mut fleet =
-                    DistributedFleet::new(config, &enhanced).expect("valid fleet config");
-                fleet.spawn(&Rank::throughput_per_watt2(), 2018, nodes);
-                fleet.run_events(rounds as u64);
-                let drain_rounds = fleet.drain().expect("drop_prob < 1 must drain");
-                let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-                verify_converged(&fleet, &enhanced, nodes);
-                let stats = fleet.stats();
-                let label = match topology {
-                    DistTopology::BrokerStar => "star",
-                    DistTopology::Gossip { .. } => "gossip-2",
-                };
-                let row = DistRow {
-                    topology: label.to_string(),
-                    nodes,
-                    rounds,
-                    drop_prob,
-                    dup_prob,
-                    max_latency,
-                    drain_rounds,
-                    msgs_sent: stats.net.sent,
-                    msgs_delivered: stats.net.delivered,
-                    msgs_dropped: stats.net.dropped,
-                    msgs_duplicated: stats.net.duplicated,
-                    bytes_sent: stats.net.bytes_sent,
-                    refolds: stats.refolds,
-                    refold_ops_replayed: stats.refold_ops_replayed,
-                    wall_ms,
-                };
-                println!(
-                    "{:>10} {:>6.2} {:>8} {:>13} {:>10} {:>9} {:>9} {:>9} {:>10.1}",
-                    row.topology,
-                    row.drop_prob,
-                    row.max_latency,
-                    row.drain_rounds,
-                    row.msgs_sent,
-                    row.msgs_dropped,
-                    row.refolds,
-                    row.refold_ops_replayed,
-                    row.wall_ms
-                );
-                out.push(row);
-            }
+    for &drop_prob in drops {
+        for &max_latency in latencies {
+            let dup_prob = if drop_prob > 0.0 { 0.1 } else { 0.0 };
+            let config = FleetConfig {
+                exploration_interval: 0,
+                distributed: Some(DistributedConfig {
+                    topology: DistTopology::Gossip { fanout: 2 },
+                    link: LinkConfig {
+                        seed: 2018,
+                        min_latency: 0,
+                        max_latency,
+                        drop_prob,
+                        dup_prob,
+                    },
+                    ..DistributedConfig::default()
+                }),
+                ..FleetConfig::default()
+            };
+            let wall = Instant::now();
+            let mut fleet = DistributedFleet::new(config, &enhanced).expect("valid fleet config");
+            fleet.spawn(&Rank::throughput_per_watt2(), 2018, nodes);
+            fleet.run_events(rounds as u64);
+            let drain_rounds = fleet.drain().expect("drop_prob < 1 must drain");
+            let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
+            verify_converged(&fleet, &enhanced, nodes);
+            let stats = fleet.stats();
+            let row = DistRow {
+                topology: "gossip-2".to_string(),
+                nodes,
+                rounds,
+                drop_prob,
+                dup_prob,
+                max_latency,
+                drain_rounds,
+                msgs_sent: stats.net.sent,
+                msgs_delivered: stats.net.delivered,
+                msgs_dropped: stats.net.dropped,
+                msgs_duplicated: stats.net.duplicated,
+                bytes_sent: stats.net.bytes_sent,
+                refolds: stats.refolds,
+                refold_ops_replayed: stats.refold_ops_replayed,
+                wall_ms,
+            };
+            println!(
+                "{:>10} {:>6.2} {:>8} {:>13} {:>10} {:>9} {:>9} {:>9} {:>10.1}",
+                row.topology,
+                row.drop_prob,
+                row.max_latency,
+                row.drain_rounds,
+                row.msgs_sent,
+                row.msgs_dropped,
+                row.refolds,
+                row.refold_ops_replayed,
+                row.wall_ms
+            );
+            out.push(row);
         }
-        println!();
     }
     out
 }

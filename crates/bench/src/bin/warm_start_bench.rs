@@ -16,9 +16,9 @@
 //!   distance over the COBAYN feature vectors);
 //!
 //! crossed with **in-process** ([`socrates::Fleet`]) and
-//! **distributed** ([`socrates::DistributedFleet`], broker star over
-//! an ideal link, no cooperative exploration — the transport does not
-//! model assignment hand-off) deployments. The deployment drifts like
+//! **distributed** ([`socrates::DistributedFleet`], full-mesh gossip
+//! over an ideal link, no cooperative exploration — the transport does
+//! not model assignment hand-off) deployments. The deployment drifts like
 //! `fleet_bench`: the machines run 1.6× hotter per-core than the
 //! design-time platform, so the design-time optimum is stale and cold
 //! fleets must re-learn the ranking online.
@@ -349,8 +349,9 @@ fn in_process(
     fleet
 }
 
-/// A broker-star distributed fleet over an ideal link (no cooperative
-/// exploration — the transport does not model assignment hand-off).
+/// A full-mesh gossip fleet over an ideal link, the default
+/// [`socrates::DistributedConfig`] (no cooperative exploration — the
+/// transport does not model assignment hand-off).
 fn distributed(
     enhanced: &EnhancedApp,
     warm_start: Option<KnowledgeSnapshot>,

@@ -34,7 +34,7 @@ pub enum StageId {
     Dispatch,
     /// Deployment runtime (fleet orchestration, shared knowledge).
     Runtime,
-    /// Distributed knowledge exchange (simulated links, broker
+    /// Distributed knowledge exchange (simulated links, gossip
     /// reconciliation, drain).
     Transport,
 }

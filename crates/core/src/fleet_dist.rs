@@ -4,10 +4,11 @@
 //! A [`DistributedFleet`] steps N [`AdaptiveApplication`] instances on
 //! the synchronized virtual clock, exactly like the in-process
 //! [`crate::Fleet`] — but every knowledge exchange travels through the
-//! deterministic simulated transport of [`crate::transport`]:
-//! observations, acks, per-shard [`margot::KnowledgeDelta`]s,
-//! epoch-vector syncs and gossip summaries, all subject to seeded
-//! per-link latency, reordering, drop and duplication.
+//! deterministic simulated transport of [`crate::transport`]. Each node
+//! holds a [`Replica`] of the observation log and gossips: it rumors
+//! new observations to rotating peers and exchanges summaries with
+//! them, all subject to seeded per-link latency, reordering, drop and
+//! duplication.
 //!
 //! # Round structure
 //!
@@ -15,27 +16,28 @@
 //! phases:
 //!
 //! 1. **deliver** — due messages are handed out in deterministic
-//!    order and handled; the broker folds newly arrived observations
-//!    (canonical `(round, origin)` order) and broadcasts per-shard
-//!    deltas, cascading within the phase so an ideal link behaves
-//!    exactly like the in-process barrier;
-//! 2. **adopt** — nodes patch the operating points their effective
-//!    knowledge moved on into their AS-RTM;
+//!    order and handled; zero-latency replies deliver within the same
+//!    phase, so an ideal link behaves exactly like the in-process
+//!    barrier;
+//! 2. **adopt** — each node folds its newly logged observations in the
+//!    canonical `(round, origin)` order and patches the operating
+//!    points that moved into its AS-RTM;
 //! 3. **step** — every due instance performs one MAPE-K step, in node
 //!    order;
-//! 4. **publish** — each stepped node emits its observation into the
-//!    exchange (star: resent until acked; gossip: rumored to rotating
-//!    peers) plus periodic anti-entropy traffic.
+//! 4. **publish** — each stepped node logs its observation and rumors
+//!    it, with the fresh observations it received, to `fanout`
+//!    rotating peers, plus a periodic summary (anti-entropy).
 //!
 //! # Determinism and convergence contract
 //!
-//! Over a lossless zero-latency link ([`LinkConfig::ideal`]) the
-//! distributed fleet is **bit-identical** to the in-process
-//! [`crate::Fleet`] — same traces, same learned knowledge (pinned by
-//! `tests/fleet_dist_equivalence.rs`). Under any seeded loss/latency
-//! model, [`DistributedFleet::drain`] runs anti-entropy until every
-//! connected node holds the same effective knowledge — equal to the
-//! canonical single-shard fold of all observations (pinned by
+//! Over a lossless zero-latency link with a full mesh (the default
+//! [`DistributedConfig`]) the distributed fleet is **bit-identical** to
+//! the in-process [`crate::Fleet`] — same traces, same learned
+//! knowledge (pinned by `tests/fleet_dist_equivalence.rs`). Under any
+//! seeded loss/latency model and any fanout,
+//! [`DistributedFleet::drain`] runs anti-entropy until every connected
+//! node holds the same effective knowledge — equal to the canonical
+//! single-shard fold of all observations (pinned by
 //! `tests/transport_props.rs`) — and reports how many repair rounds
 //! that took.
 //!
@@ -46,6 +48,8 @@
 //! transport does not model yet) and no power arbitration
 //! (`power_budget_w` must be `None` for the same reason).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::error::SocratesError;
 use crate::events::{EventObserver, FleetEvent, FleetRuntime};
 use crate::fleet::{dense_id, FleetConfig};
@@ -53,70 +57,29 @@ use crate::runtime::{AdaptiveApplication, TraceSample};
 use crate::toolchain::EnhancedApp;
 use crate::transport::{
     DistTopology, DistributedConfig, Envelope, NetStats, NodeId, Observation, Replica, SimNet,
-    WireMessage, BROKER,
+    WireMessage,
 };
-use margot::{Knowledge, KnowledgeDelta, OperatingPoint, Rank};
+use margot::{Knowledge, Rank};
 use platform_sim::{KnobConfig, Machine};
 use polybench::App;
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// The central knowledge service of a star deployment: owns the
-/// authoritative canonical fold and the monotone per-shard broadcast
-/// versions.
-struct Broker {
-    replica: Replica,
-    /// What the broker last broadcast — the knowledge every member
-    /// converges to.
-    published: Knowledge<KnobConfig>,
-    /// Monotone per-shard broadcast versions (the epoch vector nodes
-    /// reconcile against).
-    versions: Vec<u64>,
-    members: BTreeSet<NodeId>,
-}
-
-/// Star-mode node state: an effective-knowledge cache reconciled via
-/// the per-shard epoch vector.
-struct StarState {
-    /// Never shares storage with the node's AS-RTM, so patching it
-    /// copies nothing.
-    cache: Knowledge<KnobConfig>,
-    versions: Vec<u64>,
-    /// Own observations not yet acknowledged by the broker (resent
-    /// every round until acked).
-    unacked: BTreeMap<u64, Observation>,
-    /// Cache positions patched since the node's AS-RTM last adopted.
-    patched: BTreeSet<usize>,
-}
-
-/// Gossip-mode node state: a full replica plus the rumor outbox.
-struct GossipState {
-    replica: Replica,
-    /// Observations newly learned this round (own step + fresh
-    /// arrivals), forwarded to the next rotation targets.
-    outbox: Vec<Observation>,
-}
-
-enum NodeSync {
-    Star(StarState),
-    /// Boxed: a full replica (log + per-point saved states) dwarfs
-    /// the star node's cache-and-epoch-vector state.
-    Gossip(Box<GossipState>),
-}
-
 /// One distributed fleet member: an adaptive application plus its
-/// side of the knowledge exchange.
+/// replica of the observation log and its rumor outbox.
 struct DistNode {
     id: NodeId,
     app: AdaptiveApplication,
     active: bool,
-    /// Whether the node received its snapshot (founding members start
-    /// joined; mid-run joiners resend [`WireMessage::Join`] until
-    /// welcomed).
+    /// Whether the node holds the fleet's log (founding members start
+    /// joined; a mid-run joiner resends [`WireMessage::Join`] until a
+    /// [`WireMessage::WelcomeLog`] arrives).
     joined: bool,
     /// Next own-observation sequence number.
     seq: u64,
-    sync: NodeSync,
+    replica: Replica,
+    /// Observations newly learned this round (own step + fresh
+    /// arrivals), forwarded to the next rotation targets.
+    outbox: Vec<Observation>,
 }
 
 /// Membership, health and exchange counters of a
@@ -180,12 +143,7 @@ pub struct DistributedFleet {
     /// over it, indexed under the rank of the latest joiner: what every
     /// replica folds over and every node boots on.
     design: Knowledge<KnobConfig>,
-    /// Knowledge position → shard, fixed by the design knowledge and
-    /// the configured shard count.
-    shard_map: Vec<usize>,
-    shard_count: usize,
     net: SimNet,
-    broker: Option<Broker>,
     nodes: Vec<DistNode>,
     rounds: u64,
     /// Registered event-stream observers ([`FleetRuntime::observe`]).
@@ -233,10 +191,9 @@ impl DistributedFleet {
             ));
         }
         // Warm start: merge the shipped snapshot's learned metrics over
-        // the design knowledge before anything derives from it — the
-        // probe replica, the broker's published state, every node's
-        // boot cache and the Welcome snapshot handed to late joiners
-        // all inherit the seed. Same-app snapshots only: the
+        // the design knowledge before anything derives from it — every
+        // replica folds over the seed and every node, late joiners
+        // included, boots on it. Same-app snapshots only: the
         // distributed runtime has no exploration sweep, so a foreign
         // (cross-app) hint that mis-ranks the space would never be
         // corrected — the greedy fleet samples only what the hint
@@ -250,29 +207,11 @@ impl DistributedFleet {
             }
             _ => enhanced.knowledge.clone(),
         };
-        let probe = Self::boot_replica(&config, &design, enhanced.app);
-        let shard_map: Vec<usize> = design
-            .points()
-            .iter()
-            .map(|p| probe.shard_of(&p.config).expect("design config is known"))
-            .collect();
-        let broker = match dist.topology {
-            DistTopology::BrokerStar => Some(Broker {
-                replica: probe,
-                published: design.clone(),
-                versions: vec![0; config.knowledge_shards],
-                members: BTreeSet::new(),
-            }),
-            DistTopology::Gossip { .. } => None,
-        };
         Ok(DistributedFleet {
             net: SimNet::new(dist.link.clone()),
             dist,
             enhanced: Arc::new(enhanced.clone()),
             design,
-            shard_map,
-            shard_count: config.knowledge_shards,
-            broker,
             nodes: Vec::new(),
             rounds: 0,
             config,
@@ -333,53 +272,38 @@ impl DistributedFleet {
 
     /// Membership and exchange counters in one read.
     pub fn stats(&self) -> DistStats {
-        let mut refolds = 0;
-        let mut refold_ops_replayed = 0;
-        for node in &self.nodes {
-            if let NodeSync::Gossip(g) = &node.sync {
-                refolds += g.replica.refolds();
-                refold_ops_replayed += g.replica.refold_ops_replayed();
-            }
-        }
-        if let Some(b) = &self.broker {
-            refolds += b.replica.refolds();
-            refold_ops_replayed += b.replica.refold_ops_replayed();
-        }
         DistStats {
             instances: self.nodes.len(),
             active: self.active_instances(),
             rounds: self.rounds,
-            refolds,
-            refold_ops_replayed,
+            refolds: self.nodes.iter().map(|n| n.replica.refolds()).sum(),
+            refold_ops_replayed: self
+                .nodes
+                .iter()
+                .map(|n| n.replica.refold_ops_replayed())
+                .sum(),
             net: self.net.stats(),
         }
     }
 
     /// Boots one instance on a specific machine and returns its id.
     /// Instances added before the first round are founding members
-    /// (registered everywhere, no handshake); later additions are
-    /// *churn*: the node announces itself with
-    /// [`WireMessage::Join`], adopts the answering snapshot and
-    /// catches up via deltas.
+    /// (no handshake); later additions are *churn*: the node asks the
+    /// lowest-id active peer for its log with [`WireMessage::Join`],
+    /// folds the answering [`WireMessage::WelcomeLog`] and catches up
+    /// via gossip.
     pub fn add_instance(&mut self, rank: Rank, machine: Machine) -> usize {
         let id = self.nodes.len() as NodeId;
-        let founding = self.rounds == 0;
-        // Indexed once per fleet: every node's AS-RTM and star cache
-        // clone the index with the knowledge, adoptions reuse it, and
-        // patches re-key it.
-        self.design.rank_by(&rank);
-        let sync = match self.dist.topology {
-            DistTopology::BrokerStar => NodeSync::Star(StarState {
-                cache: self.design.clone(),
-                versions: vec![0; self.shard_count],
-                unacked: BTreeMap::new(),
-                patched: BTreeSet::new(),
-            }),
-            DistTopology::Gossip { .. } => NodeSync::Gossip(Box::new(GossipState {
-                replica: Self::boot_replica(&self.config, &self.design, self.enhanced.app),
-                outbox: Vec::new(),
-            })),
+        // A founding member needs no log, and neither does a joiner
+        // with nobody to learn from.
+        let seed = if self.rounds == 0 {
+            None
+        } else {
+            self.seed_peer(id)
         };
+        // Indexed once per fleet: every node's AS-RTM clones the index
+        // with the knowledge, adoptions reuse it, and patches re-key it.
+        self.design.rank_by(&rank);
         self.nodes.push(DistNode {
             id,
             app: AdaptiveApplication::with_knowledge(
@@ -389,31 +313,15 @@ impl DistributedFleet {
                 machine,
             ),
             active: true,
-            joined: founding,
+            joined: seed.is_none(),
             seq: 0,
-            sync,
+            replica: Self::boot_replica(&self.config, &self.design, self.enhanced.app),
+            outbox: Vec::new(),
         });
-        if founding {
-            if let Some(broker) = self.broker.as_mut() {
-                broker.members.insert(id);
-            }
-        } else {
-            // Churn: announce over the (lossy) wire; resent every
-            // sync interval until a snapshot arrives.
-            match self.dist.topology {
-                DistTopology::BrokerStar => {
-                    self.net.send(id, BROKER, &WireMessage::Join { node: id })
-                }
-                DistTopology::Gossip { .. } => {
-                    if let Some(seed) = self.seed_peer(id) {
-                        self.net.send(id, seed, &WireMessage::Join { node: id });
-                    } else {
-                        // Nobody to learn from: the sole member needs
-                        // no snapshot.
-                        self.nodes.last_mut().expect("just pushed").joined = true;
-                    }
-                }
-            }
+        if let Some(seed) = seed {
+            // Churn: announced over the (lossy) wire; resent every sync
+            // interval until the log arrives.
+            self.net.send(id, seed, &WireMessage::Join { node: id });
         }
         let t_s = self.nodes[id as usize].app.now_s();
         self.emit(FleetEvent::Arrived {
@@ -439,9 +347,8 @@ impl DistributedFleet {
             .collect()
     }
 
-    /// Retires an instance: it stops stepping and (best-effort) tells
-    /// the broker to stop broadcasting to it. Returns `false` if it
-    /// was already retired.
+    /// Retires an instance: it stops stepping and its peers stop
+    /// rumoring to it. Returns `false` if it was already retired.
     ///
     /// # Panics
     ///
@@ -451,11 +358,6 @@ impl DistributedFleet {
             return false;
         }
         self.nodes[id].active = false;
-        let node_id = self.nodes[id].id;
-        if matches!(self.dist.topology, DistTopology::BrokerStar) {
-            self.net
-                .send(node_id, BROKER, &WireMessage::Leave { node: node_id });
-        }
         let t_s = self.nodes[id].app.now_s();
         self.emit(FleetEvent::Retired {
             id: dense_id(id),
@@ -491,66 +393,48 @@ impl DistributedFleet {
         self.nodes[id].app.energy_j()
     }
 
-    /// Instance `id`'s current view of the shared knowledge.
+    /// Instance `id`'s current view of the shared knowledge: its
+    /// replica's fold.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     pub fn node_knowledge(&self, id: usize) -> Knowledge<KnobConfig> {
-        match &self.nodes[id].sync {
-            NodeSync::Star(s) => s.cache.clone(),
-            NodeSync::Gossip(g) => g.replica.knowledge(),
-        }
+        self.nodes[id].replica.knowledge()
     }
 
-    /// Instance `id`'s per-shard epoch vector: broadcast versions in
-    /// star mode, folded shard epochs in gossip mode. Equal across
-    /// all connected nodes once the links drain.
+    /// Instance `id`'s folded per-shard epoch vector. Equal across all
+    /// connected nodes once the links drain.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     pub fn epoch_vector(&self, id: usize) -> Vec<u64> {
-        match &self.nodes[id].sync {
-            NodeSync::Star(s) => s.versions.clone(),
-            NodeSync::Gossip(g) => g.replica.shard_epochs(),
-        }
+        self.nodes[id].replica.shard_epochs()
     }
 
-    /// The authoritative effective knowledge: the broker's published
-    /// knowledge (star) or the first active replica's fold (gossip;
-    /// equal to everyone else's after [`drain`](Self::drain)). The
-    /// design knowledge if the fleet is empty.
+    /// The replica of the first active node, whose fold every other
+    /// node's equals after [`drain`](Self::drain).
+    fn authority(&self) -> Option<&Replica> {
+        self.nodes.iter().find(|n| n.active).map(|n| &n.replica)
+    }
+
+    /// The authoritative effective knowledge: the first active node's
+    /// fold (equal to everyone else's after [`drain`](Self::drain)).
+    /// The design knowledge if no node is active.
     pub fn authoritative_knowledge(&self) -> Knowledge<KnobConfig> {
-        if let Some(broker) = &self.broker {
-            return broker.published.clone();
-        }
-        for node in &self.nodes {
-            if node.active {
-                if let NodeSync::Gossip(g) = &node.sync {
-                    return g.replica.knowledge();
-                }
-            }
-        }
-        self.design.clone()
+        self.authority()
+            .map_or_else(|| self.design.clone(), Replica::knowledge)
     }
 
-    /// Every observation the authoritative participant has logged, in
+    /// Every observation the first active node has logged, in
     /// canonical `(round, origin)` order — the input of the
     /// single-shard reference fold the property tests compare
     /// against. Complete once [`drain`](Self::drain) returned.
     pub fn canonical_ops(&self) -> Vec<Observation> {
-        if let Some(broker) = &self.broker {
-            return broker.replica.ops().cloned().collect();
-        }
-        for node in &self.nodes {
-            if node.active {
-                if let NodeSync::Gossip(g) = &node.sync {
-                    return g.replica.ops().cloned().collect();
-                }
-            }
-        }
-        Vec::new()
+        self.authority()
+            .map(|r| r.ops().cloned().collect())
+            .unwrap_or_default()
     }
 
     /// One synchronized round over all active instances; returns the
@@ -599,7 +483,7 @@ impl DistributedFleet {
 
     /// Whether every connected node currently holds the same
     /// effective knowledge and epoch vector, with nothing in flight
-    /// or pending retransmission.
+    /// or waiting in an outbox.
     pub fn converged(&self) -> bool {
         self.content_converged() && !self.exchange_pending() && self.net.in_flight() == 0
     }
@@ -632,10 +516,9 @@ impl DistributedFleet {
             }
             for (idx, sample) in stepped.iter().enumerate() {
                 let Some(sample) = sample else { continue };
-                // The distributed epoch is the node's own view: the
-                // sum of its per-shard epoch vector (monotone under
-                // broadcast/fold progress).
-                let epoch = self.epoch_vector(idx).iter().sum();
+                // The distributed epoch is the node's own view: its
+                // folded epoch, the sum of its per-shard epoch vector.
+                let epoch = self.nodes[idx].replica.epoch();
                 self.emit(FleetEvent::Published {
                     id: dense_id(idx),
                     t_s: sample.t_start_s + sample.time_s,
@@ -652,67 +535,29 @@ impl DistributedFleet {
         }
     }
 
-    /// Hands out every due message in deterministic order, cascading
-    /// broker flushes until the phase is quiescent (zero-latency
-    /// replies deliver within the same phase — the property that
-    /// makes an ideal link match the in-process barrier). A receiver
-    /// holding a replica gets only the observations it does not log
-    /// yet: [`Self::handle`] would drop the others unread.
+    /// Hands out every due message in deterministic order; a reply sent
+    /// with zero latency is due at once and delivers within the phase
+    /// (the property that makes an ideal link match the in-process
+    /// barrier). A receiver gets only the observations its replica
+    /// does not log yet: [`Self::handle`] would drop the others unread.
     fn deliver_phase(&mut self) {
-        loop {
-            let mut any = false;
-            while let Some(env) = self.net.poll_due_keeping(|to, op| {
-                replica_of(&self.nodes, self.broker.as_ref(), to)
-                    .is_none_or(|replica| !replica.contains(op))
-            }) {
-                any = true;
-                self.handle(env);
-            }
-            if self.flush_broker() {
-                any = true;
-            }
-            if !any {
-                break;
-            }
+        while let Some(env) = self.net.poll_due_keeping(|to, op| {
+            self.nodes
+                .get(to as usize)
+                .is_none_or(|node| !node.replica.contains(op))
+        }) {
+            self.handle(env);
         }
     }
 
     fn adopt_phase(&mut self) {
-        for node in &mut self.nodes {
-            if !node.active {
-                continue;
-            }
-            match &mut node.sync {
-                NodeSync::Star(s) => {
-                    // The node holds the cache as of its previous
-                    // adoption, so the patched positions bring it level
-                    // without copying either side. The per-shard
-                    // versions track the cache; the delta's scalar
-                    // epochs are not read here.
-                    if !s.patched.is_empty() {
-                        let epoch = s.versions.iter().sum();
-                        let delta = KnowledgeDelta {
-                            from_epoch: epoch,
-                            to_epoch: epoch,
-                            changed: std::mem::take(&mut s.patched)
-                                .into_iter()
-                                .map(|pos| (pos, s.cache.points()[pos].clone()))
-                                .collect(),
-                        };
-                        if !node.app.apply_knowledge_delta(&delta) {
-                            node.app.set_knowledge(s.cache.clone());
-                        }
-                    }
-                }
-                NodeSync::Gossip(g) => {
-                    // The node holds the replica's knowledge as of the
-                    // previous take, so the delta patches it exactly.
-                    g.replica.fold_pending();
-                    let delta = g.replica.take_changes();
-                    if !delta.is_empty() && !node.app.apply_knowledge_delta(&delta) {
-                        node.app.set_knowledge(g.replica.knowledge());
-                    }
-                }
+        for node in self.nodes.iter_mut().filter(|n| n.active) {
+            // The node holds the replica's knowledge as of the previous
+            // take, so the delta patches it exactly.
+            node.replica.fold_pending();
+            let delta = node.replica.take_changes();
+            if !delta.is_empty() && !node.app.apply_knowledge_delta(&delta) {
+                node.app.set_knowledge(node.replica.knowledge());
             }
         }
     }
@@ -728,405 +573,144 @@ impl DistributedFleet {
     fn publish_phase(&mut self, stepped: &[Option<TraceSample>]) {
         let round = self.rounds;
         let sync_due = round.is_multiple_of(self.dist.sync_interval);
-        let active_ids: Vec<NodeId> = self
-            .nodes
-            .iter()
-            .filter(|n| n.active)
-            .map(|n| n.id)
-            .collect();
+        let active_ids = self.active_ids();
+        let DistTopology::Gossip { fanout } = self.dist.topology;
         for (idx, sample) in stepped.iter().enumerate() {
-            if !self.nodes[idx].active {
+            let node = &mut self.nodes[idx];
+            if !node.active {
                 continue;
             }
-            let id = self.nodes[idx].id;
-            // Emit this round's observation into the node's own side
-            // of the exchange.
             if let Some(sample) = sample {
-                let node = &mut self.nodes[idx];
                 let op = Observation {
-                    origin: id,
+                    origin: node.id,
                     seq: node.seq,
                     round,
                     config: sample.config.clone(),
                     observed: sample.observed_metrics(),
                 };
                 node.seq += 1;
-                match &mut node.sync {
-                    NodeSync::Star(s) => {
-                        s.unacked.insert(op.seq, op);
+                node.replica.insert(op.clone());
+                node.outbox.push(op);
+            }
+            let targets = gossip_targets(&active_ids, node.id, fanout, round);
+            if targets.is_empty() {
+                node.outbox.clear();
+            } else {
+                // One message each, sent to every target.
+                let outbox = std::mem::take(&mut node.outbox);
+                let ops = (!outbox.is_empty()).then_some(WireMessage::Ops { ops: outbox });
+                let summary = sync_due.then(|| WireMessage::Summary {
+                    counts: node.replica.summary(),
+                    reply: true,
+                });
+                for (i, &target) in targets.iter().enumerate() {
+                    if let Some(ops) = &ops {
+                        self.net.send(node.id, target, ops);
                     }
-                    NodeSync::Gossip(g) => {
-                        g.replica.insert(op.clone());
-                        g.outbox.push(op);
+                    if let (0, Some(summary)) = (i, &summary) {
+                        self.net.send(node.id, target, summary);
                     }
                 }
             }
-            match &mut self.nodes[idx].sync {
-                NodeSync::Star(s) => {
-                    // Everything unacked goes (back) out every round;
-                    // the broker deduplicates and acks a contiguous
-                    // watermark.
-                    if !s.unacked.is_empty() {
-                        let ops: Vec<Observation> = s.unacked.values().cloned().collect();
-                        self.net.send(id, BROKER, &WireMessage::Ops { ops });
-                    }
-                    if sync_due {
-                        let versions = s.versions.clone();
-                        self.net
-                            .send(id, BROKER, &WireMessage::SyncRequest { versions });
-                    }
-                }
-                NodeSync::Gossip(g) => {
-                    let targets = gossip_targets(&active_ids, id, &self.dist.topology, round);
-                    if !targets.is_empty() {
-                        // One message each, sent to every target.
-                        let outbox = std::mem::take(&mut g.outbox);
-                        let ops = (!outbox.is_empty()).then_some(WireMessage::Ops { ops: outbox });
-                        let summary = sync_due.then(|| WireMessage::Summary {
-                            counts: g.replica.summary(),
-                            reply: true,
-                        });
-                        for (i, &target) in targets.iter().enumerate() {
-                            if let Some(ops) = &ops {
-                                self.net.send(id, target, ops);
-                            }
-                            if let (0, Some(summary)) = (i, &summary) {
-                                self.net.send(id, target, summary);
-                            }
-                        }
-                    } else {
-                        g.outbox.clear();
-                    }
-                }
-            }
-            if !self.nodes[idx].joined && sync_due {
+            if !node.joined && sync_due {
                 self.resend_join(idx);
             }
         }
     }
 
-    /// Drain-time repair traffic: resend everything pending and
-    /// request reconciliation from every active node.
+    /// Drain-time repair traffic: every active node flushes its outbox
+    /// and sends a summary to its first rotation target.
     fn anti_entropy(&mut self) {
         let round = self.rounds;
-        let active_ids: Vec<NodeId> = self
-            .nodes
-            .iter()
-            .filter(|n| n.active)
-            .map(|n| n.id)
-            .collect();
+        let active_ids = self.active_ids();
+        let DistTopology::Gossip { fanout } = self.dist.topology;
         for idx in 0..self.nodes.len() {
-            if !self.nodes[idx].active {
+            let node = &mut self.nodes[idx];
+            if !node.active {
                 continue;
             }
-            let id = self.nodes[idx].id;
-            match &mut self.nodes[idx].sync {
-                NodeSync::Star(s) => {
-                    if !s.unacked.is_empty() {
-                        let ops: Vec<Observation> = s.unacked.values().cloned().collect();
-                        self.net.send(id, BROKER, &WireMessage::Ops { ops });
-                    }
-                    let versions = s.versions.clone();
+            if let Some(&target) = gossip_targets(&active_ids, node.id, fanout, round).first() {
+                let outbox = std::mem::take(&mut node.outbox);
+                if !outbox.is_empty() {
                     self.net
-                        .send(id, BROKER, &WireMessage::SyncRequest { versions });
+                        .send(node.id, target, &WireMessage::Ops { ops: outbox });
                 }
-                NodeSync::Gossip(g) => {
-                    let targets = gossip_targets(&active_ids, id, &self.dist.topology, round);
-                    if let Some(&target) = targets.first() {
-                        let outbox = std::mem::take(&mut g.outbox);
-                        if !outbox.is_empty() {
-                            self.net.send(id, target, &WireMessage::Ops { ops: outbox });
-                        }
-                        self.net.send(
-                            id,
-                            target,
-                            &WireMessage::Summary {
-                                counts: g.replica.summary(),
-                                reply: true,
-                            },
-                        );
-                    }
-                }
+                let summary = WireMessage::Summary {
+                    counts: node.replica.summary(),
+                    reply: true,
+                };
+                self.net.send(node.id, target, &summary);
             }
-            if !self.nodes[idx].joined {
+            if !node.joined {
                 self.resend_join(idx);
             }
         }
+    }
+
+    fn active_ids(&self) -> Vec<NodeId> {
+        self.nodes
+            .iter()
+            .filter(|n| n.active)
+            .map(|n| n.id)
+            .collect()
     }
 
     // ---- message handling ----------------------------------------------
 
     fn handle(&mut self, env: Envelope) {
-        if env.to == BROKER {
-            self.handle_broker(env);
-            return;
-        }
-        let idx = env.to as usize;
-        if idx >= self.nodes.len() {
-            return;
-        }
-        match env.msg {
-            WireMessage::Delta { shard, delta } => self.node_delta(idx, shard, &delta),
-            WireMessage::SyncResponse {
-                shard,
-                version,
-                points,
-            } => self.node_sync_response(idx, shard, version, points),
-            WireMessage::Welcome {
-                knowledge,
-                versions,
-            } => self.node_welcome(idx, &knowledge, &versions),
-            WireMessage::Ack { count } => {
-                if let NodeSync::Star(s) = &mut self.nodes[idx].sync {
-                    s.unacked.retain(|&seq, _| seq >= count);
-                }
-            }
-            WireMessage::Ops { ops } => {
-                if let NodeSync::Gossip(g) = &mut self.nodes[idx].sync {
-                    for op in ops {
-                        if !g.replica.contains(op.op_id()) {
-                            // Fresh rumor: log it and forward it on the
-                            // next rotation.
-                            g.outbox.push(op.clone());
-                            g.replica.insert(op);
-                        }
-                    }
-                }
-            }
-            WireMessage::Summary { counts, reply } => {
-                let response = if let NodeSync::Gossip(g) = &self.nodes[idx].sync {
-                    let missing = g.replica.missing_for(&counts);
-                    let own = if reply {
-                        Some(g.replica.summary())
-                    } else {
-                        None
-                    };
-                    Some((missing, own))
-                } else {
-                    None
-                };
-                if let Some((missing, own)) = response {
-                    if !missing.is_empty() {
-                        self.net
-                            .send(env.to, env.from, &WireMessage::Ops { ops: missing });
-                    }
-                    if let Some(counts) = own {
-                        self.net.send(
-                            env.to,
-                            env.from,
-                            &WireMessage::Summary {
-                                counts,
-                                reply: false,
-                            },
-                        );
-                    }
-                }
-            }
-            WireMessage::WelcomeLog { ops } => {
-                if let NodeSync::Gossip(g) = &mut self.nodes[idx].sync {
-                    for op in ops {
-                        g.replica.insert(op);
-                    }
-                }
-                self.nodes[idx].joined = true;
-            }
-            WireMessage::Join { node } => {
-                // A gossip peer asked us for a snapshot of the log.
-                let ops: Option<Vec<Observation>> = match &self.nodes[idx].sync {
-                    NodeSync::Gossip(g) => Some(g.replica.ops().cloned().collect()),
-                    NodeSync::Star(_) => None,
-                };
-                if let Some(ops) = ops {
-                    self.net
-                        .send(env.to, node, &WireMessage::WelcomeLog { ops });
-                }
-            }
-            WireMessage::Leave { .. } | WireMessage::SyncRequest { .. } => {}
-        }
-    }
-
-    fn handle_broker(&mut self, env: Envelope) {
-        let Some(broker) = self.broker.as_mut() else {
+        let Some(node) = self.nodes.get_mut(env.to as usize) else {
             return;
         };
         match env.msg {
             WireMessage::Ops { ops } => {
                 for op in ops {
-                    broker.replica.insert(op);
-                }
-                // Ack the sender's contiguous watermark so it can
-                // stop retransmitting.
-                let count = broker
-                    .replica
-                    .summary()
-                    .iter()
-                    .find(|(origin, _)| *origin == env.from)
-                    .map_or(0, |&(_, count)| count);
-                self.net.send(BROKER, env.from, &WireMessage::Ack { count });
-            }
-            WireMessage::SyncRequest { versions } => {
-                for shard in 0..self.shard_count {
-                    let theirs = versions.get(shard).copied().unwrap_or(0);
-                    if broker.versions[shard] > theirs {
-                        let points: Vec<(usize, OperatingPoint<KnobConfig>)> = broker
-                            .published
-                            .points()
-                            .iter()
-                            .enumerate()
-                            .filter(|(pos, _)| self.shard_map[*pos] == shard)
-                            .map(|(pos, point)| (pos, point.clone()))
-                            .collect();
-                        self.net.send(
-                            BROKER,
-                            env.from,
-                            &WireMessage::SyncResponse {
-                                shard,
-                                version: broker.versions[shard],
-                                points,
-                            },
-                        );
+                    if !node.replica.contains(op.op_id()) {
+                        // Fresh rumor: log it and forward it on the
+                        // next rotation.
+                        node.outbox.push(op.clone());
+                        node.replica.insert(op);
                     }
                 }
             }
-            WireMessage::Join { node } => {
-                broker.members.insert(node);
-                self.net.send(
-                    BROKER,
-                    node,
-                    &WireMessage::Welcome {
-                        knowledge: broker.published.clone(),
-                        versions: broker.versions.clone(),
-                    },
-                );
-            }
-            WireMessage::Leave { node } => {
-                broker.members.remove(&node);
-            }
-            _ => {}
-        }
-    }
-
-    fn node_delta(&mut self, idx: usize, shard: usize, delta: &KnowledgeDelta<KnobConfig>) {
-        let NodeSync::Star(s) = &mut self.nodes[idx].sync else {
-            return;
-        };
-        if shard >= s.versions.len() || delta.to_epoch <= s.versions[shard] {
-            return; // stale or duplicated broadcast
-        }
-        if delta.from_epoch == s.versions[shard] && delta.apply_to(&mut s.cache) {
-            s.versions[shard] = delta.to_epoch;
-            s.patched.extend(delta.changed.iter().map(|(pos, _)| *pos));
-        } else {
-            // A gap: at least one earlier broadcast for this shard
-            // was lost or is still in flight. Ask for full state of
-            // every stale shard.
-            let versions = s.versions.clone();
-            let id = self.nodes[idx].id;
-            self.net
-                .send(id, BROKER, &WireMessage::SyncRequest { versions });
-        }
-    }
-
-    fn node_sync_response(
-        &mut self,
-        idx: usize,
-        shard: usize,
-        version: u64,
-        points: Vec<(usize, OperatingPoint<KnobConfig>)>,
-    ) {
-        let NodeSync::Star(s) = &mut self.nodes[idx].sync else {
-            return;
-        };
-        if shard >= s.versions.len() || version <= s.versions[shard] {
-            return; // already repaired by a newer response
-        }
-        for (pos, point) in points {
-            s.cache.patch_point(pos, point);
-            s.patched.insert(pos);
-        }
-        s.versions[shard] = version;
-    }
-
-    fn node_welcome(&mut self, idx: usize, knowledge: &Knowledge<KnobConfig>, versions: &[u64]) {
-        if let NodeSync::Star(s) = &mut self.nodes[idx].sync {
-            let improved: Vec<usize> = (0..self.shard_count)
-                .filter(|&shard| versions.get(shard).copied().unwrap_or(0) > s.versions[shard])
-                .collect();
-            if !improved.is_empty() {
-                for (pos, point) in knowledge.points().iter().enumerate() {
-                    if improved.contains(&self.shard_map[pos]) {
-                        s.cache.patch_point_from(pos, point);
-                        s.patched.insert(pos);
-                    }
+            WireMessage::Summary { counts, reply } => {
+                let missing = node.replica.missing_for(&counts);
+                if !missing.is_empty() {
+                    self.net
+                        .send(env.to, env.from, &WireMessage::Ops { ops: missing });
                 }
-                for &shard in &improved {
-                    s.versions[shard] = versions[shard];
+                if reply {
+                    let summary = WireMessage::Summary {
+                        counts: node.replica.summary(),
+                        reply: false,
+                    };
+                    self.net.send(env.to, env.from, &summary);
                 }
             }
-        }
-        self.nodes[idx].joined = true;
-    }
-
-    /// Folds the broker's newly arrived observations and broadcasts
-    /// one per-shard delta for every changed shard. Returns whether
-    /// anything progressed (so the deliver phase can cascade).
-    fn flush_broker(&mut self) -> bool {
-        let Some(broker) = self.broker.as_mut() else {
-            return false;
-        };
-        broker.replica.fold_pending();
-        let moved = broker.replica.take_changes();
-        if moved.is_empty() {
-            return false;
-        }
-        // Only the points the fold moved can differ from what was
-        // published; one that ended where it was published is not
-        // re-broadcast.
-        let mut by_shard: BTreeMap<usize, Vec<(usize, OperatingPoint<KnobConfig>)>> =
-            BTreeMap::new();
-        for (pos, new) in moved.changed {
-            if broker.published.points()[pos] != new {
-                broker.published.patch_point_from(pos, &new);
-                by_shard
-                    .entry(self.shard_map[pos])
-                    .or_default()
-                    .push((pos, new));
+            WireMessage::WelcomeLog { ops } => {
+                for op in ops {
+                    node.replica.insert(op);
+                }
+                node.joined = true;
+            }
+            WireMessage::Join { node: joiner } => {
+                // A peer asked us for a snapshot of the log.
+                let ops = node.replica.ops().cloned().collect();
+                self.net
+                    .send(env.to, joiner, &WireMessage::WelcomeLog { ops });
             }
         }
-        for (shard, changed) in by_shard {
-            let from = broker.versions[shard];
-            broker.versions[shard] = from + 1;
-            let msg = WireMessage::Delta {
-                shard,
-                delta: KnowledgeDelta {
-                    from_epoch: from,
-                    to_epoch: from + 1,
-                    changed,
-                },
-            };
-            for &member in &broker.members {
-                self.net.send(BROKER, member, &msg);
-            }
-        }
-        true
     }
 
     fn resend_join(&mut self, idx: usize) {
         let id = self.nodes[idx].id;
-        match self.dist.topology {
-            DistTopology::BrokerStar => self.net.send(id, BROKER, &WireMessage::Join { node: id }),
-            DistTopology::Gossip { .. } => {
-                if let Some(seed) = self.seed_peer(id) {
-                    self.net.send(id, seed, &WireMessage::Join { node: id });
-                } else {
-                    self.nodes[idx].joined = true;
-                }
-            }
+        match self.seed_peer(id) {
+            Some(seed) => self.net.send(id, seed, &WireMessage::Join { node: id }),
+            None => self.nodes[idx].joined = true,
         }
     }
 
-    /// The lowest-id active node other than `id` (who a gossip joiner
-    /// asks for its snapshot).
+    /// The lowest-id active node other than `id` (who a joiner asks
+    /// for the log).
     fn seed_peer(&self, id: NodeId) -> Option<NodeId> {
         self.nodes
             .iter()
@@ -1136,64 +720,33 @@ impl DistributedFleet {
 
     // ---- convergence ---------------------------------------------------
 
-    /// Whether all connected participants expose the same effective
-    /// knowledge and epoch vector.
+    /// Whether all connected nodes hold the same logged observations
+    /// and folded epoch vector, with nothing left to fold.
     fn content_converged(&self) -> bool {
-        match &self.broker {
-            Some(broker) => {
-                if broker.replica.pending() {
-                    return false;
-                }
-                self.nodes
-                    .iter()
-                    .filter(|n| n.active)
-                    .all(|n| match &n.sync {
-                        NodeSync::Star(s) => {
-                            n.joined && s.versions == broker.versions && s.cache == broker.published
-                        }
-                        NodeSync::Gossip(_) => false,
-                    })
+        /// A replica's identity: the logged op-id set plus the folded
+        /// shard epoch vector.
+        type ReplicaState = (Vec<(u64, NodeId)>, Vec<u64>);
+        let mut reference: Option<ReplicaState> = None;
+        for node in self.nodes.iter().filter(|n| n.active) {
+            if !node.joined || node.replica.pending() {
+                return false;
             }
-            None => {
-                /// A gossip replica's identity: the logged op-id set
-                /// plus the folded shard epoch vector.
-                type ReplicaState = (Vec<(u64, NodeId)>, Vec<u64>);
-                let mut reference: Option<ReplicaState> = None;
-                for node in self.nodes.iter().filter(|n| n.active) {
-                    let NodeSync::Gossip(g) = &node.sync else {
-                        return false;
-                    };
-                    if !node.joined || g.replica.pending() {
-                        return false;
-                    }
-                    let state = (
-                        g.replica.ops().map(Observation::op_id).collect::<Vec<_>>(),
-                        g.replica.shard_epochs(),
-                    );
-                    match &reference {
-                        None => reference = Some(state),
-                        Some(r) => {
-                            if *r != state {
-                                return false;
-                            }
-                        }
-                    }
-                }
-                true
+            let state = (
+                node.replica.ops().map(Observation::op_id).collect(),
+                node.replica.shard_epochs(),
+            );
+            match &reference {
+                None => reference = Some(state),
+                Some(r) if *r != state => return false,
+                Some(_) => {}
             }
         }
+        true
     }
 
-    /// Whether any node still has unacknowledged observations or
-    /// unforwarded rumors.
+    /// Whether any node still has unforwarded rumors.
     fn exchange_pending(&self) -> bool {
-        self.nodes
-            .iter()
-            .filter(|n| n.active)
-            .any(|n| match &n.sync {
-                NodeSync::Star(s) => !s.unacked.is_empty(),
-                NodeSync::Gossip(g) => !g.outbox.is_empty(),
-            })
+        self.nodes.iter().any(|n| n.active && !n.outbox.is_empty())
     }
 }
 
@@ -1242,39 +795,16 @@ impl FleetRuntime for DistributedFleet {
     }
 }
 
-/// The replica logging what `to` receives: the broker's, or a gossip
-/// node's. Star nodes hold none.
-fn replica_of<'a>(
-    nodes: &'a [DistNode],
-    broker: Option<&'a Broker>,
-    to: NodeId,
-) -> Option<&'a Replica> {
-    if to == BROKER {
-        return broker.map(|b| &b.replica);
-    }
-    match &nodes.get(to as usize)?.sync {
-        NodeSync::Gossip(g) => Some(&g.replica),
-        NodeSync::Star(_) => None,
-    }
-}
-
-/// The rotation targets of gossip node `id` in `round`: `fanout`
-/// distinct active peers, cycling through the whole peer set over
-/// consecutive rounds so every pair reconciles periodically.
-fn gossip_targets(
-    active_ids: &[NodeId],
-    id: NodeId,
-    topology: &DistTopology,
-    round: u64,
-) -> Vec<NodeId> {
-    let DistTopology::Gossip { fanout } = topology else {
-        return Vec::new();
-    };
+/// The rotation targets of node `id` in `round`: `fanout` distinct
+/// active peers (all of them when `fanout` reaches the peer count),
+/// cycling through the whole peer set over consecutive rounds so every
+/// pair reconciles periodically.
+fn gossip_targets(active_ids: &[NodeId], id: NodeId, fanout: usize, round: u64) -> Vec<NodeId> {
     let peers: Vec<NodeId> = active_ids.iter().copied().filter(|&p| p != id).collect();
     if peers.is_empty() {
         return Vec::new();
     }
-    let k = (*fanout).min(peers.len());
+    let k = fanout.min(peers.len());
     let start = (round as usize).wrapping_mul(k) % peers.len();
     (0..k).map(|j| peers[(start + j) % peers.len()]).collect()
 }
@@ -1361,7 +891,7 @@ mod tests {
             DistributedFleet::new(dist_config(DistributedConfig::default()), &enhanced).unwrap();
         fleet.spawn(&Rank::throughput_per_watt2(), 9, 3);
         // From a fresh boot run_until(t) is the retired run_for(t) round
-        // sequence, bit for bit: rounds, traces and the broker's
+        // sequence, bit for bit: rounds, traces and the authoritative
         // knowledge are pinned to that loop's output.
         let rounds = fleet.run_until(2.0);
         assert_eq!(rounds, 90);
@@ -1500,7 +1030,7 @@ mod tests {
     }
 
     #[test]
-    fn ideal_star_fleet_steps_and_converges_every_round() {
+    fn ideal_full_mesh_fleet_steps_and_converges_every_round() {
         let enhanced = quick_enhanced();
         let mut fleet =
             DistributedFleet::new(dist_config(DistributedConfig::default()), &enhanced).unwrap();
@@ -1508,8 +1038,13 @@ mod tests {
         assert_eq!(fleet.active_instances(), 3);
         for _ in 0..4 {
             assert_eq!(fleet.step_all(), 3);
+            // Each round's deliveries bring every replica level before
+            // it folds: only the round's own steps are unfolded.
+            assert!((0..3).all(|id| fleet.epoch_vector(id) == fleet.epoch_vector(0)));
         }
-        assert_eq!(fleet.drain().unwrap(), 0, "an ideal link has no backlog");
+        // One repair round forwards the last round's rumors, which every
+        // node already holds.
+        assert_eq!(fleet.drain().unwrap(), 1);
         assert!(fleet.converged());
         let authoritative = fleet.authoritative_knowledge();
         assert_ne!(
@@ -1528,47 +1063,43 @@ mod tests {
     }
 
     #[test]
-    fn steady_star_rounds_patch_each_cache_in_place_and_never_share_it() {
+    fn steady_rounds_patch_each_asrtm_in_place() {
         let enhanced = quick_enhanced();
         let mut fleet =
             DistributedFleet::new(dist_config(DistributedConfig::default()), &enhanced).unwrap();
         fleet.spawn(&Rank::throughput_per_watt2(), 7, 4);
-        // The first patches copy the design knowledge every cache and
-        // AS-RTM booted sharing; from then on nothing is copied.
+        // The first patches copy the design knowledge every AS-RTM
+        // booted sharing; from then on nothing is copied.
         for _ in 0..3 {
             fleet.step_all();
         }
-        let storage = |k: &Knowledge<KnobConfig>| {
-            let index = k.rank_index().map(|i| i as *const margot::RankIndex);
-            (k.points().as_ptr(), index)
-        };
-        let caches = |fleet: &DistributedFleet| -> Vec<_> {
+        let storage = |fleet: &DistributedFleet| -> Vec<_> {
             fleet
                 .nodes
                 .iter()
-                .map(|node| match &node.sync {
-                    NodeSync::Star(s) => storage(&s.cache),
-                    NodeSync::Gossip(_) => panic!("a star fleet"),
+                .map(|node| {
+                    let k = node.app.manager().asrtm().knowledge();
+                    let index = k.rank_index().map(|i| i as *const margot::RankIndex);
+                    (k.points().as_ptr(), index)
                 })
                 .collect()
         };
-        let booted = caches(&fleet);
+        let booted = storage(&fleet);
         assert!(booted.iter().all(|(_, index)| index.is_some()));
         let mut moved = 0;
         for _ in 0..8 {
-            let versions: Vec<Vec<u64>> = (0..4).map(|id| fleet.epoch_vector(id)).collect();
+            let epochs: Vec<u64> = fleet.nodes.iter().map(|n| n.replica.epoch()).collect();
             fleet.step_all();
-            moved += (0..4)
-                .filter(|&id| fleet.epoch_vector(id) != versions[id])
+            moved += fleet
+                .nodes
+                .iter()
+                .zip(&epochs)
+                .filter(|(node, &epoch)| node.replica.epoch() != epoch)
                 .count();
-            assert_eq!(caches(&fleet), booted, "patched in place");
+            assert_eq!(storage(&fleet), booted, "patched in place");
             for node in &fleet.nodes {
-                let NodeSync::Star(s) = &node.sync else {
-                    panic!("a star fleet");
-                };
                 let held = node.app.manager().asrtm().knowledge();
-                assert_eq!(held, &s.cache, "adopted");
-                assert_ne!(storage(held).0, storage(&s.cache).0, "not shared");
+                assert_eq!(held, &node.replica.knowledge(), "adopted");
             }
         }
         assert!(moved > 0, "the rounds moved the knowledge");
@@ -1654,14 +1185,19 @@ mod tests {
         )
         .unwrap();
         fleet.spawn(&Rank::throughput_per_watt2(), 7, 2);
-        assert_eq!(
-            fleet.authoritative_knowledge(),
-            warmed,
-            "the broker publishes the warmed state from round zero"
-        );
+        // Every node boots on the same seeded fold: the warmed design
+        // with the shipped points' windows filled.
+        let seeded = DistributedFleet::boot_replica(fleet.config(), &warmed, App::TwoMm);
+        assert!(!seeded.pending(), "the seed is folded at boot");
+        assert_ne!(seeded.knowledge(), enhanced.knowledge);
         for id in 0..2 {
-            assert_eq!(fleet.node_knowledge(id), warmed, "node {id} booted cold");
+            assert_eq!(
+                fleet.node_knowledge(id),
+                seeded.knowledge(),
+                "node {id} booted cold"
+            );
         }
+        assert_eq!(fleet.authoritative_knowledge(), seeded.knowledge());
         fleet.step_all();
         // A churn joiner is welcomed with the warmed (and since
         // updated) knowledge, never the cold design state.

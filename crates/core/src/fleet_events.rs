@@ -773,8 +773,8 @@ impl EventFleet {
 
     /// One kernel invocation of a live instance — the hot path. O(1)
     /// amortized in the total instance count: a cached expectation,
-    /// two stateless noise draws, one shard-locked merge patching one
-    /// point, and one heap push.
+    /// two stateless noise draws, one merge into the pool's knowledge
+    /// arena patching one point, and one heap push.
     fn step_instance(&mut self, id: InstanceId, t_s: f64) {
         let slot = id.slot() as usize;
         let (pool_idx, stream, steps) = {

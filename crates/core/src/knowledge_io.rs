@@ -2,11 +2,11 @@
 //! persisted artifact.
 //!
 //! [`wire_to_bytes`]/[`wire_from_bytes`] frame the messages of the
-//! distributed knowledge exchange ([`crate::transport`]);
-//! [`delta_to_bytes`]/[`delta_from_bytes`] frame a standalone
-//! [`KnowledgeDelta`]. The same length-prefixed primitives encode the
-//! shippable [`crate::KnowledgeSnapshot`] artifacts, which land on disk
-//! through [`write_atomic_bytes`].
+//! distributed knowledge exchange ([`crate::transport`]). The same
+//! length-prefixed primitives encode the shippable
+//! [`crate::KnowledgeSnapshot`] artifacts, which land on disk through
+//! [`write_atomic_bytes`]. Knowledge leaves a process in these two
+//! forms only.
 //!
 //! Decode failures are transport-stage [`SocratesError`]s; file I/O
 //! failures are persist-stage errors carrying the path.
@@ -15,7 +15,7 @@
 
 use crate::error::SocratesError;
 use crate::transport::{NodeId, Observation, WireMessage};
-use margot::{Knowledge, KnowledgeDelta, MetricValues, OperatingPoint};
+use margot::{Knowledge, MetricValues, OperatingPoint};
 use platform_sim::{BindingPolicy, CompilerOptions, KnobConfig, OptLevel};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,7 +72,6 @@ pub(crate) fn write_atomic_bytes(path: &Path, contents: &[u8]) -> Result<(), Soc
 //
 // * frame           = magic `b"SOC\x01"` ++ payload
 // * u8/u32/u64      = fixed-width LE
-// * usize           = u64 LE
 // * f64             = raw IEEE-754 bits LE (`to_le_bytes`); NaN
 //                     round-trips **bit-exactly**
 // * bool            = u8 (0 / 1)
@@ -85,12 +84,13 @@ pub(crate) fn write_atomic_bytes(path: &Path, contents: &[u8]) -> Result<(), Soc
 // * MetricValues    = seq<(str, f64)> in metric order
 // * OperatingPoint  = KnobConfig ++ MetricValues
 // * Knowledge       = seq<OperatingPoint>
-// * KnowledgeDelta  = from_epoch (u64) ++ to_epoch (u64)
-//                     ++ seq<(usize, OperatingPoint)>
 // * Observation     = origin (u32) ++ seq (u64) ++ round (u64)
 //                     ++ KnobConfig ++ MetricValues
-// * WireMessage     = variant tag (u8, declaration order: Join = 0 …
-//                     WelcomeLog = 9) ++ variant fields in order
+// * WireMessage     = variant tag (u8: Join = 0, Ops = 2, Summary = 7,
+//                     WelcomeLog = 9) ++ variant fields in order; tags
+//                     1, 3–6 and 8 belonged to the retired broker star
+//                     and stay unassigned, so an old peer's frame is
+//                     rejected, never misparsed
 //
 // Decoders are strict: unknown tags, out-of-range indices, truncated
 // input and trailing bytes are all transport-stage errors.
@@ -108,10 +108,6 @@ pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_usize(out: &mut Vec<u8>, v: usize) {
-    put_u64(out, v as u64);
 }
 
 pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
@@ -177,27 +173,6 @@ pub(crate) fn put_knowledge(
     Ok(())
 }
 
-fn put_positioned(
-    out: &mut Vec<u8>,
-    points: &[(usize, OperatingPoint<KnobConfig>)],
-) -> Result<(), SocratesError> {
-    put_len(out, points.len())?;
-    for (pos, p) in points {
-        put_usize(out, *pos);
-        put_point(out, p)?;
-    }
-    Ok(())
-}
-
-pub(crate) fn put_delta(
-    out: &mut Vec<u8>,
-    d: &KnowledgeDelta<KnobConfig>,
-) -> Result<(), SocratesError> {
-    put_u64(out, d.from_epoch);
-    put_u64(out, d.to_epoch);
-    put_positioned(out, &d.changed)
-}
-
 fn put_observations(out: &mut Vec<u8>, ops: &[Observation]) -> Result<(), SocratesError> {
     put_len(out, ops.len())?;
     for o in ops {
@@ -224,36 +199,9 @@ fn put_wire(out: &mut Vec<u8>, msg: &WireMessage) -> Result<(), SocratesError> {
             put_u8(out, 0);
             put_u32(out, *node);
         }
-        WireMessage::Leave { node } => {
-            put_u8(out, 1);
-            put_u32(out, *node);
-        }
         WireMessage::Ops { ops } => {
             put_u8(out, 2);
             put_observations(out, ops)?;
-        }
-        WireMessage::Ack { count } => {
-            put_u8(out, 3);
-            put_u64(out, *count);
-        }
-        WireMessage::Delta { shard, delta } => {
-            put_u8(out, 4);
-            put_usize(out, *shard);
-            put_delta(out, delta)?;
-        }
-        WireMessage::SyncRequest { versions } => {
-            put_u8(out, 5);
-            put_versions(out, versions)?;
-        }
-        WireMessage::SyncResponse {
-            shard,
-            version,
-            points,
-        } => {
-            put_u8(out, 6);
-            put_usize(out, *shard);
-            put_u64(out, *version);
-            put_positioned(out, points)?;
         }
         WireMessage::Summary { counts, reply } => {
             put_u8(out, 7);
@@ -263,14 +211,6 @@ fn put_wire(out: &mut Vec<u8>, msg: &WireMessage) -> Result<(), SocratesError> {
                 put_u64(out, *count);
             }
             put_bool(out, *reply);
-        }
-        WireMessage::Welcome {
-            knowledge,
-            versions,
-        } => {
-            put_u8(out, 8);
-            put_knowledge(out, knowledge)?;
-            put_versions(out, versions)?;
         }
         WireMessage::WelcomeLog { ops } => {
             put_u8(out, 9);
@@ -329,10 +269,6 @@ impl<'a> ByteReader<'a> {
 
     pub(crate) fn u64(&mut self) -> Result<u64, SocratesError> {
         Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    pub(crate) fn usize(&mut self) -> Result<usize, SocratesError> {
-        usize::try_from(self.u64()?).map_err(|_| Self::err("index exceeds usize"))
     }
 
     pub(crate) fn f64(&mut self) -> Result<f64, SocratesError> {
@@ -439,24 +375,6 @@ impl<'a> ByteReader<'a> {
         Ok(k)
     }
 
-    fn positioned(&mut self) -> Result<Vec<(usize, OperatingPoint<KnobConfig>)>, SocratesError> {
-        let n = self.len()?;
-        let mut points = Vec::with_capacity(n);
-        for _ in 0..n {
-            let pos = self.usize()?;
-            points.push((pos, self.point()?));
-        }
-        Ok(points)
-    }
-
-    pub(crate) fn delta(&mut self) -> Result<KnowledgeDelta<KnobConfig>, SocratesError> {
-        Ok(KnowledgeDelta {
-            from_epoch: self.u64()?,
-            to_epoch: self.u64()?,
-            changed: self.positioned()?,
-        })
-    }
-
     /// Reads a sequence of observations, materialising only those whose
     /// `(round, origin)` `keep` accepts. A skipped observation passes
     /// the same reads, so the same checks, as a kept one: a frame is
@@ -489,37 +407,14 @@ impl<'a> ByteReader<'a> {
         Ok(ops)
     }
 
-    pub(crate) fn versions(&mut self) -> Result<Vec<u64>, SocratesError> {
-        let n = self.len()?;
-        let mut vs = Vec::with_capacity(n);
-        for _ in 0..n {
-            vs.push(self.u64()?);
-        }
-        Ok(vs)
-    }
-
     fn wire(
         &mut self,
         keep: &mut impl FnMut((u64, NodeId)) -> bool,
     ) -> Result<WireMessage, SocratesError> {
         match self.u8()? {
             0 => Ok(WireMessage::Join { node: self.u32()? }),
-            1 => Ok(WireMessage::Leave { node: self.u32()? }),
             2 => Ok(WireMessage::Ops {
                 ops: self.observations(keep)?,
-            }),
-            3 => Ok(WireMessage::Ack { count: self.u64()? }),
-            4 => Ok(WireMessage::Delta {
-                shard: self.usize()?,
-                delta: self.delta()?,
-            }),
-            5 => Ok(WireMessage::SyncRequest {
-                versions: self.versions()?,
-            }),
-            6 => Ok(WireMessage::SyncResponse {
-                shard: self.usize()?,
-                version: self.u64()?,
-                points: self.positioned()?,
             }),
             7 => {
                 let n = self.len()?;
@@ -533,10 +428,6 @@ impl<'a> ByteReader<'a> {
                     reply: self.bool()?,
                 })
             }
-            8 => Ok(WireMessage::Welcome {
-                knowledge: self.knowledge()?,
-                versions: self.versions()?,
-            }),
             9 => Ok(WireMessage::WelcomeLog {
                 ops: self.observations(keep)?,
             }),
@@ -592,32 +483,6 @@ pub fn wire_from_bytes_keeping(
     Ok(msg)
 }
 
-/// Encodes a knowledge delta as a standalone binary frame.
-///
-/// # Errors
-///
-/// Returns a transport-stage [`SocratesError`] when a sequence is
-/// longer than the format's u32 counts can say.
-pub fn delta_to_bytes(delta: &KnowledgeDelta<KnobConfig>) -> Result<Vec<u8>, SocratesError> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&WIRE_MAGIC);
-    put_delta(&mut out, delta)?;
-    Ok(out)
-}
-
-/// Decodes a knowledge delta from a standalone binary frame.
-///
-/// # Errors
-///
-/// Returns a transport-stage [`SocratesError`] on malformed input.
-pub fn delta_from_bytes(bytes: &[u8]) -> Result<KnowledgeDelta<KnobConfig>, SocratesError> {
-    let mut r = ByteReader::new(bytes);
-    r.magic()?;
-    let delta = r.delta()?;
-    r.finish()?;
-    Ok(delta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,9 +516,9 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("kb.bin");
-        let bytes = wire_to_bytes(&WireMessage::Welcome {
-            knowledge: sample_knowledge(),
-            versions: vec![1, 0],
+        let bytes = wire_to_bytes(&WireMessage::Summary {
+            counts: vec![(0, 3), (2, 1)],
+            reply: true,
         })
         .unwrap();
         write_atomic_bytes(&path, &bytes).unwrap();
@@ -676,16 +541,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("kb.bin");
         std::fs::write(&path, "old contents").unwrap();
-        let delta = margot::KnowledgeDelta {
-            from_epoch: 0,
-            to_epoch: 1,
-            changed: vec![(0, sample_knowledge().points()[0].clone())],
+        let msg = WireMessage::Ops {
+            ops: vec![sample_observation()],
         };
-        let bytes = delta_to_bytes(&delta).unwrap();
-        write_atomic_bytes(&path, &bytes).unwrap();
+        write_atomic_bytes(&path, &wire_to_bytes(&msg).unwrap()).unwrap();
         assert_eq!(
-            delta_from_bytes(&std::fs::read(&path).unwrap()).unwrap(),
-            delta
+            wire_from_bytes(&std::fs::read(&path).unwrap()).unwrap(),
+            msg
         );
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -742,47 +604,29 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    fn sample_wire_messages() -> Vec<WireMessage> {
-        let k = sample_knowledge();
-        let obs = Observation {
+    fn sample_observation() -> Observation {
+        Observation {
             origin: 5,
             seq: 11,
             round: 4,
-            config: k.points()[1].config.clone(),
+            config: sample_knowledge().points()[1].config.clone(),
             observed: MetricValues::from_execution(0.25, 80.0),
-        };
+        }
+    }
+
+    fn sample_wire_messages() -> Vec<WireMessage> {
         vec![
             WireMessage::Join { node: 3 },
-            WireMessage::Leave { node: 9 },
             WireMessage::Ops {
-                ops: vec![obs.clone()],
-            },
-            WireMessage::Ack { count: 7 },
-            WireMessage::Delta {
-                shard: 2,
-                delta: margot::KnowledgeDelta {
-                    from_epoch: 0,
-                    to_epoch: 1,
-                    changed: vec![(1, k.points()[1].clone())],
-                },
-            },
-            WireMessage::SyncRequest {
-                versions: vec![0, 4, 2],
-            },
-            WireMessage::SyncResponse {
-                shard: 1,
-                version: 6,
-                points: vec![(0, k.points()[0].clone()), (2, k.points()[2].clone())],
+                ops: vec![sample_observation()],
             },
             WireMessage::Summary {
                 counts: vec![(0, 3), (2, 1)],
                 reply: true,
             },
-            WireMessage::Welcome {
-                knowledge: k,
-                versions: vec![1, 1, 0],
+            WireMessage::WelcomeLog {
+                ops: vec![sample_observation()],
             },
-            WireMessage::WelcomeLog { ops: vec![obs] },
         ]
     }
 
@@ -797,19 +641,6 @@ mod tests {
             // also covers NaN payloads, where `==` on messages can't).
             assert_eq!(wire_to_bytes(&back).unwrap(), bytes);
         }
-    }
-
-    #[test]
-    fn delta_round_trips_through_the_binary_codec() {
-        let k = sample_knowledge();
-        let delta = margot::KnowledgeDelta {
-            from_epoch: 3,
-            to_epoch: 5,
-            changed: vec![(0, k.points()[0].clone()), (2, k.points()[2].clone())],
-        };
-        let bytes = delta_to_bytes(&delta).unwrap();
-        let back = delta_from_bytes(&bytes).unwrap();
-        assert_eq!(back, delta);
     }
 
     #[test]
@@ -865,28 +696,37 @@ mod tests {
         let err = wire_from_bytes(b"NOPE").unwrap_err();
         assert!(matches!(err, SocratesError::Transport { .. }));
         assert_eq!(err.stage(), StageId::Transport);
-        // Unknown variant tag.
-        let mut bytes = WIRE_MAGIC.to_vec();
-        bytes.push(0xFF);
-        assert!(wire_from_bytes(&bytes).is_err());
+        // Unknown variant tags, among them the six the retired broker
+        // star used (1, 3, 4, 5, 6 and 8): a frame from an old peer is
+        // rejected at its tag, whatever payload follows.
+        for tag in [1u8, 3, 4, 5, 6, 8, 0xFF] {
+            let mut bytes = WIRE_MAGIC.to_vec();
+            put_u8(&mut bytes, tag);
+            put_u64(&mut bytes, 7);
+            let err = wire_from_bytes(&bytes).unwrap_err();
+            assert_eq!(err.stage(), StageId::Transport);
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown wire message tag {tag}")),
+                "{err}"
+            );
+        }
         // Truncated payload.
-        let good = wire_to_bytes(&WireMessage::Ack { count: 7 }).unwrap();
+        let good = wire_to_bytes(&WireMessage::Join { node: 7 }).unwrap();
         assert!(wire_from_bytes(&good[..good.len() - 1]).is_err());
         // Trailing garbage.
         let mut long = good.clone();
         long.push(0);
         assert!(wire_from_bytes(&long).is_err());
-        // Out-of-range knob index inside a delta frame.
-        let k = sample_knowledge();
-        let delta = margot::KnowledgeDelta {
-            from_epoch: 0,
-            to_epoch: 1,
-            changed: vec![(0, k.points()[0].clone())],
-        };
-        let mut bytes = delta_to_bytes(&delta).unwrap();
-        // from_epoch (8) + to_epoch (8) + count (4) + pos (8) after the
-        // 4-byte magic puts the opt-level index byte at offset 32.
-        bytes[32] = 17;
-        assert!(delta_from_bytes(&bytes).is_err());
+        // Out-of-range knob index inside an observation frame: tag (1),
+        // count (4), origin (4), seq (8) and round (8) after the 4-byte
+        // magic put the opt-level index byte at offset 29.
+        let mut bytes = wire_to_bytes(&WireMessage::Ops {
+            ops: vec![sample_observation()],
+        })
+        .unwrap();
+        assert!(wire_from_bytes(&bytes).is_ok());
+        bytes[29] = 17;
+        assert!(wire_from_bytes(&bytes).is_err());
     }
 }

@@ -33,10 +33,10 @@
 //! sweep the design space cooperatively and split a global power
 //! budget — the paper's *online* loop at deployment scale. A
 //! [`DistributedFleet`] takes the same loop across process
-//! boundaries: instances exchange serialised knowledge deltas over a
-//! deterministic simulated transport ([`transport`]) with seeded
-//! latency, reordering, drop and duplication, reconciling via
-//! per-shard epoch vectors until every node converges onto the same
+//! boundaries: each instance holds a replica of the observation log
+//! and gossips serialised observations over a deterministic simulated
+//! transport ([`transport`]) with seeded latency, reordering, drop and
+//! duplication, until every node folds the same log onto the same
 //! effective knowledge.
 //!
 //! All three runtimes share one stepping surface, [`FleetRuntime`]
@@ -103,16 +103,13 @@ pub use fleet::{
 };
 pub use fleet_dist::{DistStats, DistributedFleet};
 pub use fleet_events::{Arrival, EventFleet, EventFleetStats, WorkloadCurve, WorkloadTrace};
-pub use knowledge_io::{
-    delta_from_bytes, delta_to_bytes, wire_from_bytes, wire_from_bytes_keeping, wire_to_bytes,
-    WIRE_MAGIC,
-};
+pub use knowledge_io::{wire_from_bytes, wire_from_bytes_keeping, wire_to_bytes, WIRE_MAGIC};
 pub use minivm::ExecutionReport;
 pub use platform::Platform;
 pub use runtime::{trace_digest, AdaptiveApplication, TraceSample};
 pub use snapshot::{
-    cosine_distance, nearest_neighbour, KnowledgeSnapshot, SnapshotDelta, SnapshotFingerprint,
-    SNAPSHOT_DELTA_MAGIC, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC,
+    cosine_distance, nearest_neighbour, KnowledgeSnapshot, SnapshotFingerprint,
+    SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC,
 };
 pub use toolchain::{EnhancedApp, Toolchain};
 pub use transport::{DistTopology, DistributedConfig, LinkConfig};

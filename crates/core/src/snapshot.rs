@@ -1,7 +1,6 @@
 //! Shippable knowledge snapshots: versioned, compact binary artifacts
-//! that carry a [`margot::SharedKnowledge`]'s full effective state —
-//! plus delta-chained increments — between processes, deployments and
-//! apps.
+//! that carry a [`margot::SharedKnowledge`]'s full effective state
+//! between processes, deployments and apps.
 //!
 //! The production story (kubecl's autotune cache, ported to SOCRATES):
 //! a fleet that has paid for online exploration persists a
@@ -16,44 +15,27 @@
 //!
 //! # Format
 //!
-//! Both artifact kinds reuse the little-endian length-prefixed
-//! primitives of the binary wire codec (`crate::wire_to_bytes`); all
-//! integers LE, strings `u32`-length-prefixed UTF-8, `f64` as raw
-//! IEEE-754 bits:
+//! A snapshot reuses the little-endian length-prefixed primitives of
+//! the binary wire codec (`crate::wire_to_bytes`); all integers LE,
+//! strings `u32`-length-prefixed UTF-8, `f64` as raw IEEE-754 bits:
 //!
-//! * full snapshot  = magic `b"SOCS"` ++ format version (u32)
+//! * snapshot    = magic `b"SOCS"` ++ format version (u32)
 //!   ++ fingerprint ++ epoch (u64) ++ `seq<u64>` shard epochs
 //!   ++ Knowledge (`seq<OperatingPoint>`, position order)
-//! * delta snapshot = magic `b"SOCD"` ++ format version (u32)
-//!   ++ fingerprint ++ `seq<u64>` shard epochs *after* the delta
-//!   ++ KnowledgeDelta (from/to epoch ++ changed points)
-//! * fingerprint    = app (str) ++ dataset (str) ++ platform (u64)
+//! * fingerprint = app (str) ++ dataset (str) ++ platform (u64)
 //!
-//! Decoders are strict: wrong magic, a future format version,
-//! truncation and trailing bytes are all typed transport-stage
-//! [`SocratesError`]s — never a panic. File I/O failures are
-//! persist-stage errors carrying the path.
-//!
-//! # Delta-chain fast-forward
-//!
-//! A snapshot cut at epoch `E` fast-forwards through any
-//! [`SnapshotDelta`] chain recorded since: each link must carry the
-//! same fingerprint, chain exactly from the snapshot's current epoch
-//! (`delta.from_epoch == snapshot.epoch`) and agree on the shard
-//! count; the snapshot then lands on the link's `to_epoch` and shard
-//! epoch vector. A fast-forwarded snapshot is **bit-identical** to the
-//! live knowledge it chased — equal per-shard content hashes
-//! ([`KnowledgeSnapshot::shard_hashes`] vs
-//! [`margot::SharedKnowledge::shard_hashes`]) and equal epoch vectors
-//! (`tests/snapshot_compat.rs` pins this).
+//! Decoders are strict: wrong magic (the retired `b"SOCD"` delta
+//! artifacts included), a future format version, truncation and
+//! trailing bytes are all typed transport-stage [`SocratesError`]s —
+//! never a panic. File I/O failures are persist-stage errors carrying
+//! the path.
 
 use crate::error::SocratesError;
 use crate::knowledge_io::{
-    put_delta, put_knowledge, put_str, put_u32, put_u64, put_versions, write_atomic_bytes,
-    ByteReader,
+    put_knowledge, put_str, put_u32, put_u64, put_versions, write_atomic_bytes, ByteReader,
 };
 use crate::toolchain::{fnv, Toolchain, FNV_OFFSET};
-use margot::{shard_content_hash, shard_index, Knowledge, KnowledgeDelta, SharedKnowledge};
+use margot::{Knowledge, SharedKnowledge};
 use platform_sim::KnobConfig;
 use polybench::App;
 use std::collections::HashMap;
@@ -62,18 +44,16 @@ use std::path::Path;
 /// Leading magic of a full-state snapshot artifact.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SOCS";
 
-/// Leading magic of a delta (incremental) snapshot artifact.
-pub const SNAPSHOT_DELTA_MAGIC: [u8; 4] = *b"SOCD";
-
 /// Snapshot format version written by this build; decoders reject
 /// anything newer with a typed error instead of misreading it.
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
 
 /// What a snapshot was cut *from*: the app, the dataset it was profiled
-/// on and a stable hash of the platform model. Delta links refuse to
-/// fast-forward a snapshot with a different fingerprint; warm-start
-/// adoption deliberately does **not** check it (cross-app seeding
-/// applies a neighbour's snapshot to a different app's design space).
+/// on and a stable hash of the platform model. The artifact store
+/// reloads cached design knowledge only under its own fingerprint;
+/// warm-start adoption deliberately does **not** check it (cross-app
+/// seeding applies a neighbour's snapshot to a different app's design
+/// space).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotFingerprint {
     /// Application name (`App::name`).
@@ -142,84 +122,6 @@ impl KnowledgeSnapshot {
         }
     }
 
-    /// Number of knowledge shards the snapshot was cut under.
-    pub fn shard_count(&self) -> usize {
-        self.shard_epochs.len()
-    }
-
-    /// Per-shard content hashes of the snapshot's points, computed
-    /// with the same shard assignment and digest as
-    /// [`SharedKnowledge::shard_hash`] — equal vectors (plus equal
-    /// epoch vectors) mean the snapshot and a live knowledge base are
-    /// bit-identical.
-    pub fn shard_hashes(&self) -> Vec<u64> {
-        let shards = self.shard_count().max(1);
-        let mut groups: Vec<Vec<(usize, &margot::OperatingPoint<KnobConfig>)>> =
-            vec![Vec::new(); shards];
-        for (pos, point) in self.knowledge.points().iter().enumerate() {
-            groups[shard_index(&point.config, shards)].push((pos, point));
-        }
-        groups.into_iter().map(shard_content_hash).collect()
-    }
-
-    /// Applies one delta link recorded since this snapshot was cut,
-    /// advancing it to the link's `to_epoch` and shard epoch vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns a transport-stage [`SocratesError`] — changing nothing —
-    /// if the link's fingerprint differs, its `from_epoch` does not
-    /// chain from the snapshot's epoch, its shard count differs, or
-    /// its changed positions do not line up with the snapshot's
-    /// configuration space.
-    pub fn fast_forward(&mut self, link: &SnapshotDelta) -> Result<(), SocratesError> {
-        if link.fingerprint != self.fingerprint {
-            return Err(SocratesError::transport(format!(
-                "snapshot fingerprint mismatch: snapshot is {}/{}/{:016x}, delta is {}/{}/{:016x}",
-                self.fingerprint.app,
-                self.fingerprint.dataset,
-                self.fingerprint.platform,
-                link.fingerprint.app,
-                link.fingerprint.dataset,
-                link.fingerprint.platform,
-            )));
-        }
-        if link.shard_epochs.len() != self.shard_epochs.len() {
-            return Err(SocratesError::transport(format!(
-                "snapshot shard-count mismatch: snapshot has {}, delta has {}",
-                self.shard_epochs.len(),
-                link.shard_epochs.len(),
-            )));
-        }
-        if link.delta.from_epoch != self.epoch {
-            return Err(SocratesError::transport(format!(
-                "snapshot delta does not chain: snapshot is at epoch {}, delta starts at {}",
-                self.epoch, link.delta.from_epoch,
-            )));
-        }
-        if !link.delta.apply_to(&mut self.knowledge) {
-            return Err(SocratesError::transport(
-                "snapshot delta positions do not match the snapshot's configuration space",
-            ));
-        }
-        self.epoch = link.delta.to_epoch;
-        self.shard_epochs.clone_from(&link.shard_epochs);
-        Ok(())
-    }
-
-    /// Fast-forwards through a whole recorded chain, in order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first link's error; links before it have been
-    /// applied (fast-forward is cumulative), links after it have not.
-    pub fn fast_forward_chain(&mut self, chain: &[SnapshotDelta]) -> Result<(), SocratesError> {
-        for link in chain {
-            self.fast_forward(link)?;
-        }
-        Ok(())
-    }
-
     /// Seeds a design-time knowledge base from this snapshot: every
     /// design point whose configuration the snapshot also holds gets
     /// the snapshot's metric values merged over its design metrics;
@@ -260,7 +162,9 @@ impl KnowledgeSnapshot {
         let mut out = Vec::with_capacity(64 + 32 * self.knowledge.len());
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         put_u32(&mut out, SNAPSHOT_FORMAT_VERSION);
-        put_fingerprint(&mut out, &self.fingerprint)?;
+        put_str(&mut out, &self.fingerprint.app)?;
+        put_str(&mut out, &self.fingerprint.dataset)?;
+        put_u64(&mut out, self.fingerprint.platform);
         put_u64(&mut out, self.epoch);
         put_versions(&mut out, &self.shard_epochs)?;
         put_knowledge(&mut out, &self.knowledge)?;
@@ -276,9 +180,23 @@ impl KnowledgeSnapshot {
     /// input, trailing bytes or any malformed payload field.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SocratesError> {
         let mut r = ByteReader::new(bytes);
-        snapshot_magic(&mut r, SNAPSHOT_MAGIC, "knowledge snapshot")?;
-        snapshot_version(&mut r)?;
-        let fingerprint = read_fingerprint(&mut r)?;
+        if r.take(4)? != SNAPSHOT_MAGIC {
+            return Err(SocratesError::transport(
+                "malformed binary frame: bad knowledge snapshot magic",
+            ));
+        }
+        let version = r.u32()?;
+        if version > SNAPSHOT_FORMAT_VERSION {
+            return Err(SocratesError::transport(format!(
+                "unsupported snapshot format version {version} \
+                 (this build reads up to {SNAPSHOT_FORMAT_VERSION})"
+            )));
+        }
+        let fingerprint = SnapshotFingerprint {
+            app: r.str()?.to_string(),
+            dataset: r.str()?.to_string(),
+            platform: r.u64()?,
+        };
         let epoch = r.u64()?;
         let n = r.len()?;
         let mut shard_epochs = Vec::with_capacity(n);
@@ -316,152 +234,6 @@ impl KnowledgeSnapshot {
         let bytes = std::fs::read(path).map_err(|e| SocratesError::io(path, e))?;
         Self::from_bytes(&bytes)
     }
-}
-
-/// One link of a snapshot's incremental chain: the [`KnowledgeDelta`]
-/// recorded between two epochs plus the shard epoch vector *after*
-/// applying it. A node holding a [`KnowledgeSnapshot`] at the link's
-/// `from_epoch` lands exactly on the `to_epoch` state
-/// ([`KnowledgeSnapshot::fast_forward`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotDelta {
-    /// Provenance; must match the snapshot being fast-forwarded.
-    pub fingerprint: SnapshotFingerprint,
-    /// Per-shard epoch vector after this link applies.
-    pub shard_epochs: Vec<u64>,
-    /// The changed points between `from_epoch` and `to_epoch`.
-    pub delta: KnowledgeDelta<KnobConfig>,
-}
-
-impl SnapshotDelta {
-    /// Cuts the next chain link from a live knowledge base: drains the
-    /// changes accumulated since the last cut (or since the full
-    /// snapshot) into a delta chaining from `from_epoch`. Intended for
-    /// quiescent bases between rounds — the coordinator that cuts
-    /// snapshots must own the base's drain (drains consume the dirty
-    /// sets).
-    pub fn cut(
-        shared: &SharedKnowledge<KnobConfig>,
-        fingerprint: SnapshotFingerprint,
-        from_epoch: u64,
-    ) -> Self {
-        let (to_epoch, changed) = shared.drain_changes();
-        let shard_epochs = (0..shared.shard_count())
-            .map(|s| shared.shard_epoch(s))
-            .collect();
-        SnapshotDelta {
-            fingerprint,
-            shard_epochs,
-            delta: KnowledgeDelta {
-                from_epoch,
-                to_epoch,
-                changed,
-            },
-        }
-    }
-
-    /// Encodes the link as a standalone binary artifact.
-    ///
-    /// # Errors
-    ///
-    /// Returns a transport-stage [`SocratesError`] when a sequence is
-    /// longer than the format's u32 counts can say.
-    pub fn to_bytes(&self) -> Result<Vec<u8>, SocratesError> {
-        let mut out = Vec::with_capacity(64 + 32 * self.delta.len());
-        out.extend_from_slice(&SNAPSHOT_DELTA_MAGIC);
-        put_u32(&mut out, SNAPSHOT_FORMAT_VERSION);
-        put_fingerprint(&mut out, &self.fingerprint)?;
-        put_versions(&mut out, &self.shard_epochs)?;
-        put_delta(&mut out, &self.delta)?;
-        Ok(out)
-    }
-
-    /// Decodes a delta-snapshot artifact.
-    ///
-    /// # Errors
-    ///
-    /// Returns a transport-stage [`SocratesError`] on wrong magic, a
-    /// future format version, truncated input, trailing bytes or any
-    /// malformed payload field.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SocratesError> {
-        let mut r = ByteReader::new(bytes);
-        snapshot_magic(&mut r, SNAPSHOT_DELTA_MAGIC, "knowledge delta snapshot")?;
-        snapshot_version(&mut r)?;
-        let fingerprint = read_fingerprint(&mut r)?;
-        let n = r.len()?;
-        let mut shard_epochs = Vec::with_capacity(n);
-        for _ in 0..n {
-            shard_epochs.push(r.u64()?);
-        }
-        let delta = r.delta()?;
-        r.finish()?;
-        Ok(SnapshotDelta {
-            fingerprint,
-            shard_epochs,
-            delta,
-        })
-    }
-
-    /// Writes the link to `path` atomically.
-    ///
-    /// # Errors
-    ///
-    /// Returns a persist-stage [`SocratesError`] on I/O failure.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SocratesError> {
-        write_atomic_bytes(path.as_ref(), &self.to_bytes()?)
-    }
-
-    /// Reads a link from `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a persist-stage [`SocratesError`] on I/O failure and a
-    /// transport-stage one on corrupt or version-skewed content.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, SocratesError> {
-        let path = path.as_ref();
-        let bytes = std::fs::read(path).map_err(|e| SocratesError::io(path, e))?;
-        Self::from_bytes(&bytes)
-    }
-}
-
-fn put_fingerprint(out: &mut Vec<u8>, fp: &SnapshotFingerprint) -> Result<(), SocratesError> {
-    put_str(out, &fp.app)?;
-    put_str(out, &fp.dataset)?;
-    put_u64(out, fp.platform);
-    Ok(())
-}
-
-fn read_fingerprint(r: &mut ByteReader<'_>) -> Result<SnapshotFingerprint, SocratesError> {
-    Ok(SnapshotFingerprint {
-        app: r.str()?.to_string(),
-        dataset: r.str()?.to_string(),
-        platform: r.u64()?,
-    })
-}
-
-fn snapshot_magic(
-    r: &mut ByteReader<'_>,
-    expected: [u8; 4],
-    what: &str,
-) -> Result<(), SocratesError> {
-    if r.take(4)? == expected {
-        Ok(())
-    } else {
-        Err(SocratesError::transport(format!(
-            "malformed binary frame: bad {what} magic"
-        )))
-    }
-}
-
-fn snapshot_version(r: &mut ByteReader<'_>) -> Result<u32, SocratesError> {
-    let version = r.u32()?;
-    if version > SNAPSHOT_FORMAT_VERSION {
-        return Err(SocratesError::transport(format!(
-            "unsupported snapshot format version {version} \
-             (this build reads up to {SNAPSHOT_FORMAT_VERSION})"
-        )));
-    }
-    Ok(version)
 }
 
 /// Cosine *distance* (`1 − cos θ`) between two feature vectors — the
@@ -549,7 +321,7 @@ mod tests {
         observe(&shared, 2, 0.4, 60.0);
         observe(&shared, 8, 0.1, 90.0);
         let snap = KnowledgeSnapshot::capture(&shared, fp());
-        assert_eq!(snap.shard_count(), 3);
+        assert_eq!(snap.shard_epochs.len(), 3);
         assert_eq!(snap.epoch, shared.epoch());
         let bytes = snap.to_bytes().unwrap();
         assert_eq!(bytes[..4], SNAPSHOT_MAGIC);
@@ -567,58 +339,6 @@ mod tests {
         snap.save(&path).unwrap();
         assert_eq!(KnowledgeSnapshot::load(&path).unwrap(), snap);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fast_forwarded_snapshot_is_bit_identical_to_the_live_base() {
-        let shared = SharedKnowledge::new(design(), 4).with_shards(3);
-        observe(&shared, 2, 0.4, 60.0);
-        shared.drain_changes(); // snapshot owns the drain cursor from here
-        let mut snap = KnowledgeSnapshot::capture(&shared, fp());
-
-        // Live base keeps learning; record the chain since the cut.
-        observe(&shared, 8, 0.1, 90.0);
-        let link1 = SnapshotDelta::cut(&shared, fp(), snap.epoch);
-        observe(&shared, 2, 0.2, 70.0);
-        observe(&shared, 4, 0.3, 65.0);
-        let link2 = SnapshotDelta::cut(&shared, fp(), link1.delta.to_epoch);
-
-        snap.fast_forward_chain(&[link1, link2]).unwrap();
-        assert_eq!(snap.epoch, shared.epoch());
-        let live_epochs: Vec<u64> = (0..shared.shard_count())
-            .map(|s| shared.shard_epoch(s))
-            .collect();
-        assert_eq!(snap.shard_epochs, live_epochs);
-        assert_eq!(snap.shard_hashes(), shared.shard_hashes());
-        assert_eq!(snap.knowledge, shared.knowledge());
-    }
-
-    #[test]
-    fn fast_forward_rejects_gaps_fingerprints_and_shard_mismatches() {
-        let shared = SharedKnowledge::new(design(), 4).with_shards(3);
-        let mut snap = KnowledgeSnapshot::capture(&shared, fp());
-        observe(&shared, 2, 0.4, 60.0);
-        let link = SnapshotDelta::cut(&shared, fp(), snap.epoch);
-
-        let mut wrong_fp = link.clone();
-        wrong_fp.fingerprint.app = "mvt".to_string();
-        let err = snap.fast_forward(&wrong_fp).unwrap_err();
-        assert!(matches!(err, SocratesError::Transport { .. }));
-        assert!(err.to_string().contains("fingerprint mismatch"));
-
-        let mut wrong_shards = link.clone();
-        wrong_shards.shard_epochs.push(0);
-        let err = snap.fast_forward(&wrong_shards).unwrap_err();
-        assert!(err.to_string().contains("shard-count mismatch"));
-
-        let mut gap = link.clone();
-        gap.delta.from_epoch = snap.epoch + 7;
-        let err = snap.fast_forward(&gap).unwrap_err();
-        assert!(err.to_string().contains("does not chain"));
-
-        // The rejected links changed nothing: the true link still applies.
-        snap.fast_forward(&link).unwrap();
-        assert_eq!(snap.knowledge, shared.knowledge());
     }
 
     #[test]
@@ -651,17 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_snapshot_round_trips_through_bytes() {
-        let shared = SharedKnowledge::new(design(), 4).with_shards(2);
-        observe(&shared, 2, 0.4, 60.0);
-        let link = SnapshotDelta::cut(&shared, fp(), 0);
-        let bytes = link.to_bytes().unwrap();
-        assert_eq!(bytes[..4], SNAPSHOT_DELTA_MAGIC);
-        let back = SnapshotDelta::from_bytes(&bytes).unwrap();
-        assert_eq!(back, link);
-    }
-
-    #[test]
     fn future_format_versions_and_bad_magic_are_typed_errors() {
         let snap = KnowledgeSnapshot::capture(&SharedKnowledge::new(design(), 4), fp());
         let mut bytes = snap.to_bytes().unwrap();
@@ -672,9 +381,12 @@ mod tests {
             .to_string()
             .contains("unsupported snapshot format version"));
 
+        // The retired delta artifact's magic is a wrong magic.
         let mut wrong_magic = snap.to_bytes().unwrap();
-        wrong_magic[..4].copy_from_slice(b"SOCD"); // the *delta* magic
-        assert!(KnowledgeSnapshot::from_bytes(&wrong_magic).is_err());
+        wrong_magic[..4].copy_from_slice(b"SOCD");
+        let err = KnowledgeSnapshot::from_bytes(&wrong_magic).unwrap_err();
+        assert!(matches!(err, SocratesError::Transport { .. }));
+        assert!(err.to_string().contains("magic"), "{err}");
     }
 
     #[test]

@@ -3,19 +3,18 @@
 //! process into a system.
 //!
 //! SOCRATES' online phase is *crowdsourced*: many deployed instances
-//! exchange runtime observations through a remote knowledge service,
-//! not a shared address space. This module provides the three pieces
-//! the [`crate::DistributedFleet`] builds on:
+//! exchange runtime observations, not a shared address space. This
+//! module provides the three pieces the [`crate::DistributedFleet`]
+//! builds on:
 //!
 //! - [`SimNet`] — a simulated message transport driven by the fleet's
 //!   virtual clock (one tick per synchronized round). Every link gets
 //!   a seeded per-link RNG drawing latency (which reorders messages),
 //!   drops and duplicates, so any lossy schedule is **deterministic
 //!   and replayable** from the [`LinkConfig`] seed.
-//! - [`WireMessage`] — the protocol: observations, acks, per-shard
-//!   [`margot::KnowledgeDelta`]s, epoch-vector sync requests/responses,
-//!   gossip summaries and join/snapshot messages. On the wire, messages
-//!   travel as length-prefixed **binary frames**
+//! - [`WireMessage`] — the gossip protocol: observation batches,
+//!   summaries, and the join request and log snapshot of churn. On the
+//!   wire, messages travel as length-prefixed **binary frames**
 //!   ([`crate::wire_to_bytes`]) — [`SimNet::send`] encodes a borrowed
 //!   message once and [`SimNet::poll_due`] decodes on delivery, so
 //!   every distributed test exercises the codec. A receiver that
@@ -29,54 +28,37 @@
 //!   independently, so a late arrival rolls back and replays only the
 //!   point it observed. Two replicas holding the same set of
 //!   observations therefore expose bit-identical effective knowledge
-//!   *and* per-shard epoch vectors — the invariant every
-//!   reconciliation path reduces to, and the one the transport
-//!   property tests pin against a single-shard [`SharedKnowledge`]
-//!   reference.
+//!   *and* per-shard epoch vectors — the invariant reconciliation
+//!   reduces to, and the one the transport property tests pin against
+//!   a single-shard [`SharedKnowledge`] reference.
 //!
-//! Reconciliation works per topology ([`DistTopology`]):
-//!
-//! - **Broker-star** — nodes send observations to a broker (resent
-//!   until acked); the broker folds them canonically and broadcasts
-//!   one [`margot::KnowledgeDelta`] per touched knowledge shard,
-//!   stamped with that shard's monotone version. Each node keeps a
-//!   **per-shard epoch vector**: a delta chaining exactly from the
-//!   local version applies in place; a gap (a dropped or reordered
-//!   delta) triggers a [`WireMessage::SyncRequest`] carrying the whole
-//!   vector, answered with full state for every stale shard.
-//! - **Gossip** — every node holds a full [`Replica`] and rumors new
-//!   observations to a rotating set of peers; periodic
-//!   [`WireMessage::Summary`] exchanges (per-origin contiguous
-//!   sequence watermarks) let any pair retransmit exactly what the
-//!   other is missing, so the logs — and
-//!   with them the folded knowledge — converge once the links drain.
+//! Reconciliation is gossip ([`DistTopology::Gossip`]): every node
+//! holds a full [`Replica`] and rumors new observations to a rotating
+//! set of `fanout` peers; periodic [`WireMessage::Summary`] exchanges
+//! (per-origin contiguous sequence watermarks) let any pair retransmit
+//! exactly what the other is missing, so the logs — and with them the
+//! folded knowledge — converge once the links drain.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::error::SocratesError;
-use margot::{
-    Knowledge, KnowledgeDelta, MetricValues, OperatingPoint, PointState, SharedKnowledge,
-};
+use margot::{Knowledge, KnowledgeDelta, MetricValues, PointState, SharedKnowledge};
 use platform_sim::KnobConfig;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Identifies one participant of the exchange. Instance nodes are
-/// numbered in spawn order (so the canonical observation order matches
-/// the in-process fleet's instance order); the broker is [`BROKER`].
+/// Identifies one participant of the exchange. Nodes are numbered in
+/// spawn order, so the canonical observation order matches the
+/// in-process fleet's instance order.
 pub type NodeId = u32;
-
-/// The knowledge broker's address in a [`DistTopology::BrokerStar`]
-/// deployment.
-pub const BROKER: NodeId = NodeId::MAX;
 
 /// One runtime observation on the wire: which node observed which
 /// metrics under which configuration, in which synchronized round.
 ///
 /// `(round, origin)` is the observation's identity *and* its position
 /// in the canonical fold order; `seq` is the origin's contiguous
-/// per-node counter (what summaries and acks watermark against).
+/// per-node counter (what summaries watermark against).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Observation {
     /// The node that measured this observation.
@@ -103,61 +85,22 @@ impl Observation {
 /// pinned by `tests/golden/wire_messages.bin`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireMessage {
-    /// A node announces itself (mid-run churn); answered with
-    /// [`WireMessage::Welcome`] (star) or [`WireMessage::WelcomeLog`]
-    /// (gossip). Resent until a snapshot arrives.
+    /// A node announces itself (mid-run churn); a peer answers with
+    /// [`WireMessage::WelcomeLog`]. Resent until the log arrives.
     Join {
         /// The joining node.
         node: NodeId,
     },
-    /// A node retires; the broker stops broadcasting to it.
-    Leave {
-        /// The leaving node.
-        node: NodeId,
-    },
-    /// A batch of observations (node → broker publishes, gossip rumor
-    /// forwarding, and anti-entropy retransmissions).
+    /// A batch of observations (rumor forwarding and anti-entropy
+    /// retransmissions).
     Ops {
         /// The observations, in canonical `(round, origin)` order.
         ops: Vec<Observation>,
     },
-    /// Broker → node: all of your observations with `seq <
-    /// count` have been merged — stop retransmitting them.
-    Ack {
-        /// The contiguous per-origin sequence watermark.
-        count: u64,
-    },
-    /// Broker → nodes: one knowledge shard moved. The payload's
-    /// `from_epoch`/`to_epoch` are the shard's monotone broadcast
-    /// versions; a receiver whose epoch vector holds exactly
-    /// `from_epoch` for this shard applies the patch in place, anyone
-    /// else detects the gap and resynchronises.
-    Delta {
-        /// The knowledge shard the changed points belong to.
-        shard: usize,
-        /// The changed operating points plus the shard version chain.
-        delta: KnowledgeDelta<KnobConfig>,
-    },
-    /// Node → broker: my per-shard epoch vector; send me full state
-    /// for every shard where I am behind.
-    SyncRequest {
-        /// The requester's per-shard epoch vector.
-        versions: Vec<u64>,
-    },
-    /// Broker → node: authoritative full state of one stale shard.
-    SyncResponse {
-        /// The shard being repaired.
-        shard: usize,
-        /// The shard's current broadcast version.
-        version: u64,
-        /// Every operating point of the shard, as `(position, point)`.
-        points: Vec<(usize, OperatingPoint<KnobConfig>)>,
-    },
-    /// Gossip anti-entropy: what the sender's replica holds, as
-    /// per-origin contiguous sequence watermarks. The receiver
-    /// retransmits what the sender is missing, and if `reply` is set
-    /// answers with its own summary so one exchange reconciles both
-    /// directions.
+    /// Anti-entropy: what the sender's replica holds, as per-origin
+    /// contiguous sequence watermarks. The receiver retransmits what
+    /// the sender is missing, and if `reply` is set answers with its
+    /// own summary so one exchange reconciles both directions.
     Summary {
         /// `(origin, contiguous count)`: the sender holds every
         /// observation of `origin` with `seq < count`.
@@ -165,17 +108,8 @@ pub enum WireMessage {
         /// Whether the receiver should answer with its own summary.
         reply: bool,
     },
-    /// Broker → joining node: a snapshot of the published knowledge
-    /// plus the per-shard epoch vector it corresponds to; subsequent
-    /// [`WireMessage::Delta`]s chain from these versions.
-    Welcome {
-        /// The published effective knowledge.
-        knowledge: Knowledge<KnobConfig>,
-        /// The per-shard epoch vector of the snapshot.
-        versions: Vec<u64>,
-    },
-    /// Gossip peer → joining node: a snapshot of the full observation
-    /// log; the joiner folds it and catches up via gossiped ops.
+    /// Peer → joining node: a snapshot of the full observation log;
+    /// the joiner folds it and catches up via gossiped ops.
     WelcomeLog {
         /// Every observation the peer holds, in canonical order.
         ops: Vec<Observation>,
@@ -262,12 +196,9 @@ impl Default for LinkConfig {
 /// How the participants are wired.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistTopology {
-    /// All nodes talk to a central knowledge broker that owns the
-    /// authoritative merge and broadcasts per-shard deltas.
-    BrokerStar,
-    /// No broker: every node holds a full replica and rumors new
-    /// observations to `fanout` rotating peers per round, with
-    /// summary-based anti-entropy repairing drops.
+    /// Every node holds a full replica and rumors new observations to
+    /// `fanout` rotating peers per round, with summary-based
+    /// anti-entropy repairing drops.
     Gossip {
         /// Peers contacted per round (clamped to the peer count;
         /// `fanout >= peers` is a full broadcast mesh).
@@ -283,19 +214,20 @@ pub struct DistributedConfig {
     pub topology: DistTopology,
     /// The seeded loss/latency model of every link.
     pub link: LinkConfig,
-    /// Anti-entropy cadence, rounds: how often nodes proactively
-    /// resynchronise (star: epoch-vector sync requests; gossip:
-    /// summaries). Must be ≥ 1.
+    /// Anti-entropy cadence, rounds: how often nodes proactively send
+    /// a summary. Must be ≥ 1.
     pub sync_interval: u64,
     /// Round budget of [`crate::DistributedFleet::drain`] before it
     /// gives up with a transport error. Must be ≥ 1.
     pub max_drain_rounds: u64,
 }
 
+/// Full-mesh gossip over an ideal link: over it the distributed fleet
+/// is bit-identical to the in-process [`crate::Fleet`].
 impl Default for DistributedConfig {
     fn default() -> Self {
         DistributedConfig {
-            topology: DistTopology::BrokerStar,
+            topology: DistTopology::Gossip { fanout: usize::MAX },
             link: LinkConfig::default(),
             sync_interval: 4,
             max_drain_rounds: 10_000,
@@ -323,13 +255,12 @@ impl DistributedConfig {
                 "max_drain_rounds must be >= 1: a drain needs at least one round",
             ));
         }
-        if let DistTopology::Gossip { fanout } = self.topology {
-            if fanout == 0 {
-                return Err(SocratesError::transport(
-                    "gossip fanout must be >= 1: a node that contacts nobody never \
-                     disseminates its observations",
-                ));
-            }
+        let DistTopology::Gossip { fanout } = self.topology;
+        if fanout == 0 {
+            return Err(SocratesError::transport(
+                "gossip fanout must be >= 1: a node that contacts nobody never \
+                 disseminates its observations",
+            ));
         }
         Ok(())
     }
@@ -764,12 +695,6 @@ impl Replica {
         self.folded.knowledge()
     }
 
-    /// The knowledge shard `config` lives in, or `None` for unknown
-    /// configurations.
-    pub fn shard_of(&self, config: &KnobConfig) -> Option<usize> {
-        self.folded.shard_of(config)
-    }
-
     /// Per-origin contiguous watermarks: `(origin, count)` meaning
     /// every observation of `origin` with `seq < count` is present.
     pub fn summary(&self) -> Vec<(NodeId, u64)> {
@@ -815,7 +740,7 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use margot::Metric;
+    use margot::{Metric, OperatingPoint};
     use platform_sim::{BindingPolicy, CompilerOptions, OptLevel};
 
     fn cfg(tn: u32) -> KnobConfig {
@@ -853,8 +778,8 @@ mod tests {
     #[test]
     fn ideal_links_deliver_next_tick_in_send_order() {
         let mut net = SimNet::new(LinkConfig::ideal(7));
-        net.send(0, 1, &WireMessage::Ack { count: 1 });
-        net.send(2, 1, &WireMessage::Ack { count: 2 });
+        net.send(0, 1, &WireMessage::Join { node: 0 });
+        net.send(2, 1, &WireMessage::Join { node: 2 });
         assert!(net.poll_due().is_some(), "due at the current tick");
         // Remaining message still in flight until polled.
         assert_eq!(net.in_flight(), 1);
@@ -878,9 +803,9 @@ mod tests {
         let run = || {
             let mut net = SimNet::new(lossy.clone());
             let mut deliveries = Vec::new();
-            for t in 0..30u64 {
-                net.send(0, 1, &WireMessage::Ack { count: t });
-                net.send(1, 0, &WireMessage::Ack { count: t });
+            for t in 0..30u32 {
+                net.send(0, 1, &WireMessage::Join { node: t });
+                net.send(1, 0, &WireMessage::Join { node: t });
                 while let Some(env) = net.poll_due() {
                     deliveries.push((net.now(), env.from, env.msg));
                 }

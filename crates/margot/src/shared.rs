@@ -44,10 +44,10 @@
 //!
 //! The points are partitioned into `S` **shards** (deterministic
 //! config-hash → shard). Shards hold no data of their own: they are
-//! the unit snapshots, per-shard deltas and epoch-vector repair are cut
-//! along ([`shard_epoch`], [`shard_hash`], [`versioned_snapshot`]), so
-//! a peer that missed one shard's update re-syncs that shard alone.
-//! The effective knowledge is bit-identical at any shard count.
+//! the unit epoch vectors and snapshots are cut along
+//! ([`shard_epoch`], [`shard_hash`], [`versioned_snapshot`]), so two
+//! replicas can compare their folds shard by shard. The effective
+//! knowledge is bit-identical at any shard count.
 //!
 //! # Versioning
 //!
@@ -364,7 +364,7 @@ pub fn shard_index<K: Hash>(config: &K, shards: usize) -> usize {
 /// shard's points in ascending position order and it reproduces
 /// [`SharedKnowledge::shard_hash`] for that shard — the bit-identity
 /// check between a live knowledge base and an external reconstruction
-/// (e.g. a decoded snapshot fast-forwarded through its delta chain).
+/// (e.g. a decoded snapshot or another replica's fold).
 pub fn shard_content_hash<'a, K, I>(points: I) -> u64
 where
     K: Hash + 'a,

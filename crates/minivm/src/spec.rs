@@ -10,7 +10,7 @@
 //! [`SpecConfig::fingerprint`] is the cache key half that captures this.
 
 use crate::EngineError;
-use minic::{Block, Item, Pragma, Stmt, TranslationUnit};
+use minic::{Block, Pragma, Stmt, TranslationUnit};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -61,30 +61,6 @@ impl SpecConfig {
         Self::default()
     }
 
-    /// Seeds a spec from the `#define NAME value` items of a translation
-    /// unit (the Polybench dimension macros). Non-numeric and
-    /// function-like macros are skipped.
-    pub fn from_defines(tu: &TranslationUnit) -> Self {
-        let mut spec = SpecConfig::new();
-        for item in &tu.items {
-            if let Item::Define(text) = item {
-                let mut parts = text.split_whitespace();
-                let (Some(name), Some(value)) = (parts.next(), parts.next()) else {
-                    continue;
-                };
-                if !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-                    continue; // function-like macro `F(x)` or similar
-                }
-                if let Ok(v) = value.parse::<i64>() {
-                    spec.set(name, v);
-                } else if let Ok(v) = value.parse::<f64>() {
-                    spec.set(name, v);
-                }
-            }
-        }
-        spec
-    }
-
     /// Builder-style: binds a named constant.
     #[must_use]
     pub fn bind(mut self, name: impl Into<String>, value: impl Into<SpecValue>) -> Self {
@@ -112,19 +88,6 @@ impl SpecConfig {
     /// Looks up a named constant.
     pub fn lookup(&self, name: &str) -> Option<SpecValue> {
         self.consts.get(name).copied()
-    }
-
-    /// Looks up a named constant that must be an integer.
-    pub fn int(&self, name: &str) -> Option<i64> {
-        match self.consts.get(name) {
-            Some(SpecValue::I64(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Iterates the named constants in canonical (sorted) order.
-    pub fn consts(&self) -> impl Iterator<Item = (&str, SpecValue)> {
-        self.consts.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
     /// FNV-1a fingerprint over the canonical encoding of the spec; equal
@@ -184,8 +147,8 @@ impl<'a> SpecReader<'a> {
         value
     }
 
-    /// [`SpecConfig::int`], recorded as the full answer (a float
-    /// binding is a different answer from a miss).
+    /// The integer bound to `name`, recorded as the full answer (a
+    /// float binding is a different answer from a miss).
     pub(crate) fn int(&self, name: &str) -> Option<i64> {
         match self.lookup(name) {
             Some(SpecValue::I64(v)) => Some(v),
@@ -343,15 +306,6 @@ fn check_pragma(p: &Pragma, function: &str, spec: &SpecConfig) -> Result<(), Eng
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn defines_seed_the_spec() {
-        let tu = minic::parse("#define N 42\n#define EPS 0.5\n#define F(x) x\nint x;").unwrap();
-        let spec = SpecConfig::from_defines(&tu);
-        assert_eq!(spec.int("N"), Some(42));
-        assert_eq!(spec.lookup("EPS"), Some(SpecValue::F64(0.5)));
-        assert_eq!(spec.lookup("F"), None, "function-like macros are skipped");
-    }
 
     #[test]
     fn fingerprint_tracks_bindings_and_args() {

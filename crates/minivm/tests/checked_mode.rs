@@ -10,7 +10,7 @@ fn parse(src: &str) -> minic::TranslationUnit {
 }
 
 #[test]
-fn uninit_read_is_rejected_statically_and_trapped_dynamically() {
+fn uninit_read_traps_at_run_time_with_its_message() {
     // init_array skips index 0, the kernel reads it.
     let tu = parse(
         "double A[8];
@@ -37,7 +37,7 @@ fn uninit_read_is_rejected_statically_and_trapped_dynamically() {
 }
 
 #[test]
-fn out_of_bounds_is_rejected_statically_and_trapped_dynamically() {
+fn out_of_bounds_traps_at_run_time_with_its_message() {
     let tu = parse(
         "double A[8];
          void init_array() {
@@ -60,7 +60,7 @@ fn out_of_bounds_is_rejected_statically_and_trapped_dynamically() {
 }
 
 #[test]
-fn division_by_zero_is_rejected_statically_and_trapped_dynamically() {
+fn division_by_zero_traps_at_run_time_with_its_message() {
     let tu = parse(
         "long d;
          double A[4];

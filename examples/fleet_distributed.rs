@@ -1,7 +1,7 @@
 //! Distributed online autotuning over a lossy wire: a 12-instance
-//! fleet exchanges runtime knowledge through a broker over a link
-//! that delays, reorders and drops messages — and still converges
-//! onto one shared view of the deployment platform.
+//! fleet gossips runtime knowledge peer to peer over a link that
+//! delays, reorders and drops messages — and still converges onto one
+//! shared view of the deployment platform.
 //!
 //! Run with: `cargo run --release --example fleet_distributed`
 
@@ -23,14 +23,14 @@ fn main() {
     .enhance(App::TwoMm)
     .expect("enhance 2mm");
 
-    // Deployment: a broker-star fleet over a degraded link — up to 3
-    // rounds of latency, 20% loss, 5% duplication, all seeded and
-    // replayable. The builder validates the wire configuration at the
-    // setter that introduces it.
+    // Deployment: a gossip fleet (each node rumors to 3 rotating peers)
+    // over a degraded link — up to 3 rounds of latency, 20% loss, 5%
+    // duplication, all seeded and replayable. The builder validates the
+    // wire configuration at the setter that introduces it.
     let config = FleetConfig::builder()
         .exploration_interval(0)
         .distributed(Some(DistributedConfig {
-            topology: DistTopology::BrokerStar,
+            topology: DistTopology::Gossip { fanout: 3 },
             link: LinkConfig {
                 seed: 7,
                 min_latency: 0,
@@ -48,7 +48,7 @@ fn main() {
     fleet.run_until(20.0);
 
     // Churn: two instances join mid-run; they announce themselves,
-    // adopt the broker's snapshot and catch up via deltas.
+    // fold a peer's observation log and catch up via gossip.
     for seed in [1001, 1002] {
         fleet.add_instance(
             Rank::throughput_per_watt2(),

@@ -1,10 +1,10 @@
 //! Distributed-fleet determinism: over a **lossless zero-latency
-//! link**, the distributed fleet must be **bit-identical** to the
-//! in-process shared-knowledge fleet — same traces, same learned
-//! knowledge — in both topologies. Nodes step one after another in
-//! node order; CI still re-runs this file under forced
-//! `RAYON_NUM_THREADS` values because the toolchain that builds the
-//! app profiles it in parallel.
+//! link** with a full gossip mesh (the default `DistributedConfig`),
+//! the distributed fleet must be **bit-identical** to the in-process
+//! shared-knowledge fleet — same traces, same learned knowledge. Nodes
+//! step one after another in node order; CI still re-runs this file
+//! under forced `RAYON_NUM_THREADS` values because the toolchain that
+//! builds the app profiles it in parallel.
 //!
 //! This pins the distributed runtime's determinism contract: an ideal
 //! link is exactly the in-process round barrier, so every divergence
@@ -41,15 +41,19 @@ fn reference_config() -> FleetConfig {
     }
 }
 
-fn dist_config(topology: DistTopology) -> FleetConfig {
+fn dist_config(dist: DistributedConfig) -> FleetConfig {
     FleetConfig {
         exploration_interval: 0,
-        distributed: Some(DistributedConfig {
-            topology,
-            link: LinkConfig::ideal(0),
-            ..DistributedConfig::default()
-        }),
+        distributed: Some(dist),
         ..FleetConfig::default()
+    }
+}
+
+fn gossip(fanout: usize) -> DistributedConfig {
+    DistributedConfig {
+        topology: DistTopology::Gossip { fanout },
+        link: LinkConfig::ideal(0),
+        ..DistributedConfig::default()
     }
 }
 
@@ -66,10 +70,10 @@ fn run_reference(enhanced: &EnhancedApp, duration_s: f64) -> (Traces, Learned) {
 
 fn run_distributed(
     enhanced: &EnhancedApp,
-    topology: DistTopology,
+    dist: DistributedConfig,
     duration_s: f64,
 ) -> (Traces, Learned) {
-    let mut fleet = DistributedFleet::new(dist_config(topology), enhanced).expect("valid config");
+    let mut fleet = DistributedFleet::new(dist_config(dist), enhanced).expect("valid config");
     fleet.spawn(&Rank::throughput_per_watt2(), SEED, INSTANCES);
     fleet.run_until(duration_s);
     fleet.drain().expect("an ideal link drains immediately");
@@ -79,16 +83,17 @@ fn run_distributed(
 }
 
 #[test]
-fn ideal_star_link_is_bit_identical_to_the_in_process_fleet() {
+fn the_default_ideal_link_is_bit_identical_to_the_in_process_fleet() {
     let enhanced = quick_enhanced(App::TwoMm);
     let (ref_traces, ref_knowledge) = run_reference(&enhanced, 8.0);
-    let (dist_traces, dist_knowledge) = run_distributed(&enhanced, DistTopology::BrokerStar, 8.0);
+    let (dist_traces, dist_knowledge) =
+        run_distributed(&enhanced, DistributedConfig::default(), 8.0);
     for (id, (d, r)) in dist_traces.iter().zip(&ref_traces).enumerate() {
         assert_eq!(d, r, "instance {id}: distributed trace != in-process trace");
     }
     assert_eq!(
         dist_knowledge, ref_knowledge,
-        "the broker's published knowledge must equal the in-process pool's"
+        "the nodes' folded knowledge must equal the in-process pool's"
     );
 }
 
@@ -98,13 +103,7 @@ fn ideal_full_mesh_gossip_is_bit_identical_to_the_in_process_fleet() {
     let (ref_traces, ref_knowledge) = run_reference(&enhanced, 6.0);
     // fanout >= peers: every round's observations reach every node by
     // the next round, exactly like the in-process barrier.
-    let (dist_traces, dist_knowledge) = run_distributed(
-        &enhanced,
-        DistTopology::Gossip {
-            fanout: INSTANCES - 1,
-        },
-        6.0,
-    );
+    let (dist_traces, dist_knowledge) = run_distributed(&enhanced, gossip(INSTANCES - 1), 6.0);
     for (id, (d, r)) in dist_traces.iter().zip(&ref_traces).enumerate() {
         assert_eq!(d, r, "instance {id}: gossip trace != in-process trace");
     }
@@ -117,7 +116,7 @@ fn ideal_full_mesh_gossip_is_bit_identical_to_the_in_process_fleet() {
 fn parallel_and_serial_distributed_rounds_are_bit_identical() {
     let enhanced = quick_enhanced(App::TwoMm);
     let mut fleet =
-        DistributedFleet::new(dist_config(DistTopology::BrokerStar), &enhanced).expect("valid");
+        DistributedFleet::new(dist_config(DistributedConfig::default()), &enhanced).expect("valid");
     fleet.spawn(&Rank::throughput_per_watt2(), SEED, INSTANCES);
     fleet.run_until(5.0);
     fleet.drain().expect("ideal link drains");
@@ -150,8 +149,7 @@ fn repeated_distributed_runs_are_reproducible() {
     let enhanced = quick_enhanced(App::TwoMm);
     let run = || {
         let mut fleet =
-            DistributedFleet::new(dist_config(DistTopology::Gossip { fanout: 2 }), &enhanced)
-                .expect("valid config");
+            DistributedFleet::new(dist_config(gossip(2)), &enhanced).expect("valid config");
         fleet.spawn(&Rank::throughput_per_watt2(), SEED, 4);
         fleet.run_until(4.0);
         fleet.drain().expect("ideal link drains");

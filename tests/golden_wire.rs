@@ -1,10 +1,9 @@
 //! Golden wire-format regression: the distributed runtime's encoded
-//! knowledge exchange — [`margot::KnowledgeDelta`] and every
-//! [`socrates::transport::WireMessage`] variant — must be
-//! **byte-identical** against the checked-in binary files under
-//! `tests/golden/`, pinning the frame layout the runtime ships through
-//! the transport byte-for-byte. The goldens must also decode back to
-//! exactly the in-memory messages they were written from.
+//! knowledge exchange — every [`socrates::transport::WireMessage`]
+//! variant — must be **byte-identical** against the checked-in binary
+//! file under `tests/golden/`, pinning the frame layout the runtime
+//! ships through the transport byte-for-byte. The golden must also
+//! decode back to exactly the in-memory messages it was written from.
 //!
 //! Regenerate after an *intentional* schema change with:
 //!
@@ -12,78 +11,44 @@
 //! SOCRATES_REGEN_GOLDEN=1 cargo test -p socrates-suite --test golden_wire
 //! ```
 
-use margot::{Knowledge, KnowledgeDelta, Metric, MetricValues, OperatingPoint};
+use margot::{Metric, MetricValues};
 use platform_sim::{BindingPolicy, CompilerFlag, CompilerOptions, KnobConfig, OptLevel};
 use socrates::transport::{Observation, WireMessage};
-use socrates::{delta_from_bytes, delta_to_bytes, wire_from_bytes, wire_to_bytes};
+use socrates::{wire_from_bytes, wire_to_bytes};
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{name}"))
 }
 
-fn sample_point(i: usize) -> OperatingPoint<KnobConfig> {
-    let co = if i == 0 {
-        CompilerOptions::level(OptLevel::O2)
-    } else {
-        CompilerOptions::with_flags(OptLevel::O3, [CompilerFlag::UnrollAllLoops])
-    };
-    let tn = 1u32 << i;
-    OperatingPoint::new(
-        KnobConfig::new(co, tn, BindingPolicy::Close),
-        MetricValues::new()
-            .with(Metric::exec_time(), 1.5 / f64::from(tn))
-            .with(Metric::power(), 48.25 + f64::from(tn)),
+/// The configuration the pinned observation ran under.
+fn sample_config() -> KnobConfig {
+    KnobConfig::new(
+        CompilerOptions::with_flags(OptLevel::O3, [CompilerFlag::UnrollAllLoops]),
+        2,
+        BindingPolicy::Close,
     )
-}
-
-/// The pinned delta: two changed points between epochs 3 and 5.
-fn sample_delta() -> KnowledgeDelta<KnobConfig> {
-    KnowledgeDelta {
-        from_epoch: 3,
-        to_epoch: 5,
-        changed: vec![(0, sample_point(0)), (2, sample_point(2))],
-    }
 }
 
 /// One pinned message per [`WireMessage`] variant, covering the whole
 /// protocol surface.
 fn sample_messages() -> Vec<WireMessage> {
-    let knowledge: Knowledge<KnobConfig> = (0..2).map(sample_point).collect();
     vec![
         WireMessage::Join { node: 3 },
-        WireMessage::Leave { node: 3 },
         WireMessage::Ops {
             ops: vec![Observation {
                 origin: 1,
                 seq: 4,
                 round: 7,
-                config: sample_point(1).config,
+                config: sample_config(),
                 observed: MetricValues::new()
                     .with(Metric::exec_time(), 0.75)
                     .with(Metric::power(), 52.5),
             }],
         },
-        WireMessage::Ack { count: 5 },
-        WireMessage::Delta {
-            shard: 2,
-            delta: sample_delta(),
-        },
-        WireMessage::SyncRequest {
-            versions: vec![0, 4, 2],
-        },
-        WireMessage::SyncResponse {
-            shard: 1,
-            version: 4,
-            points: vec![(1, sample_point(1))],
-        },
         WireMessage::Summary {
             counts: vec![(0, 3), (2, 1)],
             reply: true,
-        },
-        WireMessage::Welcome {
-            knowledge,
-            versions: vec![1, 1, 0],
         },
         WireMessage::WelcomeLog { ops: Vec::new() },
     ]
@@ -147,30 +112,12 @@ fn unpack_frames(bytes: &[u8]) -> Vec<Vec<u8>> {
 }
 
 #[test]
-fn binary_knowledge_delta_is_byte_stable_against_the_golden_file() {
-    let bytes = delta_to_bytes(&sample_delta()).expect("delta encodes");
-    check_golden_bytes("knowledge_delta.bin", &bytes);
-}
-
-#[test]
 fn binary_wire_messages_are_byte_stable_against_the_golden_file() {
     let frames: Vec<Vec<u8>> = sample_messages()
         .iter()
         .map(|m| wire_to_bytes(m).expect("message encodes"))
         .collect();
     check_golden_bytes("wire_messages.bin", &pack_frames(&frames));
-}
-
-#[test]
-fn golden_binary_delta_round_trips_byte_stably() {
-    if std::env::var("SOCRATES_REGEN_GOLDEN").is_ok() {
-        return; // the golden file is being rewritten concurrently
-    }
-    let golden = std::fs::read(golden_path("knowledge_delta.bin")).expect("golden delta present");
-    let parsed = delta_from_bytes(&golden).expect("golden delta decodes");
-    assert_eq!(parsed, sample_delta(), "golden content drifted");
-    let reencoded = delta_to_bytes(&parsed).expect("re-encodes");
-    assert_eq!(reencoded, golden, "encode(decode(x)) != x");
 }
 
 #[test]

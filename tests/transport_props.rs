@@ -8,7 +8,7 @@
 //! The enhanced application is built once and shared across cases
 //! (its design knowledge subsampled so the AS-RTM planning cost does
 //! not drown the exchange being tested); every case derives its whole
-//! schedule — loss, latency, duplication, topology, churn — from the
+//! schedule — loss, latency, duplication, fanout, churn — from the
 //! proptest-generated parameters, so failures replay deterministically.
 
 use margot::{Knowledge, Metric, MetricValues, Rank, SharedKnowledge};
@@ -55,7 +55,7 @@ struct Scenario {
     drop_prob: f64,
     dup_prob: f64,
     max_latency: u64,
-    gossip_fanout: Option<usize>,
+    gossip_fanout: usize,
     sync_interval: u64,
 }
 
@@ -67,7 +67,7 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         0.0f64..0.7,
         0.0f64..0.3,
         0u64..4,
-        prop::option::of(1usize..4),
+        1usize..5,
         1u64..5,
     )
         .prop_map(
@@ -96,14 +96,12 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
 }
 
 fn build_fleet(s: &Scenario) -> DistributedFleet {
-    let topology = match s.gossip_fanout {
-        Some(fanout) => DistTopology::Gossip { fanout },
-        None => DistTopology::BrokerStar,
-    };
     let config = FleetConfig {
         exploration_interval: 0,
         distributed: Some(DistributedConfig {
-            topology,
+            topology: DistTopology::Gossip {
+                fanout: s.gossip_fanout,
+            },
             link: LinkConfig {
                 seed: s.seed,
                 min_latency: 0,
@@ -148,7 +146,7 @@ proptest! {
         fleet.drain().expect("any drop_prob < 1 must drain");
         prop_assert!(fleet.converged());
         // Every node made every round (nothing lost from the log):
-        // own observations are retransmitted until acknowledged.
+        // summaries retransmit whatever a peer lacks.
         prop_assert_eq!(fleet.canonical_ops().len(), s.nodes * s.rounds);
         let reference = reference_fold(&fleet);
         let vector0 = fleet.epoch_vector(0);
@@ -168,8 +166,8 @@ proptest! {
         }
     }
 
-    /// A node joining mid-run adopts a snapshot and catches up via
-    /// deltas: after drain it holds exactly the fleet's knowledge.
+    /// A node joining mid-run folds a peer's log and catches up via
+    /// gossip: after drain it holds exactly the fleet's knowledge.
     #[test]
     fn late_joiner_catches_up_exactly(s in scenario_strategy(), join_after in 1usize..5) {
         let mut fleet = build_fleet(&s);

@@ -11,18 +11,15 @@
 //! full decode filtered by that predicate, and rejects exactly the
 //! frames the full decode rejects, truncated or corrupted.
 //!
-//! The companion compatibility property — decoding the committed JSON
-//! goldens through the compat layer yields exactly the messages the
-//! binary goldens decode to — is pinned in `tests/golden_wire.rs`
-//! against the checked-in files.
+//! The companion compatibility property — the committed binary golden
+//! decodes to exactly the messages it was written from — is pinned in
+//! `tests/golden_wire.rs` against the checked-in file.
 
-use margot::{Knowledge, KnowledgeDelta, Metric, MetricValues, OperatingPoint};
+use margot::{Metric, MetricValues};
 use platform_sim::{BindingPolicy, CompilerOptions, KnobConfig, OptLevel};
 use proptest::prelude::*;
 use socrates::transport::{Observation, WireMessage};
-use socrates::{
-    delta_from_bytes, delta_to_bytes, wire_from_bytes, wire_from_bytes_keeping, wire_to_bytes,
-};
+use socrates::{wire_from_bytes, wire_from_bytes_keeping, wire_to_bytes};
 
 fn config_strategy() -> impl Strategy<Value = KnobConfig> {
     (0usize..4, 0u8..64, any::<u32>(), 0usize..2).prop_map(|(level, mask, tn, bp)| {
@@ -47,29 +44,6 @@ fn metrics_strategy() -> impl Strategy<Value = MetricValues> {
     })
 }
 
-fn point_strategy() -> impl Strategy<Value = OperatingPoint<KnobConfig>> {
-    (config_strategy(), metrics_strategy())
-        .prop_map(|(config, metrics)| OperatingPoint::new(config, metrics))
-}
-
-fn knowledge_strategy() -> impl Strategy<Value = Knowledge<KnobConfig>> {
-    prop::collection::vec(point_strategy(), 0..4)
-        .prop_map(|points| points.into_iter().collect::<Knowledge<_>>())
-}
-
-fn delta_strategy() -> impl Strategy<Value = KnowledgeDelta<KnobConfig>> {
-    (
-        any::<u64>(),
-        any::<u64>(),
-        prop::collection::vec((0usize..64, point_strategy()), 0..4),
-    )
-        .prop_map(|(from_epoch, to_epoch, changed)| KnowledgeDelta {
-            from_epoch,
-            to_epoch,
-            changed,
-        })
-}
-
 fn observation_strategy() -> impl Strategy<Value = Observation> {
     (
         any::<u32>(),
@@ -90,37 +64,13 @@ fn observation_strategy() -> impl Strategy<Value = Observation> {
 fn wire_strategy() -> impl Strategy<Value = WireMessage> {
     prop_oneof![
         any::<u32>().prop_map(|node| WireMessage::Join { node }),
-        any::<u32>().prop_map(|node| WireMessage::Leave { node }),
         prop::collection::vec(observation_strategy(), 0..3)
             .prop_map(|ops| WireMessage::Ops { ops }),
-        any::<u64>().prop_map(|count| WireMessage::Ack { count }),
-        (0usize..16, delta_strategy())
-            .prop_map(|(shard, delta)| WireMessage::Delta { shard, delta }),
-        prop::collection::vec(any::<u64>(), 0..6)
-            .prop_map(|versions| WireMessage::SyncRequest { versions }),
-        (
-            0usize..16,
-            any::<u64>(),
-            prop::collection::vec((0usize..64, point_strategy()), 0..3),
-        )
-            .prop_map(|(shard, version, points)| WireMessage::SyncResponse {
-                shard,
-                version,
-                points,
-            }),
         (
             prop::collection::vec((any::<u32>(), any::<u64>()), 0..4),
             any::<bool>(),
         )
             .prop_map(|(counts, reply)| WireMessage::Summary { counts, reply }),
-        (
-            knowledge_strategy(),
-            prop::collection::vec(any::<u64>(), 0..6)
-        )
-            .prop_map(|(knowledge, versions)| WireMessage::Welcome {
-                knowledge,
-                versions,
-            }),
         prop::collection::vec(observation_strategy(), 0..3)
             .prop_map(|ops| WireMessage::WelcomeLog { ops }),
     ]
@@ -181,20 +131,11 @@ fn filtered(msg: WireMessage, keep: (u64, u64)) -> WireMessage {
 /// `true` when every metric value in the message is finite, i.e. when
 /// structural `==` is a meaningful round-trip check.
 fn all_finite(msg: &WireMessage) -> bool {
-    let mv_finite = |mv: &MetricValues| mv.iter().all(|(_, v)| v.is_finite());
-    let point_finite = |p: &OperatingPoint<KnobConfig>| mv_finite(&p.metrics);
     match msg {
-        WireMessage::Join { .. }
-        | WireMessage::Leave { .. }
-        | WireMessage::Ack { .. }
-        | WireMessage::SyncRequest { .. }
-        | WireMessage::Summary { .. } => true,
-        WireMessage::Ops { ops } | WireMessage::WelcomeLog { ops } => {
-            ops.iter().all(|o| mv_finite(&o.observed))
-        }
-        WireMessage::Delta { delta, .. } => delta.changed.iter().all(|(_, p)| point_finite(p)),
-        WireMessage::SyncResponse { points, .. } => points.iter().all(|(_, p)| point_finite(p)),
-        WireMessage::Welcome { knowledge, .. } => knowledge.points().iter().all(point_finite),
+        WireMessage::Join { .. } | WireMessage::Summary { .. } => true,
+        WireMessage::Ops { ops } | WireMessage::WelcomeLog { ops } => ops
+            .iter()
+            .all(|o| o.observed.iter().all(|(_, v)| v.is_finite())),
     }
 }
 
@@ -212,15 +153,6 @@ proptest! {
         if all_finite(&msg) {
             prop_assert_eq!(back, msg);
         }
-    }
-
-    /// Standalone delta frames round-trip the same way.
-    #[test]
-    fn every_delta_round_trips_bit_exactly(delta in delta_strategy()) {
-        let bytes = delta_to_bytes(&delta).expect("encoding is total");
-        let back = delta_from_bytes(&bytes).expect("own encoding decodes");
-        let reencoded = delta_to_bytes(&back).expect("re-encoding is total");
-        prop_assert_eq!(reencoded, bytes, "frame changed across a round-trip");
     }
 
     /// Truncating a valid frame anywhere must yield a decode error,

@@ -429,7 +429,7 @@ mod tests {
             let doctored = text.replace(from, to);
             assert_ne!(doctored, text);
             let doctored = crate::EnhancedApp {
-                weaved: minic::parse(&doctored).unwrap(),
+                weaved: Arc::new(minic::parse(&doctored).unwrap()),
                 ..enhanced.clone()
             };
             let run = compile_kernel(&doctored.weaved, &entry, doctored.app, &spec);

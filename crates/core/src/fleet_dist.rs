@@ -53,11 +53,12 @@
 use crate::error::SocratesError;
 use crate::events::{EventObserver, FleetEvent, FleetRuntime};
 use crate::fleet::{dense_id, FleetConfig};
+use crate::knowledge_io::{write_frame, write_ops_frame, write_welcome_log_frame};
 use crate::runtime::{AdaptiveApplication, TraceSample};
 use crate::toolchain::EnhancedApp;
 use crate::transport::{
-    DistTopology, DistributedConfig, Envelope, NetStats, NodeId, Observation, Replica, SimNet,
-    WireMessage,
+    encode_frame, DistTopology, DistributedConfig, Envelope, NetStats, NodeId, Observation,
+    Replica, SimNet, Slot, WireMessage,
 };
 use margot::{Knowledge, Rank};
 use platform_sim::{KnobConfig, Machine};
@@ -77,9 +78,10 @@ struct DistNode {
     /// Next own-observation sequence number.
     seq: u64,
     replica: Replica,
-    /// Observations newly learned this round (own step + fresh
-    /// arrivals), forwarded to the next rotation targets.
-    outbox: Vec<Observation>,
+    /// Slots in `replica` of the observations newly learned this round
+    /// (own step + fresh arrivals), forwarded to the next rotation
+    /// targets.
+    outbox: Vec<Slot>,
 }
 
 /// Membership, health and exchange counters of a
@@ -144,6 +146,9 @@ pub struct DistributedFleet {
     /// replica folds over and every node boots on.
     design: Knowledge<KnobConfig>,
     net: SimNet,
+    /// The buffer every frame is written into before it is shared with
+    /// its targets.
+    frame: Vec<u8>,
     nodes: Vec<DistNode>,
     rounds: u64,
     /// Registered event-stream observers ([`FleetRuntime::observe`]).
@@ -209,6 +214,7 @@ impl DistributedFleet {
         };
         Ok(DistributedFleet {
             net: SimNet::new(dist.link.clone()),
+            frame: Vec::new(),
             dist,
             enhanced: Arc::new(enhanced.clone()),
             design,
@@ -589,29 +595,23 @@ impl DistributedFleet {
                     observed: sample.observed_metrics(),
                 };
                 node.seq += 1;
-                node.replica.insert(op.clone());
-                node.outbox.push(op);
+                node.outbox.extend(node.replica.log_observation(op));
             }
             let targets = gossip_targets(&active_ids, node.id, fanout, round);
-            if targets.is_empty() {
-                node.outbox.clear();
-            } else {
-                // One message each, sent to every target.
-                let outbox = std::mem::take(&mut node.outbox);
-                let ops = (!outbox.is_empty()).then_some(WireMessage::Ops { ops: outbox });
-                let summary = sync_due.then(|| WireMessage::Summary {
-                    counts: node.replica.summary(),
-                    reply: true,
-                });
+            if !targets.is_empty() {
+                // One frame each, written once and sent to every target.
+                let ops = (!node.outbox.is_empty()).then(|| outbox_frame(&mut self.frame, node));
+                let summary = sync_due.then(|| summary_frame(&mut self.frame, &node.replica, true));
                 for (i, &target) in targets.iter().enumerate() {
                     if let Some(ops) = &ops {
-                        self.net.send(node.id, target, ops);
+                        self.net.send_frame(node.id, target, ops);
                     }
                     if let (0, Some(summary)) = (i, &summary) {
-                        self.net.send(node.id, target, summary);
+                        self.net.send_frame(node.id, target, summary);
                     }
                 }
             }
+            node.outbox.clear();
             if !node.joined && sync_due {
                 self.resend_join(idx);
             }
@@ -630,16 +630,13 @@ impl DistributedFleet {
                 continue;
             }
             if let Some(&target) = gossip_targets(&active_ids, node.id, fanout, round).first() {
-                let outbox = std::mem::take(&mut node.outbox);
-                if !outbox.is_empty() {
-                    self.net
-                        .send(node.id, target, &WireMessage::Ops { ops: outbox });
+                if !node.outbox.is_empty() {
+                    let ops = outbox_frame(&mut self.frame, node);
+                    self.net.send_frame(node.id, target, &ops);
+                    node.outbox.clear();
                 }
-                let summary = WireMessage::Summary {
-                    counts: node.replica.summary(),
-                    reply: true,
-                };
-                self.net.send(node.id, target, &summary);
+                let summary = summary_frame(&mut self.frame, &node.replica, true);
+                self.net.send_frame(node.id, target, &summary);
             }
             if !node.joined {
                 self.resend_join(idx);
@@ -664,26 +661,22 @@ impl DistributedFleet {
         match env.msg {
             WireMessage::Ops { ops } => {
                 for op in ops {
-                    if !node.replica.contains(op.op_id()) {
-                        // Fresh rumor: log it and forward it on the
-                        // next rotation.
-                        node.outbox.push(op.clone());
-                        node.replica.insert(op);
-                    }
+                    // A fresh rumor is logged and forwarded on the next
+                    // rotation; a duplicate is dropped.
+                    node.outbox.extend(node.replica.log_observation(op));
                 }
             }
             WireMessage::Summary { counts, reply } => {
                 let missing = node.replica.missing_for(&counts);
                 if !missing.is_empty() {
-                    self.net
-                        .send(env.to, env.from, &WireMessage::Ops { ops: missing });
+                    let ops = encode_frame(&mut self.frame, |out| {
+                        write_ops_frame(out, missing.iter().copied())
+                    });
+                    self.net.send_frame(env.to, env.from, &ops);
                 }
                 if reply {
-                    let summary = WireMessage::Summary {
-                        counts: node.replica.summary(),
-                        reply: false,
-                    };
-                    self.net.send(env.to, env.from, &summary);
+                    let summary = summary_frame(&mut self.frame, &node.replica, false);
+                    self.net.send_frame(env.to, env.from, &summary);
                 }
             }
             WireMessage::WelcomeLog { ops } => {
@@ -694,9 +687,10 @@ impl DistributedFleet {
             }
             WireMessage::Join { node: joiner } => {
                 // A peer asked us for a snapshot of the log.
-                let ops = node.replica.ops().cloned().collect();
-                self.net
-                    .send(env.to, joiner, &WireMessage::WelcomeLog { ops });
+                let log = encode_frame(&mut self.frame, |out| {
+                    write_welcome_log_frame(out, node.replica.ops())
+                });
+                self.net.send_frame(env.to, joiner, &log);
             }
         }
     }
@@ -723,25 +717,13 @@ impl DistributedFleet {
     /// Whether all connected nodes hold the same logged observations
     /// and folded epoch vector, with nothing left to fold.
     fn content_converged(&self) -> bool {
-        /// A replica's identity: the logged op-id set plus the folded
-        /// shard epoch vector.
-        type ReplicaState = (Vec<(u64, NodeId)>, Vec<u64>);
-        let mut reference: Option<ReplicaState> = None;
-        for node in self.nodes.iter().filter(|n| n.active) {
-            if !node.joined || node.replica.pending() {
-                return false;
-            }
-            let state = (
-                node.replica.ops().map(Observation::op_id).collect(),
-                node.replica.shard_epochs(),
-            );
-            match &reference {
-                None => reference = Some(state),
-                Some(r) if *r != state => return false,
-                Some(_) => {}
-            }
-        }
-        true
+        let mut active = self.nodes.iter().filter(|n| n.active);
+        let Some(first) = active.next() else {
+            return true;
+        };
+        first.joined
+            && !first.replica.pending()
+            && active.all(|node| node.joined && node.replica.agrees_with(&first.replica))
     }
 
     /// Whether any node still has unforwarded rumors.
@@ -793,6 +775,26 @@ impl FleetRuntime for DistributedFleet {
     fn active_count(&self) -> usize {
         self.active_instances()
     }
+}
+
+/// Writes the frame of `node`'s outbox into `buf`, reading each
+/// observation where its replica keeps it.
+fn outbox_frame(buf: &mut Vec<u8>, node: &DistNode) -> Arc<[u8]> {
+    encode_frame(buf, |out| {
+        write_ops_frame(
+            out,
+            node.outbox.iter().map(|&s| node.replica.observation(s)),
+        )
+    })
+}
+
+/// Writes `replica`'s summary frame into `buf`.
+fn summary_frame(buf: &mut Vec<u8>, replica: &Replica, reply: bool) -> Arc<[u8]> {
+    let summary = WireMessage::Summary {
+        counts: replica.summary(),
+        reply,
+    };
+    encode_frame(buf, |out| write_frame(out, &summary))
 }
 
 /// The rotation targets of node `id` in `round`: `fanout` distinct
@@ -974,14 +976,16 @@ mod tests {
         // only dispatch versions, never try.
         let enhanced = quick_enhanced();
         let mut unlowerable = enhanced.clone();
-        unlowerable.weaved = minic::parse(
-            "double buf[NI];\n\
-             void kernel_free(double alpha, double beta) {\n\
-             #pragma omp parallel for num_threads(P_free)\n\
-             for (int i = 0; i < NI; i++) { buf[i] = alpha * beta; }\n\
-             }\n",
-        )
-        .unwrap();
+        unlowerable.weaved = Arc::new(
+            minic::parse(
+                "double buf[NI];\n\
+                 void kernel_free(double alpha, double beta) {\n\
+                 #pragma omp parallel for num_threads(P_free)\n\
+                 for (int i = 0; i < NI; i++) { buf[i] = alpha * beta; }\n\
+                 }\n",
+            )
+            .unwrap(),
+        );
         unlowerable.multiversioned.version_functions[0] = "kernel_free".to_string();
         let spec = crate::engine::functional_spec(App::TwoMm, enhanced.dataset, 1);
         let err = crate::engine::compile_kernel(

@@ -2,7 +2,10 @@
 //! persisted artifact.
 //!
 //! [`wire_to_bytes`]/[`wire_from_bytes`] frame the messages of the
-//! distributed knowledge exchange ([`crate::transport`]). The same
+//! distributed knowledge exchange ([`crate::transport`]);
+//! [`write_ops_frame`] and [`write_welcome_log_frame`] write the same
+//! observation frames from references into a reused buffer, so a
+//! sender needs no owned copies of what it sends. The same
 //! length-prefixed primitives encode the shippable
 //! [`crate::KnowledgeSnapshot`] artifacts, which land on disk through
 //! [`write_atomic_bytes`]. Knowledge leaves a process in these two
@@ -173,7 +176,14 @@ pub(crate) fn put_knowledge(
     Ok(())
 }
 
-fn put_observations(out: &mut Vec<u8>, ops: &[Observation]) -> Result<(), SocratesError> {
+/// Writes a sequence of observations from references, so a frame can
+/// go out without an owned message holding copies of them.
+fn put_observations<'a, I>(out: &mut Vec<u8>, ops: I) -> Result<(), SocratesError>
+where
+    I: IntoIterator<Item = &'a Observation>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let ops = ops.into_iter();
     put_len(out, ops.len())?;
     for o in ops {
         put_u32(out, o.origin);
@@ -193,18 +203,24 @@ pub(crate) fn put_versions(out: &mut Vec<u8>, versions: &[u64]) -> Result<(), So
     Ok(())
 }
 
+/// Variant tags of [`WireMessage`] frames.
+const JOIN_TAG: u8 = 0;
+const OPS_TAG: u8 = 2;
+const SUMMARY_TAG: u8 = 7;
+const WELCOME_LOG_TAG: u8 = 9;
+
 fn put_wire(out: &mut Vec<u8>, msg: &WireMessage) -> Result<(), SocratesError> {
     match msg {
         WireMessage::Join { node } => {
-            put_u8(out, 0);
+            put_u8(out, JOIN_TAG);
             put_u32(out, *node);
         }
         WireMessage::Ops { ops } => {
-            put_u8(out, 2);
+            put_u8(out, OPS_TAG);
             put_observations(out, ops)?;
         }
         WireMessage::Summary { counts, reply } => {
-            put_u8(out, 7);
+            put_u8(out, SUMMARY_TAG);
             put_len(out, counts.len())?;
             for (node, count) in counts {
                 put_u32(out, *node);
@@ -213,11 +229,18 @@ fn put_wire(out: &mut Vec<u8>, msg: &WireMessage) -> Result<(), SocratesError> {
             put_bool(out, *reply);
         }
         WireMessage::WelcomeLog { ops } => {
-            put_u8(out, 9);
+            put_u8(out, WELCOME_LOG_TAG);
             put_observations(out, ops)?;
         }
     }
     Ok(())
+}
+
+/// Clears `out` and starts a frame of the message tagged `tag`.
+fn start_frame(out: &mut Vec<u8>, tag: u8) {
+    out.clear();
+    out.extend_from_slice(&WIRE_MAGIC);
+    put_u8(out, tag);
 }
 
 /// A strict cursor over a binary frame; every read is bounds-checked
@@ -412,11 +435,11 @@ impl<'a> ByteReader<'a> {
         keep: &mut impl FnMut((u64, NodeId)) -> bool,
     ) -> Result<WireMessage, SocratesError> {
         match self.u8()? {
-            0 => Ok(WireMessage::Join { node: self.u32()? }),
-            2 => Ok(WireMessage::Ops {
+            JOIN_TAG => Ok(WireMessage::Join { node: self.u32()? }),
+            OPS_TAG => Ok(WireMessage::Ops {
                 ops: self.observations(keep)?,
             }),
-            7 => {
+            SUMMARY_TAG => {
                 let n = self.len()?;
                 let mut counts = Vec::with_capacity(n);
                 for _ in 0..n {
@@ -428,7 +451,7 @@ impl<'a> ByteReader<'a> {
                     reply: self.bool()?,
                 })
             }
-            9 => Ok(WireMessage::WelcomeLog {
+            WELCOME_LOG_TAG => Ok(WireMessage::WelcomeLog {
                 ops: self.observations(keep)?,
             }),
             other => Err(Self::err(&format!("unknown wire message tag {other}"))),
@@ -446,9 +469,47 @@ impl<'a> ByteReader<'a> {
 /// format's u32 counts can say.
 pub fn wire_to_bytes(msg: &WireMessage) -> Result<Vec<u8>, SocratesError> {
     let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&WIRE_MAGIC);
-    put_wire(&mut out, msg)?;
+    write_frame(&mut out, msg)?;
     Ok(out)
+}
+
+/// [`wire_to_bytes`] into `out`, which it clears first.
+pub(crate) fn write_frame(out: &mut Vec<u8>, msg: &WireMessage) -> Result<(), SocratesError> {
+    out.clear();
+    out.extend_from_slice(&WIRE_MAGIC);
+    put_wire(out, msg)
+}
+
+/// Writes the frame of `WireMessage::Ops { ops }` into `out`, which it
+/// clears first, straight from references to the observations: the
+/// bytes [`wire_to_bytes`] returns for the owned message, without the
+/// copies that message would hold. Reusing `out` across frames reuses
+/// its storage. On error `out` holds a partial frame.
+///
+/// # Errors
+///
+/// As [`wire_to_bytes`].
+pub fn write_ops_frame<'a, I>(out: &mut Vec<u8>, ops: I) -> Result<(), SocratesError>
+where
+    I: IntoIterator<Item = &'a Observation>,
+    I::IntoIter: ExactSizeIterator,
+{
+    start_frame(out, OPS_TAG);
+    put_observations(out, ops)
+}
+
+/// [`write_ops_frame`] for `WireMessage::WelcomeLog { ops }`.
+///
+/// # Errors
+///
+/// As [`wire_to_bytes`].
+pub fn write_welcome_log_frame<'a, I>(out: &mut Vec<u8>, ops: I) -> Result<(), SocratesError>
+where
+    I: IntoIterator<Item = &'a Observation>,
+    I::IntoIter: ExactSizeIterator,
+{
+    start_frame(out, WELCOME_LOG_TAG);
+    put_observations(out, ops)
 }
 
 /// Decodes a wire message from a binary frame.

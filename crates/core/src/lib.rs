@@ -103,7 +103,10 @@ pub use fleet::{
 };
 pub use fleet_dist::{DistStats, DistributedFleet};
 pub use fleet_events::{Arrival, EventFleet, EventFleetStats, WorkloadCurve, WorkloadTrace};
-pub use knowledge_io::{wire_from_bytes, wire_from_bytes_keeping, wire_to_bytes, WIRE_MAGIC};
+pub use knowledge_io::{
+    wire_from_bytes, wire_from_bytes_keeping, wire_to_bytes, write_ops_frame,
+    write_welcome_log_frame, WIRE_MAGIC,
+};
 pub use minivm::ExecutionReport;
 pub use platform::Platform;
 pub use runtime::{trace_digest, AdaptiveApplication, TraceSample};

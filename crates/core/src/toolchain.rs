@@ -39,6 +39,7 @@ use platform_sim::{
 use polybench::{App, Dataset};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Toolchain configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -81,8 +82,9 @@ pub struct EnhancedApp {
     /// derived from its dimensions, clamped to
     /// [`crate::FUNCTIONAL_DIM_CAP`]).
     pub dataset: Dataset,
-    /// The weaved, adaptive program.
-    pub weaved: TranslationUnit,
+    /// The weaved, adaptive program, shared with the artifact store it
+    /// was woven into.
+    pub weaved: Arc<TranslationUnit>,
     /// Table I metrics for this application.
     pub metrics: WeavingMetrics,
     /// Multiversioning artefacts (clone names, wrapper, control vars).
@@ -170,7 +172,7 @@ impl Toolchain {
         Ok(EnhancedApp {
             app,
             dataset: self.dataset,
-            weaved: TranslationUnit::clone(&weaved.weaved),
+            weaved: Arc::clone(&weaved.weaved),
             metrics: weaved.metrics,
             multiversioned: weaved.multiversioned.clone(),
             versions: weaved.versions.clone(),

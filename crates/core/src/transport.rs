@@ -15,12 +15,16 @@
 //! - [`WireMessage`] — the gossip protocol: observation batches,
 //!   summaries, and the join request and log snapshot of churn. On the
 //!   wire, messages travel as length-prefixed **binary frames**
-//!   ([`crate::wire_to_bytes`]) — [`SimNet::send`] encodes a borrowed
-//!   message once and [`SimNet::poll_due`] decodes on delivery, so
-//!   every distributed test exercises the codec. A receiver that
-//!   already holds some of a frame's observations skips building them
-//!   ([`SimNet::poll_due_keeping`]). The frame format is pinned by the
-//!   binary golden files under `tests/golden/`.
+//!   ([`crate::wire_to_bytes`]). A frame is encoded once and queued as
+//!   one shared `Arc<[u8]>` for every target and duplicate copy; the
+//!   distributed fleet writes its frames straight from its replica's
+//!   log with the by-reference writers ([`crate::write_ops_frame`],
+//!   [`crate::write_welcome_log_frame`], byte-identical to
+//!   `wire_to_bytes`). [`SimNet::poll_due`] decodes
+//!   on delivery, so every distributed test exercises the codec. A
+//!   receiver that already holds some of a frame's observations skips
+//!   building them ([`SimNet::poll_due_keeping`]). The frame format is
+//!   pinned by the binary golden files under `tests/golden/`.
 //! - [`Replica`] — a replicated observation log with a **canonical
 //!   fold order**. Observations are totally ordered by `(round,
 //!   origin)`; a replica folds its log into a [`SharedKnowledge`] in
@@ -31,6 +35,16 @@
 //!   *and* per-shard epoch vectors — the invariant reconciliation
 //!   reduces to, and the one the transport property tests pin against
 //!   a single-shard [`SharedKnowledge`] reference.
+//!
+//!   A replica keeps each observation once, in an append-only **arena**
+//!   addressed by `u32` slot. The canonical `(round, origin)` map, each
+//!   operating point's keys, each origin's sequence numbers and the
+//!   fleet's rumor outboxes hold slots; [`Replica::missing_for`] and
+//!   [`Replica::ops`] hand out references. Folds and replays read an
+//!   observation where it lies, and a frame is written from those
+//!   references, so an observation is copied only when it is decoded
+//!   from the wire. Saved fold states are buffers reused through
+//!   [`SharedKnowledge::point_state_into`].
 //!
 //! Reconciliation is gossip ([`DistTopology::Gossip`]): every node
 //! holds a full [`Replica`] and rumors new observations to a rotating
@@ -46,7 +60,9 @@ use margot::{Knowledge, KnowledgeDelta, MetricValues, PointState, SharedKnowledg
 use platform_sim::KnobConfig;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Identifies one participant of the exchange. Nodes are numbered in
 /// spawn order, so the canonical observation order matches the
@@ -295,12 +311,12 @@ pub struct Envelope {
 }
 
 /// A queued message copy in its on-the-wire form: the binary frame,
-/// encoded once at [`SimNet::send`] time.
+/// encoded once and shared by every target and duplicate copy.
 #[derive(Debug, Clone)]
 struct WireEnvelope {
     from: NodeId,
     to: NodeId,
-    bytes: Vec<u8>,
+    frame: Arc<[u8]>,
 }
 
 /// The deterministic simulated transport: bounded virtual-clock
@@ -362,20 +378,24 @@ impl SimNet {
     /// loss/latency model. A duplicated message is transmitted twice;
     /// every copy draws its own latency and drop.
     ///
-    /// The message is encoded to its binary frame **once** here;
-    /// duplicate copies share the encoding, and [`Self::poll_due`]
-    /// decodes on delivery — the simulated wire carries bytes, not
-    /// in-memory structures. The message is only read, so one message
-    /// can go to many receivers.
-    #[expect(
-        clippy::expect_used,
-        reason = "a frame fails to encode only past u32::MAX elements in one sequence, \
-                  which no message of the simulated exchange can hold in memory"
-    )]
+    /// The message is encoded to its binary frame here; duplicate
+    /// copies share the frame, and [`Self::poll_due`] decodes on
+    /// delivery — the simulated wire carries bytes, not in-memory
+    /// structures.
     pub fn send(&mut self, from: NodeId, to: NodeId, msg: &WireMessage) {
+        let frame = encode_frame(&mut Vec::new(), |out| {
+            crate::knowledge_io::write_frame(out, msg)
+        });
+        self.send_frame(from, to, &frame);
+    }
+
+    /// [`send`](Self::send) of a frame the caller already encoded, with
+    /// [`encode_frame`]: every target and duplicate copy queues the
+    /// same shared bytes, so a message sent to many receivers is
+    /// encoded once. The delivery schedule and the counted bytes are
+    /// those of [`send`](Self::send) with the decoded message.
+    pub(crate) fn send_frame(&mut self, from: NodeId, to: NodeId, frame: &Arc<[u8]>) {
         self.stats.sent += 1;
-        let bytes = crate::knowledge_io::wire_to_bytes(msg)
-            .expect("a simulated message fits the wire format's u32 counts");
         let config = &self.config;
         let rng = self.links.entry((from, to)).or_insert_with(|| {
             // Independent stream per directed link, derived from the
@@ -392,7 +412,7 @@ impl SimNet {
             1
         };
         for _ in 0..copies {
-            self.stats.bytes_sent += bytes.len() as u64;
+            self.stats.bytes_sent += frame.len() as u64;
             let latency = if config.max_latency > config.min_latency {
                 rng.gen_range(config.min_latency..=config.max_latency)
             } else {
@@ -410,7 +430,7 @@ impl SimNet {
                 WireEnvelope {
                     from,
                     to,
-                    bytes: bytes.clone(),
+                    frame: Arc::clone(frame),
                 },
             );
         }
@@ -431,7 +451,8 @@ impl SimNet {
     /// bytes are those of [`poll_due`](Self::poll_due).
     #[expect(
         clippy::expect_used,
-        reason = "every queued frame was encoded by this SimNet's send"
+        reason = "every queued frame was written by the codec's encoders, through send \
+                  or encode_frame"
     )]
     pub fn poll_due_keeping(
         &mut self,
@@ -443,9 +464,9 @@ impl SimNet {
         }
         let (_, env) = self.queue.pop_first()?;
         self.stats.delivered += 1;
-        self.stats.bytes_delivered += env.bytes.len() as u64;
+        self.stats.bytes_delivered += env.frame.len() as u64;
         let to = env.to;
-        let msg = crate::knowledge_io::wire_from_bytes_keeping(&env.bytes, |op| keep(to, op))
+        let msg = crate::knowledge_io::wire_from_bytes_keeping(&env.frame, |op| keep(to, op))
             .expect("decoding a frame this SimNet encoded");
         Some(Envelope {
             from: env.from,
@@ -455,32 +476,72 @@ impl SimNet {
     }
 }
 
+/// Writes one frame with `write` into `buf` (a buffer reused across
+/// frames) and returns it as the shared bytes that
+/// [`SimNet::send_frame`] queues for every target and duplicate copy.
+#[expect(
+    clippy::expect_used,
+    reason = "a frame fails to encode only past u32::MAX elements in one sequence, \
+              which no message of the simulated exchange can hold in memory"
+)]
+pub(crate) fn encode_frame(
+    buf: &mut Vec<u8>,
+    write: impl FnOnce(&mut Vec<u8>) -> Result<(), SocratesError>,
+) -> Arc<[u8]> {
+    write(buf).expect("a simulated message fits the wire format's u32 counts");
+    Arc::from(buf.as_slice())
+}
+
 /// Saved-state cadence of a [`Replica`]: one saved fold state of a
 /// point every this many of that point's own observations.
 const SAVE_EVERY: usize = 8;
 
-/// One operating point's share of a [`Replica`]: the canonical keys of
-/// its observations and its fold state saved along them.
+/// Where a [`Replica`] keeps one observation: its index in the
+/// replica's append-only arena.
+pub(crate) type Slot = u32;
+
+/// One operating point's share of a [`Replica`]: the slots of its
+/// observations in canonical order and its fold state saved along them.
 #[derive(Debug, Default)]
 struct PointLog {
-    /// Keys of the point's logged observations, ascending.
-    keys: Vec<(u64, NodeId)>,
-    /// `saved[j]` is the point's state after folding
+    /// Slots of the point's logged observations, ascending by
+    /// `(round, origin)`.
+    keys: Vec<Slot>,
+    /// `saved[j]` for `j < saves` is the point's state after folding
     /// `keys[..j * SAVE_EVERY]`; entry 0 is its boot state (warm seed
-    /// included), captured when its first observation arrives.
+    /// included), captured when its first observation arrives. Entries
+    /// from `saves` on are spare buffers a later save overwrites.
     saved: Vec<PointState>,
+    saves: usize,
     /// The live state is the fold of `keys[..folded]`, unless `stale`.
     folded: usize,
     /// An observation arrived below `folded`: the live state must roll
-    /// back to `saved.last()` before the replay.
+    /// back to `saved[saves - 1]` before the replay.
     stale: bool,
+    /// The point is in the replica's pending list.
+    pending: bool,
+}
+
+impl PointLog {
+    /// Saves the point's live state after the valid ones, into a spare
+    /// buffer when there is one.
+    fn save(&mut self, folded: &SharedKnowledge<KnobConfig>, pos: usize) {
+        let saved = match self.saved.get_mut(self.saves) {
+            Some(spare) => folded.point_state_into(pos, spare),
+            None => folded
+                .point_state(pos)
+                .map(|state| self.saved.push(state))
+                .is_some(),
+        };
+        self.saves += usize::from(saved);
+    }
 }
 
 /// One origin's share of a [`Replica`]'s log.
 #[derive(Debug, Default)]
 struct OriginLog {
-    /// Logged sequence number → round.
-    seqs: BTreeMap<u64, u64>,
+    /// Logged sequence number → slot.
+    seqs: BTreeMap<u64, Slot>,
     /// Every sequence number below this one is logged.
     contiguous: u64,
 }
@@ -488,8 +549,15 @@ struct OriginLog {
 /// A replicated observation log folded into a [`SharedKnowledge`] in
 /// the canonical `(round, origin)` order.
 ///
+/// Every logged observation sits once in an append-only arena,
+/// addressed by slot. The canonical map, each operating point's keys
+/// and each origin's sequence numbers hold slots into it, so logging,
+/// folding, retransmitting ([`missing_for`](Self::missing_for)) and
+/// welcoming a joiner ([`ops`](Self::ops)) read the observation where
+/// it lies instead of copying it.
+///
 /// The fold is a pure function of the log *set*. Operating points fold
-/// independently, so each point keeps the canonical keys of its own
+/// independently, so each point keeps the slots of its own
 /// observations plus a saved state every 8 of them. An
 /// observation that arrives below what its point already folded rolls
 /// that point alone back to its newest saved state at or below the
@@ -502,13 +570,16 @@ struct OriginLog {
 /// and a late arrival costs the suffix of one point, not of the log.
 #[derive(Debug)]
 pub struct Replica {
-    log: BTreeMap<(u64, NodeId), Observation>,
+    /// Every logged observation, once, in arrival order.
+    arena: Vec<Observation>,
+    /// Canonical `(round, origin)` order → slot.
+    log: BTreeMap<(u64, NodeId), Slot>,
     per_origin: BTreeMap<NodeId, OriginLog>,
     folded: SharedKnowledge<KnobConfig>,
     /// Per knowledge position.
     points: Vec<PointLog>,
-    /// Positions with logged observations not yet folded.
-    pending: BTreeSet<usize>,
+    /// Positions with logged observations not yet folded, each once.
+    pending: Vec<usize>,
     /// The epoch at the last [`take_changes`](Self::take_changes).
     taken_epoch: u64,
     refolds: u64,
@@ -534,13 +605,14 @@ impl Replica {
     ) -> Self {
         let points = (0..design.len()).map(|_| PointLog::default()).collect();
         Replica {
+            arena: Vec::new(),
             log: BTreeMap::new(),
             per_origin: BTreeMap::new(),
             folded: SharedKnowledge::new(design, window)
                 .with_min_observations(min_observations)
                 .with_shards(shards),
             points,
-            pending: BTreeSet::new(),
+            pending: Vec::new(),
             taken_epoch: 0,
             refolds: 0,
             refold_ops_replayed: 0,
@@ -572,7 +644,7 @@ impl Replica {
     }
 
     /// Whether the observation `op_id` (its `(round, origin)`) is
-    /// logged — the cheap duplicate test before cloning a rumor.
+    /// logged — the cheap duplicate test before decoding a rumor.
     pub fn contains(&self, op_id: (u64, NodeId)) -> bool {
         self.log.contains_key(&op_id)
     }
@@ -584,61 +656,93 @@ impl Replica {
     /// insertion; [`fold_pending`](Self::fold_pending) replays only the
     /// point's suffix.
     pub fn insert(&mut self, op: Observation) -> bool {
+        self.log_observation(op).is_some()
+    }
+
+    /// [`insert`](Self::insert) that returns the new observation's
+    /// slot, `None` for a duplicate.
+    #[expect(
+        clippy::expect_used,
+        reason = "u32::MAX observations, the first slot past the u32 range, would \
+                  take hundreds of GB: no replica holds them in memory"
+    )]
+    pub(crate) fn log_observation(&mut self, op: Observation) -> Option<Slot> {
         let key = op.op_id();
-        if self.log.contains_key(&key) {
-            return false;
-        }
+        let Entry::Vacant(entry) = self.log.entry(key) else {
+            return None;
+        };
+        let slot = Slot::try_from(self.arena.len()).expect("an arena slot fits in u32");
+        entry.insert(slot);
         if let Some(pos) = self.folded.position_of(&op.config) {
             let point = &mut self.points[pos];
-            if point.saved.is_empty() {
+            if point.saves == 0 {
                 // The point's first observation: nothing of it is
                 // folded yet, so its live state is its boot state.
-                point.saved.extend(self.folded.point_state(pos));
+                point.save(&self.folded, pos);
             }
-            let at = point.keys.partition_point(|k| *k < key);
-            point.keys.insert(at, key);
+            let arena = &self.arena;
+            let at = point
+                .keys
+                .partition_point(|&s| arena[s as usize].op_id() < key);
+            point.keys.insert(at, slot);
             if at < point.folded {
                 // Saved states past the insertion no longer cover a
                 // prefix of the point's keys.
                 point.stale = true;
-                point.saved.truncate(at / SAVE_EVERY + 1);
+                point.saves = point.saves.min(at / SAVE_EVERY + 1);
             }
-            self.pending.insert(pos);
+            if !point.pending {
+                point.pending = true;
+                self.pending.push(pos);
+            }
         }
         let origin = self.per_origin.entry(op.origin).or_default();
-        origin.seqs.insert(op.seq, op.round);
+        origin.seqs.insert(op.seq, slot);
         while origin.seqs.contains_key(&origin.contiguous) {
             origin.contiguous += 1;
         }
-        self.log.insert(key, op);
-        true
+        self.arena.push(op);
+        Some(slot)
+    }
+
+    /// The observation logged at `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` was not handed out by this replica.
+    pub(crate) fn observation(&self, slot: Slot) -> &Observation {
+        &self.arena[slot as usize]
     }
 
     /// Folds every logged observation that is not yet reflected in the
     /// effective knowledge. Each point with new observations either
     /// folds them on top of its live state or, after a late arrival,
     /// rolls back to its newest saved state at or below it and
-    /// re-publishes its suffix in canonical order.
+    /// re-publishes its suffix in canonical order, reading each
+    /// observation from the arena.
     pub fn fold_pending(&mut self) {
-        for pos in std::mem::take(&mut self.pending) {
+        self.pending.sort_unstable();
+        for &pos in &self.pending {
             let point = &mut self.points[pos];
-            if std::mem::take(&mut point.stale) {
-                if let Some(saved) = point.saved.last() {
-                    let at = (point.saved.len() - 1) * SAVE_EVERY;
-                    self.folded.restore_point(saved);
-                    self.refolds += 1;
-                    self.refold_ops_replayed += (point.folded - at) as u64;
-                    point.folded = at;
-                }
+            point.pending = false;
+            if std::mem::take(&mut point.stale) && point.saves > 0 {
+                let newest = point.saves - 1;
+                let at = newest * SAVE_EVERY;
+                self.folded.restore_point(&point.saved[newest]);
+                self.refolds += 1;
+                self.refold_ops_replayed += (point.folded - at) as u64;
+                point.folded = at;
             }
-            while let Some(key) = point.keys.get(point.folded) {
-                self.folded.publish_at(pos, &self.log[key].observed);
+            while let Some(&slot) = point.keys.get(point.folded) {
+                self.folded
+                    .publish_at(pos, &self.arena[slot as usize].observed);
                 point.folded += 1;
                 if point.folded.is_multiple_of(SAVE_EVERY) {
-                    point.saved.extend(self.folded.point_state(pos));
+                    point.save(&self.folded, pos);
                 }
             }
         }
+        self.pending.clear();
     }
 
     /// Whether observations are logged but not yet folded.
@@ -685,9 +789,11 @@ impl Replica {
     /// The folded per-shard epoch vector: bit-identical across
     /// replicas holding the same observations.
     pub fn shard_epochs(&self) -> Vec<u64> {
-        (0..self.folded.shard_count())
-            .map(|s| self.folded.shard_epoch(s))
-            .collect()
+        self.shard_epoch_iter().collect()
+    }
+
+    fn shard_epoch_iter(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.folded.shard_count()).map(|s| self.folded.shard_epoch(s))
     }
 
     /// The effective knowledge under the canonical fold.
@@ -707,23 +813,42 @@ impl Replica {
     /// The observations this replica holds that a peer summarising
     /// itself as `counts` provably lacks, in canonical order (the
     /// anti-entropy retransmission set; gaps above a peer's watermark
-    /// may cause benign re-sends, which deduplicate on insert).
-    pub fn missing_for(&self, counts: &[(NodeId, u64)]) -> Vec<Observation> {
-        let theirs: BTreeMap<NodeId, u64> = counts.iter().copied().collect();
+    /// may cause benign re-sends, which deduplicate on insert): every
+    /// logged observation at or above the watermark `counts` gives its
+    /// origin (the last one it gives; 0 when it gives none). The
+    /// observations are read in place, for a frame writer.
+    pub fn missing_for(&self, counts: &[(NodeId, u64)]) -> Vec<&Observation> {
         let mut out = Vec::new();
         for (&origin, log) in &self.per_origin {
-            let have = theirs.get(&origin).copied().unwrap_or(0);
-            for (_, &round) in log.seqs.range(have..) {
-                out.push(self.log[&(round, origin)].clone());
-            }
+            let have = counts
+                .iter()
+                .rev()
+                .find(|&&(node, _)| node == origin)
+                .map_or(0, |&(_, count)| count);
+            out.extend(
+                log.seqs
+                    .range(have..)
+                    .map(|(_, &slot)| self.observation(slot)),
+            );
         }
-        out.sort_by_key(Observation::op_id);
+        // Op ids are unique in the log, so the unstable sort is exact.
+        out.sort_unstable_by_key(|op| op.op_id());
         out
     }
 
     /// Every logged observation, in canonical order.
-    pub fn ops(&self) -> impl Iterator<Item = &Observation> {
-        self.log.values()
+    pub fn ops(&self) -> impl ExactSizeIterator<Item = &Observation> + '_ {
+        self.log.values().map(|&slot| self.observation(slot))
+    }
+
+    /// Whether `other` logs the same observations (by canonical op id)
+    /// as this replica and folds them to the same per-shard epochs,
+    /// with nothing left to fold on either side.
+    pub(crate) fn agrees_with(&self, other: &Replica) -> bool {
+        !self.pending()
+            && !other.pending()
+            && self.log.keys().eq(other.log.keys())
+            && self.shard_epoch_iter().eq(other.shard_epoch_iter())
     }
 
     /// Number of logged observations.
@@ -933,7 +1058,7 @@ mod tests {
         // re-send of seq 1) and origin-1 seq 1.
         assert_eq!(missing.len(), 3);
         for o in missing {
-            b.insert(o);
+            b.insert(o.clone());
         }
         a.fold_pending();
         b.fold_pending();
@@ -942,6 +1067,32 @@ mod tests {
         assert!(a.missing_for(&b.summary()).is_empty());
         assert_eq!(a.len(), 4);
         assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn replicas_agree_on_the_same_log_with_nothing_left_to_fold() {
+        // Observations of a configuration outside the design knowledge
+        // are logged but fold into no point, so every replica below
+        // keeps the boot epochs and only the logs can differ.
+        let foreign = |seq: u64| Observation {
+            config: cfg(3),
+            ..op(0, seq, seq, 1, 60.0)
+        };
+        let replica = |seqs: &[u64]| {
+            let mut r = Replica::new(design(), 4, 1, 2);
+            for &seq in seqs {
+                assert!(r.insert(foreign(seq)));
+            }
+            r.fold_pending();
+            r
+        };
+        assert!(replica(&[0, 1]).agrees_with(&replica(&[1, 0])));
+        assert!(!replica(&[0, 1]).agrees_with(&replica(&[0])));
+        assert!(!replica(&[0, 2]).agrees_with(&replica(&[0, 3])));
+        // Nothing left to fold is part of agreeing.
+        let mut unfolded = replica(&[0, 1]);
+        unfolded.insert(op(1, 0, 0, 1, 61.0));
+        assert!(!unfolded.agrees_with(&unfolded));
     }
 
     #[test]

@@ -45,9 +45,9 @@
 //! The points are partitioned into `S` **shards** (deterministic
 //! config-hash → shard). Shards hold no data of their own: they are
 //! the unit epoch vectors and snapshots are cut along
-//! ([`shard_epoch`], [`shard_hash`], [`versioned_snapshot`]), so two
-//! replicas can compare their folds shard by shard. The effective
-//! knowledge is bit-identical at any shard count.
+//! ([`shard_epoch`], [`versioned_snapshot`]), so two replicas can
+//! compare their folds shard by shard. The effective knowledge is
+//! bit-identical at any shard count.
 //!
 //! # Versioning
 //!
@@ -63,7 +63,6 @@
 //! of rebuilding the whole effective knowledge.
 //!
 //! [`shard_epoch`]: SharedKnowledge::shard_epoch
-//! [`shard_hash`]: SharedKnowledge::shard_hash
 //! [`versioned_snapshot`]: SharedKnowledge::versioned_snapshot
 //! [`drain_changes`]: SharedKnowledge::drain_changes
 //! [`drain_changes_into`]: SharedKnowledge::drain_changes_into
@@ -360,11 +359,10 @@ pub fn shard_index<K: Hash>(config: &K, shards: usize) -> usize {
 
 /// FNV-1a content digest over `(position, operating point)` pairs:
 /// folds each position, the config (via its `Hash` impl) and every
-/// `(metric name, f64 bit pattern)` pair in metric order. Feed it one
-/// shard's points in ascending position order and it reproduces
-/// [`SharedKnowledge::shard_hash`] for that shard — the bit-identity
-/// check between a live knowledge base and an external reconstruction
-/// (e.g. a decoded snapshot or another replica's fold).
+/// `(metric name, f64 bit pattern)` pair in metric order: a bit-identity
+/// check between two folds of knowledge (a live knowledge base, a
+/// decoded snapshot, another replica's fold), whole or one
+/// [`shard_index`] group at a time.
 pub fn shard_content_hash<'a, K, I>(points: I) -> u64
 where
     K: Hash + 'a,
@@ -514,11 +512,6 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
         self.arena.borrow().shard_epochs[shard]
     }
 
-    /// The shard `config` lives in, or `None` for unknown configs.
-    pub fn shard_of(&self, config: &K) -> Option<usize> {
-        self.index.get(config).map(|&pos| self.shards[pos])
-    }
-
     /// The position of `config` in the effective [`Knowledge`] (the
     /// design knowledge's order), or `None` for unknown configs.
     pub fn position_of(&self, config: &K) -> Option<usize> {
@@ -529,26 +522,41 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
     /// windows, all-time counts, change count and dropped-value count.
     /// `None` when `position` is out of range.
     pub fn point_state(&self, position: usize) -> Option<PointState> {
+        let mut state = PointState {
+            position,
+            windows: Vec::new(),
+            values: Vec::new(),
+            changes: 0,
+            dropped: 0,
+        };
+        self.point_state_into(position, &mut state).then_some(state)
+    }
+
+    /// [`point_state`](Self::point_state) over a state captured before,
+    /// reusing its buffers: what a caller that keeps saving states of
+    /// its points writes instead of allocating a fresh one each time.
+    /// Returns `false` (and leaves `state` as it was) when `position`
+    /// is out of range.
+    pub fn point_state_into(&self, position: usize, state: &mut PointState) -> bool {
         if position >= self.len() {
-            return None;
+            return false;
         }
         let arena = self.arena.borrow();
-        let mut windows = Vec::new();
-        let mut values = Vec::new();
+        state.position = position;
+        state.windows.clear();
+        state.values.clear();
         for (metric, col) in arena.metrics.iter().zip(&arena.cols) {
             let total = col.total[position];
             if total > 0 {
-                windows.push((metric.clone(), col.len[position] as usize, total));
-                values.extend(col.ordered(position, self.window));
+                state
+                    .windows
+                    .push((metric.clone(), col.len[position] as usize, total));
+                state.values.extend(col.ordered(position, self.window));
             }
         }
-        Some(PointState {
-            position,
-            windows,
-            values,
-            changes: arena.changes[position],
-            dropped: arena.dropped[position],
-        })
+        state.changes = arena.changes[position];
+        state.dropped = arena.dropped[position];
+        true
     }
 
     /// Puts a point back into the fold state `saved` captured: every
@@ -866,35 +874,6 @@ impl<K: Clone + Eq + Hash> SharedKnowledge<K> {
         (arena.epoch(), self.effective(&arena))
     }
 
-    /// Content hash of shard `shard`'s effective points:
-    /// [`shard_content_hash`] over its `(position, point)` pairs in
-    /// ascending position order. Two knowledge bases (or a knowledge
-    /// base and a decoded snapshot) with equal hashes for every shard
-    /// hold bit-identical effective knowledge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= shard_count()`.
-    pub fn shard_hash(&self, shard: usize) -> u64 {
-        let arena = self.arena.borrow();
-        assert!(
-            shard < arena.shard_epochs.len(),
-            "shard {shard} out of range"
-        );
-        let points: Vec<(usize, OperatingPoint<K>)> = (0..self.len())
-            .filter(|&pos| self.shards[pos] == shard)
-            .map(|pos| (pos, self.effective_point(&arena, pos)))
-            .collect();
-        shard_content_hash(points.iter().map(|(pos, point)| (*pos, point)))
-    }
-
-    /// All per-shard content hashes, in shard order.
-    pub fn shard_hashes(&self) -> Vec<u64> {
-        (0..self.shard_count())
-            .map(|s| self.shard_hash(s))
-            .collect()
-    }
-
     /// Epoch, per-shard epoch vector and effective knowledge at that
     /// epoch — the consistent triple a full-state snapshot is cut from.
     pub fn versioned_snapshot(&self) -> (u64, Vec<u64>, Knowledge<K>) {
@@ -937,6 +916,11 @@ mod tests {
             )
         };
         [mk(1, 1.0, 50.0), mk(2, 0.4, 80.0)].into_iter().collect()
+    }
+
+    /// The bit-exact digest of the effective knowledge.
+    fn content_hash(shared: &SharedKnowledge<u32>) -> u64 {
+        shard_content_hash(shared.knowledge().points().iter().enumerate())
     }
 
     #[test]
@@ -986,7 +970,7 @@ mod tests {
         // First real observation changes the effective power.
         assert!(shared.publish(&1, &MetricValues::new().with(Metric::power(), 60.0)));
         assert_eq!(shared.epoch(), 1);
-        let shard = shared.shard_of(&1).unwrap();
+        let shard = shard_index(&1u32, shared.shard_count());
         assert_eq!(shared.shard_epoch(shard), 1);
         // Re-observing the exact window mean leaves the effective value
         // where it was: no bump, globally or in the shard.
@@ -1033,8 +1017,8 @@ mod tests {
         shared.publish(&1, &MetricValues::new().with(Metric::power(), 60.0));
         shared.publish(&2, &MetricValues::new().with(Metric::power(), 85.0));
         assert_eq!(shared.epoch(), 2);
-        let s1 = shared.shard_of(&1).unwrap();
-        let s2 = shared.shard_of(&2).unwrap();
+        let s1 = shard_index(&1u32, shared.shard_count());
+        let s2 = shard_index(&2u32, shared.shard_count());
         let total: u64 = (0..shared.shard_count())
             .map(|s| shared.shard_epoch(s))
             .sum();
@@ -1164,7 +1148,8 @@ mod tests {
         barriered.drain_changes_into(&mut barrier_cache);
         assert_eq!(stream_cache, barrier_cache);
         assert_eq!(streamed.epoch(), barriered.epoch());
-        assert_eq!(streamed.shard_hashes(), barriered.shard_hashes());
+        assert_eq!(streamed.knowledge(), barriered.knowledge());
+        assert_eq!(content_hash(&streamed), content_hash(&barriered));
         for s in 0..streamed.shard_count() {
             assert_eq!(streamed.shard_epoch(s), barriered.shard_epoch(s));
         }
@@ -1245,6 +1230,13 @@ mod tests {
             shared.publish(&1, &power(p));
         }
         let saved = shared.point_state(0).expect("position 0 exists");
+        // Capturing into a state of another point reuses it in place;
+        // out of range leaves it as it was.
+        let mut reused = shared.point_state(1).expect("position 1 exists");
+        assert!(shared.point_state_into(0, &mut reused));
+        assert_eq!(reused, saved);
+        assert!(!shared.point_state_into(2, &mut reused));
+        assert_eq!(reused, saved);
         // Move point 1 on, and touch point 2 (in whichever shard).
         shared.publish(&1, &power(90.0));
         shared.publish(&1, &power(91.0));
@@ -1272,8 +1264,11 @@ mod tests {
             twin.publish(&1, &power(p));
         }
         assert_eq!(shared.knowledge(), twin.knowledge());
+        assert_eq!(content_hash(&shared), content_hash(&twin));
         assert_eq!(shared.epoch(), twin.epoch());
-        assert_eq!(shared.shard_hashes(), twin.shard_hashes());
+        for s in 0..shared.shard_count() {
+            assert_eq!(shared.shard_epoch(s), twin.shard_epoch(s));
+        }
         // The restore left the point dirty for the next drain.
         let (_, changed) = shared.drain_changes();
         assert!(changed.iter().any(|(pos, _)| *pos == 0));
@@ -1318,47 +1313,6 @@ mod tests {
             Some(60.0),
             "the carried observation still counts toward the window mean"
         );
-    }
-
-    #[test]
-    fn shard_hashes_match_an_external_reconstruction() {
-        let shared = SharedKnowledge::new(design(), 4).with_shards(3);
-        shared.publish(&1, &MetricValues::new().with(Metric::power(), 60.0));
-        shared.publish(&2, &MetricValues::new().with(Metric::exec_time(), 0.5));
-        // Rebuild the per-shard point groups from the effective
-        // knowledge alone, exactly as a decoded snapshot would.
-        let (_, k) = shared.snapshot();
-        let shards = shared.shard_count();
-        let mut groups: Vec<Vec<(usize, OperatingPoint<u32>)>> = vec![Vec::new(); shards];
-        for (pos, point) in k.points().iter().enumerate() {
-            groups[shard_index(&point.config, shards)].push((pos, point.clone()));
-        }
-        for (s, group) in groups.iter().enumerate() {
-            assert_eq!(
-                shared.shard_hash(s),
-                shard_content_hash(group.iter().map(|(pos, p)| (*pos, p))),
-                "shard {s}"
-            );
-        }
-        assert_eq!(
-            shared.shard_hashes(),
-            (0..shards)
-                .map(|s| shared.shard_hash(s))
-                .collect::<Vec<_>>()
-        );
-        // Hashes are content hashes: diverging one point changes
-        // exactly that point's shard.
-        let before = shared.shard_hashes();
-        shared.publish(&1, &MetricValues::new().with(Metric::power(), 90.0));
-        let after = shared.shard_hashes();
-        let s1 = shared.shard_of(&1).unwrap();
-        for s in 0..shards {
-            if s == s1 {
-                assert_ne!(before[s], after[s]);
-            } else {
-                assert_eq!(before[s], after[s]);
-            }
-        }
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //!    metric's effective value before and after its push, non-finite
 //!    values included.
 
-use margot::{Knowledge, KnowledgeDelta, Metric, MetricValues, OperatingPoint, SharedKnowledge};
+use margot::{
+    shard_content_hash, shard_index, Knowledge, KnowledgeDelta, Metric, MetricValues,
+    OperatingPoint, SharedKnowledge,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, VecDeque};
 
@@ -37,6 +40,11 @@ fn design() -> Knowledge<u32> {
             )
         })
         .collect()
+}
+
+/// The bit-exact digest of the effective knowledge.
+fn content_hash(shared: &SharedKnowledge<u32>) -> u64 {
+    shard_content_hash(shared.knowledge().points().iter().enumerate())
 }
 
 /// One published observation: a config (sometimes unknown) and a
@@ -205,8 +213,11 @@ proptest! {
         }
         prop_assert!(!by_position.publish_at(POINTS as usize, &MetricValues::new()));
         prop_assert_eq!(by_config.knowledge(), by_position.knowledge());
+        prop_assert_eq!(content_hash(&by_config), content_hash(&by_position));
         prop_assert_eq!(by_config.epoch(), by_position.epoch());
-        prop_assert_eq!(by_config.shard_hashes(), by_position.shard_hashes());
+        for s in 0..by_config.shard_count() {
+            prop_assert_eq!(by_config.shard_epoch(s), by_position.shard_epoch(s));
+        }
         prop_assert_eq!(by_config.dropped_observations(), by_position.dropped_observations());
         for pos in 0..POINTS as usize {
             prop_assert_eq!(by_config.point_state(pos), by_position.point_state(pos));
@@ -236,7 +247,7 @@ proptest! {
         prop_assert_eq!(shared.epoch(), reference.changes.iter().sum::<u64>());
         for s in 0..shared.shard_count() {
             let expected: u64 = (0..POINTS)
-                .filter(|cfg| shared.shard_of(cfg) == Some(s))
+                .filter(|cfg| shard_index(cfg, shared.shard_count()) == s)
                 .map(|cfg| reference.changes[cfg as usize])
                 .sum();
             prop_assert_eq!(shared.shard_epoch(s), expected, "shard {}", s);
@@ -270,7 +281,7 @@ proptest! {
                 "global epoch must move iff the effective knowledge changed"
             );
             for (s, &before_shard) in before_shard_epochs.iter().enumerate() {
-                let expect_bump = changed && shared.shard_of(config) == Some(s);
+                let expect_bump = changed && shard_index(config, shared.shard_count()) == s;
                 prop_assert_eq!(
                     shared.shard_epoch(s) > before_shard,
                     expect_bump,

@@ -7,12 +7,21 @@
 
 use crate::pragma::Pragma;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A whole source file: an ordered list of top-level items.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TranslationUnit {
     /// Top-level items in source order.
     pub items: Vec<Item>,
+}
+
+/// Compares a translation unit with one held behind an [`Arc`], such as
+/// a program shared out of a cache, by value.
+impl PartialEq<Arc<TranslationUnit>> for TranslationUnit {
+    fn eq(&self, other: &Arc<TranslationUnit>) -> bool {
+        *self == **other
+    }
 }
 
 impl TranslationUnit {

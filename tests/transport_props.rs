@@ -5,6 +5,10 @@
 //! reference fed the same observations in `(round, origin)` order;
 //! and a late-joining instance must catch up exactly.
 //!
+//! A replica's anti-entropy retransmission set is exactly what a
+//! peer's summary provably lacks: every logged observation at or above
+//! the peer's watermark for its origin, in canonical order.
+//!
 //! The enhanced application is built once and shared across cases
 //! (its design knowledge subsampled so the AS-RTM planning cost does
 //! not drown the exchange being tested); every case derives its whole
@@ -409,5 +413,49 @@ proptest! {
         let reference_epochs: Vec<u64> =
             (0..reference.shard_count()).map(|s| reference.shard_epoch(s)).collect();
         prop_assert_eq!(replica.shard_epochs(), reference_epochs);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `missing_for` returns exactly the logged observations whose
+    /// sequence number is at or above the watermark the summary gives
+    /// their origin (the last one it gives; an origin the summary does
+    /// not name counts from 0), in `(round, origin)` order. The logs
+    /// have gaps (sequence numbers never delivered) and duplicates
+    /// (deliveries the log already holds); an origin's rounds rise with
+    /// its sequence numbers, as a node's own counter does, and origins
+    /// share rounds, so the order breaks ties by origin.
+    #[test]
+    fn missing_for_is_the_log_at_or_above_each_watermark(
+        deliveries in prop::collection::vec((0u32..5, 0u64..12, 0usize..KNOWLEDGE_POINTS), 0..80),
+        counts in prop::collection::vec((0u32..7, 0u64..14), 0..9),
+    ) {
+        let design = enhanced().knowledge.clone();
+        let mut replica = Replica::new(design.clone(), 4, 1, 3);
+        for &(origin, seq, point) in &deliveries {
+            let op = Observation {
+                origin,
+                seq,
+                round: 2 * seq + u64::from(origin % 2),
+                config: design.points()[point % design.len()].config.clone(),
+                observed: MetricValues::from_execution(0.05 + seq as f64 * 0.01, 60.0),
+            };
+            let fresh = !replica.contains(op.op_id());
+            prop_assert_eq!(replica.insert(op), fresh);
+        }
+        let watermark = |origin| {
+            counts
+                .iter()
+                .rev()
+                .find(|&&(node, _)| node == origin)
+                .map_or(0, |&(_, count)| count)
+        };
+        let expected: Vec<&Observation> = replica
+            .ops()
+            .filter(|op| op.seq >= watermark(op.origin))
+            .collect();
+        prop_assert_eq!(replica.missing_for(&counts), expected);
     }
 }

@@ -11,6 +11,11 @@
 //! full decode filtered by that predicate, and rejects exactly the
 //! frames the full decode rejects, truncated or corrupted.
 //!
+//! The by-reference frame writers (`write_ops_frame`,
+//! `write_welcome_log_frame`), which senders use to frame observations
+//! they hold without an owned message, write exactly the bytes
+//! `wire_to_bytes` writes for that message.
+//!
 //! The companion compatibility property — the committed binary golden
 //! decodes to exactly the messages it was written from — is pinned in
 //! `tests/golden_wire.rs` against the checked-in file.
@@ -19,7 +24,10 @@ use margot::{Metric, MetricValues};
 use platform_sim::{BindingPolicy, CompilerOptions, KnobConfig, OptLevel};
 use proptest::prelude::*;
 use socrates::transport::{Observation, WireMessage};
-use socrates::{wire_from_bytes, wire_from_bytes_keeping, wire_to_bytes};
+use socrates::{
+    wire_from_bytes, wire_from_bytes_keeping, wire_to_bytes, write_ops_frame,
+    write_welcome_log_frame,
+};
 
 fn config_strategy() -> impl Strategy<Value = KnobConfig> {
     (0usize..4, 0u8..64, any::<u32>(), 0usize..2).prop_map(|(level, mask, tn, bp)| {
@@ -74,6 +82,21 @@ fn wire_strategy() -> impl Strategy<Value = WireMessage> {
         prop::collection::vec(observation_strategy(), 0..3)
             .prop_map(|ops| WireMessage::WelcomeLog { ops }),
     ]
+}
+
+/// Metric bundles whose names mix the well-known metrics with
+/// arbitrary custom ones, over arbitrary f64 bit patterns.
+fn named_metrics_strategy() -> impl Strategy<Value = MetricValues> {
+    let name = prop_oneof![
+        Just("exec_time_s".to_string()),
+        Just("power_w".to_string()),
+        Just("throughput".to_string()),
+        Just("energy_j".to_string()),
+        "\\PC{1,12}",
+    ];
+    prop::collection::vec((name, value_strategy()), 0..5).prop_map(|pairs| {
+        MetricValues::from_unvalidated(pairs.into_iter().map(|(name, v)| (Metric::custom(name), v)))
+    })
 }
 
 /// Observation frames whose `(round, origin)` ids come from a small
@@ -218,6 +241,47 @@ proptest! {
                 full.is_ok(),
                 kept.is_ok()
             ),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The by-reference writers are byte-identical to `wire_to_bytes` of
+    /// the owned message, whatever the buffer held before: every f64 bit
+    /// pattern, custom metric names, empty observation lists.
+    #[test]
+    fn frame_writers_match_the_owned_encoding(
+        ops in prop::collection::vec(
+            (
+                any::<u32>(),
+                any::<u64>(),
+                any::<u64>(),
+                config_strategy(),
+                named_metrics_strategy(),
+            )
+                .prop_map(|(origin, seq, round, config, observed)| Observation {
+                    origin,
+                    seq,
+                    round,
+                    config,
+                    observed,
+                }),
+            0..5,
+        ),
+        stale in prop::collection::vec(any::<u8>(), 0..32),
+    ) {
+        let mut out = stale;
+        for ops in [&ops[..], &[]] {
+            write_ops_frame(&mut out, ops).expect("encoding is total");
+            let owned = WireMessage::Ops { ops: ops.to_vec() };
+            prop_assert_eq!(&out, &wire_to_bytes(&owned).expect("encoding is total"));
+            // The welcome log reads the observations from an iterator of
+            // references, as a replica's log hands them out.
+            write_welcome_log_frame(&mut out, ops.iter()).expect("encoding is total");
+            let owned = WireMessage::WelcomeLog { ops: ops.to_vec() };
+            prop_assert_eq!(&out, &wire_to_bytes(&owned).expect("encoding is total"));
         }
     }
 }
